@@ -28,9 +28,7 @@ from .spectral import (
 from .dyadic import (
     BlockDecomposition,
     DyadicCutoff,
-    block,
     make_cutoff,
-    partial_sum,
     partition_residual,
     zygmund_norm,
 )

@@ -44,6 +44,8 @@ class CircleProblem:
             raise ValueError("circle problems live on T^1")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,6 +73,17 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
+def _finite(value, path: str) -> float:
+    """A finite float from a config value; NaN, Infinity and non-numbers are config errors."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: {x} is not finite")
+    return x
+
+
 def _field_from_modes_config(grid: TorusGrid, modes, path: str) -> SpectralField:
     """Trig-polynomial input as [{k, re, im}]; Hermitian symmetry validated."""
     if not isinstance(modes, list):
@@ -102,10 +114,13 @@ def _parse_solver(cfg, modes, default_mode, path="solver"):
     mode = cfg.get("mode", default_mode)
     if mode not in modes:
         raise ConfigError(f"{path}.mode: {mode!r} not in {modes}")
+    max_iter = int(_finite(cfg.get("max_iter", 40), f"{path}.max_iter"))
+    if max_iter < 1:
+        raise ConfigError(f"{path}.max_iter must be >= 1, got {max_iter}")
     return {
-        "s": float(cfg.get("s", 3.0)),
-        "tol": float(cfg.get("tol", 1e-10)),
-        "max_iter": int(cfg.get("max_iter", 40)),
+        "s": _finite(cfg.get("s", 3.0), f"{path}.s"),
+        "tol": _finite(cfg.get("tol", 1e-10), f"{path}.tol"),
+        "max_iter": max_iter,
         "mode": mode,
     }
 
@@ -127,6 +142,16 @@ def _write_rows_csv(path: Path, columns, rows, summary: dict) -> None:
         fh.write(",".join(cells) + "\n")
 
 
+def _solve_saving_trajectory(solve_fn, csv_path: Path):
+    """Run a solve; if it does not converge, write its partial report to csv_path first."""
+    try:
+        return solve_fn()
+    except MaxIterExceededError as exc:
+        if exc.report is not None:
+            exc.report.write_csv(csv_path)
+        raise
+
+
 # --- circle -------------------------------------------------------------------
 
 
@@ -141,9 +166,14 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
     if grid.dim != 1:
         raise ConfigError("circle experiments need grid.dim = 1")
     _require_keys(cfg["frequency"], {"alpha": True, "sigma": True}, "frequency")
-    alpha = RotationAngle.certify(
-        float(cfg["frequency"]["alpha"]), float(cfg["frequency"]["sigma"]), grid.max_mode
-    )
+    try:
+        alpha = RotationAngle.certify(
+            _finite(cfg["frequency"]["alpha"], "frequency.alpha"),
+            _finite(cfg["frequency"]["sigma"], "frequency.sigma"),
+            grid.max_mode,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"frequency: {exc}") from exc
     _require_keys(cfg["problem"], {"f_modes": True}, "problem")
     f = _field_from_modes_config(grid, cfg["problem"]["f_modes"], "problem.f_modes")
     sv = _parse_solver(cfg.get("solver"), ("standard", "refined", "naive"), "standard")
@@ -154,14 +184,15 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
         "outputs",
     )
     problem = CircleProblem(alpha=alpha, f=f, **sv)
-    sol = solve(problem)
+    csv_path = out / outputs.get("csv", "circle.csv")
+    sol = _solve_saving_trajectory(lambda: solve(problem), csv_path)
     rep = sol.report
     rep.extras["gamma"] = alpha.gamma
     orbit_m = int(outputs.get("rotation_oracle_iterations", 0))
     if orbit_m:
         rho = rotation_number(alpha.alpha, f, sol.lam, orbit_m)
         rep.extras["rotation_defect"] = abs(rho - alpha.alpha)
-    rep.write_csv(out / outputs.get("csv", "circle.csv"))
+    rep.write_csv(csv_path)
     _write_json(out / outputs.get("field_dump", "circle_solution.json"), field_to_json(sol.u))
     print(f"circle: converged in {rep.iterations} iterations, "
           f"residual_sup = {rep.extras['residual_sup']:.3e} (wall {rep.wall_time:.2f}s)")
@@ -171,13 +202,15 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
 # --- torus --------------------------------------------------------------------
 
 
-def _parse_vector_of_fields(grid, cfg, n, path) -> VectorField:
+def _parse_vector_of_fields(grid, cfg, n, path) -> SpectralField:
     if isinstance(cfg, dict) and "constant" in cfg:
         _require_keys(cfg, {"constant": True}, path)
         vals = cfg["constant"]
         if len(vals) != n:
             raise ConfigError(f"{path}.constant must have {n} entries")
-        return VectorField([SpectralField.constant(grid, float(v)) for v in vals])
+        return SpectralField.constant(
+            grid, [_finite(v, f"{path}.constant[{i}]") for i, v in enumerate(vals)]
+        )
     if isinstance(cfg, dict) and "components" in cfg:
         _require_keys(cfg, {"components": True}, path)
         comps = cfg["components"]
@@ -189,13 +222,15 @@ def _parse_vector_of_fields(grid, cfg, n, path) -> VectorField:
     raise ConfigError(f"{path}: expected 'constant' or 'components'")
 
 
-def _parse_matrix_of_fields(grid, cfg, n, path) -> MatrixField:
+def _parse_matrix_of_fields(grid, cfg, n, path) -> SpectralField:
     if isinstance(cfg, dict) and "constant" in cfg:
         _require_keys(cfg, {"constant": True}, path)
         mat = np.asarray(cfg["constant"], dtype=float)
         if mat.shape != (n, n):
             raise ConfigError(f"{path}.constant must be {n}x{n}")
-        return MatrixField.constant(grid, mat)
+        if not np.all(np.isfinite(mat)):
+            raise ConfigError(f"{path}.constant has non-finite entries")
+        return SpectralField.constant(grid, mat)
     if isinstance(cfg, dict) and "entries" in cfg:
         _require_keys(cfg, {"entries": True}, path)
         ent = cfg["entries"]
@@ -220,9 +255,14 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
     omega_list = cfg["frequency"]["omega"]
     if len(omega_list) != grid.dim:
         raise ConfigError("frequency.omega length must match grid.dim")
-    omega = FrequencyVector.certify(
-        [float(w) for w in omega_list], float(cfg["frequency"]["sigma"]), grid.max_mode
-    )
+    try:
+        omega = FrequencyVector.certify(
+            [_finite(w, f"frequency.omega[{i}]") for i, w in enumerate(omega_list)],
+            _finite(cfg["frequency"]["sigma"], "frequency.sigma"),
+            grid.max_mode,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"frequency: {exc}") from exc
     prob = cfg["problem"]
     _require_keys(prob, {"a0_modes": True, "a1": True, "Q": True}, "problem")
     n = grid.dim
@@ -234,8 +274,12 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
     sv = _parse_solver(cfg.get("solver"), ("thm1", "thm2"), "thm1")
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False, "field_dump": False, "flow_oracle": False}, "outputs")
-    sol = solve_torus(
-        h, omega, mode=sv["mode"], s=sv["s"], tol=sv["tol"], max_iter=sv["max_iter"]
+    csv_path = out / outputs.get("csv", "torus.csv")
+    sol = _solve_saving_trajectory(
+        lambda: solve_torus(
+            h, omega, mode=sv["mode"], s=sv["s"], tol=sv["tol"], max_iter=sv["max_iter"]
+        ),
+        csv_path,
     )
     rep = sol.report
     oracle = outputs.get("flow_oracle")
@@ -247,7 +291,7 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
             T=float(oracle["T"]), dt=float(oracle["dt"]),
         )
         rep.extras["flow_deviation"] = dev
-    rep.write_csv(out / outputs.get("csv", "torus.csv"))
+    rep.write_csv(csv_path)
     dump = {
         "ux": [field_to_json(f) for f in sol.u.ux],
         "uy": [field_to_json(f) for f in sol.u.uy],

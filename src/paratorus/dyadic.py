@@ -66,7 +66,7 @@ class DyadicCutoff:
             raise ValueError("block index must be >= 0")
         self.grid.require_same(u.grid)
         if j > self.j_max:
-            return SpectralField.zero(self.grid)
+            return SpectralField(self.grid, np.zeros_like(u.coeffs))
         return SpectralField(self.grid, u.coeffs * self.block_mult[j])
 
     def partial_sum(self, u: SpectralField, j: int) -> SpectralField:
@@ -136,14 +136,6 @@ def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
         mults[j][sel] += resid[sel]
     lowpass = np.cumsum(mults, axis=0)
     return DyadicCutoff(grid=grid, j_max=jmax, block_mult=mults, lowpass_mult=lowpass)
-
-
-def block(u: SpectralField, j: int, cut: DyadicCutoff) -> SpectralField:
-    return cut.block(u, j)
-
-
-def partial_sum(u: SpectralField, j: int, cut: DyadicCutoff) -> SpectralField:
-    return cut.partial_sum(u, j)
 
 
 def zygmund_norm(u: SpectralField, r: float, cut: DyadicCutoff) -> float:

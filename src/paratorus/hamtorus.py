@@ -33,15 +33,7 @@ from .errors import (
 from .paraprod import ParaOpHandle, para_invert_with_handle
 from .reporting import SolveReport
 from .smalldiv import FrequencyVector, omega_directional_inverse, remove_mean
-from .spectral import (
-    MatrixField,
-    SpectralField,
-    TorusGrid,
-    VectorField,
-    analyze,
-    synthesize,
-    warp_samples,
-)
+from .spectral import SpectralField, TorusGrid, VectorField, analyze, synthesize, warp_samples
 
 TORUS_COLUMNS = ["iter", "increment_hs", "residual_sup", "residual_hs", "xi_norm", "mu_norm"]
 
@@ -57,175 +49,113 @@ def _symplectic_J(n: int) -> np.ndarray:
 
 @dataclass
 class HamiltonianData:
-    """Taylor data of h in the action variable, truncated at cubic order."""
+    """Taylor data of h in the action variable, truncated at cubic order.
+
+    The m-th Taylor coefficient (a0, a1, Q, cubic) has m component axes of
+    length n; the cubic term may also be given as a symmetric n x n x n nest
+    of scalar fields.
+    """
 
     a0: SpectralField
-    a1: VectorField
-    Q: MatrixField
-    cubic: list | None = None  # symmetric n x n x n nest of SpectralFields
+    a1: SpectralField
+    Q: SpectralField
+    cubic: SpectralField | list | None = None
 
     def __post_init__(self):
-        n = len(self.a1)
-        grid = self.a0.grid
+        n = self.n
+        grid = self.grid
         grid.require_same(self.a1.grid)
         grid.require_same(self.Q.grid)
         if self.Q.shape != (n, n):
             raise ValueError("Q must be n x n")
-        sym = max(
-            (self.Q[i, j] - self.Q[j, i]).sup_norm() for i in range(n) for j in range(n)
-        )
+        sym = (self.Q - self.Q.T).sup_norm()
         if sym > 1e-12 * max(1.0, self.Q.sup_norm()):
             raise ValueError(f"Q is not symmetric: defect {sym:.3e}")
         if self.cubic is not None:
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        grid.require_same(self.cubic[i][j][k].grid)
-        self._cache = {}
+            self.cubic = VectorField(self.cubic)
+            grid.require_same(self.cubic.grid)
+            if self.cubic.shape != (n, n, n):
+                raise ValueError("cubic must be n x n x n")
+        self._gradients = {}
 
     @property
     def n(self) -> int:
-        return len(self.a1)
+        return self.a1.shape[0]
 
     @property
     def grid(self) -> TorusGrid:
         return self.a0.grid
 
-    def _d(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+    def gradient(self, m: int, order: int = 0) -> SpectralField:
+        """order-th gradient of the m-th Taylor coefficient, one axis appended per derivative.
 
-    def d1_a0(self):
-        return self._d("d1_a0", lambda: [self.a0.derivative(l) for l in range(self.n)])
-
-    def d2_a0(self):
-        return self._d(
-            "d2_a0",
-            lambda: [[f.derivative(m) for m in range(self.n)] for f in self.d1_a0()],
-        )
-
-    def d1_a1(self):
-        return self._d(
-            "d1_a1",
-            lambda: [[self.a1[i].derivative(l) for l in range(self.n)] for i in range(self.n)],
-        )
-
-    def d2_a1(self):
-        return self._d(
-            "d2_a1",
-            lambda: [
-                [[g.derivative(m) for m in range(self.n)] for g in row]
-                for row in self.d1_a1()
-            ],
-        )
-
-    def d1_Q(self):
-        return self._d(
-            "d1_Q",
-            lambda: [
-                [[self.Q[i, j].derivative(l) for l in range(self.n)] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-        )
-
-    def d2_Q(self):
-        return self._d(
-            "d2_Q",
-            lambda: [
-                [[[g.derivative(m) for m in range(self.n)] for g in inner] for inner in row]
-                for row in self.d1_Q()
-            ],
-        )
-
-    def d1_C(self):
-        if self.cubic is None:
-            return None
-        return self._d(
-            "d1_C",
-            lambda: [
-                [
-                    [[self.cubic[i][j][k].derivative(l) for l in range(self.n)] for k in range(self.n)]
-                    for j in range(self.n)
-                ]
-                for i in range(self.n)
-            ],
-        )
-
-    def d2_C(self):
-        if self.cubic is None:
-            return None
-        return self._d(
-            "d2_C",
-            lambda: [
-                [
-                    [
-                        [[g.derivative(m) for m in range(self.n)] for g in lvl]
-                        for lvl in inner
-                    ]
-                    for inner in row
-                ]
-                for row in self.d1_C()
-            ],
-        )
+        Built on first use and kept: the data is fixed for the life of h.
+        """
+        key = (m, order)
+        if key not in self._gradients:
+            self._gradients[key] = (
+                (self.a0, self.a1, self.Q, self.cubic)[m]
+                if order == 0
+                else self.gradient(m, order - 1).jacobian()
+            )
+        return self._gradients[key]
 
     def value_at(self, x: np.ndarray, y: np.ndarray, xi=None) -> float:
         """Pointwise h_xi(x, y) for the flow oracle's energy monitor."""
-        n = self.n
         val = synthesize(self.a0, x)
-        a1v = np.array([synthesize(self.a1[i], x) for i in range(n)])
-        val += float(a1v @ y)
-        Qv = np.array([[synthesize(self.Q[i, j], x) for j in range(n)] for i in range(n)])
-        val += 0.5 * float(y @ Qv @ y)
+        val += float(synthesize(self.a1, x) @ y)
+        val += 0.5 * float(y @ synthesize(self.Q, x) @ y)
         if self.cubic is not None:
-            Cv = np.array(
-                [
-                    [[synthesize(self.cubic[i][j][k], x) for k in range(n)] for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            val += float(np.einsum("ijk,i,j,k->", Cv, y, y, y)) / 6.0
+            val += float(np.einsum("ijk,i,j,k->", synthesize(self.cubic, x), y, y, y)) / 6.0
         if xi is not None:
             val += float(np.dot(xi, y))
         return val
 
 
-@dataclass
+def _stack(x: SpectralField, y: SpectralField) -> SpectralField:
+    """(x; y): the components of y appended to those of x."""
+    x.grid.require_same(y.grid)
+    return SpectralField(x.grid, np.concatenate([x.coeffs, y.coeffs]))
+
+
 class TorusEmbedding:
-    """theta -> (theta + ux(theta), uy(theta)); ux is the periodic x-displacement."""
+    """theta -> (theta + ux(theta), uy(theta)), held as one 2n-component displacement (ux; uy)."""
 
-    ux: VectorField
-    uy: VectorField
-
-    def __post_init__(self):
-        self.ux.grid.require_same(self.uy.grid)
-        if len(self.ux) != len(self.uy):
+    def __init__(self, ux: SpectralField, uy: SpectralField):
+        if ux.shape != uy.shape or len(ux.shape) != 1:
             raise ValueError("ux and uy need equally many components")
+        self.w = _stack(ux, uy)
 
     @classmethod
     def flat(cls, grid: TorusGrid) -> "TorusEmbedding":
-        n = grid.dim
-        return cls(VectorField.zero(grid, n), VectorField.zero(grid, n))
+        return cls.from_displacement(VectorField.zero(grid, 2 * grid.dim))
+
+    @classmethod
+    def from_displacement(cls, w: SpectralField) -> "TorusEmbedding":
+        return cls(*_split(w))
 
     @property
     def grid(self) -> TorusGrid:
-        return self.ux.grid
+        return self.w.grid
 
     @property
     def n(self) -> int:
-        return len(self.ux)
+        return self.w.shape[0] // 2
 
-    def displacement(self) -> VectorField:
-        """(ux, uy) stacked as one 2n-component field (u - zeta_0)."""
-        return VectorField(list(self.ux.fields) + list(self.uy.fields))
+    @property
+    def ux(self) -> SpectralField:
+        return self.w[: self.n]
 
-    @classmethod
-    def from_displacement(cls, w: VectorField) -> "TorusEmbedding":
-        n = len(w) // 2
-        return cls(VectorField(w.fields[:n]), VectorField(w.fields[n:]))
+    @property
+    def uy(self) -> SpectralField:
+        return self.w[self.n :]
+
+    def displacement(self) -> SpectralField:
+        """(ux, uy) as one 2n-component field (u - zeta_0)."""
+        return self.w
 
     def diff_norm(self, other: "TorusEmbedding", s: float) -> float:
-        return (self.displacement() - other.displacement()).sobolev_norm(s)
+        return (self.w - other.w).sobolev_norm(s)
 
 
 @dataclass
@@ -239,153 +169,78 @@ class KamSolution:
 # --- pointwise evaluation tables -------------------------------------------
 
 
-def _warp_points(u: TorusEmbedding) -> np.ndarray:
-    grid = u.grid
-    base = np.stack(grid.point_mesh)
-    if all(f.l2_norm() == 0.0 for f in u.ux):
-        return base
-    return base + u.ux.samples()
-
-
 class _Warp:
-    """Memoized composition of coefficient fields with one fixed x-warp."""
+    """The Taylor gradients of h composed with one fixed x-warp theta -> theta + ux(theta).
 
-    def __init__(self, u: TorusEmbedding):
-        self.grid = u.grid
-        self.trivial = all(f.l2_norm() == 0.0 for f in u.ux)
-        self.pts = _warp_points(u)
-        self._memo = {}
+    warp(m, order) samples h.gradient(m, order) at the warped collocation
+    points; each stacked tensor is composed in one warp_samples call on first
+    use and kept for the life of the warp.
+    """
 
-    def __call__(self, f: SpectralField) -> np.ndarray:
-        key = id(f)
-        if key not in self._memo:
-            self._memo[key] = f.samples() if self.trivial else warp_samples(f, self.pts)
-        return self._memo[key]
+    def __init__(self, h: HamiltonianData, u: TorusEmbedding):
+        self.h = h
+        self.trivial = not np.any(u.ux.coeffs)
+        self.pts = None if self.trivial else np.stack(u.grid.point_mesh) + u.ux.samples()
+        self._samples = {}
+
+    def __call__(self, m: int, order: int = 0) -> np.ndarray:
+        key = (m, order)
+        if key not in self._samples:
+            f = self.h.gradient(m, order)
+            self._samples[key] = f.samples() if self.trivial else warp_samples(f, self.pts)
+        return self._samples[key]
+
+
+def _xh(T, uy: np.ndarray, cubic: bool) -> np.ndarray:
+    """X_h = (grad_y h; -grad_x h) from the Taylor gradients T(m, order) at actions uy.
+
+    Works on collocation samples (trailing point axes) and on single points alike.
+    """
+    gy = T(1) + np.einsum("ij...,j...->i...", T(2), uy)
+    gx = T(0, 1) + np.einsum("il...,i...->l...", T(1, 1), uy)
+    gx = gx + 0.5 * np.einsum("ijl...,i...,j...->l...", T(2, 1), uy, uy)
+    if cubic:
+        gy = gy + 0.5 * np.einsum("ijk...,j...,k...->i...", T(3), uy, uy)
+        gx = gx + np.einsum("ijkl...,i...,j...,k...->l...", T(3, 1), uy, uy, uy) / 6.0
+    return np.concatenate([gy, -gx])
 
 
 def _xh_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
     """Samples of X_h along u: (grad_y h; -grad_x h) at (theta + ux, uy)."""
-    n = h.n
-    uy = u.uy.samples()
-    gy = np.stack([warp(h.a1[i]) for i in range(n)])
-    Qw = np.stack([np.stack([warp(h.Q[i, j]) for j in range(n)]) for i in range(n)])
-    gy += np.einsum("ij...,j...->i...", Qw, uy)
-    if h.cubic is not None:
-        Cw = np.stack(
-            [
-                np.stack([np.stack([warp(h.cubic[i][j][k]) for k in range(n)]) for j in range(n)])
-                for i in range(n)
-            ]
-        )
-        gy += 0.5 * np.einsum("ijk...,j...,k...->i...", Cw, uy, uy)
-    d1a0 = h.d1_a0()
-    d1a1 = h.d1_a1()
-    d1Q = h.d1_Q()
-    gx = np.stack([warp(d1a0[l]) for l in range(n)])
-    da1w = np.stack([np.stack([warp(d1a1[i][l]) for l in range(n)]) for i in range(n)])
-    gx += np.einsum("il...,i...->l...", da1w, uy)
-    dQw = np.stack(
-        [np.stack([np.stack([warp(d1Q[i][j][l]) for l in range(n)]) for j in range(n)]) for i in range(n)]
-    )
-    gx += 0.5 * np.einsum("ijl...,i...,j...->l...", dQw, uy, uy)
-    if h.cubic is not None:
-        d1C = h.d1_C()
-        dCw = np.stack(
-            [
-                np.stack(
-                    [
-                        np.stack([np.stack([warp(d1C[i][j][k][l]) for l in range(n)]) for k in range(n)])
-                        for j in range(n)
-                    ]
-                )
-                for i in range(n)
-            ]
-        )
-        gx += np.einsum("ijkl...,i...,j...,k...->l...", dCw, uy, uy, uy) / 6.0
-    return np.concatenate([gy, -gx], axis=0)
+    return _xh(warp, u.uy.samples(), h.cubic is not None)
 
 
-def hamiltonian_vector_field(h: HamiltonianData, u: TorusEmbedding) -> VectorField:
+def hamiltonian_vector_field(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
     """X_h evaluated along the embedding u (2n components)."""
-    warp = _Warp(u)
-    return VectorField.from_samples(u.grid, _xh_samples(h, u, warp))
+    return analyze(u.grid, _xh_samples(h, u, _Warp(h, u)))
 
 
 def _jacobian_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
     """Samples of A[u] = (DX_h)(u), shape (2n, 2n, *grid)."""
-    n = h.n
-    uy = u.uy.samples()
-    shape = u.grid.point_shape
-    A = np.zeros((2 * n, 2 * n) + shape)
-    d1a1 = h.d1_a1()
-    d1Q = h.d1_Q()
-    d2a0 = h.d2_a0()
-    d2a1 = h.d2_a1()
-    d2Q = h.d2_Q()
-    # A11 = D_x grad_y h
-    for i in range(n):
-        for l in range(n):
-            acc = warp(d1a1[i][l]).copy()
-            for j in range(n):
-                acc += warp(d1Q[i][j][l]) * uy[j]
-            if h.cubic is not None:
-                d1C = h.d1_C()
-                for j in range(n):
-                    for k in range(n):
-                        acc += 0.5 * warp(d1C[i][j][k][l]) * uy[j] * uy[k]
-            A[i, l] = acc
-    # A12 = D_y grad_y h = Q + C[., ., uy]
-    for i in range(n):
-        for j in range(n):
-            acc = warp(h.Q[i, j]).copy()
-            if h.cubic is not None:
-                for k in range(n):
-                    acc += warp(h.cubic[i][j][k]) * uy[k]
-            A[i, n + j] = acc
-    # A21 = -D_x grad_x h
-    for l in range(n):
-        for m in range(n):
-            acc = warp(d2a0[l][m]).copy()
-            for i in range(n):
-                acc += warp(d2a1[i][l][m]) * uy[i]
-            for i in range(n):
-                for j in range(n):
-                    acc += 0.5 * warp(d2Q[i][j][l][m]) * uy[i] * uy[j]
-            if h.cubic is not None:
-                d2C = h.d2_C()
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            acc += warp(d2C[i][j][k][l][m]) * uy[i] * uy[j] * uy[k] / 6.0
-            A[n + l, m] = -acc
-    # A22 = -D_y grad_x h = -(A11)^T pointwise
-    for l in range(n):
-        for j in range(n):
-            A[n + l, n + j] = -A[j, l]
-    return A
+    T, uy = warp, u.uy.samples()
+    A11 = T(1, 1) + np.einsum("ijl...,j...->il...", T(2, 1), uy)  # D_x grad_y h
+    A12 = T(2)  # D_y grad_y h
+    A21 = T(0, 2) + np.einsum("ilm...,i...->lm...", T(1, 2), uy)  # D_x grad_x h
+    A21 = A21 + 0.5 * np.einsum("ijlm...,i...,j...->lm...", T(2, 2), uy, uy)
+    if h.cubic is not None:
+        A11 = A11 + 0.5 * np.einsum("ijkl...,j...,k...->il...", T(3, 1), uy, uy)
+        A12 = A12 + np.einsum("ijk...,k...->ij...", T(3), uy)
+        A21 = A21 + np.einsum("ijklm...,i...,j...,k...->lm...", T(3, 2), uy, uy, uy) / 6.0
+    # the lower row is -D(grad_x h), whose y-block is the transpose of A11
+    top = np.concatenate([A11, A12], axis=1)
+    return np.concatenate([top, np.concatenate([-A21, -np.swapaxes(A11, 0, 1)], axis=1)])
 
 
-def jacobian_A(h: HamiltonianData, u: TorusEmbedding) -> MatrixField:
-    warp = _Warp(u)
-    return MatrixField.from_samples(u.grid, _jacobian_samples(h, u, warp))
+def jacobian_A(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
+    return analyze(u.grid, _jacobian_samples(h, u, _Warp(h, u)))
 
 
 def error_fields(h: HamiltonianData, omega) -> tuple:
     """(e0, e1): invariance defect X_h(zeta0) - (omega; 0), integrability defect Q - Avg Q."""
-    grid = h.grid
-    n = h.n
     omega = np.asarray(omega, dtype=float) if not isinstance(omega, FrequencyVector) else omega.array
-    zeta = TorusEmbedding.flat(grid)
-    e0 = hamiltonian_vector_field(h, zeta)
-    shift = [SpectralField.constant(grid, omega[i]) for i in range(n)]
-    e0 = VectorField(
-        [e0[i] - shift[i] for i in range(n)] + [e0[n + i] for i in range(n)]
-    )
-    avgQ = h.Q.mean_matrix()
-    e1 = MatrixField(
-        [[h.Q[i, j] - avgQ[i, j] for j in range(n)] for i in range(n)]
-    )
-    return e0, e1
+    e0 = hamiltonian_vector_field(h, TorusEmbedding.flat(h.grid))
+    e0 = e0 - np.concatenate([omega, np.zeros(h.n)])
+    return e0, h.Q - h.Q.mean()
 
 
 # --- frame and torsion ------------------------------------------------------
@@ -393,14 +248,8 @@ def error_fields(h: HamiltonianData, omega) -> tuple:
 
 def _embedding_jacobian_samples(u: TorusEmbedding) -> np.ndarray:
     """d(embedding)/d(theta) with the identity included: shape (2n, n, *grid)."""
-    n = u.n
-    shape = u.grid.point_shape
-    P = np.zeros((2 * n, n) + shape)
-    for i in range(n):
-        for a in range(n):
-            P[i, a] = u.ux[i].derivative(a).samples()
-            P[n + i, a] = u.uy[i].derivative(a).samples()
-        P[i, i] += 1.0
+    P = u.displacement().jacobian().samples()
+    P[np.arange(u.n), np.arange(u.n)] += 1.0
     return P
 
 
@@ -430,12 +279,7 @@ def _frame_samples(u: TorusEmbedding):
 def frame(u: TorusEmbedding) -> tuple:
     """(N, M, M_inv) as matrix fields; N = (du^T du)^{-1}, M = (du, J du N)."""
     _, Ninv, M, Minv = _frame_samples(u)
-    g = u.grid
-    return (
-        MatrixField.from_samples(g, Ninv),
-        MatrixField.from_samples(g, M),
-        MatrixField.from_samples(g, Minv),
-    )
+    return analyze(u.grid, Ninv), analyze(u.grid, M), analyze(u.grid, Minv)
 
 
 def _torsion_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp, P=None, Ninv=None):
@@ -450,25 +294,22 @@ def _torsion_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp, P=None,
     return np.einsum("km...,mn...,nl...->kl...", Ninv, inner, Ninv)
 
 
-def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> MatrixField:
+def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
     """Torsion S[u] = N (du)^T [A, J] (du) N with [A, J] = AJ - JA.
 
     The orientation is pinned by the exact linearization identity; it gives
     S = -Q0 at the flat torus of an integrable Hamiltonian.
     """
-    warp = _Warp(u)
-    return MatrixField.from_samples(u.grid, _torsion_samples(h, u, warp))
+    return analyze(u.grid, _torsion_samples(h, u, _Warp(h, u)))
 
 
-def b_matrices(E: VectorField, u: TorusEmbedding) -> MatrixField:
+def b_matrices(E: SpectralField, u: TorusEmbedding) -> SpectralField:
     """Assembled error-frame matrix B[E] = (B1 | B2 + B3), linear in dE."""
     n = u.n
-    if len(E) != 2 * n:
+    if E.shape != (2 * n,):
         raise ValueError("E must have 2n components")
     P, Ninv, _, _ = _frame_samples(u)
-    dE = np.stack(
-        [np.stack([E[a].derivative(l).samples() for l in range(n)]) for a in range(2 * n)]
-    )
+    dE = E.jacobian().samples()
     J = _symplectic_J(n)
     B1 = dE
     B2 = np.einsum("ab,bm...,mn...->an...", J, dE, Ninv)
@@ -479,36 +320,27 @@ def b_matrices(E: VectorField, u: TorusEmbedding) -> MatrixField:
     PtdE = np.einsum("am...,an...->mn...", P, dE)
     t2 = np.einsum("am...,mk...,kn...->an...", JP, np.einsum("mk...,kn...->mn...", Ninv, PtdE), Ninv)
     B = np.concatenate([B1, B2 + t1 + t2], axis=1)
-    return MatrixField.from_samples(u.grid, B)
+    return analyze(u.grid, B)
 
 
 # --- linear para-homological solve -----------------------------------------
 
 
-def _split(v: VectorField) -> tuple:
-    n = len(v) // 2
-    return VectorField(v.fields[:n]), VectorField(v.fields[n:])
+def _split(v: SpectralField) -> tuple:
+    n = v.shape[0] // 2
+    return v[:n], v[n:]
 
 
-def _stack(x: VectorField, y: VectorField) -> VectorField:
-    return VectorField(list(x.fields) + list(y.fields))
-
-
-def _mean_free(v: VectorField) -> VectorField:
-    return VectorField([remove_mean(f) for f in v])
-
-
-def _apply_torsion_block(HS: ParaOpHandle, v: VectorField) -> VectorField:
+def _apply_torsion_block(HS: ParaOpHandle, v: SpectralField) -> SpectralField:
     """(0 T_S; 0 0) v = (T_S v^y; 0)."""
-    vx, vy = _split(v)
-    top = HS.apply_vector(vy)
-    return _stack(top, VectorField.zero(v.grid, len(vy)))
+    top = HS.apply(_split(v)[1])
+    return _stack(top, SpectralField(top.grid, np.zeros_like(top.coeffs)))
 
 
 def linear_para_homological_solve(
     u: TorusEmbedding,
-    S: MatrixField,
-    f: VectorField,
+    S: SpectralField,
+    f: SpectralField,
     mode: str,
     omega: FrequencyVector,
     cut: DyadicCutoff,
@@ -540,7 +372,7 @@ def linear_para_homological_solve(
 
     f1 = para_invert_with_handle(HM, f, tol=inner_tol)
     f1x, f1y = _split(f1)
-    mu1 = f1y.mean_vector()
+    mu1 = f1y.mean()
 
     if mode == "thm1":
         if np.linalg.cond(avgS) > 1e12:
@@ -550,33 +382,25 @@ def linear_para_homological_solve(
         xi1 = np.linalg.solve(m11, -m12 @ mu1)
         mu = m21 @ xi1 + m22 @ mu1
         xi = np.zeros(n)
-        vy_fluct = -1.0 * omega_directional_inverse(_mean_free(f1y), omega)
-        t_fluct = HS.apply_vector(vy_fluct)
-        avg_vy = np.linalg.solve(
-            avgS, f1x.mean_vector() - xi1 - t_fluct.mean_vector()
-        )
-        v1y = VectorField([vy_fluct[i] + avg_vy[i] for i in range(n)])
-        rhs_x = f1x - HS.apply_vector(v1y)
-        v1x = -1.0 * omega_directional_inverse(_mean_free(rhs_x), omega)
-        xi1_used = xi1
+        vy_fluct = -1.0 * omega_directional_inverse(remove_mean(f1y), omega)
+        t_fluct = HS.apply(vy_fluct)
+        avg_vy = np.linalg.solve(avgS, f1x.mean() - xi1 - t_fluct.mean())
+        v1y = vy_fluct + avg_vy
+        rhs_x = f1x - HS.apply(v1y)
+        v1x = -1.0 * omega_directional_inverse(remove_mean(rhs_x), omega)
     else:
-        v1y = -1.0 * omega_directional_inverse(_mean_free(f1y), omega)
-        rhs_x = f1x - HS.apply_vector(v1y)
-        xi1_used = rhs_x.mean_vector()
-        v1x = -1.0 * omega_directional_inverse(_mean_free(rhs_x), omega)
-        const = avgM @ np.concatenate([xi1_used, mu1])
+        v1y = -1.0 * omega_directional_inverse(remove_mean(f1y), omega)
+        rhs_x = f1x - HS.apply(v1y)
+        v1x = -1.0 * omega_directional_inverse(remove_mean(rhs_x), omega)
+        const = avgM @ np.concatenate([rhs_x.mean(), mu1])
         xi, mu = const[:n], const[n:]
 
-    v1 = _stack(v1x, v1y)
-    v = para_invert_with_handle(HMinv, v1, tol=inner_tol)
+    v = para_invert_with_handle(HMinv, _stack(v1x, v1y), tol=inner_tol)
 
     # self-check: substitute into the para-homological equation
-    w1 = HMinv.apply_vector(v)
-    lhs = HM.apply_vector(
-        _apply_torsion_block(HS, w1) - w1.omega_derivative(omega.array)
-    )
-    const_vec = np.concatenate([xi, mu])
-    lhs = VectorField([lhs[a] + const_vec[a] for a in range(2 * n)])
+    w1 = HMinv.apply(v)
+    lhs = HM.apply(_apply_torsion_block(HS, w1) - w1.omega_derivative(omega.array))
+    lhs = lhs + np.concatenate([xi, mu])
     fnorm = f.l2_norm()
     defect = (lhs - f).l2_norm()
     if fnorm > 0 and defect > check_tol * fnorm:
@@ -584,7 +408,7 @@ def linear_para_homological_solve(
             f"linear para-homological self-check failed: {defect:.3e} > "
             f"{check_tol:.1e} * {fnorm:.3e}"
         )
-    return VectorField(v.fields), np.asarray(xi), np.asarray(mu)
+    return v, np.asarray(xi), np.asarray(mu)
 
 
 # --- nonlinear assembly ------------------------------------------------------
@@ -595,33 +419,28 @@ class _IterationOps:
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding, omega: FrequencyVector, cut: DyadicCutoff):
         self.h, self.u, self.omega, self.cut = h, u, omega, cut
-        self.n = h.n
         grid = u.grid
-        self.warp = _Warp(u)
+        self.warp = _Warp(h, u)
         self.P, self.Ninv, self.M_s, self.Minv_s = _frame_samples(u)
-        self.M = MatrixField.from_samples(grid, self.M_s)
-        self.Minv = MatrixField.from_samples(grid, self.Minv_s)
-        self.S = MatrixField.from_samples(grid, _torsion_samples(h, u, self.warp, self.P, self.Ninv))
-        self.HM = ParaOpHandle(self.M, cut)
+        self.Minv = analyze(grid, self.Minv_s)
+        self.S = analyze(grid, _torsion_samples(h, u, self.warp, self.P, self.Ninv))
+        self.HM = ParaOpHandle(analyze(grid, self.M_s), cut)
         self.HMinv = ParaOpHandle(self.Minv, cut)
         self.HS = ParaOpHandle(self.S, cut)
-        self.A_s = _jacobian_samples(h, u, self.warp)
-        self.A = MatrixField.from_samples(grid, self.A_s)
-        self.HA = ParaOpHandle(self.A, cut)
-        self.Xh_u = VectorField.from_samples(grid, _xh_samples(h, u, self.warp))
+        self.HA = ParaOpHandle(analyze(grid, _jacobian_samples(h, u, self.warp)), cut)
+        self.Xh_u = analyze(grid, _xh_samples(h, u, self.warp))
 
-    def pl_remainder_term(self, Xh_zeta: VectorField) -> VectorField:
+    def pl_remainder_term(self, Xh_zeta: SpectralField) -> SpectralField:
         """R_PL(X_h(zeta0 + .), w) w = X_h(u) - X_h(zeta0) - T_{A[u]} w, literal."""
-        w = self.u.displacement()
-        return self.Xh_u - Xh_zeta - self.HA.apply_vector(w)
+        return self.Xh_u - Xh_zeta - self.HA.apply(self.u.displacement())
 
-    def cm_remainder_term(self) -> VectorField:
+    def cm_remainder_term(self) -> SpectralField:
         """Composition remainder of the frame-conjugated operator, literal.
 
         [T_{M(0 S;0 0)M^-1} - T_M (0 T_S;0 0) T_{M^-1}] w
         - [T_{M (w.d)M^-1} + (w.d) - T_M (w.d) T_{M^-1}] w
         """
-        n, grid, cut = self.n, self.u.grid, self.cut
+        n, grid, cut = self.u.n, self.u.grid, self.cut
         w = self.u.displacement()
         omega_arr = self.omega.array
         zero = np.zeros((n, n) + grid.point_shape)
@@ -633,21 +452,14 @@ class _IterationOps:
             axis=0,
         )
         C1 = np.einsum("ab...,bc...,cd...->ad...", self.M_s, S_block, self.Minv_s)
-        t_a = ParaOpHandle(MatrixField.from_samples(grid, C1), cut).apply_vector(w)
-        w1 = self.HMinv.apply_vector(w)
-        t_b = self.HM.apply_vector(_apply_torsion_block(self.HS, w1))
-        dMinv = np.stack(
-            [
-                np.stack(
-                    [self.Minv[a, b].omega_derivative(omega_arr).samples() for b in range(2 * n)]
-                )
-                for a in range(2 * n)
-            ]
-        )
+        t_a = ParaOpHandle(analyze(grid, C1), cut).apply(w)
+        w1 = self.HMinv.apply(w)
+        t_b = self.HM.apply(_apply_torsion_block(self.HS, w1))
+        dMinv = self.Minv.omega_derivative(omega_arr).samples()
         C2 = np.einsum("ab...,bc...->ac...", self.M_s, dMinv)
-        t_c = ParaOpHandle(MatrixField.from_samples(grid, C2), cut).apply_vector(w)
+        t_c = ParaOpHandle(analyze(grid, C2), cut).apply(w)
         t_c = t_c + w.omega_derivative(omega_arr)
-        t_d = self.HM.apply_vector(w1.omega_derivative(omega_arr))
+        t_d = self.HM.apply(w1.omega_derivative(omega_arr))
         return (t_a - t_b) - t_c + t_d
 
 
@@ -655,11 +467,11 @@ def assemble_rhs(
     u: TorusEmbedding,
     h: HamiltonianData,
     omega: FrequencyVector,
-    e0: VectorField,
+    e0: SpectralField,
     cut: DyadicCutoff,
     ops: _IterationOps | None = None,
-    Xh_zeta: VectorField | None = None,
-) -> VectorField:
+    Xh_zeta: SpectralField | None = None,
+) -> SpectralField:
     """-e0 - R_CM[u](u - zeta0) - R_PL(X_h(zeta0 + .), u - zeta0)(u - zeta0)."""
     if ops is None:
         ops = _IterationOps(h, u, omega, cut)
@@ -674,17 +486,9 @@ def residual_torus(h: HamiltonianData, u: TorusEmbedding, xi, omega) -> tuple:
     """F(h_xi, u) = X_h(u) + (xi; 0) - (omega.d) u with sup and H^s=0 norms."""
     omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
     xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
-    X = hamiltonian_vector_field(h, u)
-    n = u.n
-    lift_deriv = [SpectralField.constant(u.grid, omega_arr[i]) for i in range(n)]
-    dux = u.ux.omega_derivative(omega_arr)
-    duy = u.uy.omega_derivative(omega_arr)
-    comps = []
-    for i in range(n):
-        comps.append(X[i] + xi[i] - lift_deriv[i] - dux[i])
-    for i in range(n):
-        comps.append(X[n + i] - duy[i])
-    field = VectorField(comps)
+    zeros = np.zeros(u.n)
+    field = hamiltonian_vector_field(h, u) + np.concatenate([xi, zeros])
+    field = field - np.concatenate([omega_arr, zeros]) - u.displacement().omega_derivative(omega_arr)
     return field, field.sup_norm(), field.l2_norm()
 
 
@@ -718,19 +522,12 @@ def neumann_certificate(
     """kappa = |T_{B[E] M^{-1}} (u - zeta0)|_{H^s} / |E|_{H^s} for the measured E."""
     mu = np.asarray(mu, dtype=float)
     field, _, _ = residual_torus(h, u, xi, omega)
-    n = u.n
-    E = VectorField(
-        [field[i] for i in range(n)] + [field[n + i] + mu[i] for i in range(n)]
-    )
+    E = field + np.concatenate([np.zeros(u.n), mu])
     denom = E.sobolev_norm(s)
     if denom == 0.0:
         return 0.0
-    B = b_matrices(E, u)
-    _, _, Minv = frame(u)
-    symbol = B.matmul(Minv)
-    w = u.displacement()
-    out = ParaOpHandle(symbol, cut).apply_vector(w)
-    return out.sobolev_norm(s) / denom
+    symbol = b_matrices(E, u).matmul(frame(u)[2])
+    return ParaOpHandle(symbol, cut).apply(u.displacement()).sobolev_norm(s) / denom
 
 
 def solve_torus(
@@ -758,13 +555,10 @@ def solve_torus(
     n = h.n
     e0, e1 = error_fields(h, omega)
     report = SolveReport(columns=list(TORUS_COLUMNS))
-    if mode == "thm1":
-        avgQ = h.Q.mean_matrix()
-        if np.linalg.cond(avgQ) > 1e12:
-            raise SingularAverageError("thm1 requires invertible Avg Q")
+    if mode == "thm1" and np.linalg.cond(h.Q.mean()) > 1e12:
+        raise SingularAverageError("thm1 requires invertible Avg Q")
     zeta = TorusEmbedding.flat(grid)
-    e1_size = max((f.l2_norm() for r in e1.rows for f in r), default=0.0)
-    if e0.l2_norm() == 0.0 and e1_size == 0.0:
+    if e0.l2_norm() == 0.0 and e1.l2_norm() == 0.0:
         # integrable data: the flat torus is exact, skip the iteration
         report.status = "converged"
         report.add_row(iter=1, increment_hs=0.0, residual_sup=0.0, residual_hs=0.0,
@@ -807,83 +601,55 @@ def solve_torus(
     report.extras["u_minus_flat_hs"] = disp.sobolev_norm(s)
     report.extras["gamma"] = omega.gamma
     eps = 0.1
-    e0_strong = np.sqrt(sum(f.sobolev_norm(s + 2 * omega.sigma + eps) ** 2 for f in e0))
+    e0_strong = e0.sobolev_norm(s + 2 * omega.sigma + eps)
     report.extras["e0_strong_norm"] = float(e0_strong)
     if e0_strong > 0:
         report.extras["c2_empirical"] = disp.sobolev_norm(s) / (omega.gamma**2 * e0_strong)
     report.extras["kappa"] = neumann_certificate(h, u, xi, mu, omega, cut, s)
     report.extras["counterterm_defect"] = counterterm_check(h, u, xi, mu, omega)
     # truncation monitor: discarded tail energy of the composed vector field
-    warp = _Warp(u)
-    xh_samp = _xh_samples(h, u, warp)
-    tails = [analyze(grid, xh_samp[a], return_tail=True)[1] for a in range(2 * n)]
-    report.extras["xh_tail_energy"] = float(max(tails))
+    _, tails = analyze(grid, _xh_samples(h, u, _Warp(h, u)), return_tail=True)
+    report.extras["xh_tail_energy"] = float(np.max(tails))
     return KamSolution(u=u, xi=xi, mu=mu, report=report)
 
 
 # --- independent flow verification ------------------------------------------
 
 
+def _compress(f: SpectralField, rel: float = 1e-15) -> SpectralField:
+    """Zero the coefficients below rel times the largest of the same component."""
+    out = f.copy()
+    cmax = np.max(np.abs(out.coeffs), axis=f.grid.axes, keepdims=True)
+    out.coeffs[np.abs(out.coeffs) < rel * cmax] = 0.0
+    return out
+
+
 class _SparseEval:
-    """Point evaluation of one field through its precompressed nonzero modes."""
+    """Point evaluation of a field through its precompressed nonzero modes."""
 
-    def __init__(self, field: SpectralField, rel: float = 1e-15):
-        cvec = field.coeffs.ravel()
-        cmax = float(np.max(np.abs(cvec), initial=0.0))
-        mask = np.abs(cvec) > rel * cmax if cmax > 0 else np.zeros(cvec.shape, bool)
+    def __init__(self, field: SpectralField):
+        cmat = _compress(field).coeffs.reshape((-1, field.grid.mode_list.shape[0]))
+        mask = np.any(cmat != 0, axis=0)
         self.modes = field.grid.mode_list[mask].astype(float)
-        self.coeffs = cvec[mask]
+        self.coeffs = cmat[:, mask]
+        self.shape = field.shape
 
-    def __call__(self, x: np.ndarray) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        return float(np.real(self.coeffs @ np.exp(1j * (self.modes @ x))))
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.real(self.coeffs @ np.exp(1j * (self.modes @ x))).reshape(self.shape)
 
 
 def _point_rhs(h: HamiltonianData, xi: np.ndarray):
-    """Closure z -> X_{h_xi}(z) with every coefficient field precompressed."""
-    n = h.n
-    a1 = [_SparseEval(h.a1[i]) for i in range(n)]
-    Q = [[_SparseEval(h.Q[i, j]) for j in range(n)] for i in range(n)]
-    da0 = [_SparseEval(f) for f in h.d1_a0()]
-    da1 = [[_SparseEval(g) for g in row] for row in h.d1_a1()]
-    dQ = [[[_SparseEval(g) for g in col] for col in row] for row in h.d1_Q()]
-    C = dC = None
-    if h.cubic is not None:
-        C = [[[_SparseEval(h.cubic[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
-        dC = [
-            [[[_SparseEval(g) for g in lvl] for lvl in col] for col in row]
-            for row in h.d1_C()
-        ]
+    """Closure z -> X_{h_xi}(z) with every Taylor gradient precompressed."""
+    n, cubic = h.n, h.cubic is not None
+    keys = [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)] + ([(3, 0), (3, 1)] if cubic else [])
+    evals = {key: _SparseEval(h.gradient(*key)) for key in keys}
+    shift = np.concatenate([xi, np.zeros(n)])
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        x, y = z[:n], z[n:]
-        gy = np.array([a1[i](x) for i in range(n)]) + xi
-        Qv = np.array([[Q[i][j](x) for j in range(n)] for i in range(n)])
-        gy = gy + Qv @ y
-        gx = np.array([da0[l](x) for l in range(n)])
-        da1v = np.array([[da1[i][l](x) for l in range(n)] for i in range(n)])
-        gx = gx + da1v.T @ y
-        dQv = np.array([[[dQ[i][j][l](x) for l in range(n)] for j in range(n)] for i in range(n)])
-        gx = gx + 0.5 * np.einsum("ijl,i,j->l", dQv, y, y)
-        if C is not None:
-            Cv = np.array([[[C[i][j][k](x) for k in range(n)] for j in range(n)] for i in range(n)])
-            gy = gy + 0.5 * np.einsum("ijk,j,k->i", Cv, y, y)
-            dCv = np.array(
-                [[[[dC[i][j][k][l](x) for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-            )
-            gx = gx + np.einsum("ijkl,i,j,k->l", dCv, y, y, y) / 6.0
-        return np.concatenate([gy, -gx])
+        x = z[:n]
+        return _xh(lambda m, order=0: evals[m, order](x), z[n:], cubic) + shift
 
     return rhs
-
-
-def _compress(f: SpectralField, rel: float = 1e-15) -> SpectralField:
-    out = f.copy()
-    cmax = float(np.max(np.abs(out.coeffs), initial=0.0))
-    if cmax > 0:
-        out.coeffs[np.abs(out.coeffs) < rel * cmax] = 0.0
-    return out
 
 
 def flow_oracle(
@@ -907,13 +673,12 @@ def flow_oracle(
     theta0 = np.asarray(theta0, dtype=float)
     n = u.n
     steps = int(round(T / dt))
-    ux_c = [_compress(f) for f in u.ux]
-    uy_c = [_compress(f) for f in u.uy]
+    w_c = _compress(u.displacement())
 
     def embed(thetas: np.ndarray) -> np.ndarray:
-        vals_x = np.stack([synthesize(f, thetas) for f in ux_c])
-        vals_y = np.stack([synthesize(f, thetas) for f in uy_c])
-        return np.concatenate([thetas.T + vals_x, vals_y])
+        vals = synthesize(w_c, thetas)
+        vals[:n] += thetas.T
+        return vals
 
     z = embed(theta0[None, :])[:, 0]
     H0 = h.value_at(z[:n], z[n:], xi)
@@ -943,46 +708,38 @@ def flow_oracle(
 # --- isotropy reduction -------------------------------------------------------
 
 
-def lack_of_isotropy(zeta: TorusEmbedding) -> MatrixField:
+def lack_of_isotropy(zeta: TorusEmbedding) -> SpectralField:
     """L[zeta] = (d zeta)^T J (d zeta): the symplectic form pulled back to T^n."""
     P = _embedding_jacobian_samples(zeta)
     J = _symplectic_J(zeta.n)
     L = np.einsum("am...,ab,bn...->mn...", P, J, P)
-    return MatrixField.from_samples(zeta.grid, L)
+    return analyze(zeta.grid, L)
 
 
 def isotropy_from_residual(
     zeta: TorusEmbedding, h: HamiltonianData, omega: FrequencyVector
-) -> MatrixField:
+) -> SpectralField:
     """L[zeta] via the transport formula d(omega.d)^{-1}[(d zeta)^T J F] - (transpose)."""
     field, _, _ = residual_torus(h, zeta, None, omega)
     P = _embedding_jacobian_samples(zeta)
     J = _symplectic_J(zeta.n)
     integrand = np.einsum("am...,ab,b...->m...", P, J, field.samples())
-    g_vec = VectorField.from_samples(zeta.grid, integrand)
-    g_vec = omega_directional_inverse(_mean_free(g_vec), omega)
+    g_vec = omega_directional_inverse(remove_mean(analyze(zeta.grid, integrand)), omega)
     dg = g_vec.jacobian().samples()  # (m, a): d_a g_m
     # transport identity (omega.d) L = (P^T J dF)^T - P^T J dF fixes the
     # orientation: the gradient matrix enters transposed relative to dg
     L = np.swapaxes(dg, 0, 1) - dg
-    return MatrixField.from_samples(zeta.grid, L)
+    return analyze(zeta.grid, L)
 
 
 def isotropic_correction(
     zeta: TorusEmbedding, h: HamiltonianData, omega: FrequencyVector
 ) -> TorusEmbedding:
     """First-order isotropic repair: eta^y = zeta^y - (d zeta^x)^T p, p = Lap^{-1} div L."""
-    n = zeta.n
     L = isotropy_from_residual(zeta, h, omega)
-    p = []
-    for k in range(n):
-        div = L[k, 0].derivative(0)
-        for j in range(1, n):
-            div = div + L[k, j].derivative(j)
-        p.append(remove_mean(div).laplace_inverse())
-    p_s = np.stack([f.samples() for f in p])
-    P = _embedding_jacobian_samples(zeta)
-    dzx = P[:n]  # (i, m, ...): d_m zeta^x_i
-    corr = np.einsum("im...,i...->m...", dzx, p_s)
-    uy_new = VectorField.from_samples(zeta.grid, zeta.uy.samples() - corr)
-    return TorusEmbedding(ux=VectorField(list(zeta.ux.fields)), uy=uy_new)
+    div = SpectralField(zeta.grid, np.einsum("kjj...->k...", L.jacobian().coeffs))
+    p = remove_mean(div).laplace_inverse()
+    dzx = _embedding_jacobian_samples(zeta)[: zeta.n]  # (i, m, ...): d_m zeta^x_i
+    corr = np.einsum("im...,i...->m...", dzx, p.samples())
+    uy_new = analyze(zeta.grid, zeta.uy.samples() - corr)
+    return TorusEmbedding(ux=zeta.ux, uy=uy_new)

@@ -9,6 +9,7 @@ sums run in ascending j so results are bitwise reproducible.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -20,13 +21,7 @@ from .errors import (
     NonContractiveError,
     SingularAverageError,
 )
-from .spectral import (
-    MatrixField,
-    SpectralField,
-    VectorField,
-    analyze,
-    warp_samples,
-)
+from .spectral import SpectralField, analyze, warp_samples
 
 log = logging.getLogger(__name__)
 
@@ -34,74 +29,51 @@ _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 
 
 class ParaOpHandle:
-    """Cached application of T_a for a scalar or matrix symbol.
+    """Cached application of T_a for a scalar or matrix symbol a.
 
-    Precomputes the sampled low-passes S_{j-3}(a) once; applying the operator
-    then costs one block synthesis per active level plus a single analysis.
-    For j <= 3 the low-pass is the symbol mean, so those levels collapse to
-    mean(a) * S_3 u.
+    Precomputes the sampled low-passes S_{j-3}(a) of every level and entry in
+    one transform; applying the operator then costs one block synthesis per
+    active level plus a single analysis. For j <= 3 the low-pass is the
+    symbol mean, so those levels collapse to mean(a) * S_3 u. The symbol's
+    component axes are contracted against the operand's: (T_A v)_p =
+    sum_q T_{A_pq} v_q for a matrix symbol, T_a acts on every component of
+    the operand for a scalar one.
     """
 
-    def __init__(self, symbol, cut: DyadicCutoff):
+    def __init__(self, symbol: SpectralField, cut: DyadicCutoff):
+        cut.grid.require_same(symbol.grid)
         self.cut = cut
         self.grid = cut.grid
-        if isinstance(symbol, SpectralField):
-            self.matrix_shape = None
-            cut.grid.require_same(symbol.grid)
-            self.avg = symbol.mean()
-            self.low = {
-                j: cut.partial_sum(symbol, j - 3).samples()
-                for j in range(4, cut.j_max + 1)
-            }
-        elif isinstance(symbol, MatrixField):
-            cut.grid.require_same(symbol.grid)
-            self.matrix_shape = symbol.shape
-            self.avg = symbol.mean_matrix()
-            p, q = symbol.shape
-            self.low = {}
-            for j in range(4, cut.j_max + 1):
-                arr = np.empty((p, q) + cut.grid.point_shape)
-                for i in range(p):
-                    for l in range(q):
-                        arr[i, l] = cut.partial_sum(symbol[i, l], j - 3).samples()
-                self.low[j] = arr
-        else:
-            raise TypeError("symbol must be a SpectralField or MatrixField")
+        self.avg = symbol.mean()
+        # contracting no component axes is a plain product (no einsum overhead)
+        self.contract = (
+            functools.partial(np.einsum, "pq...,q...->p...") if symbol.shape else np.multiply
+        )
+        # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3]
+        mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2)]
+        mults = mults.reshape(mults.shape[:1] + (1,) * len(symbol.shape) + mults.shape[1:])
+        self.low = SpectralField(self.grid, mults * symbol.coeffs).samples()
 
     def apply(self, u: SpectralField) -> SpectralField:
-        if self.matrix_shape is not None:
-            raise TypeError("matrix handle: use apply_vector")
         self.grid.require_same(u.grid)
         cut = self.cut
-        acc = self.avg * cut.partial_sum(u, min(3, cut.j_max)).samples()
-        for j in range(4, cut.j_max + 1):
-            acc = acc + self.low[j] * cut.block_samples(u, j)
+        acc = self.contract(self.avg, cut.partial_sum(u, min(3, cut.j_max)).samples())
+        for j, low in enumerate(self.low, start=4):
+            acc = acc + self.contract(low, cut.block_samples(u, j))
         return analyze(self.grid, acc)
 
-    def apply_vector(self, v: VectorField) -> VectorField:
-        if self.matrix_shape is None:
-            raise TypeError("scalar handle: use apply")
-        p, q = self.matrix_shape
-        if len(v) != q:
-            raise ValueError(f"operand has {len(v)} components, symbol needs {q}")
-        self.grid.require_same(v.grid)
-        cut = self.cut
-        s3 = np.stack([cut.partial_sum(f, min(3, cut.j_max)).samples() for f in v])
-        acc = np.einsum("pq,q...->p...", self.avg, s3)
-        for j in range(4, cut.j_max + 1):
-            blk = np.stack([cut.block_samples(f, j) for f in v])
-            acc = acc + np.einsum("pq...,q...->p...", self.low[j], blk)
-        return VectorField.from_samples(self.grid, acc)
+    apply_vector = apply  # the former name for matrix symbols, kept for callers
 
 
 def para_product(a: SpectralField, u: SpectralField, cut: DyadicCutoff) -> SpectralField:
-    """T_a u = sum_j S_{j-3} a . Delta_j u with every summand dealiased."""
+    """T_a u = sum_j S_{j-3} a . Delta_j u with every summand dealiased.
+
+    For a matrix symbol A this is the blockwise (T_A v)_i = sum_j T_{A_ij} v_j.
+    """
     return ParaOpHandle(a, cut).apply(u)
 
 
-def para_product_matrix(A: MatrixField, v: VectorField, cut: DyadicCutoff) -> VectorField:
-    """Blockwise para-product: (T_A v)_i = sum_j T_{A_ij} v_j."""
-    return ParaOpHandle(A, cut).apply_vector(v)
+para_product_matrix = para_product
 
 
 def cm_remainder(
@@ -197,7 +169,7 @@ def pl_remainder(
 
 def para_compose(
     F: SpectralField,
-    chi_displacement: VectorField,
+    chi_displacement: SpectralField,
     cut: DyadicCutoff,
     window: int = 2,
 ) -> SpectralField:
@@ -244,12 +216,9 @@ def para_invert(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> SpectralField:
-    """Solve T_a w = v by the preconditioned Neumann iteration.
+    """Solve T_a w = v for a scalar symbol a (see para_invert_with_handle).
 
-    Iterates w <- w + mean(a)^{-1} (v - T_a w) until the relative L2 residual
-    drops below tol; the forward application is always re-checked, so a
-    returned w certifies itself. Raises NonContractiveError when the symbol
-    is mean-dominated away from contraction.
+    Raises SingularAverageError when mean(a) is negligible against sup |a|.
     """
     m = a.mean()
     scale = max(a.sup_norm(), 1.0)
@@ -257,11 +226,49 @@ def para_invert(
         raise SingularAverageError(
             f"symbol mean {m:.3e} is negligible against |a|_sup = {scale:.3e}"
         )
+    return para_invert_with_handle(ParaOpHandle(a, cut), v, tol=tol, max_iter=max_iter)
+
+
+def para_invert_matrix(
+    A: SpectralField,
+    v: SpectralField,
+    cut: DyadicCutoff,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> SpectralField:
+    """Blockwise para-inversion of a matrix symbol (see para_invert_with_handle)."""
+    return para_invert_with_handle(ParaOpHandle(A, cut), v, tol=tol, max_iter=max_iter)
+
+
+def para_invert_with_handle(
+    handle: ParaOpHandle,
+    v: SpectralField,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> SpectralField:
+    """Solve T_a w = v by the preconditioned Neumann iteration on a prebuilt handle.
+
+    Iterates w <- w + mean(a)^{-1} (v - T_a w) until the relative L2 residual
+    drops below tol; the forward application is always re-checked, so a
+    returned w certifies itself. Raises SingularAverageError when mean(a) is
+    singular and NonContractiveError when the iteration stalls.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    avg = np.atleast_2d(handle.avg)
+    cond = np.linalg.cond(avg)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularAverageError(f"mean symbol is singular (cond {cond:.3e})")
+    pre = np.linalg.inv(avg).reshape(np.shape(handle.avg))
     vnorm = v.l2_norm()
     if vnorm == 0.0:
-        return SpectralField.zero(v.grid)
-    handle = ParaOpHandle(a, cut)
-    w = v * (1.0 / m)
+        return SpectralField(v.grid, np.zeros_like(v.coeffs))
+
+    def precond(res: SpectralField) -> SpectralField:
+        # constant preconditioner acts exactly on coefficients, no transforms
+        return SpectralField(v.grid, handle.contract(pre, res.coeffs))
+
+    w = precond(v)
     history = []
     for _ in range(max_iter):
         r = v - handle.apply(w)
@@ -271,61 +278,8 @@ def para_invert(
         history.append(rel)
         if _stalled(history):
             break
-        w = w + r * (1.0 / m)
+        w = w + precond(r)
     raise NonContractiveError(
         f"para-inversion stalled at relative residual {history[-1]:.3e} "
         f"(tol {tol:.1e}); |a - mean(a)| is too large"
-    )
-
-
-def para_invert_matrix(
-    A: MatrixField,
-    v: VectorField,
-    cut: DyadicCutoff,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> VectorField:
-    """Blockwise para-inversion with preconditioner mean(A)^{-1}."""
-    return para_invert_with_handle(ParaOpHandle(A, cut), v, tol=tol, max_iter=max_iter)
-
-
-def para_invert_with_handle(
-    handle: ParaOpHandle,
-    v: VectorField,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> VectorField:
-    """para_invert_matrix against a prebuilt handle (symbol reuse across calls)."""
-    if handle.matrix_shape is None:
-        raise TypeError("scalar handle passed to matrix inversion")
-    avg = handle.avg
-    cond = np.linalg.cond(avg)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularAverageError(f"mean symbol matrix is singular (cond {cond:.3e})")
-    pre = np.linalg.inv(avg)
-    vnorm = v.l2_norm()
-    if vnorm == 0.0:
-        return VectorField.zero(v.grid, len(v))
-    def precond(res: VectorField) -> VectorField:
-        # constant preconditioner acts exactly on coefficients, no transforms
-        out = []
-        for p in range(pre.shape[0]):
-            acc = res[0] * pre[p, 0]
-            for q in range(1, len(res)):
-                acc = acc + res[q] * pre[p, q]
-            out.append(acc)
-        return VectorField(out)
-    w = precond(v)
-    history = []
-    for _ in range(max_iter):
-        r = v - handle.apply_vector(w)
-        rel = r.l2_norm() / vnorm
-        if rel <= tol:
-            return w
-        history.append(rel)
-        if _stalled(history):
-            break
-        w = w + precond(r)
-    raise NonContractiveError(
-        f"matrix para-inversion stalled at relative residual {history[-1]:.3e} (tol {tol:.1e})"
     )

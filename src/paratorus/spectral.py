@@ -1,17 +1,23 @@
-"""Truncated Fourier calculus for real scalar fields on the torus T^n, n <= 3.
+"""Truncated Fourier calculus for real fields on the torus T^n, n <= 3.
 
 Fields are stored by their retained Fourier coefficients u_hat(k), |k_i| <= K,
 with the normalized convention u(x) = sum_k u_hat(k) exp(i k.x), so that
 u_hat(0) is the mean value. Nonlinear operations go through a padded
 collocation grid with points_per_dim >= 4K, which makes products of two
 retained fields alias-free on the retained band.
+
+A field may carry leading component axes: its coefficients have shape
+(*component_shape, *mode_shape), and every transform, derivative and norm
+acts on all components at once. Vector and matrix fields are such fields
+with one and two component axes.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +74,11 @@ class TorusGrid:
         return (self.points_per_dim,) * self.dim
 
     @cached_property
+    def axes(self) -> tuple:
+        """The trailing (mode or point) axes of a field's arrays."""
+        return tuple(range(-self.dim, 0))
+
+    @cached_property
     def mode_axis(self) -> np.ndarray:
         return np.arange(-self.max_mode, self.max_mode + 1)
 
@@ -86,6 +97,16 @@ class TorusGrid:
         return np.stack([k.ravel() for k in self.mode_mesh], axis=-1)
 
     @cached_property
+    def gradient_symbol(self) -> np.ndarray:
+        """i k_a per mode, shape (dim, *mode_shape)."""
+        return np.stack([1j * k for k in self.mode_mesh])
+
+    @cached_property
+    def mean_index(self) -> tuple:
+        """Index of the k = 0 coefficient of every component."""
+        return (Ellipsis,) + (self.max_mode,) * self.dim
+
+    @cached_property
     def point_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.points_per_dim) / self.points_per_dim
 
@@ -94,54 +115,68 @@ class TorusGrid:
         return tuple(np.meshgrid(*([self.point_axis] * self.dim), indexing="ij"))
 
     @cached_property
-    def _embed_index(self) -> tuple:
-        bins = self.mode_axis % self.points_per_dim
-        return np.ix_(*([bins] * self.dim))
+    def _embed_blocks(self) -> list:
+        """(grid slice, mode slice) pairs placing the retained modes on the FFT grid.
 
-    def compatible(self, other: "TorusGrid") -> bool:
-        return self == other
+        Per axis, modes 0..K sit at bins 0..K and modes -K..-1 at bins N-K..N-1.
+        """
+        K, N = self.max_mode, self.points_per_dim
+        halves = ((slice(0, K + 1), slice(K, 2 * K + 1)), (slice(N - K, N), slice(0, K)))
+        return [
+            ((Ellipsis,) + tuple(h[0] for h in pick), (Ellipsis,) + tuple(h[1] for h in pick))
+            for pick in itertools.product(halves, repeat=self.dim)
+        ]
+
+    @cached_property
+    def _reverse_index(self) -> tuple:
+        """k -> -k on the trailing mode axes."""
+        return (Ellipsis,) + (slice(None, None, -1),) * self.dim
 
     def require_same(self, other: "TorusGrid") -> None:
         if self != other:
             raise GridMismatchError(f"grid mismatch: {self} vs {other}")
 
 
-def _hermitianize(coeffs: np.ndarray) -> np.ndarray:
-    rev = coeffs[tuple(slice(None, None, -1) for _ in range(coeffs.ndim))]
-    return 0.5 * (coeffs + np.conj(rev))
-
-
 @dataclass
 class SpectralField:
-    """A real scalar field on T^n held as truncated Fourier coefficients."""
+    """A real field on T^n held as truncated Fourier coefficients.
+
+    coeffs has shape (*shape, *grid.mode_shape); `shape` is the component
+    shape, () for a scalar field.
+    """
 
     grid: TorusGrid
     coeffs: np.ndarray
 
+    # numpy defers to the reflected operators below instead of broadcasting
+    __array_ufunc__ = None
+
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.mode_shape:
+        if self.coeffs.shape[self.coeffs.ndim - self.grid.dim :] != self.grid.mode_shape:
             raise ValueError(
-                f"coefficient shape {self.coeffs.shape} != {self.grid.mode_shape}"
+                f"coefficient shape {self.coeffs.shape} does not end in {self.grid.mode_shape}"
             )
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
     # --- constructors -------------------------------------------------
 
-    @classmethod
-    def zero(cls, grid: TorusGrid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.mode_shape, dtype=np.complex128))
+    @staticmethod
+    def zero(grid: TorusGrid) -> "SpectralField":
+        return SpectralField(grid, np.zeros(grid.mode_shape, dtype=np.complex128))
 
-    @classmethod
-    def constant(cls, grid: TorusGrid, value: float) -> "SpectralField":
-        f = cls.zero(grid)
-        f.coeffs[(grid.max_mode,) * grid.dim] = value
+    @staticmethod
+    def constant(grid: TorusGrid, value) -> "SpectralField":
+        """The constant field `value`; an array value gives one component per entry."""
+        value = np.asarray(value)
+        f = SpectralField(grid, np.zeros(value.shape + grid.mode_shape, dtype=np.complex128))
+        f.coeffs[grid.mean_index] = value
         return f
 
-    @classmethod
-    def from_modes(cls, grid: TorusGrid, modes: dict) -> "SpectralField":
+    @staticmethod
+    def from_modes(grid: TorusGrid, modes: dict) -> "SpectralField":
         """Build a field from {k: coefficient}; the conjugate modes are mirrored."""
-        f = cls.zero(grid)
+        f = SpectralField.zero(grid)
         K = grid.max_mode
         for k, val in modes.items():
             kv = (k,) if np.isscalar(k) else tuple(k)
@@ -156,33 +191,50 @@ class SpectralField:
                 f.coeffs[ridx] += np.conj(val)
         return f
 
+    # --- components -----------------------------------------------------
+
+    @property
+    def shape(self) -> tuple:
+        """Component shape: () for a scalar, (m,) for a vector, (p, q) for a matrix."""
+        return self.coeffs.shape[: self.coeffs.ndim - self.grid.dim]
+
+    def __getitem__(self, idx) -> "SpectralField":
+        """Component(s) idx as a view: writing to its coeffs writes to this field."""
+        return SpectralField(self.grid, self.coeffs[idx])
+
+    def __iter__(self):
+        return (self[i] for i in range(self.shape[0]))
+
+    @property
+    def T(self) -> "SpectralField":
+        return SpectralField(self.grid, np.swapaxes(self.coeffs, 0, 1))
+
     # --- basics -------------------------------------------------------
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    @property
-    def _center(self) -> tuple:
-        return (self.grid.max_mode,) * self.grid.dim
-
-    def mean(self) -> float:
-        return float(np.real(self.coeffs[self._center]))
+    def mean(self):
+        """Mean value: a float for a scalar field, an array of the component shape otherwise."""
+        m = np.real(self.coeffs[self.grid.mean_index])
+        return float(m) if m.ndim == 0 else m
 
     def is_constant(self, tol: float = 0.0) -> bool:
         c = self.coeffs.copy()
-        c[self._center] = 0.0
+        c[self.grid.mean_index] = 0.0
         return bool(np.max(np.abs(c), initial=0.0) <= tol)
 
     def samples(self) -> np.ndarray:
-        """Real samples on the padded N^n collocation grid."""
+        """Real samples on the padded N^n collocation grid, one transform for all components."""
         g = self.grid
-        buf = np.zeros(g.point_shape, dtype=np.complex128)
-        buf[g._embed_index] = self.coeffs
-        vals = np.fft.ifftn(buf) * (g.points_per_dim**g.dim)
-        return np.real(vals)
+        buf = np.zeros(self.shape + g.point_shape, dtype=np.complex128)
+        for grid_part, mode_part in g._embed_blocks:
+            buf[grid_part] = self.coeffs[mode_part]
+        np.fft.ifftn(buf, axes=g.axes, norm="forward", out=buf)
+        return buf.real.copy()
 
     def hermitian_defect(self) -> float:
-        rev = self.coeffs[tuple(slice(None, None, -1) for _ in range(self.grid.dim))]
+        rev = self.coeffs[self.grid._reverse_index]
         return float(np.max(np.abs(self.coeffs - np.conj(rev)), initial=0.0))
 
     # --- linear calculus ----------------------------------------------
@@ -190,8 +242,12 @@ class SpectralField:
     def derivative(self, axis: int = 0) -> "SpectralField":
         if axis >= self.grid.dim:
             raise ValueError(f"axis {axis} >= dim {self.grid.dim}")
-        k = self.grid.mode_mesh[axis]
-        return SpectralField(self.grid, self.coeffs * (1j * k))
+        return SpectralField(self.grid, self.coeffs * self.grid.gradient_symbol[axis])
+
+    def jacobian(self) -> "SpectralField":
+        """Gradient as one appended component axis: entry (..., a) = d/d(theta_a)."""
+        g = self.grid
+        return SpectralField(g, np.expand_dims(self.coeffs, -g.dim - 1) * g.gradient_symbol)
 
     def translate(self, shift) -> "SpectralField":
         shift = np.atleast_1d(np.asarray(shift, dtype=float))
@@ -211,10 +267,10 @@ class SpectralField:
         k2 = self.grid.mode_norm**2
         out = np.zeros_like(self.coeffs)
         nz = k2 > 0
-        out[nz] = -self.coeffs[nz] / k2[nz]
+        out[..., nz] = -self.coeffs[..., nz] / k2[nz]
         return SpectralField(self.grid, out)
 
-    # --- norms ----------------------------------------------------------
+    # --- norms (over all components) ------------------------------------
 
     def sobolev_norm(self, s: float) -> float:
         w = (1.0 + self.grid.mode_norm**2) ** s
@@ -238,21 +294,29 @@ class SpectralField:
             return SpectralField(self.grid, self.coeffs * other.mean())
         return analyze(self.grid, self.samples() * other.samples())
 
+    def matvec(self, v: "SpectralField") -> "SpectralField":
+        """Pointwise matrix-vector product (dealiased through the padded grid)."""
+        return analyze(self.grid, np.einsum("pq...,q...->p...", self.samples(), v.samples()))
+
+    def matmul(self, other: "SpectralField") -> "SpectralField":
+        return analyze(self.grid, np.einsum("pq...,qr...->pr...", self.samples(), other.samples()))
+
     def __add__(self, other):
-        if np.isscalar(other):
-            out = self.copy()
-            out.coeffs[self._center] += other
-            return out
-        self.grid.require_same(other.grid)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        """Sum of fields; a number (or an array of the component shape) shifts the means."""
+        if isinstance(other, SpectralField):
+            self.grid.require_same(other.grid)
+            return SpectralField(self.grid, self.coeffs + other.coeffs)
+        out = self.copy()
+        out.coeffs[self.grid.mean_index] += other
+        return out
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            return self + (-other)
-        self.grid.require_same(other.grid)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        if isinstance(other, SpectralField):
+            self.grid.require_same(other.grid)
+            return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -268,53 +332,91 @@ class SpectralField:
     __rmul__ = __mul__
 
 
+def _stack_fields(items) -> tuple:
+    """(grid, coeffs) of a field or a nested sequence of fields on one grid."""
+    if isinstance(items, SpectralField):
+        return items.grid, items.coeffs
+    parts = [_stack_fields(x) for x in items]
+    if not parts:
+        raise ValueError("cannot stack an empty sequence of fields")
+    grid = parts[0][0]
+    for g, _ in parts[1:]:
+        grid.require_same(g)
+    return grid, np.stack([c for _, c in parts])
+
+
+class VectorField(SpectralField):
+    """Scalar fields stacked along a leading component axis (a constructor only)."""
+
+    def __init__(self, fields):
+        super().__init__(*_stack_fields(list(fields)))
+
+    @staticmethod
+    def zero(grid: TorusGrid, m: int) -> SpectralField:
+        return SpectralField(grid, np.zeros((m,) + grid.mode_shape, dtype=np.complex128))
+
+
+class MatrixField(VectorField):
+    """Rows of scalar fields stacked along two leading component axes (a constructor only)."""
+
+
 def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
     """Forward transform of real collocation samples, truncated to |k_i| <= K.
 
-    With return_tail=True also reports the discarded high-mode energy fraction,
-    the truncation monitor used by the solvers' diagnostics.
+    samples has shape (*component_shape, *grid.point_shape); all components go
+    through one transform. With return_tail=True also reports the discarded
+    high-mode energy fraction per component (a float for a scalar field), the
+    truncation monitor used by the solvers' diagnostics.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.point_shape:
+    if samples.shape[samples.ndim - grid.dim :] != grid.point_shape:
         raise ValueError(
-            f"expected {grid.point_shape} samples, got {samples.shape}"
+            f"expected samples ending in {grid.point_shape}, got {samples.shape}"
         )
-    c = np.fft.fftn(samples) / (grid.points_per_dim**grid.dim)
-    coeffs = _hermitianize(c[grid._embed_index])
+    c = samples.astype(np.complex128)
+    np.fft.fftn(c, axes=grid.axes, norm="forward", out=c)
+    kept = np.empty(samples.shape[: samples.ndim - grid.dim] + grid.mode_shape, np.complex128)
+    for grid_part, mode_part in grid._embed_blocks:
+        kept[mode_part] = c[grid_part]
+    coeffs = 0.5 * (kept + np.conj(kept[grid._reverse_index]))  # Hermitian projection
     out = SpectralField(grid, coeffs)
     if not return_tail:
         return out
-    total = float(np.sum(np.abs(c) ** 2))
-    kept = float(np.sum(np.abs(coeffs) ** 2))
-    tail = 0.0 if total == 0.0 else max(0.0, (total - kept) / total)
-    return out, tail
+    total = np.sum(np.abs(c) ** 2, axis=grid.axes)
+    kept = np.sum(np.abs(coeffs) ** 2, axis=grid.axes)
+    tail = np.maximum(0.0, np.divide(total - kept, total, out=np.zeros_like(total), where=total > 0))
+    return out, (float(tail) if tail.ndim == 0 else tail)
 
 
 def _eval_at(f: SpectralField, pts: np.ndarray, drop_tol: float = 0.0) -> np.ndarray:
     """Evaluate sum_k u_hat(k) e^{i k.x} at arbitrary points by direct summation.
 
-    pts has shape (dim, ...); coefficients with |c| <= drop_tol are skipped
-    (dropping exact zeros is free of error).
+    pts has shape (dim, ...); the result has shape (*f.shape, ...). A mode is
+    skipped when every component has |c| <= drop_tol there (dropping exact
+    zeros is free of error); the phases of a mode are shared by all components.
     """
     g = f.grid
     flat = pts.reshape(g.dim, -1)
     npts = flat.shape[1]
-    cvec = f.coeffs.ravel()
-    mask = np.abs(cvec) > drop_tol
+    cmat = f.coeffs.reshape((-1, g.mode_list.shape[0]))
+    mask = np.any(np.abs(cmat) > drop_tol, axis=0)
     modes = g.mode_list[mask].astype(float)
-    cvec = cvec[mask]
-    out = np.zeros(npts, dtype=np.complex128)
-    if cvec.size:
-        chunk = max(1, int(4_000_000 // max(npts, 1)))
-        for start in range(0, cvec.size, chunk):
-            sl = slice(start, start + chunk)
-            phase = modes[sl] @ flat
-            out += cvec[sl] @ np.exp(1j * phase)
-    return np.real(out).reshape(pts.shape[1:])
+    cmat = cmat[:, mask]
+    out = np.zeros((cmat.shape[0], npts), dtype=np.complex128)
+    chunk = max(1, int(4_000_000 // max(npts, 1)))
+    for start in range(0, modes.shape[0], chunk):
+        sl = slice(start, start + chunk)
+        phase = modes[sl] @ flat
+        out += cmat[:, sl] @ np.exp(1j * phase)
+    return out.real.reshape(f.shape + pts.shape[1:]).copy()
 
 
 def synthesize(f: SpectralField, points) -> np.ndarray:
-    """Evaluate f at a list of points in [0, 2pi)^n (shape (m, dim) or (dim,))."""
+    """Evaluate f at a list of points in [0, 2pi)^n (shape (m, dim) or (dim,)).
+
+    Returns shape (*f.shape, m), or (*f.shape) for a single point (a float
+    for a scalar field).
+    """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     if f.grid.dim == 1 and pts.ndim == 1:
@@ -324,7 +426,10 @@ def synthesize(f: SpectralField, points) -> np.ndarray:
     if pts.shape[1] != f.grid.dim:
         raise ValueError(f"points must have {f.grid.dim} columns")
     vals = _eval_at(f, pts.T)
-    return float(vals[0]) if single else vals
+    if not single:
+        return vals
+    vals = vals[..., 0]
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def warp_samples(f: SpectralField, warped_points: np.ndarray, drop_tol: float = 0.0) -> np.ndarray:
@@ -332,186 +437,25 @@ def warp_samples(f: SpectralField, warped_points: np.ndarray, drop_tol: float = 
     return _eval_at(f, warped_points, drop_tol=drop_tol)
 
 
-def compose_warped(f: SpectralField, w: "VectorField", return_tail: bool = False):
+def compose_warped(f: SpectralField, w: SpectralField, return_tail: bool = False):
     """f(x + w(x)) sampled at warped collocation points, then re-analyzed.
 
     With return_tail=True also reports the discarded tail-energy fraction of
     the composition (the truncation monitor).
     """
     g = f.grid
-    if len(w.fields) != g.dim:
-        raise ValueError(f"warp needs {g.dim} components, got {len(w.fields)}")
+    if w.shape != (g.dim,):
+        raise ValueError(f"warp needs {g.dim} components, got shape {w.shape}")
     g.require_same(w.grid)
     wpts = np.stack(g.point_mesh) + w.samples()
     return analyze(g, warp_samples(f, wpts), return_tail=return_tail)
-
-
-class VectorField:
-    """Ordered tuple of scalar fields on one shared grid."""
-
-    def __init__(self, fields: Sequence[SpectralField]):
-        fields = list(fields)
-        if not fields:
-            raise ValueError("empty VectorField")
-        grid = fields[0].grid
-        for f in fields[1:]:
-            grid.require_same(f.grid)
-        self.fields = fields
-        self.grid = grid
-
-    @classmethod
-    def zero(cls, grid: TorusGrid, m: int) -> "VectorField":
-        return cls([SpectralField.zero(grid) for _ in range(m)])
-
-    @classmethod
-    def from_samples(cls, grid: TorusGrid, arr: np.ndarray) -> "VectorField":
-        return cls([analyze(grid, arr[i]) for i in range(arr.shape[0])])
-
-    def __len__(self):
-        return len(self.fields)
-
-    def __getitem__(self, i) -> SpectralField:
-        return self.fields[i]
-
-    def __iter__(self):
-        return iter(self.fields)
-
-    def samples(self) -> np.ndarray:
-        return np.stack([f.samples() for f in self.fields])
-
-    def __add__(self, other):
-        return VectorField([a + b for a, b in zip(self.fields, other.fields)])
-
-    def __sub__(self, other):
-        return VectorField([a - b for a, b in zip(self.fields, other.fields)])
-
-    def __neg__(self):
-        return VectorField([-a for a in self.fields])
-
-    def __mul__(self, scalar):
-        return VectorField([f * scalar for f in self.fields])
-
-    __rmul__ = __mul__
-
-    def omega_derivative(self, omega) -> "VectorField":
-        return VectorField([f.omega_derivative(omega) for f in self.fields])
-
-    def jacobian(self) -> "MatrixField":
-        """Matrix of partials: entry (i, a) = d(component i)/d(theta_a)."""
-        return MatrixField(
-            [[f.derivative(a) for a in range(self.grid.dim)] for f in self.fields]
-        )
-
-    def mean_vector(self) -> np.ndarray:
-        return np.array([f.mean() for f in self.fields])
-
-    def sobolev_norm(self, s: float) -> float:
-        return float(np.sqrt(sum(f.sobolev_norm(s) ** 2 for f in self.fields)))
-
-    def l2_norm(self) -> float:
-        return self.sobolev_norm(0.0)
-
-    def sup_norm(self) -> float:
-        return max(f.sup_norm() for f in self.fields)
-
-
-class MatrixField:
-    """p x q array of scalar fields on one shared grid; pointwise matrix algebra."""
-
-    def __init__(self, rows: Sequence[Sequence[SpectralField]]):
-        self.rows = [list(r) for r in rows]
-        if not self.rows or not self.rows[0]:
-            raise ValueError("empty MatrixField")
-        q = len(self.rows[0])
-        grid = self.rows[0][0].grid
-        for r in self.rows:
-            if len(r) != q:
-                raise ValueError("ragged MatrixField")
-            for f in r:
-                grid.require_same(f.grid)
-        self.grid = grid
-
-    @classmethod
-    def from_samples(cls, grid: TorusGrid, arr: np.ndarray) -> "MatrixField":
-        p, q = arr.shape[:2]
-        return cls([[analyze(grid, arr[i, j]) for j in range(q)] for i in range(p)])
-
-    @classmethod
-    def constant(cls, grid: TorusGrid, mat: np.ndarray) -> "MatrixField":
-        mat = np.asarray(mat, dtype=float)
-        return cls(
-            [
-                [SpectralField.constant(grid, mat[i, j]) for j in range(mat.shape[1])]
-                for i in range(mat.shape[0])
-            ]
-        )
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self.rows), len(self.rows[0]))
-
-    def __getitem__(self, ij) -> SpectralField:
-        i, j = ij
-        return self.rows[i][j]
-
-    @property
-    def T(self) -> "MatrixField":
-        p, q = self.shape
-        return MatrixField([[self.rows[i][j] for i in range(p)] for j in range(q)])
-
-    def samples(self) -> np.ndarray:
-        p, q = self.shape
-        return np.stack(
-            [np.stack([self.rows[i][j].samples() for j in range(q)]) for i in range(p)]
-        )
-
-    def mean_matrix(self) -> np.ndarray:
-        p, q = self.shape
-        return np.array([[self.rows[i][j].mean() for j in range(q)] for i in range(p)])
-
-    def __add__(self, other):
-        p, q = self.shape
-        return MatrixField(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(q)] for i in range(p)]
-        )
-
-    def __sub__(self, other):
-        p, q = self.shape
-        return MatrixField(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(q)] for i in range(p)]
-        )
-
-    def __mul__(self, scalar):
-        p, q = self.shape
-        return MatrixField([[f * scalar for f in r] for r in self.rows])
-
-    __rmul__ = __mul__
-
-    def matvec(self, v: VectorField) -> VectorField:
-        """Pointwise matrix-vector product (dealiased through the padded grid)."""
-        p, q = self.shape
-        if len(v) != q:
-            raise ValueError(f"shape mismatch: {self.shape} @ {len(v)}")
-        out = np.einsum("pq...,q...->p...", self.samples(), v.samples())
-        return VectorField.from_samples(self.grid, out)
-
-    def matmul(self, other: "MatrixField") -> "MatrixField":
-        p, q = self.shape
-        q2, r = other.shape
-        if q != q2:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = np.einsum("pq...,qr...->pr...", self.samples(), other.samples())
-        return MatrixField.from_samples(self.grid, out)
-
-    def sup_norm(self) -> float:
-        return max(f.sup_norm() for r in self.rows for f in r)
 
 
 # --- serialization -------------------------------------------------------
 
 
 def field_to_json(f: SpectralField) -> dict:
-    """JSON document for a field; only modes with |u_hat(k)| > 1e-16 are stored."""
+    """JSON document for a scalar field; only modes with |u_hat(k)| > 1e-16 are stored."""
     g = f.grid
     entries = []
     cvec = f.coeffs.ravel()
@@ -522,7 +466,10 @@ def field_to_json(f: SpectralField) -> dict:
 
 
 def field_from_json(doc: dict, points_per_dim: int | None = None) -> SpectralField:
-    """Rebuild a field, restoring Hermitian symmetry; reject violations > 1e-10."""
+    """Rebuild a field, restoring Hermitian symmetry; reject violations > 1e-10.
+
+    Non-finite coefficients (JSON NaN / Infinity) are rejected.
+    """
     try:
         dim = int(doc["dim"])
         K = int(doc["K"])
@@ -536,6 +483,8 @@ def field_from_json(doc: dict, points_per_dim: int | None = None) -> SpectralFie
         if len(k) != dim or any(abs(c) > K for c in k):
             raise SerializationError(f"mode {k} outside the cutoff")
         stored[k] = complex(float(e["re"]), float(e["im"]))
+        if not cmath.isfinite(stored[k]):
+            raise SerializationError(f"mode {k} has a non-finite coefficient {stored[k]}")
     f = SpectralField.zero(grid)
     seen = set()
     for k, val in stored.items():

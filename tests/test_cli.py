@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from paratorus import field_from_json
 from paratorus.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 
@@ -194,3 +196,82 @@ def test_multiple_configs_require_batch(tmp_path):
     c2 = write_config(tmp_path, "two.json", circle_config())
     assert main(["circle", "--config", str(c1), "--config", str(c2),
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+# --- boundary validation and failure forensics -----------------------------------
+
+
+def run_code(tmp_path, doc, kind="circle"):
+    cfg = write_config(tmp_path, "bad.json", doc)
+    out = tmp_path / "out"
+    code = main([kind, "--config", str(cfg), "--out", str(out)])
+    return code, out
+
+
+def test_non_finite_mode_is_config_error(tmp_path):
+    for value in (float("nan"), float("inf")):
+        doc = circle_config(amp=0.04)
+        doc["problem"]["f_modes"][0]["im"] = value
+        code, out = run_code(tmp_path, doc)
+        assert code == EXIT_CONFIG
+        assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
+def test_max_iter_below_one_is_config_error(tmp_path):
+    code, out = run_code(tmp_path, circle_config(amp=0.04, max_iter=0))
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
+def test_nan_tol_is_config_error(tmp_path):
+    doc = circle_config(amp=0.04)
+    doc["solver"]["tol"] = float("nan")
+    assert run_code(tmp_path, doc)[0] == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "section, key", [("solver", "s"), ("frequency", "alpha"), ("frequency", "sigma")]
+)
+def test_non_finite_circle_numbers_are_config_errors(tmp_path, section, key):
+    doc = circle_config(amp=0.04)
+    doc[section][key] = float("nan")
+    assert run_code(tmp_path, doc)[0] == EXIT_CONFIG
+
+
+def test_non_finite_omega_is_config_error(tmp_path):
+    doc = torus_config()
+    doc["frequency"]["omega"] = [1.0, float("inf")]
+    assert run_code(tmp_path, doc, kind="torus")[0] == EXIT_CONFIG
+
+
+def test_circle_nonconvergence_keeps_trajectory(tmp_path):
+    doc = circle_config(amp=0.04, max_iter=3)
+    doc["solver"]["tol"] = 1e-30
+    code, out = run_code(tmp_path, doc)
+    assert code == EXIT_SOLVER
+    lines = (out / "run.csv").read_text().strip().splitlines()
+    assert [l.split(",")[0] for l in lines[1:-1]] == ["iter"] * 3
+    assert "status=max_iter_exceeded" in lines[-1]
+    assert (out / "error.json").exists()
+
+
+def test_torus_nonconvergence_keeps_trajectory(tmp_path):
+    doc = torus_config()
+    doc["problem"]["a0_modes"] = [{"k": [1, 0], "re": 0.005, "im": 0.0}]
+    doc["problem"]["a1"] = {"constant": [1.0, GOLDEN]}
+    doc["problem"]["Q"] = {"constant": [[1.0, 0.0], [0.0, 1.0]]}
+    doc["solver"] = {"s": 3.0, "tol": 1e-30, "max_iter": 2, "mode": "thm1"}
+    code, out = run_code(tmp_path, doc, kind="torus")
+    assert code == EXIT_SOLVER
+    lines = (out / "torus.csv").read_text().strip().splitlines()
+    assert [l.split(",")[0] for l in lines[1:-1]] == ["iter"] * 2
+    assert "status=max_iter_exceeded" in lines[-1]
+
+
+def test_out_of_range_frequency_is_config_error(tmp_path):
+    doc = circle_config(amp=0.04)
+    doc["frequency"]["alpha"] = 7.0  # outside (0, 2 pi)
+    assert run_code(tmp_path, doc)[0] == EXIT_CONFIG
+    doc = torus_config()
+    doc["frequency"]["sigma"] = -1.0
+    assert run_code(tmp_path, doc, kind="torus")[0] == EXIT_CONFIG

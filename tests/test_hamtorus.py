@@ -165,7 +165,7 @@ def test_error_fields_integrable():
     h = integrable(g, om, np.eye(2))
     e0, e1 = error_fields(h, om)
     assert e0.l2_norm() < 1e-13
-    assert max(f.l2_norm() for r in e1.rows for f in r) < 1e-14
+    assert max(f.l2_norm() for r in e1 for f in r) < 1e-14
 
 
 def test_error_fields_sign_follows_definition():
@@ -209,7 +209,7 @@ def test_jacobian_integrable_flat():
     Q0 = np.array([[1.5, 0.2], [0.2, 0.9]])
     h = integrable(g, om, Q0)
     A = jacobian_A(h, TorusEmbedding.flat(g))
-    got = A.mean_matrix()
+    got = A.mean()
     want = np.zeros((4, 4))
     want[:2, 2:] = Q0
     assert np.max(np.abs(got - want)) < 1e-12
@@ -223,14 +223,14 @@ def test_jacobian_general_structure_at_flat():
     rng = np.random.default_rng(1)
     h = random_hamiltonian(g, om, rng, with_cubic=False)
     A = jacobian_A(h, TorusEmbedding.flat(g))
-    d1a1 = h.d1_a1()
-    d2a0 = h.d2_a0()
+    d1a1 = h.gradient(1, 1)
+    d2a0 = h.gradient(0, 2)
     for i in range(2):
         for l in range(2):
-            assert (A[i, l] - d1a1[i][l]).l2_norm() < 1e-12
+            assert (A[i, l] - d1a1[i, l]).l2_norm() < 1e-12
             assert (A[i, 2 + l] - h.Q[i, l]).l2_norm() < 1e-12
-            assert (A[2 + i, l] + d2a0[i][l]).l2_norm() < 1e-12
-            assert (A[2 + i, 2 + l] + d1a1[l][i]).l2_norm() < 1e-12
+            assert (A[2 + i, l] + d2a0[i, l]).l2_norm() < 1e-12
+            assert (A[2 + i, 2 + l] + d1a1[l, i]).l2_norm() < 1e-12
 
 
 def test_jacobian_hessian_symmetry_oracle():
@@ -273,10 +273,10 @@ def test_jacobian_hessian_symmetry_oracle():
 def test_frame_flat():
     g = small_grid()
     N, M, Minv = frame(TorusEmbedding.flat(g))
-    assert np.max(np.abs(N.mean_matrix() - np.eye(2))) < 1e-13
+    assert np.max(np.abs(N.mean() - np.eye(2))) < 1e-13
     D = np.diag([1.0, 1.0, -1.0, -1.0])
-    assert np.max(np.abs(M.mean_matrix() - D)) < 1e-13
-    assert np.max(np.abs(Minv.mean_matrix() - D)) < 1e-13
+    assert np.max(np.abs(M.mean() - D)) < 1e-13
+    assert np.max(np.abs(Minv.mean() - D)) < 1e-13
 
 
 def test_frame_inverse_pointwise():
@@ -339,7 +339,7 @@ def test_torsion_integrable_is_minus_Q():
     Q0 = np.array([[1.5, 0.4], [0.4, 0.8]])
     h = integrable(g, om, Q0)
     S = torsion_S(h, TorusEmbedding.flat(g))
-    assert np.max(np.abs(S.mean_matrix() + Q0)) < 1e-12
+    assert np.max(np.abs(S.mean() + Q0)) < 1e-12
     assert S.sup_norm() < np.max(np.abs(Q0)) + 1e-10
 
 
@@ -390,11 +390,11 @@ def test_linearization_identity_on_manufactured_torus():
     assert fsup < 1e-12
     from paratorus.hamtorus import _Warp, _frame_samples, _jacobian_samples, _torsion_samples
 
-    warp = _Warp(u)
+    warp = _Warp(h, u)
     A = _jacobian_samples(h, u, warp)
     P, Ninv, M, Minv = _frame_samples(u)
     S = _torsion_samples(h, u, warp, P, Ninv)
-    Mfield = MatrixField.from_samples(g, M)
+    Mfield = analyze(g, M)
     dM = np.stack(
         [
             np.stack([Mfield[a, b].omega_derivative(om.array).samples() for b in range(4)])
@@ -815,3 +815,20 @@ def test_solver_reports_truncation_tail():
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     assert sol.report.extras["xh_tail_energy"] < 1e-12
+
+
+def test_solve_thm1_dim3_smoke():
+    # 6 x 6 frame fields run through the component axes
+    g = TorusGrid.create(3, 4)
+    om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0], 1.0, 4)
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j}),
+        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(3)]),
+        Q=MatrixField.constant(g, np.eye(3)),
+    )
+    sol = solve_torus(h, om, mode="thm1", s=3.0)
+    assert sol.report.iterations == 5
+    assert sol.report.extras["residual_sup"] < 1e-13
+    assert sol.report.extras["kappa"] < 1.0
+    assert np.all(sol.xi == 0.0)
+    assert counterterm_check(h, sol.u, sol.xi, sol.mu, om) < 1e-10

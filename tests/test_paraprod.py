@@ -475,6 +475,16 @@ def test_para_invert_zero_rhs():
     assert w.l2_norm() == 0.0
 
 
+def test_para_invert_rejects_max_iter_below_one():
+    g, cut = setup_1d()
+    rng = np.random.default_rng(31)
+    v = random_field(g, rng)
+    with pytest.raises(ValueError):
+        para_invert(SpectralField.constant(g, 2.0), v, cut, max_iter=0)
+    with pytest.raises(ValueError):
+        para_invert_matrix(MatrixField.constant(g, np.eye(2)), VectorField([v, v]), cut, max_iter=0)
+
+
 def test_para_invert_matrix_constant_symbol():
     g, cut = setup_1d()
     rng = np.random.default_rng(27)

@@ -17,6 +17,7 @@ from paratorus import (
     field_to_json,
     synthesize,
 )
+from paratorus.spectral import warp_samples
 
 
 def grid1d(K=16, N=None):
@@ -364,4 +365,35 @@ def test_matrix_transpose_involution():
     assert back.shape == M.shape
     for i in range(2):
         for j in range(3):
-            assert back[i, j] is M[i, j]
+            # entries are views of the same coefficients, not copies
+            assert np.shares_memory(back[i, j].coeffs, M.coeffs)
+            assert np.array_equal(back[i, j].coeffs, M[i, j].coeffs)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_serialization_rejects_non_finite_coefficients(value):
+    doc = {"dim": 1, "K": 4, "coeffs": [{"k": [1], "re": 0.5, "im": value}]}
+    with pytest.raises(SerializationError):
+        field_from_json(doc)
+
+
+# --- component axes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("components", [(), (3,), (2, 3)])
+def test_stacked_transforms_match_per_component(dim, components):
+    rng = np.random.default_rng(61 + dim)
+    g = TorusGrid.create(dim, 3 if dim == 3 else 6)
+    fields = [random_field(g, rng) for _ in range(int(np.prod(components)))]
+    f = SpectralField(g, np.stack([h.coeffs for h in fields]).reshape(components + g.mode_shape))
+    stacked = f.samples()
+    back = analyze(g, stacked)
+    pts = np.stack(g.point_mesh) + 0.2 * rng.uniform(-1.0, 1.0, (dim,) + g.point_shape)
+    warped = warp_samples(f, pts)
+    for idx in np.ndindex(components):
+        one = f[idx]
+        assert np.array_equal(stacked[idx], one.samples())
+        assert np.array_equal(back[idx].coeffs, analyze(g, one.samples()).coeffs)
+        ref = warp_samples(one, pts)
+        assert np.max(np.abs(warped[idx] - ref)) <= 1e-14 * np.max(np.abs(ref))
