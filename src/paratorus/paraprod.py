@@ -31,10 +31,10 @@ _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 class ParaOpHandle:
     """Cached application of T_a for a scalar or matrix symbol a.
 
-    Precomputes the sampled low-passes S_{j-3}(a) of every level and entry in
-    one transform; applying the operator then costs one block synthesis per
-    active level plus a single analysis. For j <= 3 the low-pass is the
-    symbol mean, so those levels collapse to mean(a) * S_3 u. The symbol's
+    Precomputes the sampled low-passes S_{j-3}(a) of every level, one
+    transform per level for all entries; applying the operator then costs one
+    block synthesis per active level plus a single analysis. For j <= 3 the
+    low-pass is the symbol mean, so those levels collapse to mean(a) * S_3 u. The symbol's
     component axes are contracted against the operand's: (T_A v)_p =
     sum_q T_{A_pq} v_q for a matrix symbol, T_a acts on every component of
     the operand for a scalar one.
@@ -51,8 +51,7 @@ class ParaOpHandle:
         )
         # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3]
         mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2)]
-        mults = mults.reshape(mults.shape[:1] + (1,) * len(symbol.shape) + mults.shape[1:])
-        self.low = SpectralField(self.grid, mults * symbol.coeffs).samples()
+        self.low = [SpectralField(self.grid, m * symbol.coeffs).samples() for m in mults]
 
     def apply(self, u: SpectralField) -> SpectralField:
         self.grid.require_same(u.grid)

@@ -15,7 +15,6 @@ with one and two component axes.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,17 +114,14 @@ class TorusGrid:
         return tuple(np.meshgrid(*([self.point_axis] * self.dim), indexing="ij"))
 
     @cached_property
-    def _embed_blocks(self) -> list:
-        """(grid slice, mode slice) pairs placing the retained modes on the FFT grid.
+    def _embed_index(self) -> tuple:
+        """Index of the retained modes on the FFT grid of a scalar field.
 
-        Per axis, modes 0..K sit at bins 0..K and modes -K..-1 at bins N-K..N-1.
+        Arrays with component axes prefix it with one slice per axis, not with
+        an Ellipsis, which would slow every scalar transform.
         """
-        K, N = self.max_mode, self.points_per_dim
-        halves = ((slice(0, K + 1), slice(K, 2 * K + 1)), (slice(N - K, N), slice(0, K)))
-        return [
-            ((Ellipsis,) + tuple(h[0] for h in pick), (Ellipsis,) + tuple(h[1] for h in pick))
-            for pick in itertools.product(halves, repeat=self.dim)
-        ]
+        bins = self.mode_axis % self.points_per_dim
+        return np.ix_(*([bins] * self.dim))
 
     @cached_property
     def _reverse_index(self) -> tuple:
@@ -227,11 +223,11 @@ class SpectralField:
     def samples(self) -> np.ndarray:
         """Real samples on the padded N^n collocation grid, one transform for all components."""
         g = self.grid
-        buf = np.zeros(self.shape + g.point_shape, dtype=np.complex128)
-        for grid_part, mode_part in g._embed_blocks:
-            buf[grid_part] = self.coeffs[mode_part]
-        np.fft.ifftn(buf, axes=g.axes, norm="forward", out=buf)
-        return buf.real.copy()
+        lead = self.shape
+        buf = np.zeros(lead + g.point_shape, dtype=np.complex128)
+        buf[(slice(None),) * len(lead) + g._embed_index] = self.coeffs
+        # s= spares numpy a per-call lookup of the transformed sizes
+        return np.fft.ifftn(buf, s=g.point_shape, axes=g.axes).real * (g.points_per_dim**g.dim)
 
     def hermitian_defect(self) -> float:
         rev = self.coeffs[self.grid._reverse_index]
@@ -373,11 +369,10 @@ def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
         raise ValueError(
             f"expected samples ending in {grid.point_shape}, got {samples.shape}"
         )
-    c = samples.astype(np.complex128)
-    np.fft.fftn(c, axes=grid.axes, norm="forward", out=c)
-    kept = np.empty(samples.shape[: samples.ndim - grid.dim] + grid.mode_shape, np.complex128)
-    for grid_part, mode_part in grid._embed_blocks:
-        kept[mode_part] = c[grid_part]
+    c = np.fft.fftn(samples, s=grid.point_shape, axes=grid.axes) / (grid.points_per_dim**grid.dim)
+    # fancy indexing behind leading axes returns a strided array; C order keeps
+    # every later reduction summing in the same order as for a scalar field
+    kept = np.ascontiguousarray(c[(slice(None),) * (c.ndim - grid.dim) + grid._embed_index])
     coeffs = 0.5 * (kept + np.conj(kept[grid._reverse_index]))  # Hermitian projection
     out = SpectralField(grid, coeffs)
     if not return_tail:
@@ -406,8 +401,8 @@ def _eval_at(f: SpectralField, pts: np.ndarray, drop_tol: float = 0.0) -> np.nda
     chunk = max(1, int(4_000_000 // max(npts, 1)))
     for start in range(0, modes.shape[0], chunk):
         sl = slice(start, start + chunk)
-        phase = modes[sl] @ flat
-        out += cmat[:, sl] @ np.exp(1j * phase)
+        waves = 1j * (modes[sl] @ flat)
+        out += cmat[:, sl] @ np.exp(waves, out=waves)  # in place: one chunk-sized buffer
     return out.real.reshape(f.shape + pts.shape[1:]).copy()
 
 
