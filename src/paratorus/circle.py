@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import DyadicCutoff, make_cutoff
 from .errors import DiffeomorphismLostError, MaxIterExceededError
-from .paraprod import para_compose, para_invert, para_product
+from .paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
 from .reporting import SolveReport
 from .smalldiv import RotationAngle, delta_alpha, delta_alpha_inverse, remove_mean
 from .spectral import SpectralField, VectorField, analyze, compose_warped
@@ -73,7 +73,9 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff | None = N
     Assembly: (i) composed value and para-linearization remainder as a literal
     difference, (ii) the composition remainder of the factored operator, also
     literal, (iii) lambda balancing the mean through two para-inversions,
-    (iv) the small-divisor inverse followed by the outer para-inversion.
+    (iv) the small-divisor inverse followed by the outer para-inversion. The
+    handles of T_{(1+u') o tau_alpha} and T_{1/(1+u')} are built once and
+    serve both the remainder and the three inversions.
     """
     if cut is None:
         cut = make_cutoff(u.grid)
@@ -81,7 +83,8 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff | None = N
     alpha = problem.alpha
     one_du = _one_plus_du(u)
     recip = _reciprocal(one_du)
-    fwd_symbol = one_du.translate([alpha.alpha])
+    H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
+    H_recip = ParaOpHandle(recip, cut)
 
     comp = compose_warped(f, VectorField([u]))
     fprime_comp = compose_warped(f.derivative(0), VectorField([u]))
@@ -93,7 +96,7 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff | None = N
     r1 = (
         delta_alpha(u, alpha)
         - para_product(slope_symbol, u, cut)
-        - para_product(fwd_symbol, delta_alpha(para_product(recip, u, cut), alpha), cut)
+        - H_fwd.apply(delta_alpha(H_recip.apply(u), alpha))
     )
 
     if problem.mode == "refined":
@@ -104,17 +107,15 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff | None = N
         pl = comp - f - para_product(fprime_comp, u, cut)
         bracket = f + pl - r1
 
-    inv = lambda v: para_invert(
-        fwd_symbol, v, cut, tol=problem.invert_tol, max_iter=problem.invert_max_iter
+    inv = lambda H, v: para_invert_with_handle(
+        H, v, tol=problem.invert_tol, max_iter=problem.invert_max_iter
     )
-    gi = inv(bracket)
-    onei = inv(SpectralField.constant(u.grid, 1.0))
+    gi = inv(H_fwd, bracket)
+    onei = inv(H_fwd, SpectralField.constant(u.grid, 1.0))
     lam = gi.mean() / onei.mean()
     w = gi - lam * onei
     v = delta_alpha_inverse(w, alpha)
-    u_next = para_invert(
-        recip, v, cut, tol=problem.invert_tol, max_iter=problem.invert_max_iter
-    )
+    u_next = inv(H_recip, v)
     return u_next, lam
 
 

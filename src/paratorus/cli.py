@@ -18,6 +18,7 @@ import numpy as np
 
 from . import validation
 from .circle import CircleProblem, rotation_number, solve
+from .dyadic import max_block_index
 from .errors import (
     ConfigError,
     DegenerateEmbeddingError,
@@ -30,7 +31,7 @@ from .errors import (
     ResonantModeError,
 )
 from .hamtorus import HamiltonianData, flow_oracle, solve_torus
-from .reporting import fmt
+from .reporting import fmt, write_rows_csv
 from .smalldiv import (
     FrequencyVector,
     RotationAngle,
@@ -84,6 +85,21 @@ def _finite(value, path: str) -> float:
     return x
 
 
+def _integer(value, path: str, minimum: int) -> int:
+    """An integer config value >= minimum; anything else is a config error."""
+    x = _finite(value, path)
+    if x != int(x) or x < minimum:
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return int(x)
+
+
+def _list(value, path: str, item) -> list:
+    """A non-empty config list, each entry parsed by item(entry, entry_path)."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _field_from_modes_config(grid: TorusGrid, modes, path: str) -> SpectralField:
     """Trig-polynomial input as [{k, re, im}]; Hermitian symmetry validated."""
     if not isinstance(modes, list):
@@ -100,8 +116,10 @@ def _field_from_modes_config(grid: TorusGrid, modes, path: str) -> SpectralField
 
 def _parse_grid(cfg, kind: str) -> TorusGrid:
     _require_keys(cfg, {"dim": True, "K": True, "points": False}, "grid")
+    points = cfg.get("points")
     try:
-        return TorusGrid.create(int(cfg["dim"]), int(cfg["K"]), cfg.get("points"))
+        return TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1),
+                                None if points is None else _integer(points, "grid.points", 1))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -114,13 +132,10 @@ def _parse_solver(cfg, modes, default_mode, path="solver"):
     mode = cfg.get("mode", default_mode)
     if mode not in modes:
         raise ConfigError(f"{path}.mode: {mode!r} not in {modes}")
-    max_iter = int(_finite(cfg.get("max_iter", 40), f"{path}.max_iter"))
-    if max_iter < 1:
-        raise ConfigError(f"{path}.max_iter must be >= 1, got {max_iter}")
     return {
         "s": _finite(cfg.get("s", 3.0), f"{path}.s"),
         "tol": _finite(cfg.get("tol", 1e-10), f"{path}.tol"),
-        "max_iter": max_iter,
+        "max_iter": _integer(cfg.get("max_iter", 40), f"{path}.max_iter", 1),
         "mode": mode,
     }
 
@@ -130,16 +145,6 @@ def _write_json(path: Path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _write_rows_csv(path: Path, columns, rows, summary: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(["row_kind"] + columns) + "\n")
-        for row in rows:
-            fh.write(",".join(["row"] + [fmt(row[c]) for c in columns]) + "\n")
-        cells = ["summary"] + [f"{k}={fmt(v)}" for k, v in sorted(summary.items())]
-        fh.write(",".join(cells) + "\n")
 
 
 def _solve_saving_trajectory(solve_fn, csv_path: Path):
@@ -152,16 +157,16 @@ def _solve_saving_trajectory(solve_fn, csv_path: Path):
         raise
 
 
+# top-level keys of a circle or torus solve config (True: required)
+_SOLVE_KEYS = {"kind": True, "grid": True, "frequency": True, "problem": True,
+               "solver": False, "outputs": False}
+
+
 # --- circle -------------------------------------------------------------------
 
 
 def run_circle(cfg: dict, out: Path, seed: int) -> int:
-    _require_keys(
-        cfg,
-        {"kind": True, "grid": True, "frequency": True, "problem": True,
-         "solver": False, "outputs": False},
-        "config",
-    )
+    _require_keys(cfg, _SOLVE_KEYS, "config")
     grid = _parse_grid(cfg["grid"], "circle")
     if grid.dim != 1:
         raise ConfigError("circle experiments need grid.dim = 1")
@@ -244,20 +249,15 @@ def _parse_matrix_of_fields(grid, cfg, n, path) -> SpectralField:
 
 
 def run_torus(cfg: dict, out: Path, seed: int) -> int:
-    _require_keys(
-        cfg,
-        {"kind": True, "grid": True, "frequency": True, "problem": True,
-         "solver": False, "outputs": False},
-        "config",
-    )
+    _require_keys(cfg, _SOLVE_KEYS, "config")
     grid = _parse_grid(cfg["grid"], "torus")
     _require_keys(cfg["frequency"], {"omega": True, "sigma": True}, "frequency")
-    omega_list = cfg["frequency"]["omega"]
+    omega_list = _list(cfg["frequency"]["omega"], "frequency.omega", _finite)
     if len(omega_list) != grid.dim:
         raise ConfigError("frequency.omega length must match grid.dim")
     try:
         omega = FrequencyVector.certify(
-            [_finite(w, f"frequency.omega[{i}]") for i, w in enumerate(omega_list)],
+            omega_list,
             _finite(cfg["frequency"]["sigma"], "frequency.sigma"),
             grid.max_mode,
         )
@@ -309,9 +309,7 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
 
 def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
     _require_keys(cfg, {"kind": True, "grid": False, "probes": False, "outputs": False}, "config")
-    grid_cfg = cfg.get("grid") or {"dim": 1, "K": 256}
-    _require_keys(grid_cfg, {"dim": True, "K": True, "points": False}, "grid")
-    K = int(grid_cfg["K"])
+    K = _parse_grid(cfg.get("grid") or {"dim": 1, "K": 256}, "validate-ops").max_mode
     probes = cfg.get("probes") or {}
     _require_keys(
         probes,
@@ -319,43 +317,43 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
          "identity_K": False, "identity_trials": False},
         "probes",
     )
-    regs = [float(r) for r in probes.get("regularities", [1.0, 2.0])]
-    j_lo, j_hi = probes.get("j_range", [3, 7])
+    regs = _list(probes.get("regularities", [1.0, 2.0]), "probes.regularities", _finite)
+    j_range = _list(probes.get("j_range", [3, 7]), "probes.j_range", _finite)
+    if len(j_range) != 2 or not 0 <= j_range[0] < j_range[1] <= max_block_index(K):
+        raise ConfigError(f"probes.j_range: need [j_lo, j_hi], 0 <= j_lo < j_hi <= "
+                          f"{max_block_index(K)} at K={K}, got {j_range}")
+    j_lo, j_hi = (_integer(j, "probes.j_range", 0) for j in j_range)
+    sizes = {key: _integer(probes.get(key, default), f"probes.{key}", 1) for key, default in
+             (("identity_K", 64), ("identity_trials", 100), ("boundedness_K", 32))}
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
 
     rows = []
-    summary = {}
     part = validation.partition_probe(K)
     rows.append({"probe": "partition", "r": "", "j": "", "value": part["partition_residual"],
                  "slope": "", "bound": 1e-14, "passed": int(part["passed"])})
-    summary["partition_residual"] = part["partition_residual"]
     ident = validation.paraproduct_identity_probe(
-        int(probes.get("identity_K", 64)), seed, int(probes.get("identity_trials", 100))
+        sizes["identity_K"], seed, sizes["identity_trials"]
     )
     rows.append({"probe": "paraproduct_identities", "r": "", "j": "",
                  "value": max(ident["const_symbol_defect"], ident["const_operand_defect"]),
                  "slope": "", "bound": 1e-13, "passed": int(ident["passed"])})
     for r in regs:
-        cm = validation.cm_smoothing_probe(K, r, seed, int(j_lo), int(j_hi))
-        for rec in cm["rows"]:
-            rows.append({"probe": "cm_ratio", "r": r, "j": rec["j"], "value": rec["ratio"],
-                         "slope": "", "bound": "", "passed": ""})
-        rows.append({"probe": "cm_slope", "r": r, "j": "", "value": cm["const_defect"],
-                     "slope": cm["slope"], "bound": cm["slope_bound"], "passed": int(cm["passed"])})
-        pl = validation.pl_smoothing_probe(K, r, seed, int(j_lo), int(j_hi))
-        for rec in pl["rows"]:
-            rows.append({"probe": "pl_ratio", "r": r, "j": rec["j"], "value": rec["ratio"],
-                         "slope": "", "bound": "", "passed": ""})
-        rows.append({"probe": "pl_slope", "r": r, "j": "", "value": "",
-                     "slope": pl["slope"], "bound": pl["slope_bound"], "passed": int(pl["passed"])})
-    bound = validation.boundedness_stability_probe(int(probes.get("boundedness_K", 32)))
+        cm = validation.cm_smoothing_probe(K, r, seed, j_lo, j_hi)
+        pl = validation.pl_smoothing_probe(K, r, seed, j_lo, j_hi)
+        for name, probe, value in (("cm", cm, cm["const_defect"]), ("pl", pl, "")):
+            rows += [{"probe": f"{name}_ratio", "r": r, "j": rec["j"], "value": rec["ratio"],
+                      "slope": "", "bound": "", "passed": ""} for rec in probe["rows"]]
+            rows.append({"probe": f"{name}_slope", "r": r, "j": "", "value": value,
+                         "slope": probe["slope"], "bound": probe["slope_bound"],
+                         "passed": int(probe["passed"])})
+    bound = validation.boundedness_stability_probe(sizes["boundedness_K"])
     rows.append({"probe": "boundedness_drift", "r": "", "j": "", "value": bound["drift"],
                  "slope": "", "bound": float(np.log(1.2)), "passed": int(bound["passed"])})
     all_passed = all(r["passed"] for r in rows if r["passed"] != "")
-    summary["all_passed"] = int(all_passed)
+    summary = [("all_passed", int(all_passed)), ("partition_residual", part["partition_residual"])]
     cols = ["probe", "r", "j", "value", "slope", "bound", "passed"]
-    _write_rows_csv(out / outputs.get("csv", "validate_ops.csv"), cols, rows, summary)
+    write_rows_csv(out / outputs.get("csv", "validate_ops.csv"), cols, rows, summary, "row")
     for r in rows:
         if r["passed"] != "":
             status = "pass" if r["passed"] else "FAIL"
@@ -372,25 +370,29 @@ def run_diophantine(cfg: dict, out: Path, seed: int) -> int:
     _require_keys(freq, {"omega": False, "alpha": False, "sigma": True}, "frequency")
     if ("omega" in freq) == ("alpha" in freq):
         raise ConfigError("frequency: give exactly one of omega or alpha")
-    sigma = float(freq["sigma"])
+    sigma = _finite(freq["sigma"], "frequency.sigma")
+    if "omega" in freq:
+        omega = _list(freq["omega"], "frequency.omega", _finite)
+        certify = lambda K: certify_diophantine(omega, sigma, K)
+    else:
+        alpha = _finite(freq["alpha"], "frequency.alpha")
+        certify = lambda K: certify_rotation_angle(alpha, sigma, K)
     _require_keys(cfg["scan"], {"K_values": True}, "scan")
+    K_values = _list(cfg["scan"]["K_values"], "scan.K_values", lambda v, p: _integer(v, p, 1))
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
     rows = []
-    for K in cfg["scan"]["K_values"]:
-        K = int(K)
+    for K in K_values:
         try:
-            if "omega" in freq:
-                gamma = certify_diophantine([float(w) for w in freq["omega"]], sigma, K)
-            else:
-                gamma = certify_rotation_angle(float(freq["alpha"]), sigma, K)
-            rows.append({"K": K, "gamma": gamma, "status": "ok", "resonant_mode": ""})
+            rows.append({"K": K, "gamma": certify(K), "status": "ok", "resonant_mode": ""})
         except ResonantModeError as exc:
             rows.append({"K": K, "gamma": "", "status": "resonant",
                          "resonant_mode": "(" + " ".join(str(m) for m in exc.mode) + ")"})
+        except ValueError as exc:
+            raise ConfigError(f"frequency: {exc}") from exc
     cols = ["K", "gamma", "status", "resonant_mode"]
-    _write_rows_csv(out / outputs.get("csv", "diophantine.csv"), cols, rows,
-                    {"n_rows": len(rows)})
+    write_rows_csv(out / outputs.get("csv", "diophantine.csv"), cols, rows,
+                   [("n_rows", len(rows))], "row")
     for r in rows:
         print(f"diophantine K={r['K']}: {r['status']}"
               + (f" gamma={fmt(r['gamma'])}" if r["status"] == "ok" else f" at {r['resonant_mode']}"))

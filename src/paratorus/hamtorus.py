@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -282,14 +283,10 @@ def frame(u: TorusEmbedding) -> tuple:
     return analyze(u.grid, Ninv), analyze(u.grid, M), analyze(u.grid, Minv)
 
 
-def _torsion_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp, P=None, Ninv=None):
-    if P is None or Ninv is None:
-        P, Ninv, _, _ = _frame_samples(u)
-    A = _jacobian_samples(h, u, warp)
-    J = _symplectic_J(h.n)
-    AJ = np.einsum("ab...,bc->ac...", A, J)
-    JA = np.einsum("ab,bc...->ac...", J, A)
-    comm = AJ - JA
+def _torsion_samples(A: np.ndarray, P: np.ndarray, Ninv: np.ndarray) -> np.ndarray:
+    """Samples of S = N P^T [A, J] P N from the samples of A, P = d(embedding) and N."""
+    J = _symplectic_J(P.shape[1])
+    comm = np.einsum("ab...,bc->ac...", A, J) - np.einsum("ab,bc...->ac...", J, A)  # [A, J]
     inner = np.einsum("am...,ab...,bn...->mn...", P, comm, P)
     return np.einsum("km...,mn...,nl...->kl...", Ninv, inner, Ninv)
 
@@ -300,7 +297,8 @@ def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
     The orientation is pinned by the exact linearization identity; it gives
     S = -Q0 at the flat torus of an integrable Hamiltonian.
     """
-    return analyze(u.grid, _torsion_samples(h, u, _Warp(h, u)))
+    P, Ninv, _, _ = _frame_samples(u)
+    return analyze(u.grid, _torsion_samples(_jacobian_samples(h, u, _Warp(h, u)), P, Ninv))
 
 
 def b_matrices(E: SpectralField, u: TorusEmbedding) -> SpectralField:
@@ -338,60 +336,50 @@ def _apply_torsion_block(HS: ParaOpHandle, v: SpectralField) -> SpectralField:
 
 
 def linear_para_homological_solve(
-    u: TorusEmbedding,
-    S: SpectralField,
+    HM: ParaOpHandle,
+    HMinv: ParaOpHandle,
+    HS: ParaOpHandle,
     f: SpectralField,
     mode: str,
     omega: FrequencyVector,
-    cut: DyadicCutoff,
     inner_tol: float = 1e-12,
-    handles: tuple | None = None,
     check_tol: float = 1e-9,
 ):
     """Solve the linear para-homological system for (v, xi, mu).
 
-    Conjugating by T_M and T_{M^{-1}} reduces the operator to block-triangular
-    form; the y-row is solved first, the x-row is mean-balanced (through
-    (Avg S)^{-1} in thm1 mode, through the free counterterm xi in thm2 mode),
-    and the constants transfer back through the exact relation
-    T_M(const) = Avg(M) const. The solution is self-certifying: the assembled
-    equation is re-applied and must match f to check_tol relative.
+    HM, HMinv and HS are the handles of the frame M, its inverse and the
+    torsion S at the current embedding. Conjugating by T_M and T_{M^{-1}}
+    reduces the operator to block-triangular form; the y-row is solved first,
+    the x-row is mean-balanced (through (Avg S)^{-1} in thm1 mode, through the
+    free counterterm xi in thm2 mode), and the constants transfer back through
+    the exact relation T_M(const) = Avg(M) const. The solution is
+    self-certifying: the assembled equation is re-applied and must match f to
+    check_tol relative.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    n = u.n
-    if handles is None:
-        _, M, Minv = frame(u)
-        HM = ParaOpHandle(M, cut)
-        HMinv = ParaOpHandle(Minv, cut)
-    else:
-        HM, HMinv = handles
-    HS = ParaOpHandle(S, cut)
+    n = f.shape[0] // 2
     avgM = HM.avg
     avgS = HS.avg
+    if mode == "thm1" and np.linalg.cond(avgS) > 1e12:
+        raise SingularAverageError("Avg S is singular: thm1 requires invertible Avg Q")
 
     f1 = para_invert_with_handle(HM, f, tol=inner_tol)
     f1x, f1y = _split(f1)
     mu1 = f1y.mean()
 
+    v1y = -1.0 * omega_directional_inverse(remove_mean(f1y), omega)
     if mode == "thm1":
-        if np.linalg.cond(avgS) > 1e12:
-            raise SingularAverageError("Avg S is singular: thm1 requires invertible Avg Q")
         m11, m12 = avgM[:n, :n], avgM[:n, n:]
         m21, m22 = avgM[n:, :n], avgM[n:, n:]
         xi1 = np.linalg.solve(m11, -m12 @ mu1)
         mu = m21 @ xi1 + m22 @ mu1
         xi = np.zeros(n)
-        vy_fluct = -1.0 * omega_directional_inverse(remove_mean(f1y), omega)
-        t_fluct = HS.apply(vy_fluct)
-        avg_vy = np.linalg.solve(avgS, f1x.mean() - xi1 - t_fluct.mean())
-        v1y = vy_fluct + avg_vy
-        rhs_x = f1x - HS.apply(v1y)
-        v1x = -1.0 * omega_directional_inverse(remove_mean(rhs_x), omega)
-    else:
-        v1y = -1.0 * omega_directional_inverse(remove_mean(f1y), omega)
-        rhs_x = f1x - HS.apply(v1y)
-        v1x = -1.0 * omega_directional_inverse(remove_mean(rhs_x), omega)
+        # the mean of v^y balances the mean of the x-row through (Avg S)^{-1}
+        v1y = v1y + np.linalg.solve(avgS, f1x.mean() - xi1 - HS.apply(v1y).mean())
+    rhs_x = f1x - HS.apply(v1y)
+    v1x = -1.0 * omega_directional_inverse(remove_mean(rhs_x), omega)
+    if mode == "thm2":
         const = avgM @ np.concatenate([rhs_x.mean(), mu1])
         xi, mu = const[:n], const[n:]
 
@@ -415,20 +403,46 @@ def linear_para_homological_solve(
 
 
 class _IterationOps:
-    """Everything the solver needs at one embedding u, computed once."""
+    """X_h at one iterate u, and the operators of the Picard step taken from u.
+
+    X_h is composed once, on construction: it gives the iterate's residual and
+    truncation tail and the next step's para-linearization remainder. The
+    frame, the Jacobian samples (shared by the torsion S and T_A) and the
+    handles of M, M^{-1}, S and A are each built once, on first use, i.e. only
+    when a step is taken from u.
+    """
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding, omega: FrequencyVector, cut: DyadicCutoff):
         self.h, self.u, self.omega, self.cut = h, u, omega, cut
-        grid = u.grid
         self.warp = _Warp(h, u)
-        self.P, self.Ninv, self.M_s, self.Minv_s = _frame_samples(u)
-        self.Minv = analyze(grid, self.Minv_s)
-        self.S = analyze(grid, _torsion_samples(h, u, self.warp, self.P, self.Ninv))
-        self.HM = ParaOpHandle(analyze(grid, self.M_s), cut)
-        self.HMinv = ParaOpHandle(self.Minv, cut)
-        self.HS = ParaOpHandle(self.S, cut)
-        self.HA = ParaOpHandle(analyze(grid, _jacobian_samples(h, u, self.warp)), cut)
-        self.Xh_u = analyze(grid, _xh_samples(h, u, self.warp))
+        self.Xh_u, tails = analyze(u.grid, _xh_samples(h, u, self.warp), return_tail=True)
+        self.xh_tail_energy = float(np.max(tails))
+
+    @cached_property
+    def frame_s(self) -> tuple:
+        """Samples (P, N, M, M^{-1}) of the embedding Jacobian and the frame."""
+        return _frame_samples(self.u)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return _jacobian_samples(self.h, self.u, self.warp)
+
+    @cached_property
+    def HM(self) -> ParaOpHandle:
+        return ParaOpHandle(analyze(self.u.grid, self.frame_s[2]), self.cut)
+
+    @cached_property
+    def HMinv(self) -> ParaOpHandle:
+        return ParaOpHandle(analyze(self.u.grid, self.frame_s[3]), self.cut)
+
+    @cached_property
+    def HS(self) -> ParaOpHandle:
+        P, Ninv, _, _ = self.frame_s
+        return ParaOpHandle(analyze(self.u.grid, _torsion_samples(self.A, P, Ninv)), self.cut)
+
+    @cached_property
+    def HA(self) -> ParaOpHandle:
+        return ParaOpHandle(analyze(self.u.grid, self.A), self.cut)
 
     def pl_remainder_term(self, Xh_zeta: SpectralField) -> SpectralField:
         """R_PL(X_h(zeta0 + .), w) w = X_h(u) - X_h(zeta0) - T_{A[u]} w, literal."""
@@ -441,55 +455,41 @@ class _IterationOps:
         - [T_{M (w.d)M^-1} + (w.d) - T_M (w.d) T_{M^-1}] w
         """
         n, grid, cut = self.u.n, self.u.grid, self.cut
+        _, _, M_s, Minv_s = self.frame_s
         w = self.u.displacement()
         omega_arr = self.omega.array
-        zero = np.zeros((n, n) + grid.point_shape)
-        S_block = np.concatenate(
-            [
-                np.concatenate([zero, self.S.samples()], axis=1),
-                np.concatenate([zero, zero], axis=1),
-            ],
-            axis=0,
-        )
-        C1 = np.einsum("ab...,bc...,cd...->ad...", self.M_s, S_block, self.Minv_s)
+        S_block = np.zeros((2 * n, 2 * n) + grid.point_shape)
+        S_block[:n, n:] = self.HS.symbol.samples()
+        C1 = np.einsum("ab...,bc...,cd...->ad...", M_s, S_block, Minv_s)
         t_a = ParaOpHandle(analyze(grid, C1), cut).apply(w)
         w1 = self.HMinv.apply(w)
         t_b = self.HM.apply(_apply_torsion_block(self.HS, w1))
-        dMinv = self.Minv.omega_derivative(omega_arr).samples()
-        C2 = np.einsum("ab...,bc...->ac...", self.M_s, dMinv)
+        dMinv = self.HMinv.symbol.omega_derivative(omega_arr).samples()
+        C2 = np.einsum("ab...,bc...->ac...", M_s, dMinv)
         t_c = ParaOpHandle(analyze(grid, C2), cut).apply(w)
         t_c = t_c + w.omega_derivative(omega_arr)
         t_d = self.HM.apply(w1.omega_derivative(omega_arr))
         return (t_a - t_b) - t_c + t_d
 
 
-def assemble_rhs(
-    u: TorusEmbedding,
-    h: HamiltonianData,
-    omega: FrequencyVector,
-    e0: SpectralField,
-    cut: DyadicCutoff,
-    ops: _IterationOps | None = None,
-    Xh_zeta: SpectralField | None = None,
-) -> SpectralField:
-    """-e0 - R_CM[u](u - zeta0) - R_PL(X_h(zeta0 + .), u - zeta0)(u - zeta0)."""
-    if ops is None:
-        ops = _IterationOps(h, u, omega, cut)
-    if Xh_zeta is None:
-        Xh_zeta = hamiltonian_vector_field(h, TorusEmbedding.flat(u.grid))
-    rcm = ops.cm_remainder_term()
-    rpl = ops.pl_remainder_term(Xh_zeta)
-    return -1.0 * e0 - rcm - rpl
+def assemble_rhs(ops: _IterationOps, e0: SpectralField, Xh_zeta: SpectralField) -> SpectralField:
+    """-e0 - R_CM[u](u - zeta0) - R_PL(X_h(zeta0 + .), u - zeta0)(u - zeta0) at u = ops.u."""
+    return -1.0 * e0 - ops.cm_remainder_term() - ops.pl_remainder_term(Xh_zeta)
+
+
+def _residual(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
+    """F(h_xi, u) = X_h(u) + (xi; 0) - (omega.d) u from Xh = X_h(u), with sup and L2 norms."""
+    omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
+    xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
+    zeros = np.zeros(u.n)
+    field = Xh + np.concatenate([xi, zeros])
+    field = field - np.concatenate([omega_arr, zeros]) - u.displacement().omega_derivative(omega_arr)
+    return field, field.sup_norm(), field.l2_norm()
 
 
 def residual_torus(h: HamiltonianData, u: TorusEmbedding, xi, omega) -> tuple:
     """F(h_xi, u) = X_h(u) + (xi; 0) - (omega.d) u with sup and H^s=0 norms."""
-    omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
-    xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
-    zeros = np.zeros(u.n)
-    field = hamiltonian_vector_field(h, u) + np.concatenate([xi, zeros])
-    field = field - np.concatenate([omega_arr, zeros]) - u.displacement().omega_derivative(omega_arr)
-    return field, field.sup_norm(), field.l2_norm()
+    return _residual(hamiltonian_vector_field(h, u), u, xi, omega)
 
 
 def counterterm_check(h: HamiltonianData, u: TorusEmbedding, xi, mu, omega) -> float:
@@ -566,26 +566,25 @@ def solve_torus(
         report.extras.update({"residual_sup": 0.0, "kappa": 0.0, "gamma": omega.gamma})
         report.wall_time = time.perf_counter() - t0
         return KamSolution(u=zeta, xi=np.zeros(n), mu=np.zeros(n), report=report)
-    Xh_zeta = hamiltonian_vector_field(h, zeta)
-    u = zeta
+    ops = _IterationOps(h, zeta, omega, cut)
+    Xh_zeta = ops.Xh_u
     xi = np.zeros(n)
     mu = np.zeros(n)
     converged = False
     for it in range(1, max_iter + 1):
-        ops = _IterationOps(h, u, omega, cut)
-        rhs = assemble_rhs(u, h, omega, e0, cut, ops=ops, Xh_zeta=Xh_zeta)
+        rhs = assemble_rhs(ops, e0, Xh_zeta)
         v, xi, mu = linear_para_homological_solve(
-            u, ops.S, rhs, mode, omega, cut,
-            inner_tol=inner_tol, handles=(ops.HM, ops.HMinv),
+            ops.HM, ops.HMinv, ops.HS, rhs, mode, omega, inner_tol=inner_tol
         )
-        u_next = TorusEmbedding.from_displacement(v)
-        inc = u_next.diff_norm(u, s)
-        _, res_sup, res_hs = residual_torus(h, u_next, xi, omega)
+        u = TorusEmbedding.from_displacement(v)
+        inc = u.diff_norm(ops.u, s)
+        # X_h at the new iterate; its frame and handles wait until the next step
+        ops = _IterationOps(h, u, omega, cut)
+        _, res_sup, res_hs = _residual(ops.Xh_u, u, xi, omega)
         report.add_row(
             iter=it, increment_hs=inc, residual_sup=res_sup, residual_hs=res_hs,
             xi_norm=float(np.linalg.norm(xi)), mu_norm=float(np.linalg.norm(mu)),
         )
-        u = u_next
         if inc < tol:
             converged = True
             break
@@ -608,8 +607,7 @@ def solve_torus(
     report.extras["kappa"] = neumann_certificate(h, u, xi, mu, omega, cut, s)
     report.extras["counterterm_defect"] = counterterm_check(h, u, xi, mu, omega)
     # truncation monitor: discarded tail energy of the composed vector field
-    _, tails = analyze(grid, _xh_samples(h, u, _Warp(h, u)), return_tail=True)
-    report.extras["xh_tail_energy"] = float(np.max(tails))
+    report.extras["xh_tail_energy"] = ops.xh_tail_energy
     return KamSolution(u=u, xi=xi, mu=mu, report=report)
 
 

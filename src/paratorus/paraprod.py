@@ -37,11 +37,13 @@ class ParaOpHandle:
     low-pass is the symbol mean, so those levels collapse to mean(a) * S_3 u. The symbol's
     component axes are contracted against the operand's: (T_A v)_p =
     sum_q T_{A_pq} v_q for a matrix symbol, T_a acts on every component of
-    the operand for a scalar one.
+    the operand for a scalar one. The handle keeps its symbol, against which
+    para_invert_with_handle checks that mean(a) is invertible.
     """
 
     def __init__(self, symbol: SpectralField, cut: DyadicCutoff):
         cut.grid.require_same(symbol.grid)
+        self.symbol = symbol
         self.cut = cut
         self.grid = cut.grid
         self.avg = symbol.mean()
@@ -215,28 +217,11 @@ def para_invert(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> SpectralField:
-    """Solve T_a w = v for a scalar symbol a (see para_invert_with_handle).
-
-    Raises SingularAverageError when mean(a) is negligible against sup |a|.
-    """
-    m = a.mean()
-    scale = max(a.sup_norm(), 1.0)
-    if abs(m) <= 1e-13 * scale:
-        raise SingularAverageError(
-            f"symbol mean {m:.3e} is negligible against |a|_sup = {scale:.3e}"
-        )
+    """Solve T_a w = v for a scalar or matrix symbol a (see para_invert_with_handle)."""
     return para_invert_with_handle(ParaOpHandle(a, cut), v, tol=tol, max_iter=max_iter)
 
 
-def para_invert_matrix(
-    A: SpectralField,
-    v: SpectralField,
-    cut: DyadicCutoff,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> SpectralField:
-    """Blockwise para-inversion of a matrix symbol (see para_invert_with_handle)."""
-    return para_invert_with_handle(ParaOpHandle(A, cut), v, tol=tol, max_iter=max_iter)
+para_invert_matrix = para_invert  # the former name for matrix symbols, kept for callers
 
 
 def para_invert_with_handle(
@@ -250,14 +235,22 @@ def para_invert_with_handle(
     Iterates w <- w + mean(a)^{-1} (v - T_a w) until the relative L2 residual
     drops below tol; the forward application is always re-checked, so a
     returned w certifies itself. Raises SingularAverageError when mean(a) is
-    singular and NonContractiveError when the iteration stalls.
+    singular (for a scalar symbol: negligible against sup |a|) and
+    NonContractiveError when the iteration stalls.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     avg = np.atleast_2d(handle.avg)
-    cond = np.linalg.cond(avg)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularAverageError(f"mean symbol is singular (cond {cond:.3e})")
+    if handle.symbol.shape:
+        cond = np.linalg.cond(avg)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularAverageError(f"mean symbol is singular (cond {cond:.3e})")
+    else:
+        scale = max(handle.symbol.sup_norm(), 1.0)
+        if not abs(handle.avg) > 1e-13 * scale:  # NaN counts as singular
+            raise SingularAverageError(
+                f"symbol mean {handle.avg:.3e} is negligible against |a|_sup = {scale:.3e}"
+            )
     pre = np.linalg.inv(avg).reshape(np.shape(handle.avg))
     vnorm = v.l2_norm()
     if vnorm == 0.0:

@@ -1,9 +1,9 @@
-"""Per-iteration solver diagnostics and their CSV serialization."""
+"""Per-iteration solver diagnostics and the one CSV writer of every run."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 def fmt(x) -> str:
@@ -13,6 +13,20 @@ def fmt(x) -> str:
     if isinstance(x, (int,)):
         return str(x)
     return format(float(x), ".17g")
+
+
+def write_rows_csv(path, columns, rows, summary, row_kind: str) -> None:
+    """Write a header, one `row_kind` line per row and one summary line.
+
+    rows are dicts keyed by the column names; summary is a sequence of
+    (key, value) pairs, written as key=value cells in the given order.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    lines = [["row_kind"] + list(columns)]
+    lines += [[row_kind] + [fmt(row[c]) for c in columns] for row in rows]
+    lines.append(["summary"] + [f"{k}={fmt(v)}" for k, v in summary])
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(cells) + "\n" for cells in lines))
 
 
 @dataclass
@@ -41,16 +55,7 @@ class SolveReport:
     def last(self, column):
         return self.rows[-1][column] if self.rows else None
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(["row_kind"] + self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(["iter"] + [fmt(row[c]) for c in self.columns]) + "\n")
-        summary = ["summary", f"status={self.status}"]
-        summary += [f"{k}={fmt(v)}" for k, v in sorted(self.extras.items())]
-        buf.write(",".join(summary) + "\n")
-        return buf.getvalue()
-
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+        """Iteration rows, then status and the sorted extras in the summary."""
+        summary = [("status", self.status)] + sorted(self.extras.items())
+        write_rows_csv(path, self.columns, self.rows, summary, "iter")

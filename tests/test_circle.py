@@ -20,6 +20,7 @@ from paratorus import (
     rotation_number,
     solve,
 )
+from paratorus.paraprod import ParaOpHandle
 from paratorus.spectral import analyze, synthesize, warp_samples
 
 GOLDEN_ALPHA = math.pi * (math.sqrt(5.0) - 1.0)
@@ -71,6 +72,24 @@ def test_g_map_equals_small_divisor_inverse_at_zero():
     direct = delta_alpha_inverse(prob.f, prob.alpha)
     assert (u1 - direct).l2_norm() < 1e-13
     assert abs(lam) < 1e-14
+
+
+@pytest.mark.parametrize("mode", ["standard", "refined"])
+def test_g_map_builds_four_handles(monkeypatch, mode):
+    # T_{(1+u') o tau_alpha} and T_{1/(1+u')} serve the remainder and all three
+    # inversions; the slope and f'(Id + u) symbols make the other two
+    prob = setup(amp=0.1, mode=mode)
+    u, _ = g_map(SpectralField.zero(prob.f.grid), prob)
+    builds = []
+    init = ParaOpHandle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParaOpHandle, "__init__", counting_init)
+    g_map(u, prob)
+    assert len(builds) == 4
 
 
 def test_g_map_rejects_lost_diffeomorphism():

@@ -268,6 +268,41 @@ def test_torus_nonconvergence_keeps_trajectory(tmp_path):
     assert "status=max_iter_exceeded" in lines[-1]
 
 
+@pytest.mark.parametrize(
+    "frequency, K_values",
+    [
+        ({"omega": [1.0, GOLDEN], "sigma": 0.0}, [8]),
+        ({"omega": [1.0, GOLDEN], "sigma": 1.0}, [0]),
+        ({"omega": [1.0, float("nan")], "sigma": 1.0}, [8]),
+        ({"omega": [1.0, GOLDEN], "sigma": float("nan")}, [8]),
+    ],
+    ids=["sigma-zero", "K-zero", "nan-omega", "nan-sigma"],
+)
+def test_bad_diophantine_config_is_config_error(tmp_path, frequency, K_values):
+    doc = {"kind": "diophantine", "frequency": frequency, "scan": {"K_values": K_values}}
+    code, out = run_code(tmp_path, doc, kind="diophantine")
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("grid", "K", 0), ("probes", "j_range", [3]), ("probes", "regularities", [float("nan")])],
+    ids=["K-zero", "short-j-range", "nan-regularity"],
+)
+def test_bad_validate_ops_config_is_config_error(tmp_path, section, key, value):
+    doc = {
+        "kind": "validate-ops",
+        "grid": {"dim": 1, "K": 32},
+        "probes": {"regularities": [1.0], "j_range": [3, 5], "boundedness_K": 16,
+                   "identity_K": 16, "identity_trials": 2},
+    }
+    doc[section][key] = value
+    code, out = run_code(tmp_path, doc, kind="validate-ops")
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
 def test_out_of_range_frequency_is_config_error(tmp_path):
     doc = circle_config(amp=0.04)
     doc["frequency"]["alpha"] = 7.0  # outside (0, 2 pi)

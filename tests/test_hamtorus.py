@@ -32,7 +32,8 @@ from paratorus import (
     solve_torus,
     torsion_S,
 )
-from paratorus.hamtorus import _symplectic_J
+from paratorus.hamtorus import _IterationOps, _symplectic_J
+from paratorus.paraprod import ParaOpHandle
 from paratorus.spectral import analyze, synthesize, warp_samples
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -393,7 +394,7 @@ def test_linearization_identity_on_manufactured_torus():
     warp = _Warp(h, u)
     A = _jacobian_samples(h, u, warp)
     P, Ninv, M, Minv = _frame_samples(u)
-    S = _torsion_samples(h, u, warp, P, Ninv)
+    S = _torsion_samples(A, P, Ninv)
     Mfield = analyze(g, M)
     dM = np.stack(
         [
@@ -440,6 +441,12 @@ def test_b_matrices_linear():
 # --- linear para-homological solve ---------------------------------------------
 
 
+def frame_handles(u, S, cut):
+    """(T_M, T_{M^-1}, T_S) handles at the embedding u for the torsion S."""
+    _, M, Minv = frame(u)
+    return ParaOpHandle(M, cut), ParaOpHandle(Minv, cut), ParaOpHandle(S, cut)
+
+
 def test_linear_solve_hand_example_case1():
     # u = zeta0, S = I, f = (cos theta_1, 0; 0, 0): v = (-sin theta_1/omega_1, 0; 0, 0)
     g = small_grid()
@@ -451,7 +458,7 @@ def test_linear_solve_hand_example_case1():
         [SpectralField.from_modes(g, {(1, 0): 0.5})]
         + [SpectralField.zero(g) for _ in range(3)]
     )
-    v, xi, mu = linear_para_homological_solve(u, S, f, "thm1", om, cut)
+    v, xi, mu = linear_para_homological_solve(*frame_handles(u, S, cut), f, "thm1", om)
     assert np.max(np.abs(xi)) == 0.0
     assert np.max(np.abs(mu)) < 1e-13
     want = SpectralField.from_modes(g, {(1, 0): -(-0.5j) / om.omega[0]})  # -sin/omega_1
@@ -467,7 +474,9 @@ def test_linear_solve_zero_rhs():
     cut = make_cutoff(g)
     u = TorusEmbedding.flat(g)
     S = MatrixField.constant(g, np.eye(2))
-    v, xi, mu = linear_para_homological_solve(u, S, VectorField.zero(g, 4), "thm1", om, cut)
+    v, xi, mu = linear_para_homological_solve(
+        *frame_handles(u, S, cut), VectorField.zero(g, 4), "thm1", om
+    )
     assert v.l2_norm() == 0.0 and np.all(xi == 0) and np.all(mu == 0)
 
 
@@ -479,7 +488,7 @@ def test_linear_solve_constant_rhs_thm2():
     S = MatrixField.constant(g, 0.7 * np.eye(2))
     cx, cy = np.array([0.3, -0.1]), np.array([0.2, 0.5])
     f = VectorField([SpectralField.constant(g, c) for c in np.concatenate([cx, cy])])
-    v, xi, mu = linear_para_homological_solve(u, S, f, "thm2", om, cut)
+    v, xi, mu = linear_para_homological_solve(*frame_handles(u, S, cut), f, "thm2", om)
     assert v.l2_norm() < 1e-13
     assert np.max(np.abs(xi - cx)) < 1e-13
     assert np.max(np.abs(mu - cy)) < 1e-13
@@ -495,13 +504,11 @@ def test_linear_solve_self_check_random_symbols():
     S = torsion_S(h, u)
     f = VectorField([sparse_field(g, rng, 0.3) for _ in range(4)])
     for mode in ("thm1", "thm2"):
-        v, xi, mu = linear_para_homological_solve(u, S, f, mode, om, cut)
+        v, xi, mu = linear_para_homological_solve(*frame_handles(u, S, cut), f, mode, om)
         # the internal self-check passed; re-verify independently
-        from paratorus.paraprod import ParaOpHandle
         from paratorus.hamtorus import _apply_torsion_block
 
-        _, M, Minv = frame(u)
-        HM, HMinv, HS = ParaOpHandle(M, cut), ParaOpHandle(Minv, cut), ParaOpHandle(S, cut)
+        HM, HMinv, HS = frame_handles(u, S, cut)
         w1 = HMinv.apply_vector(v)
         lhs = HM.apply_vector(_apply_torsion_block(HS, w1) - w1.omega_derivative(om.array))
         cv = np.concatenate([xi, mu])
@@ -519,10 +526,15 @@ def test_linear_solve_thm1_rejects_singular_avg_S():
     S = MatrixField.constant(g, np.zeros((2, 2)))
     f = VectorField([sparse_field(g, np.random.default_rng(1), 0.1) for _ in range(4)])
     with pytest.raises(SingularAverageError):
-        linear_para_homological_solve(u, S, f, "thm1", om, cut)
+        linear_para_homological_solve(*frame_handles(u, S, cut), f, "thm1", om)
 
 
 # --- assemble_rhs ---------------------------------------------------------------
+
+
+def flat_xh(h):
+    """X_h at the flat torus, the base point of the para-linearization remainder."""
+    return hamiltonian_vector_field(h, TorusEmbedding.flat(h.grid))
 
 
 def test_assemble_rhs_at_flat_torus_is_minus_e0():
@@ -532,7 +544,7 @@ def test_assemble_rhs_at_flat_torus_is_minus_e0():
     h = random_hamiltonian(g, om, rng)
     e0, _ = error_fields(h, om)
     cut = make_cutoff(g)
-    rhs = assemble_rhs(TorusEmbedding.flat(g), h, om, e0, cut)
+    rhs = assemble_rhs(_IterationOps(h, TorusEmbedding.flat(g), om, cut), e0, flat_xh(h))
     assert (rhs + e0).l2_norm() < 1e-12 * max(1.0, e0.l2_norm())
 
 
@@ -542,7 +554,7 @@ def test_assemble_rhs_integrable_zero():
     h = integrable(g, om, np.eye(2))
     e0, _ = error_fields(h, om)
     cut = make_cutoff(g)
-    rhs = assemble_rhs(TorusEmbedding.flat(g), h, om, e0, cut)
+    rhs = assemble_rhs(_IterationOps(h, TorusEmbedding.flat(g), om, cut), e0, flat_xh(h))
     assert rhs.l2_norm() < 1e-13
 
 
@@ -576,7 +588,7 @@ def remainder_amplitude_sweep(amps, K=8, seed=11):
             ux=VectorField([f * amp for f in u1.ux]),
             uy=VectorField([f * amp for f in u1.uy]),
         )
-        rhs = assemble_rhs(u, h, om, e0, cut)
+        rhs = assemble_rhs(_IterationOps(h, u, om, cut), e0, flat_xh(h))
         sizes.append((rhs + e0).l2_norm())  # remainder part only
     return sizes
 
@@ -627,6 +639,39 @@ def test_solve_thm1_small_perturbation_converges():
     assert sol.report.extras["kappa"] < 1.0
     assert np.all(sol.xi == 0.0)
     assert counterterm_check(h, sol.u, sol.xi, sol.mu, om) < 1e-10
+
+
+def test_solve_builds_each_operator_once_per_step(monkeypatch):
+    # per Picard step: six handles (T_M, T_{M^-1}, T_S, T_A and the two remainder
+    # symbols) and one Jacobian evaluation; X_h once per iterate plus the flat
+    # torus, e0 and the two terminal checks
+    import paratorus.hamtorus as ht
+
+    counts = {"handles": 0, "_jacobian_samples": 0, "_xh_samples": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ParaOpHandle, "__init__", counting("handles", ParaOpHandle.__init__))
+    for name in ("_jacobian_samples", "_xh_samples"):
+        monkeypatch.setattr(ht, name, counting(name, getattr(ht, name)))
+    g = small_grid()
+    om = freq()
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0): 0.005}),
+        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=MatrixField.constant(g, np.eye(2)),
+    )
+    sol = solve_torus(h, om, mode="thm1", s=3.0)
+    n = sol.report.iterations
+    assert n >= 2
+    assert counts["handles"] == 6 * n + 1  # + the Neumann certificate's symbol
+    assert counts["_jacobian_samples"] == n
+    assert counts["_xh_samples"] <= n + 4
 
 
 def test_solve_thm1_requires_invertible_avg_Q():

@@ -23,7 +23,7 @@ from paratorus import (
     telescope_remainders,
     zygmund_norm,
 )
-from paratorus.paraprod import ParaOpHandle
+from paratorus.paraprod import ParaOpHandle, para_invert_with_handle
 
 from test_spectral import random_field
 
@@ -483,6 +483,23 @@ def test_para_invert_rejects_max_iter_below_one():
         para_invert(SpectralField.constant(g, 2.0), v, cut, max_iter=0)
     with pytest.raises(ValueError):
         para_invert_matrix(MatrixField.constant(g, np.eye(2)), VectorField([v, v]), cut, max_iter=0)
+
+
+@pytest.mark.parametrize("fluctuation", [0.0, 0.5], ids=["constant", "plus-cos"])
+def test_para_invert_with_handle_rejects_negligible_scalar_mean(fluctuation):
+    # mean 1e-15 against a scale max(sup |a|, 1) of about 1: singular on either path
+    g, cut = setup_1d()
+    v = random_field(g, np.random.default_rng(32))
+    a = SpectralField.from_modes(g, {1: fluctuation}) + 1e-15
+    with pytest.raises(SingularAverageError) as via_handle:
+        para_invert_with_handle(ParaOpHandle(a, cut), v)
+    with pytest.raises(SingularAverageError) as via_symbol:
+        para_invert(a, v, cut)
+    assert str(via_handle.value) == str(via_symbol.value)
+
+
+def test_para_invert_has_one_entry_point():
+    assert para_invert_matrix is para_invert
 
 
 def test_para_invert_matrix_constant_symbol():
