@@ -10,6 +10,8 @@ equation and is expected to degrade first as the perturbation grows.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -218,19 +220,36 @@ def rotation_number(
     """Birkhoff-averaged rotation number of the lifted map x -> x + alpha + f(x) - lambda.
 
     Independent orbit oracle: averages the per-step displacement over the
-    orbit, which equals (T^m(x0) - x0)/m for the lift.
+    orbit, which equals (T^m(x0) - x0)/m for the lift. The modes k and -k of
+    f are folded into one real pair, f(y) = a_0 + sum_k a_k cos(k y) + b_k sin(k y),
+    so each step runs on Python floats only.
     """
+    if not isinstance(iterations, numbers.Integral) or iterations < 1:
+        raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     if isinstance(alpha, RotationAngle):
         alpha = alpha.alpha
-    cmax = float(np.max(np.abs(f.coeffs)))
-    mask = np.abs(f.coeffs.ravel()) > 1e-15 * max(cmax, 1.0)
-    modes = f.grid.mode_list[mask][:, 0].astype(float)
-    coeffs = f.coeffs.ravel()[mask]
-    y = x0 % (2.0 * np.pi)
+    alpha, lam = float(alpha), float(lam)
+    c = f.coeffs.ravel()
+    cmax = float(np.max(np.abs(c)))
+    kept = np.where(np.abs(c) > 1e-15 * max(cmax, 1.0), c, 0.0)
+    K = f.grid.max_mode  # c[K + k] is the coefficient of mode k
+    a0 = float(kept[K].real)
+    terms = [
+        (float(k), float(kept[K + k].real + kept[K - k].real),
+         float(kept[K - k].imag - kept[K + k].imag))
+        for k in range(1, K + 1)
+        if kept[K + k] != 0 or kept[K - k] != 0
+    ]
+    two_pi = 2.0 * math.pi
+    cos, sin = math.cos, math.sin
+    y = x0 % two_pi
     total = 0.0
     for _ in range(iterations):
-        fval = float(np.real(coeffs @ np.exp(1j * modes * y)))
+        fval = a0
+        for k, a, b in terms:
+            ky = k * y
+            fval += a * cos(ky) + b * sin(ky)
         step = alpha + fval - lam
         total += step
-        y = (y + step) % (2.0 * np.pi)
+        y = (y + step) % two_pi
     return total / iterations

@@ -188,12 +188,15 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
         {"csv": False, "field_dump": False, "rotation_oracle_iterations": False},
         "outputs",
     )
+    # absent or 0: no orbit oracle
+    orbit_m = outputs.get("rotation_oracle_iterations", 0)
+    if orbit_m != 0:
+        orbit_m = _integer(orbit_m, "outputs.rotation_oracle_iterations", 1)
     problem = CircleProblem(alpha=alpha, f=f, **sv)
     csv_path = out / outputs.get("csv", "circle.csv")
     sol = _solve_saving_trajectory(lambda: solve(problem), csv_path)
     rep = sol.report
     rep.extras["gamma"] = alpha.gamma
-    orbit_m = int(outputs.get("rotation_oracle_iterations", 0))
     if orbit_m:
         rho = rotation_number(alpha.alpha, f, sol.lam, orbit_m)
         rep.extras["rotation_defect"] = abs(rho - alpha.alpha)
@@ -210,20 +213,17 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
 def _parse_vector_of_fields(grid, cfg, n, path) -> SpectralField:
     if isinstance(cfg, dict) and "constant" in cfg:
         _require_keys(cfg, {"constant": True}, path)
-        vals = cfg["constant"]
+        vals = _list(cfg["constant"], f"{path}.constant", _finite)
         if len(vals) != n:
             raise ConfigError(f"{path}.constant must have {n} entries")
-        return SpectralField.constant(
-            grid, [_finite(v, f"{path}.constant[{i}]") for i, v in enumerate(vals)]
-        )
+        return SpectralField.constant(grid, vals)
     if isinstance(cfg, dict) and "components" in cfg:
         _require_keys(cfg, {"components": True}, path)
-        comps = cfg["components"]
+        comps = _list(cfg["components"], f"{path}.components",
+                      lambda c, p: _field_from_modes_config(grid, c, p))
         if len(comps) != n:
             raise ConfigError(f"{path}.components must have {n} entries")
-        return VectorField(
-            [_field_from_modes_config(grid, c, f"{path}[{i}]") for i, c in enumerate(comps)]
-        )
+        return VectorField(comps)
     raise ConfigError(f"{path}: expected 'constant' or 'components'")
 
 
@@ -238,13 +238,11 @@ def _parse_matrix_of_fields(grid, cfg, n, path) -> SpectralField:
         return SpectralField.constant(grid, mat)
     if isinstance(cfg, dict) and "entries" in cfg:
         _require_keys(cfg, {"entries": True}, path)
-        ent = cfg["entries"]
-        return MatrixField(
-            [
-                [_field_from_modes_config(grid, ent[i][j], f"{path}[{i}][{j}]") for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        entry = lambda e, p: _field_from_modes_config(grid, e, p)
+        rows = _list(cfg["entries"], f"{path}.entries", lambda row, p: _list(row, p, entry))
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ConfigError(f"{path}.entries must be {n} rows of {n} entries")
+        return MatrixField(rows)
     raise ConfigError(f"{path}: expected 'constant' or 'entries'")
 
 
@@ -274,6 +272,16 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
     sv = _parse_solver(cfg.get("solver"), ("thm1", "thm2"), "thm1")
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False, "field_dump": False, "flow_oracle": False}, "outputs")
+    oracle = outputs.get("flow_oracle")
+    if oracle:
+        path = "outputs.flow_oracle"
+        _require_keys(oracle, {"theta0": True, "T": True, "dt": True}, path)
+        theta0 = _list(oracle["theta0"], f"{path}.theta0", _finite)
+        if len(theta0) != grid.dim:
+            raise ConfigError(f"{path}.theta0 must have {grid.dim} entries")
+        T, dt = _finite(oracle["T"], f"{path}.T"), _finite(oracle["dt"], f"{path}.dt")
+        if T < 0 or dt <= 0:
+            raise ConfigError(f"{path}: need T >= 0 and dt > 0, got T={T}, dt={dt}")
     csv_path = out / outputs.get("csv", "torus.csv")
     sol = _solve_saving_trajectory(
         lambda: solve_torus(
@@ -282,15 +290,10 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
         csv_path,
     )
     rep = sol.report
-    oracle = outputs.get("flow_oracle")
     if oracle:
-        _require_keys(oracle, {"theta0": True, "T": True, "dt": True}, "outputs.flow_oracle")
-        dev = flow_oracle(
-            h, sol.u, sol.xi, omega,
-            theta0=[float(t) for t in oracle["theta0"]],
-            T=float(oracle["T"]), dt=float(oracle["dt"]),
+        rep.extras["flow_deviation"] = flow_oracle(
+            h, sol.u, sol.xi, omega, theta0=theta0, T=T, dt=dt
         )
-        rep.extras["flow_deviation"] = dev
     rep.write_csv(csv_path)
     dump = {
         "ux": [field_to_json(f) for f in sol.u.ux],

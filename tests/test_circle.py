@@ -140,6 +140,47 @@ def test_rotation_number_oracle_examples():
     assert abs(rho_shift - (alpha - 0.1)) < 1e-12
 
 
+def rotation_number_per_step(alpha, f, lam, iterations, x0=0.1):
+    """Reference orbit: f evaluated at each step by one NumPy sum over its complex modes."""
+    cmax = float(np.max(np.abs(f.coeffs)))
+    mask = np.abs(f.coeffs.ravel()) > 1e-15 * max(cmax, 1.0)
+    modes = f.grid.mode_list[mask][:, 0].astype(float)
+    coeffs = f.coeffs.ravel()[mask]
+    y = x0 % (2.0 * np.pi)
+    total = 0.0
+    for _ in range(iterations):
+        fval = float(np.real(coeffs @ np.exp(1j * modes * y)))
+        step = alpha + fval - lam
+        total += step
+        y = (y + step) % (2.0 * np.pi)
+    return total / iterations
+
+
+@pytest.mark.parametrize("n_modes", range(1, 7))
+def test_rotation_number_matches_per_step_reference(n_modes):
+    K, m = 32, 20_000
+    g = TorusGrid.create(1, K)
+    rng = np.random.default_rng(100 + n_modes)
+    # a nonzero mean, the top mode K and n_modes - 1 others, with sup|f'| < 1
+    ks = [K] + [int(k) for k in rng.choice(np.arange(1, K), n_modes - 1, replace=False)]
+    modes = {0: 0.05 * rng.standard_normal()}
+    for k in ks:
+        modes[k] = (0.1 / (k * n_modes)) * (rng.standard_normal() + 1j * rng.standard_normal())
+    f = SpectralField.from_modes(g, modes)
+    lam = 0.03
+    rho = rotation_number(GOLDEN_ALPHA, f, lam, m)
+    rho_ref = rotation_number_per_step(GOLDEN_ALPHA, f, lam, m)
+    B = GOLDEN_ALPHA + f.sup_norm() + lam + 2.0 * np.pi * f.derivative(0).sup_norm()
+    assert abs(rho - rho_ref) <= m * np.finfo(float).eps * B
+
+
+@pytest.mark.parametrize("iterations", [0, -5, 2.5, float("nan")])
+def test_rotation_number_rejects_bad_iterations(iterations):
+    f = SpectralField.zero(TorusGrid.create(1, 8))
+    with pytest.raises(ValueError, match="iterations"):
+        rotation_number(GOLDEN_ALPHA, f, 0.0, iterations)
+
+
 def test_rotation_number_of_solved_map():
     prob = setup(K=256, amp=0.05)
     sol = solve(prob)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from paratorus import field_from_json
+from paratorus import cli, field_from_json
 from paratorus.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 
 GOLDEN_ALPHA = math.pi * (math.sqrt(5.0) - 1.0)
@@ -310,3 +310,44 @@ def test_out_of_range_frequency_is_config_error(tmp_path):
     doc = torus_config()
     doc["frequency"]["sigma"] = -1.0
     assert run_code(tmp_path, doc, kind="torus")[0] == EXIT_CONFIG
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("the solve ran before the config was checked")
+
+
+@pytest.mark.parametrize("value", [float("nan"), -5, 2.5], ids=["nan", "negative", "fraction"])
+def test_bad_rotation_oracle_iterations_is_config_error(tmp_path, monkeypatch, value):
+    monkeypatch.setattr(cli, "solve", no_solve)
+    doc = circle_config(amp=0.04)
+    doc["outputs"]["rotation_oracle_iterations"] = value
+    code, out = run_code(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("T", float("nan")), ("dt", 0), ("dt", -1e-3), ("theta0", [0.3])],
+    ids=["nan-T", "zero-dt", "negative-dt", "short-theta0"],
+)
+def test_bad_flow_oracle_is_config_error(tmp_path, monkeypatch, key, value):
+    monkeypatch.setattr(cli, "solve_torus", no_solve)
+    doc = torus_config()
+    doc["outputs"]["flow_oracle"] = {"theta0": [0.7, 1.9], "T": 1.0, "dt": 1e-3, key: value}
+    code, out = run_code(tmp_path, doc, kind="torus")
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("a1", {"constant": 1.0}), ("Q", {"entries": [[[], []]]})],
+    ids=["scalar-a1", "one-row-Q"],
+)
+def test_misshapen_torus_data_is_config_error(tmp_path, key, value):
+    doc = torus_config()
+    doc["problem"][key] = value
+    code, out = run_code(tmp_path, doc, kind="torus")
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"

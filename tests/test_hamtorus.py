@@ -32,7 +32,7 @@ from paratorus import (
     solve_torus,
     torsion_S,
 )
-from paratorus.hamtorus import _IterationOps, _symplectic_J
+from paratorus.hamtorus import _IterationOps, _point_rhs, _symplectic_J, _xh
 from paratorus.paraprod import ParaOpHandle
 from paratorus.spectral import analyze, synthesize, warp_samples
 
@@ -765,6 +765,56 @@ def test_flow_oracle_detects_corruption():
     bad = TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
     dev = flow_oracle(h, bad, None, om, theta0=[0.3, 0.9], T=2.0, dt=1e-3)
     assert dev >= 1e-3
+
+
+@pytest.mark.parametrize(
+    "T, dt, theta0",
+    [
+        (float("nan"), 1e-3, [0.3, 0.9]),
+        (float("inf"), 1e-3, [0.3, 0.9]),
+        (-1.0, 1e-3, [0.3, 0.9]),
+        (2.0, 0.0, [0.3, 0.9]),
+        (2.0, -1e-3, [0.3, 0.9]),
+        (2.0, float("nan"), [0.3, 0.9]),
+        (2.0, 1e-3, [0.3]),
+        (2.0, 1e-3, [0.3, 0.9, 0.1]),
+    ],
+    ids=["nan-T", "inf-T", "negative-T", "zero-dt", "negative-dt", "nan-dt", "short-theta0",
+         "long-theta0"],
+)
+def test_flow_oracle_rejects_bad_arguments(T, dt, theta0):
+    g = small_grid()
+    h = integrable(g, freq(), np.eye(2))
+    with pytest.raises(ValueError, match="T >= 0 and dt > 0|theta0 needs"):
+        flow_oracle(h, TorusEmbedding.flat(g), None, freq(), theta0=theta0, T=T, dt=dt)
+
+
+def test_flow_oracle_keeps_a_nan_deviation():
+    # the comparison runs in blocks of times; a NaN orbit must not read as 0
+    g = small_grid()
+    dev = flow_oracle(integrable(g, freq(), np.eye(2)), TorusEmbedding.flat(g), [np.nan, 0.0],
+                      freq(), theta0=[0.3, 0.9], T=1.5, dt=1e-3)
+    assert math.isnan(dev)
+
+
+@pytest.mark.parametrize("dense, cubic", [(True, False), (False, True)], ids=["dense-a0", "cubic"])
+def test_stacked_point_rhs_matches_per_gradient_synthesis(dense, cubic):
+    g = small_grid(K=8)
+    rng = np.random.default_rng(31)
+    h = random_hamiltonian(g, freq(), rng, with_cubic=cubic)
+    if dense:
+        th1, th2 = g.point_mesh
+        a0 = analyze(g, 0.002 * np.exp(np.cos(th1 + 0.4) + np.cos(th2 - 1.1)))
+        assert np.count_nonzero(a0.coeffs) > 200
+        h = HamiltonianData(a0=a0, a1=h.a1, Q=h.Q)
+    xi = rng.standard_normal(2) * 1e-3
+    rhs = _point_rhs(h, xi)
+    for _ in range(20):
+        x, y = rng.uniform(0.0, 2.0 * np.pi, 2), 0.1 * rng.standard_normal(2)
+        ref = _xh(lambda m, order=0: synthesize(h.gradient(m, order), x), y, cubic)
+        ref = ref + np.concatenate([xi, np.zeros(2)])
+        got = rhs(np.concatenate([x, y]))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # --- isotropy ------------------------------------------------------------------------
