@@ -28,6 +28,10 @@ _MODES = ("standard", "refined", "naive")
 
 CIRCLE_COLUMNS = ["iter", "increment_hs", "residual_sup", "residual_hs", "lambda"]
 
+_INVERT_TOL = 1e-13  # relative residual of every Neumann para-inversion in g_map
+_INVERT_MAX_ITER = 300
+_COMPOSE_WINDOW = 2  # para-composition window N of the refined mode
+
 
 @dataclass
 class CircleProblem:
@@ -37,9 +41,6 @@ class CircleProblem:
     tol: float = 1e-10
     max_iter: int = 40
     mode: str = "standard"
-    invert_tol: float = 1e-13
-    invert_max_iter: int = 300
-    compose_window: int = 2
 
     def __post_init__(self):
         if self.f.grid.dim != 1:
@@ -102,16 +103,14 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff | None = N
     )
 
     if problem.mode == "refined":
-        chi_star = para_compose(f, VectorField([u]), cut, window=problem.compose_window)
+        chi_star = para_compose(f, VectorField([u]), cut, window=_COMPOSE_WINDOW)
         compose_rem = comp - chi_star - para_product(fprime_comp, u, cut)
         bracket = chi_star + compose_rem - r1
     else:
         pl = comp - f - para_product(fprime_comp, u, cut)
         bracket = f + pl - r1
 
-    inv = lambda H, v: para_invert_with_handle(
-        H, v, tol=problem.invert_tol, max_iter=problem.invert_max_iter
-    )
+    inv = lambda H, v: para_invert_with_handle(H, v, tol=_INVERT_TOL, max_iter=_INVERT_MAX_ITER)
     gi = inv(H_fwd, bracket)
     onei = inv(H_fwd, SpectralField.constant(u.grid, 1.0))
     lam = gi.mean() / onei.mean()

@@ -6,8 +6,8 @@ and the unknown is an embedding u: theta -> (theta + ux(theta), uy(theta))
 whose image is invariant with flow conjugate to the rotation omega. The solver
 iterates the para-inverse form of the para-homological equation: each step
 solves the linear para-homological system in the moving frame built from
-(N, M, S) and feeds back the two smoothing remainders, both evaluated as
-literal differences of fully computed expressions.
+(N, M, S) and feeds back the sum of the two smoothing remainders, evaluated
+as one literal difference of fully computed expressions.
 
 Sign conventions are fixed by the exact linearization identity
     A M - (omega.d) M = M [[0, S], [0, 0]] + B[F]   (+ terms linear in F),
@@ -40,6 +40,10 @@ from .spectral import SpectralField, TorusGrid, VectorField, analyze, synthesize
 TORUS_COLUMNS = ["iter", "increment_hs", "residual_sup", "residual_hs", "xi_norm", "mu_norm"]
 
 _MODES = ("thm1", "thm2")
+
+_INNER_TOL = 1e-12  # relative residual of the Neumann para-inversions in the linear solve
+_CHECK_TOL = 1e-9  # relative defect allowed in the linear solve's self-check
+_ENERGY_TOL = 1e-6  # relative energy drift allowed along the flow oracle's orbit
 
 
 def _symplectic_J(n: int) -> np.ndarray:
@@ -336,6 +340,12 @@ def _apply_torsion_block(HS: ParaOpHandle, v: SpectralField) -> SpectralField:
     return _stack(top, SpectralField(top.grid, np.zeros_like(top.coeffs)))
 
 
+def _apply_L(HM, HMinv, HS, w: SpectralField, omega_arr: np.ndarray) -> SpectralField:
+    """L w = T_M ((0 T_S; 0 0) - omega.d) T_{M^-1} w, the para-homological operator."""
+    w1 = HMinv.apply(w)
+    return HM.apply(_apply_torsion_block(HS, w1) - w1.omega_derivative(omega_arr))
+
+
 def linear_para_homological_solve(
     HM: ParaOpHandle,
     HMinv: ParaOpHandle,
@@ -343,8 +353,6 @@ def linear_para_homological_solve(
     f: SpectralField,
     mode: str,
     omega: FrequencyVector,
-    inner_tol: float = 1e-12,
-    check_tol: float = 1e-9,
 ):
     """Solve the linear para-homological system for (v, xi, mu).
 
@@ -355,7 +363,7 @@ def linear_para_homological_solve(
     free counterterm xi in thm2 mode), and the constants transfer back through
     the exact relation T_M(const) = Avg(M) const. The solution is
     self-certifying: the assembled equation is re-applied and must match f to
-    check_tol relative.
+    _CHECK_TOL relative.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -365,7 +373,7 @@ def linear_para_homological_solve(
     if mode == "thm1" and np.linalg.cond(avgS) > 1e12:
         raise SingularAverageError("Avg S is singular: thm1 requires invertible Avg Q")
 
-    f1 = para_invert_with_handle(HM, f, tol=inner_tol)
+    f1 = para_invert_with_handle(HM, f, tol=_INNER_TOL)
     f1x, f1y = _split(f1)
     mu1 = f1y.mean()
 
@@ -384,18 +392,16 @@ def linear_para_homological_solve(
         const = avgM @ np.concatenate([rhs_x.mean(), mu1])
         xi, mu = const[:n], const[n:]
 
-    v = para_invert_with_handle(HMinv, _stack(v1x, v1y), tol=inner_tol)
+    v = para_invert_with_handle(HMinv, _stack(v1x, v1y), tol=_INNER_TOL)
 
     # self-check: substitute into the para-homological equation
-    w1 = HMinv.apply(v)
-    lhs = HM.apply(_apply_torsion_block(HS, w1) - w1.omega_derivative(omega.array))
-    lhs = lhs + np.concatenate([xi, mu])
+    lhs = _apply_L(HM, HMinv, HS, v, omega.array) + np.concatenate([xi, mu])
     fnorm = f.l2_norm()
     defect = (lhs - f).l2_norm()
-    if fnorm > 0 and defect > check_tol * fnorm:
+    if fnorm > 0 and defect > _CHECK_TOL * fnorm:
         raise NonContractiveError(
             f"linear para-homological self-check failed: {defect:.3e} > "
-            f"{check_tol:.1e} * {fnorm:.3e}"
+            f"{_CHECK_TOL:.1e} * {fnorm:.3e}"
         )
     return v, np.asarray(xi), np.asarray(mu)
 
@@ -407,10 +413,11 @@ class _IterationOps:
     """X_h at one iterate u, and the operators of the Picard step taken from u.
 
     X_h is composed once, on construction: it gives the iterate's residual and
-    truncation tail and the next step's para-linearization remainder. The
-    frame, the Jacobian samples (shared by the torsion S and T_A) and the
-    handles of M, M^{-1}, S and A are each built once, on first use, i.e. only
-    when a step is taken from u.
+    truncation tail and the next step's remainder. The frame, the Jacobian
+    samples (shared by the torsion S and the remainder symbol B) and the
+    handles of M, M^{-1} and S are each built once, on first use, i.e. only
+    when a step is taken from u. The step feeds back the sum of the
+    para-linearization and composition remainders as one literal difference.
     """
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding, omega: FrequencyVector, cut: DyadicCutoff):
@@ -441,41 +448,30 @@ class _IterationOps:
         P, Ninv, _, _ = self.frame_s
         return ParaOpHandle(analyze(self.u.grid, _torsion_samples(self.A, P, Ninv)), self.cut)
 
-    @cached_property
-    def HA(self) -> ParaOpHandle:
-        return ParaOpHandle(analyze(self.u.grid, self.A), self.cut)
+    def remainder_term(self, Xh_zeta: SpectralField) -> SpectralField:
+        """Both smoothing remainders at w = u - zeta0, as one literal difference.
 
-    def pl_remainder_term(self, Xh_zeta: SpectralField) -> SpectralField:
-        """R_PL(X_h(zeta0 + .), w) w = X_h(u) - X_h(zeta0) - T_{A[u]} w, literal."""
-        return self.Xh_u - Xh_zeta - self.HA.apply(self.u.displacement())
-
-    def cm_remainder_term(self) -> SpectralField:
-        """Composition remainder of the frame-conjugated operator, literal.
-
-        [T_{M(0 S;0 0)M^-1} - T_M (0 T_S;0 0) T_{M^-1}] w
-        - [T_{M (w.d)M^-1} + (w.d) - T_M (w.d) T_{M^-1}] w
+        R(w) = X_h(u) - X_h(zeta0) - (omega.d) w - T_B w - L w with
+        B = A - M (0 S; 0 0) M^{-1} + M (omega.d M^{-1}): the para-linearization
+        remainder X_h(u) - X_h(zeta0) - T_A w plus the composition remainder
+        [T_{M(0 S;0 0)M^-1} - T_{M(omega.d M^-1)} - (omega.d)] w - L w.
         """
-        n, grid, cut = self.u.n, self.u.grid, self.cut
+        n = self.u.n
         _, _, M_s, Minv_s = self.frame_s
         w = self.u.displacement()
         omega_arr = self.omega.array
-        S_block = np.zeros((2 * n, 2 * n) + grid.point_shape)
-        S_block[:n, n:] = self.HS.symbol.samples()
-        C1 = np.einsum("ab...,bc...,cd...->ad...", M_s, S_block, Minv_s)
-        t_a = ParaOpHandle(analyze(grid, C1), cut).apply(w)
-        w1 = self.HMinv.apply(w)
-        t_b = self.HM.apply(_apply_torsion_block(self.HS, w1))
         dMinv = self.HMinv.symbol.omega_derivative(omega_arr).samples()
-        C2 = np.einsum("ab...,bc...->ac...", M_s, dMinv)
-        t_c = ParaOpHandle(analyze(grid, C2), cut).apply(w)
-        t_c = t_c + w.omega_derivative(omega_arr)
-        t_d = self.HM.apply(w1.omega_derivative(omega_arr))
-        return (t_a - t_b) - t_c + t_d
+        S_s = self.HS.symbol.samples()
+        B = self.A - np.einsum("ab...,bc...,cd...->ad...", M_s[:, :n], S_s, Minv_s[n:])
+        B = B + np.einsum("ab...,bc...->ac...", M_s, dMinv)
+        TBw = ParaOpHandle(analyze(self.u.grid, B), self.cut).apply(w)
+        Lw = _apply_L(self.HM, self.HMinv, self.HS, w, omega_arr)
+        return self.Xh_u - Xh_zeta - w.omega_derivative(omega_arr) - TBw - Lw
 
 
 def assemble_rhs(ops: _IterationOps, e0: SpectralField, Xh_zeta: SpectralField) -> SpectralField:
-    """-e0 - R_CM[u](u - zeta0) - R_PL(X_h(zeta0 + .), u - zeta0)(u - zeta0) at u = ops.u."""
-    return -1.0 * e0 - ops.cm_remainder_term() - ops.pl_remainder_term(Xh_zeta)
+    """-e0 - R(u - zeta0) at u = ops.u, R the summed remainders of ops.remainder_term."""
+    return -1.0 * e0 - ops.remainder_term(Xh_zeta)
 
 
 def _residual(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
@@ -538,8 +534,6 @@ def solve_torus(
     s: float,
     tol: float = 1e-10,
     max_iter: int = 50,
-    cut: DyadicCutoff | None = None,
-    inner_tol: float = 1e-12,
 ) -> KamSolution:
     """Picard iteration of the para-inverse equation from the flat embedding.
 
@@ -551,8 +545,7 @@ def solve_torus(
         raise ValueError(f"mode must be one of {_MODES}")
     t0 = time.perf_counter()
     grid = h.grid
-    if cut is None:
-        cut = make_cutoff(grid)
+    cut = make_cutoff(grid)
     n = h.n
     e0, e1 = error_fields(h, omega)
     report = SolveReport(columns=list(TORUS_COLUMNS))
@@ -574,9 +567,7 @@ def solve_torus(
     converged = False
     for it in range(1, max_iter + 1):
         rhs = assemble_rhs(ops, e0, Xh_zeta)
-        v, xi, mu = linear_para_homological_solve(
-            ops.HM, ops.HMinv, ops.HS, rhs, mode, omega, inner_tol=inner_tol
-        )
+        v, xi, mu = linear_para_homological_solve(ops.HM, ops.HMinv, ops.HS, rhs, mode, omega)
         u = TorusEmbedding.from_displacement(v)
         inc = u.diff_norm(ops.u, s)
         # X_h at the new iterate; its frame and handles wait until the next step
@@ -617,11 +608,11 @@ def solve_torus(
 _COMPARE_BLOCK = 1000  # orbit times per block of the final comparison with u(theta0 + omega t)
 
 
-def _compress(f: SpectralField, rel: float = 1e-15) -> SpectralField:
-    """Zero the coefficients below rel times the largest of the same component."""
+def _compress(f: SpectralField) -> SpectralField:
+    """Zero the coefficients below 1e-15 times the largest of the same component."""
     out = f.copy()
     cmax = np.max(np.abs(out.coeffs), axis=f.grid.axes, keepdims=True)
-    out.coeffs[np.abs(out.coeffs) < rel * cmax] = 0.0
+    out.coeffs[np.abs(out.coeffs) < 1e-15 * cmax] = 0.0
     return out
 
 
@@ -664,13 +655,13 @@ def flow_oracle(
     theta0,
     T: float,
     dt: float,
-    energy_tol: float = 1e-6,
 ) -> float:
     """Max deviation of the RK4 orbit from z(0) = u(theta0) against u(theta0 + omega t).
 
     Independent invariance check: integrates the Hamiltonian ODE with fixed
     step dt and compares with the rotated embedding at every step. Raises
-    EnergyDriftError if the relative energy drift exceeds energy_tol.
+    EnergyDriftError if the initial energy is not finite or the relative
+    energy drift, checked every 200 steps, is not at most _ENERGY_TOL.
     """
     omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
     xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
@@ -690,6 +681,8 @@ def flow_oracle(
 
     z = embed(theta0[None, :])[:, 0]
     H0 = h.value_at(z[:n], z[n:], xi)
+    if not math.isfinite(H0):
+        raise EnergyDriftError(f"initial energy {H0} at step 0 is not finite")
     rhs = _point_rhs(h, xi)
     orbit = np.empty((steps + 1, 2 * n))
     orbit[0] = z
@@ -702,9 +695,9 @@ def flow_oracle(
         orbit[i] = z
         if i % 200 == 0:
             drift = abs(h.value_at(z[:n], z[n:], xi) - H0) / max(1.0, abs(H0))
-            if drift > energy_tol:
+            if not drift <= _ENERGY_TOL:  # NaN counts as drift
                 raise EnergyDriftError(
-                    f"energy drift {drift:.3e} exceeds {energy_tol:.1e}; reduce dt"
+                    f"energy drift {drift:.3e} at step {i} exceeds {_ENERGY_TOL:.1e}; reduce dt"
                 )
     # compare in blocks of times, so the reference never holds the whole orbit;
     # np.maximum keeps a NaN deviation, where max() would drop it

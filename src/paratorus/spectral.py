@@ -215,10 +215,10 @@ class SpectralField:
         m = np.real(self.coeffs[self.grid.mean_index])
         return float(m) if m.ndim == 0 else m
 
-    def is_constant(self, tol: float = 0.0) -> bool:
+    def is_constant(self) -> bool:
         c = self.coeffs.copy()
         c[self.grid.mean_index] = 0.0
-        return bool(np.max(np.abs(c), initial=0.0) <= tol)
+        return not np.any(c)
 
     def samples(self) -> np.ndarray:
         """Real samples on the padded N^n collocation grid, one transform for all components."""
@@ -383,18 +383,19 @@ def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
     return out, (float(tail) if tail.ndim == 0 else tail)
 
 
-def _eval_at(f: SpectralField, pts: np.ndarray, drop_tol: float = 0.0) -> np.ndarray:
+def _eval_at(f: SpectralField, pts: np.ndarray) -> np.ndarray:
     """Evaluate sum_k u_hat(k) e^{i k.x} at arbitrary points by direct summation.
 
     pts has shape (dim, ...); the result has shape (*f.shape, ...). A mode is
-    skipped when every component has |c| <= drop_tol there (dropping exact
-    zeros is free of error); the phases of a mode are shared by all components.
+    skipped when every component's coefficient is exactly zero there (free of
+    error; a NaN coefficient is kept); the phases of a mode are shared by all
+    components.
     """
     g = f.grid
     flat = pts.reshape(g.dim, -1)
     npts = flat.shape[1]
     cmat = f.coeffs.reshape((-1, g.mode_list.shape[0]))
-    mask = np.any(np.abs(cmat) > drop_tol, axis=0)
+    mask = np.any(cmat != 0, axis=0)
     modes = g.mode_list[mask].astype(float)
     cmat = cmat[:, mask]
     out = np.zeros((cmat.shape[0], npts), dtype=np.complex128)
@@ -427,9 +428,9 @@ def synthesize(f: SpectralField, points) -> np.ndarray:
     return float(vals) if vals.ndim == 0 else vals
 
 
-def warp_samples(f: SpectralField, warped_points: np.ndarray, drop_tol: float = 0.0) -> np.ndarray:
+def warp_samples(f: SpectralField, warped_points: np.ndarray) -> np.ndarray:
     """Samples of f at warped collocation points (shape (dim, *point_shape))."""
-    return _eval_at(f, warped_points, drop_tol=drop_tol)
+    return _eval_at(f, warped_points)
 
 
 def compose_warped(f: SpectralField, w: SpectralField, return_tail: bool = False):

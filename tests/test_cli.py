@@ -119,6 +119,22 @@ def test_torus_thm2_shift_recovered(tmp_path):
     assert abs(sol["xi"][1]) < 1e-10
 
 
+def test_torus_run_deterministic(tmp_path):
+    doc = torus_config()
+    doc["problem"]["a0_modes"] = [{"k": [1, 0], "re": 0.005, "im": 0.0}]
+    doc["problem"]["a1"] = {"constant": [1.0, GOLDEN]}
+    doc["problem"]["Q"] = {"constant": [[1.0, 0.0], [0.0, 1.0]]}
+    doc["solver"]["mode"] = "thm1"
+    doc["outputs"]["flow_oracle"] = {"theta0": [0.7, 1.9], "T": 0.5, "dt": 0.01}
+    cfg = write_config(tmp_path, "t.json", doc)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["torus", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
+    assert main(["torus", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
+    assert "flow_deviation" in (out1 / "torus.csv").read_text()
+    assert (out1 / "torus.csv").read_bytes() == (out2 / "torus.csv").read_bytes()
+    assert (out1 / "sol.json").read_bytes() == (out2 / "sol.json").read_bytes()
+
+
 def test_validate_ops_report(tmp_path):
     doc = {
         "kind": "validate-ops",

@@ -7,6 +7,7 @@ import pytest
 
 from paratorus import (
     DegenerateEmbeddingError,
+    EnergyDriftError,
     FrequencyVector,
     HamiltonianData,
     MatrixField,
@@ -558,6 +559,49 @@ def test_assemble_rhs_integrable_zero():
     assert rhs.l2_norm() < 1e-13
 
 
+def three_handle_rhs(h, u, om, cut, e0):
+    """-e0 - R_CM - R_PL through separate handles of A, M(0 S;0 0)M^-1 and M(omega.d M^-1)."""
+    from paratorus.hamtorus import (
+        _apply_torsion_block,
+        _frame_samples,
+        _jacobian_samples,
+        _torsion_samples,
+        _Warp,
+    )
+
+    g, w, o = u.grid, u.displacement(), om.array
+    A = _jacobian_samples(h, u, _Warp(h, u))
+    P, Ninv, M, Minv = _frame_samples(u)
+    HM, HMinv = ParaOpHandle(analyze(g, M), cut), ParaOpHandle(analyze(g, Minv), cut)
+    HS = ParaOpHandle(analyze(g, _torsion_samples(A, P, Ninv)), cut)
+    S_block = np.zeros_like(M)
+    S_block[:2, 2:] = HS.symbol.samples()
+    C1 = np.einsum("ab...,bc...,cd...->ad...", M, S_block, Minv)
+    C2 = np.einsum("ab...,bc...->ac...", M, HMinv.symbol.omega_derivative(o).samples())
+    w1 = HMinv.apply(w)
+    t_a = ParaOpHandle(analyze(g, C1), cut).apply(w) - HM.apply(_apply_torsion_block(HS, w1))
+    t_c = ParaOpHandle(analyze(g, C2), cut).apply(w) + w.omega_derivative(o)
+    r_cm = t_a - t_c + HM.apply(w1.omega_derivative(o))
+    r_pl = hamiltonian_vector_field(h, u) - flat_xh(h) - ParaOpHandle(analyze(g, A), cut).apply(w)
+    return -1.0 * e0 - r_cm - r_pl
+
+
+@pytest.mark.parametrize("cubic", [False, True], ids=["quadratic", "cubic"])
+def test_assemble_rhs_matches_three_handle_remainders(cubic):
+    # one remainder symbol B = A - M(0 S;0 0)M^-1 + M(omega.d M^-1) replaces three handles
+    g = small_grid()
+    om = freq()
+    cut = make_cutoff(g)
+    rng = np.random.default_rng(33)
+    for _ in range(3):
+        h = random_hamiltonian(g, om, rng, with_cubic=cubic)
+        u = random_embedding(g, rng, 0.015)
+        e0, _ = error_fields(h, om)
+        got = assemble_rhs(_IterationOps(h, u, om, cut), e0, flat_xh(h))
+        ref = three_handle_rhs(h, u, om, cut, e0)
+        assert (got - ref).l2_norm() <= 1e-13 * ref.l2_norm()
+
+
 def remainder_amplitude_sweep(amps, K=8, seed=11):
     """Joint sweep: Hamiltonian perturbation and displacement both scale with amp.
 
@@ -642,9 +686,9 @@ def test_solve_thm1_small_perturbation_converges():
 
 
 def test_solve_builds_each_operator_once_per_step(monkeypatch):
-    # per Picard step: six handles (T_M, T_{M^-1}, T_S, T_A and the two remainder
-    # symbols) and one Jacobian evaluation; X_h once per iterate plus the flat
-    # torus, e0 and the two terminal checks
+    # per Picard step: four handles (T_M, T_{M^-1}, T_S and the remainder symbol
+    # B) and one Jacobian evaluation; X_h once per iterate plus the flat torus,
+    # e0 and the two terminal checks
     import paratorus.hamtorus as ht
 
     counts = {"handles": 0, "_jacobian_samples": 0, "_xh_samples": 0}
@@ -669,7 +713,7 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     n = sol.report.iterations
     assert n >= 2
-    assert counts["handles"] == 6 * n + 1  # + the Neumann certificate's symbol
+    assert counts["handles"] == 4 * n + 1  # + the Neumann certificate's symbol
     assert counts["_jacobian_samples"] == n
     assert counts["_xh_samples"] <= n + 4
 
@@ -789,12 +833,30 @@ def test_flow_oracle_rejects_bad_arguments(T, dt, theta0):
         flow_oracle(h, TorusEmbedding.flat(g), None, freq(), theta0=theta0, T=T, dt=dt)
 
 
-def test_flow_oracle_keeps_a_nan_deviation():
-    # the comparison runs in blocks of times; a NaN orbit must not read as 0
+def test_flow_oracle_rejects_a_nan_counterterm():
+    # a NaN xi makes the initial energy NaN: the oracle stops before integrating
     g = small_grid()
-    dev = flow_oracle(integrable(g, freq(), np.eye(2)), TorusEmbedding.flat(g), [np.nan, 0.0],
-                      freq(), theta0=[0.3, 0.9], T=1.5, dt=1e-3)
-    assert math.isnan(dev)
+    with pytest.raises(EnergyDriftError, match="step 0"):
+        flow_oracle(integrable(g, freq(), np.eye(2)), TorusEmbedding.flat(g), [np.nan, 0.0],
+                    freq(), theta0=[0.3, 0.9], T=1.5, dt=1e-3)
+
+
+def test_flow_oracle_rejects_a_nan_embedding_coefficient():
+    # the point evaluators keep a NaN mode, so the orbit starts at NaN
+    g = small_grid()
+    u = TorusEmbedding.flat(g)
+    u.w.coeffs[2, 8, 9] = np.nan
+    with pytest.raises(EnergyDriftError, match="step 0"):
+        flow_oracle(integrable(g, freq(), np.eye(2)), u, None, freq(), theta0=[0.3, 0.9],
+                    T=1.5, dt=1e-3)
+
+
+def test_flow_oracle_rejects_a_nan_energy_drift():
+    # the orbit overflows from a finite start; the drift at step 200 is NaN
+    g = small_grid()
+    h = random_hamiltonian(g, freq(), np.random.default_rng(32))
+    with pytest.raises(EnergyDriftError, match="nan at step 200"), np.errstate(all="ignore"):
+        flow_oracle(h, TorusEmbedding.flat(g), None, freq(), theta0=[0.3, 0.9], T=2e102, dt=1e100)
 
 
 @pytest.mark.parametrize("dense, cubic", [(True, False), (False, True)], ids=["dense-a0", "cubic"])
@@ -894,8 +956,6 @@ def test_flow_oracle_rejects_coarse_steps():
         a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
         Q=MatrixField.constant(g, 2.0 * np.eye(2)),
     )
-    from paratorus import EnergyDriftError
-
     with pytest.raises(EnergyDriftError):
         flow_oracle(h, TorusEmbedding.flat(g), None, om, theta0=[0.3, 0.9], T=300.0, dt=0.5)
 

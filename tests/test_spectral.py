@@ -139,6 +139,17 @@ def test_synthesize_against_term_sum_oracle():
         assert abs(v - acc.real) < 1e-12
 
 
+def test_point_evaluators_keep_a_nan_coefficient():
+    # a mode whose only nonzero coefficient is NaN is evaluated, not dropped
+    g = TorusGrid.create(2, 8)
+    f = SpectralField.zero(g)
+    f.coeffs[9, 8] = np.nan
+    assert np.any(np.isnan(f.samples()))  # the transform path reads NaN too
+    assert np.isnan(synthesize(f, np.array([0.3, 0.9])))
+    wpts = np.stack(g.point_mesh) + 0.01
+    assert np.all(np.isnan(warp_samples(f, wpts)))
+
+
 # --- derivative / translate / mean ------------------------------------------
 
 
