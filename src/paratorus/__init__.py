@@ -8,6 +8,7 @@ from .errors import (
     GridMismatchError,
     MaxIterExceededError,
     NonContractiveError,
+    NonFiniteError,
     NonzeroMeanError,
     ParatorusError,
     ResonantModeError,
@@ -26,7 +27,6 @@ from .spectral import (
     synthesize,
 )
 from .dyadic import (
-    BlockDecomposition,
     DyadicCutoff,
     make_cutoff,
     partition_residual,
@@ -41,7 +41,6 @@ from .paraprod import (
     para_invert,
     para_invert_matrix,
     para_product,
-    para_product_matrix,
     pl_remainder,
     telescope_remainders,
 )

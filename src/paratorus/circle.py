@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import DyadicCutoff, make_cutoff
-from .errors import DiffeomorphismLostError, MaxIterExceededError
+from .errors import DiffeomorphismLostError, NonFiniteError
 from .paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
-from .reporting import SolveReport
+from .reporting import SolveReport, picard
 from .smalldiv import RotationAngle, delta_alpha, delta_alpha_inverse, remove_mean
 from .spectral import SpectralField, VectorField, analyze, compose_warped
 
@@ -49,6 +48,8 @@ class CircleProblem:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not np.all(np.isfinite(self.f.coeffs)):
+            raise NonFiniteError("f has a non-finite coefficient")
 
 
 @dataclass
@@ -70,7 +71,7 @@ def _reciprocal(field: SpectralField) -> SpectralField:
     return analyze(field.grid, 1.0 / vals)
 
 
-def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff | None = None):
+def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     """One application of the para-inverse right-hand side; returns (u_next, lambda).
 
     Assembly: (i) composed value and para-linearization remainder as a literal
@@ -80,8 +81,6 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff | None = N
     handles of T_{(1+u') o tau_alpha} and T_{1/(1+u')} are built once and
     serve both the remainder and the three inversions.
     """
-    if cut is None:
-        cut = make_cutoff(u.grid)
     f = problem.f
     alpha = problem.alpha
     one_du = _one_plus_du(u)
@@ -133,20 +132,13 @@ def residual(u: SpectralField, lam: float, problem: CircleProblem):
     return field, field.sup_norm(), field.sobolev_norm(problem.s)
 
 
-def certify(
-    u: SpectralField,
-    lam: float,
-    problem: CircleProblem,
-    cut: DyadicCutoff | None = None,
-) -> float:
+def certify(u: SpectralField, lam: float, problem: CircleProblem, cut: DyadicCutoff) -> float:
     """Neumann certificate kappa = |T_{E'/(1+u')} u|_{H^s} / |E|_{H^s}.
 
     kappa < 1 certifies that the para-homological solution annihilates the
     residual up to discretization; the operator is applied to the measured
     residual E itself.
     """
-    if cut is None:
-        cut = make_cutoff(u.grid)
     E, _, _ = residual(u, lam, problem)
     denom = E.sobolev_norm(problem.s)
     if denom == 0.0:
@@ -156,50 +148,35 @@ def certify(
 
 
 def solve(problem: CircleProblem) -> CircleSolution:
-    """Picard iteration of the para-inverse equation from u = 0.
+    """Picard iteration of the para-inverse equation from u = 0, run by reporting.picard.
 
-    Stops when the H^s increment drops below tol, with a secondary stop on
-    residual sup-norm below tol/10. Raises MaxIterExceededError (with the
-    report attached) if neither trigger fires.
+    A step is one g_map (or one naive step) with its H^s increment and
+    residual. It stops when the increment drops below tol, with a secondary
+    stop on residual sup-norm below tol/10; the driver raises
+    MaxIterExceededError or NonFiniteError with the partial report attached.
     """
-    t0 = time.perf_counter()
     grid = problem.f.grid
     cut = make_cutoff(grid)
-    report = SolveReport(columns=list(CIRCLE_COLUMNS))
-    u = SpectralField.zero(grid)
-    lam = 0.0
-    step = _naive_step if problem.mode == "naive" else (
-        lambda v, p: g_map(v, p, cut)
-    )
-    converged = False
-    for it in range(1, problem.max_iter + 1):
-        u_next, lam = step(u, problem)
+
+    def step(state):
+        u, _ = state
+        if problem.mode == "naive":
+            u_next, lam = _naive_step(u, problem)
+        else:
+            u_next, lam = g_map(u, problem, cut)
         inc = (u_next - u).sobolev_norm(problem.s)
         _, res_sup, res_hs = residual(u_next, lam, problem)
-        report.add_row(
-            iter=it, increment_hs=inc, residual_sup=res_sup, residual_hs=res_hs,
-            **{"lambda": lam},
-        )
-        u = u_next
-        if inc < problem.tol or res_sup < problem.tol / 10.0:
-            converged = True
-            break
-    report.wall_time = time.perf_counter() - t0
-    if not converged:
-        report.status = "max_iter_exceeded"
-        raise MaxIterExceededError(
-            f"no convergence in {problem.max_iter} iterations "
-            f"(last increment {report.last('increment_hs'):.3e})",
-            report=report,
-        )
+        row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs, "lambda": lam}
+        return (u_next, lam), row, inc < problem.tol or res_sup < problem.tol / 10.0
+
+    start = (SpectralField.zero(grid), 0.0)
+    (u, lam), report = picard(step, start, CIRCLE_COLUMNS, problem.max_iter)
     # terminal diagnostics
     slope = _one_plus_du(u).samples()
-    report.status = "converged"
     report.extras["min_one_plus_du"] = float(np.min(slope))
     _, tail = compose_warped(problem.f, VectorField([u]), return_tail=True)
     report.extras["compose_tail_energy"] = tail
     report.extras["lambda"] = lam
-    report.extras["residual_sup"] = report.last("residual_sup")
     report.extras["u_hs"] = u.sobolev_norm(problem.s)
     if problem.mode != "naive":
         report.extras["kappa"] = certify(u, lam, problem, cut)

@@ -3,7 +3,8 @@
 Configs are strict JSON (unknown keys rejected). Every run writes a config
 echo next to its outputs; CSV rows carry no wall-clock so identical configs
 produce bit-identical files. Exit codes: 0 success, 2 config error, 3 solver
-non-convergence, 4 internal invariant violation.
+error (no convergence, a non-finite value, ...), 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     EnergyDriftError,
     MaxIterExceededError,
     NonContractiveError,
+    NonFiniteError,
     NonzeroMeanError,
     ParatorusError,
     ResonantModeError,
@@ -55,6 +57,7 @@ _SOLVER_ERRORS = (
     ResonantModeError,
     NonzeroMeanError,
     EnergyDriftError,
+    NonFiniteError,
 )
 
 EXIT_OK = 0
@@ -148,10 +151,10 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _solve_saving_trajectory(solve_fn, csv_path: Path):
-    """Run a solve; if it does not converge, write its partial report to csv_path first."""
+    """Run a solve; if it fails inside its Picard loop, write its partial report to csv_path."""
     try:
         return solve_fn()
-    except MaxIterExceededError as exc:
+    except ParatorusError as exc:
         if exc.report is not None:
             exc.report.write_csv(csv_path)
         raise

@@ -80,26 +80,6 @@ class DyadicCutoff:
     def block_samples(self, u: SpectralField, j: int) -> np.ndarray:
         return self.block(u, j).samples()
 
-    def decompose(self, u: SpectralField) -> "BlockDecomposition":
-        blocks = [self.block(u, j) for j in range(self.j_max + 1)]
-        j_top = 0
-        for j, b in enumerate(blocks):
-            if np.any(b.coeffs):
-                j_top = j
-        return BlockDecomposition(blocks=blocks, j_max=j_top)
-
-
-@dataclass
-class BlockDecomposition:
-    blocks: list
-    j_max: int
-
-    def reassemble(self) -> SpectralField:
-        out = self.blocks[0].copy()
-        for b in self.blocks[1:]:
-            out = out + b
-        return out
-
 
 def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
     """Sample the dyadic profile on the retained modes and renormalize.

@@ -4,6 +4,8 @@
 class ParatorusError(Exception):
     """Base class for all toolkit errors."""
 
+    report = None  # the partial SolveReport when raised inside a Picard solve
+
 
 class GridMismatchError(ParatorusError):
     """Two fields that must share a TorusGrid do not."""
@@ -45,9 +47,9 @@ class DegenerateEmbeddingError(ParatorusError):
 class MaxIterExceededError(ParatorusError):
     """A fixed-point solve hit its iteration cap before meeting tolerance."""
 
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
+
+class NonFiniteError(ParatorusError):
+    """A NaN or an infinity entered a solver's input or appeared during a solve."""
 
 
 class EnergyDriftError(ParatorusError):

@@ -18,7 +18,6 @@ in particular S = -Q0 at the flat torus of an integrable Hamiltonian.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,12 +27,12 @@ from .dyadic import DyadicCutoff, make_cutoff
 from .errors import (
     DegenerateEmbeddingError,
     EnergyDriftError,
-    MaxIterExceededError,
     NonContractiveError,
+    NonFiniteError,
     SingularAverageError,
 )
 from .paraprod import ParaOpHandle, para_invert_with_handle
-from .reporting import SolveReport
+from .reporting import SolveReport, picard
 from .smalldiv import FrequencyVector, omega_directional_inverse, remove_mean
 from .spectral import SpectralField, TorusGrid, VectorField, analyze, synthesize, warp_samples
 
@@ -69,19 +68,21 @@ class HamiltonianData:
 
     def __post_init__(self):
         n = self.n
-        grid = self.grid
-        grid.require_same(self.a1.grid)
-        grid.require_same(self.Q.grid)
+        if self.cubic is not None:
+            self.cubic = VectorField(self.cubic)
+        for name in ("a0", "a1", "Q", "cubic"):
+            f = getattr(self, name)
+            if f is not None:
+                self.grid.require_same(f.grid)
+                if not np.all(np.isfinite(f.coeffs)):
+                    raise NonFiniteError(f"{name} has a non-finite coefficient")
         if self.Q.shape != (n, n):
             raise ValueError("Q must be n x n")
         sym = (self.Q - self.Q.T).sup_norm()
         if sym > 1e-12 * max(1.0, self.Q.sup_norm()):
             raise ValueError(f"Q is not symmetric: defect {sym:.3e}")
-        if self.cubic is not None:
-            self.cubic = VectorField(self.cubic)
-            grid.require_same(self.cubic.grid)
-            if self.cubic.shape != (n, n, n):
-                raise ValueError("cubic must be n x n x n")
+        if self.cubic is not None and self.cubic.shape != (n, n, n):
+            raise ValueError("cubic must be n x n x n")
         self._gradients = {}
 
     @property
@@ -265,7 +266,7 @@ def _frame_samples(u: TorusEmbedding):
     G = np.einsum("am...,an...->mn...", P, P)
     moved = np.moveaxis(G, (0, 1), (-2, -1))
     dets = np.linalg.det(moved)
-    if np.min(np.abs(dets)) < 1e-12:
+    if not np.min(np.abs(dets)) >= 1e-12:  # NaN counts as singular
         raise DegenerateEmbeddingError(
             f"embedding Gram matrix nearly singular: min |det| = {np.min(np.abs(dets)):.3e}"
         )
@@ -276,7 +277,7 @@ def _frame_samples(u: TorusEmbedding):
     M = np.concatenate([P, JPN], axis=1)
     movedM = np.moveaxis(M, (0, 1), (-2, -1))
     detsM = np.linalg.det(movedM)
-    if np.min(np.abs(detsM)) < 1e-12:
+    if not np.min(np.abs(detsM)) >= 1e-12:
         raise DegenerateEmbeddingError("frame matrix M nearly singular")
     Minv = np.moveaxis(np.linalg.inv(movedM), (-2, -1), (0, 1))
     return P, Ninv, M, Minv
@@ -535,37 +536,26 @@ def solve_torus(
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> KamSolution:
-    """Picard iteration of the para-inverse equation from the flat embedding.
+    """Picard iteration of the para-inverse equation from zeta0, run by reporting.picard.
 
     Each step feeds assemble_rhs through the linear para-homological solve and
     replaces u by zeta0 + v; (xi, mu) come from the latest linear solve. The
-    iteration stops when the H^s increment of the embedding drops below tol.
+    iteration stops when the H^s increment of the embedding drops below tol;
+    integrable data stop in the first step with u = zeta0 and xi = mu = 0.
+    The driver raises MaxIterExceededError or NonFiniteError with the partial
+    report attached.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    t0 = time.perf_counter()
-    grid = h.grid
-    cut = make_cutoff(grid)
-    n = h.n
-    e0, e1 = error_fields(h, omega)
-    report = SolveReport(columns=list(TORUS_COLUMNS))
     if mode == "thm1" and np.linalg.cond(h.Q.mean()) > 1e12:
         raise SingularAverageError("thm1 requires invertible Avg Q")
-    zeta = TorusEmbedding.flat(grid)
-    if e0.l2_norm() == 0.0 and e1.l2_norm() == 0.0:
-        # integrable data: the flat torus is exact, skip the iteration
-        report.status = "converged"
-        report.add_row(iter=1, increment_hs=0.0, residual_sup=0.0, residual_hs=0.0,
-                       xi_norm=0.0, mu_norm=0.0)
-        report.extras.update({"residual_sup": 0.0, "kappa": 0.0, "gamma": omega.gamma})
-        report.wall_time = time.perf_counter() - t0
-        return KamSolution(u=zeta, xi=np.zeros(n), mu=np.zeros(n), report=report)
-    ops = _IterationOps(h, zeta, omega, cut)
-    Xh_zeta = ops.Xh_u
-    xi = np.zeros(n)
-    mu = np.zeros(n)
-    converged = False
-    for it in range(1, max_iter + 1):
+    cut = make_cutoff(h.grid)
+    zeta = TorusEmbedding.flat(h.grid)
+    Xh_zeta = hamiltonian_vector_field(h, zeta)
+    e0 = Xh_zeta - np.concatenate([omega.array, np.zeros(h.n)])  # invariance defect of zeta0
+
+    def step(state):
+        ops, _, _ = state
         rhs = assemble_rhs(ops, e0, Xh_zeta)
         v, xi, mu = linear_para_homological_solve(ops.HM, ops.HMinv, ops.HS, rhs, mode, omega)
         u = TorusEmbedding.from_displacement(v)
@@ -573,22 +563,16 @@ def solve_torus(
         # X_h at the new iterate; its frame and handles wait until the next step
         ops = _IterationOps(h, u, omega, cut)
         _, res_sup, res_hs = _residual(ops.Xh_u, u, xi, omega)
-        report.add_row(
-            iter=it, increment_hs=inc, residual_sup=res_sup, residual_hs=res_hs,
-            xi_norm=float(np.linalg.norm(xi)), mu_norm=float(np.linalg.norm(mu)),
-        )
-        if inc < tol:
-            converged = True
-            break
-    report.wall_time = time.perf_counter() - t0
-    if not converged:
-        report.status = "max_iter_exceeded"
-        raise MaxIterExceededError(
-            f"torus solve: no convergence in {max_iter} iterations", report=report
-        )
-    report.status = "converged"
+        row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs,
+               "xi_norm": float(np.linalg.norm(xi)), "mu_norm": float(np.linalg.norm(mu))}
+        return (ops, xi, mu), row, inc < tol
+
+    # the flat iterate's ops go straight to the driver: no local keeps its handles alive
+    (ops, xi, mu), report = picard(
+        step, (_IterationOps(h, zeta, omega, cut), None, None), TORUS_COLUMNS, max_iter
+    )
+    u = ops.u
     disp = u.displacement()
-    report.extras["residual_sup"] = report.last("residual_sup")
     report.extras["u_minus_flat_hs"] = disp.sobolev_norm(s)
     report.extras["gamma"] = omega.gamma
     eps = 0.1
@@ -661,7 +645,8 @@ def flow_oracle(
     Independent invariance check: integrates the Hamiltonian ODE with fixed
     step dt and compares with the rotated embedding at every step. Raises
     EnergyDriftError if the initial energy is not finite or the relative
-    energy drift, checked every 200 steps, is not at most _ENERGY_TOL.
+    energy drift, checked every 200 steps and at the last step, is not at
+    most _ENERGY_TOL.
     """
     omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
     xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
@@ -693,7 +678,7 @@ def flow_oracle(
         k4 = rhs(z + dt * k3)
         z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         orbit[i] = z
-        if i % 200 == 0:
+        if i % 200 == 0 or i == steps:
             drift = abs(h.value_at(z[:n], z[n:], xi) - H0) / max(1.0, abs(H0))
             if not drift <= _ENERGY_TOL:  # NaN counts as drift
                 raise EnergyDriftError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .dyadic import DyadicCutoff
 from .errors import (
     DiffeomorphismLostError,
     NonContractiveError,
+    NonFiniteError,
     SingularAverageError,
 )
 from .spectral import SpectralField, analyze, warp_samples
@@ -72,9 +74,6 @@ def para_product(a: SpectralField, u: SpectralField, cut: DyadicCutoff) -> Spect
     For a matrix symbol A this is the blockwise (T_A v)_i = sum_j T_{A_ij} v_j.
     """
     return ParaOpHandle(a, cut).apply(u)
-
-
-para_product_matrix = para_product
 
 
 def cm_remainder(
@@ -235,7 +234,8 @@ def para_invert_with_handle(
     Iterates w <- w + mean(a)^{-1} (v - T_a w) until the relative L2 residual
     drops below tol; the forward application is always re-checked, so a
     returned w certifies itself. Raises SingularAverageError when mean(a) is
-    singular (for a scalar symbol: negligible against sup |a|) and
+    singular (for a scalar symbol: negligible against sup |a|),
+    NonFiniteError as soon as the residual is not finite and
     NonContractiveError when the iteration stalls.
     """
     if max_iter < 1:
@@ -267,6 +267,10 @@ def para_invert_with_handle(
         rel = r.l2_norm() / vnorm
         if rel <= tol:
             return w
+        if not math.isfinite(rel):
+            raise NonFiniteError(
+                f"para-inversion residual is {rel} after {len(history)} applications"
+            )
         history.append(rel)
         if _stalled(history):
             break

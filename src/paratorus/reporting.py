@@ -1,9 +1,13 @@
-"""Per-iteration solver diagnostics and the one CSV writer of every run."""
+"""The Picard driver of both solvers, its per-iteration report and the one CSV writer."""
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .errors import MaxIterExceededError, NonFiniteError, ParatorusError
 
 
 def fmt(x) -> str:
@@ -59,3 +63,44 @@ class SolveReport:
         """Iteration rows, then status and the sorted extras in the summary."""
         summary = [("status", self.status)] + sorted(self.extras.items())
         write_rows_csv(path, self.columns, self.rows, summary, "iter")
+
+
+_FAILED_STATUS = {MaxIterExceededError: "max_iter_exceeded", NonFiniteError: "non_finite"}
+
+
+def picard(step, state, columns, max_iter: int):
+    """Plain Picard iteration state <- step(state); returns (last state, report).
+
+    step(state) returns (next_state, row, done): row maps every column but
+    `iter` to its value at the new iterate, and done is the solver's own stop
+    test. The driver numbers the rows from 1, stops at once when a row's
+    increment_hs or residual_sup is not finite (NonFiniteError) and after
+    max_iter steps without done (MaxIterExceededError). Every solver error
+    leaves with the partial report attached, its status max_iter_exceeded,
+    non_finite or failed.
+    """
+    t0 = time.perf_counter()
+    report = SolveReport(columns=list(columns))
+    try:
+        for it in range(1, max_iter + 1):
+            state, row, done = step(state)
+            report.add_row(iter=it, **row)
+            for c in ("increment_hs", "residual_sup"):
+                if not math.isfinite(row[c]):
+                    raise NonFiniteError(f"{c} is {row[c]} at iteration {it}")
+            if done:
+                break
+        else:
+            raise MaxIterExceededError(
+                f"no convergence in {max_iter} iterations "
+                f"(last increment {report.last('increment_hs'):.3e})"
+            )
+    except ParatorusError as exc:
+        report.status = _FAILED_STATUS.get(type(exc), "failed")
+        exc.report = report
+        raise
+    finally:
+        report.wall_time = time.perf_counter() - t0
+    report.status = "converged"
+    report.extras["residual_sup"] = report.last("residual_sup")
+    return state, report

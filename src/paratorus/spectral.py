@@ -290,10 +290,6 @@ class SpectralField:
             return SpectralField(self.grid, self.coeffs * other.mean())
         return analyze(self.grid, self.samples() * other.samples())
 
-    def matvec(self, v: "SpectralField") -> "SpectralField":
-        """Pointwise matrix-vector product (dealiased through the padded grid)."""
-        return analyze(self.grid, np.einsum("pq...,q...->p...", self.samples(), v.samples()))
-
     def matmul(self, other: "SpectralField") -> "SpectralField":
         return analyze(self.grid, np.einsum("pq...,qr...->pr...", self.samples(), other.samples()))
 

@@ -9,6 +9,8 @@ from paratorus import (
     CircleProblem,
     DiffeomorphismLostError,
     MaxIterExceededError,
+    NonContractiveError,
+    NonFiniteError,
     RotationAngle,
     SpectralField,
     TorusGrid,
@@ -16,10 +18,12 @@ from paratorus import (
     delta_alpha,
     delta_alpha_inverse,
     g_map,
+    make_cutoff,
     residual,
     rotation_number,
     solve,
 )
+import paratorus.circle as circle
 from paratorus.paraprod import ParaOpHandle
 from paratorus.spectral import analyze, synthesize, warp_samples
 
@@ -33,13 +37,34 @@ def setup(K=64, s=3.0, amp=0.05, mode="standard", **kw):
     return CircleProblem(alpha=alpha, f=f, s=s, mode=mode, **kw)
 
 
+def nan_field(u, lam):
+    return SpectralField(u.grid, np.full_like(u.coeffs, np.nan)), lam
+
+
+def stall(u, lam):
+    raise NonContractiveError("para-inversion stalled")
+
+
+def patch_g_map(monkeypatch, call, outcome):
+    """Let circle.g_map hand its call-th result (u_next, lambda) to outcome instead."""
+    real, calls = circle.g_map, []
+
+    def patched(u, problem, cut):
+        calls.append(u)
+        result = real(u, problem, cut)
+        return outcome(*result) if len(calls) == call else result
+
+    monkeypatch.setattr(circle, "g_map", patched)
+    return calls
+
+
 # --- g_map ------------------------------------------------------------------
 
 
 def test_g_map_zero_problem():
     prob = setup(amp=0.0)
     g = prob.f.grid
-    u1, lam = g_map(SpectralField.zero(g), prob)
+    u1, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
     assert u1.l2_norm() == 0.0 and lam == 0.0
 
 
@@ -48,7 +73,7 @@ def test_g_map_first_iterate_single_mode_formula():
     g = prob.f.grid
     eps = 0.01
     prob.f = SpectralField.from_modes(g, {1: eps / 2})  # eps cos x
-    u1, lam = g_map(SpectralField.zero(g), prob)
+    u1, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
     assert abs(lam) < 1e-14
     expect = SpectralField.from_modes(
         g, {1: (eps / 2) / (np.exp(1j * prob.alpha.alpha) - 1.0)}
@@ -61,14 +86,14 @@ def test_g_map_with_mean_balances_lambda():
     g = prob.f.grid
     m = 0.37
     prob.f = SpectralField.from_modes(g, {1: 0.005}) + m
-    _, lam = g_map(SpectralField.zero(g), prob)
+    _, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
     assert abs(lam - m) < 1e-13
 
 
 def test_g_map_equals_small_divisor_inverse_at_zero():
     prob = setup(amp=0.03)
     g = prob.f.grid
-    u1, lam = g_map(SpectralField.zero(g), prob)
+    u1, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
     direct = delta_alpha_inverse(prob.f, prob.alpha)
     assert (u1 - direct).l2_norm() < 1e-13
     assert abs(lam) < 1e-14
@@ -79,7 +104,8 @@ def test_g_map_builds_four_handles(monkeypatch, mode):
     # T_{(1+u') o tau_alpha} and T_{1/(1+u')} serve the remainder and all three
     # inversions; the slope and f'(Id + u) symbols make the other two
     prob = setup(amp=0.1, mode=mode)
-    u, _ = g_map(SpectralField.zero(prob.f.grid), prob)
+    cut = make_cutoff(prob.f.grid)
+    u, _ = g_map(SpectralField.zero(prob.f.grid), prob, cut)
     builds = []
     init = ParaOpHandle.__init__
 
@@ -88,7 +114,7 @@ def test_g_map_builds_four_handles(monkeypatch, mode):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ParaOpHandle, "__init__", counting_init)
-    g_map(u, prob)
+    g_map(u, prob, cut)
     assert len(builds) == 4
 
 
@@ -97,7 +123,7 @@ def test_g_map_rejects_lost_diffeomorphism():
     g = prob.f.grid
     steep = SpectralField.from_modes(g, {1: -0.6j})  # slope 1.2
     with pytest.raises(DiffeomorphismLostError):
-        g_map(steep, prob)
+        g_map(steep, prob, make_cutoff(g))
 
 
 # --- solve -------------------------------------------------------------------
@@ -237,20 +263,46 @@ def test_max_iter_exceeded_attaches_report():
     assert err.value.report.iterations == 3
 
 
+def test_non_finite_step_stops_the_solve_at_once(monkeypatch):
+    calls = patch_g_map(monkeypatch, 2, nan_field)
+    with pytest.raises(NonFiniteError, match="increment_hs is nan at iteration 2") as err:
+        with np.errstate(all="ignore"):
+            solve(setup(K=64, amp=0.05, tol=1e-30, max_iter=10))
+    assert len(calls) == 2
+    assert err.value.report.status == "non_finite"
+    assert err.value.report.iterations == 2
+
+
+def test_solver_error_in_a_step_attaches_the_partial_report(monkeypatch):
+    patch_g_map(monkeypatch, 3, stall)
+    with pytest.raises(NonContractiveError) as err:
+        solve(setup(K=64, amp=0.05, tol=1e-30, max_iter=10))
+    assert err.value.report.status == "failed"
+    assert err.value.report.iterations == 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_problem_rejects_a_non_finite_coefficient(value):
+    prob = setup(K=16)
+    prob.f.coeffs[17] = value
+    with pytest.raises(NonFiniteError, match="f has a non-finite coefficient"):
+        CircleProblem(alpha=prob.alpha, f=prob.f, s=prob.s)
+
+
 # --- certification -------------------------------------------------------------
 
 
 def test_certify_zero_residual():
     prob = setup(K=64, amp=0.0)
     g = prob.f.grid
-    kappa = certify(SpectralField.zero(g), 0.0, prob)
+    kappa = certify(SpectralField.zero(g), 0.0, prob, make_cutoff(g))
     assert kappa == 0.0
 
 
 def test_certify_converged_run_small():
     prob = setup(K=256, amp=0.05)
     sol = solve(prob)
-    kappa = certify(sol.u, sol.lam, prob)
+    kappa = certify(sol.u, sol.lam, prob, make_cutoff(prob.f.grid))
     assert kappa < 0.1
 
 
@@ -259,7 +311,7 @@ def test_certify_flags_near_degenerate_state():
     prob = setup(K=64, amp=0.05)
     g = prob.f.grid
     u = SpectralField.from_modes(g, {1: -0.495j})  # slope 0.99
-    kappa = certify(u, 0.0, prob)
+    kappa = certify(u, 0.0, prob, make_cutoff(g))
     assert kappa >= 1.0
 
 

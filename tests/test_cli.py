@@ -3,10 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from paratorus import cli, field_from_json
 from paratorus.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+
+from test_circle import nan_field, patch_g_map, stall
 
 GOLDEN_ALPHA = math.pi * (math.sqrt(5.0) - 1.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -269,6 +272,25 @@ def test_circle_nonconvergence_keeps_trajectory(tmp_path):
     assert [l.split(",")[0] for l in lines[1:-1]] == ["iter"] * 3
     assert "status=max_iter_exceeded" in lines[-1]
     assert (out / "error.json").exists()
+
+
+@pytest.mark.parametrize(
+    "outcome, error, status",
+    [(nan_field, "NonFiniteError", "non_finite"), (stall, "NonContractiveError", "failed")],
+)
+def test_circle_solver_error_keeps_trajectory(tmp_path, monkeypatch, outcome, error, status):
+    # the 2nd step fails: a NaN iterate is stopped by the driver, a stall by the step itself
+    patch_g_map(monkeypatch, 2, outcome)
+    doc = circle_config(amp=0.04, max_iter=10)
+    doc["solver"]["tol"] = 1e-30
+    with np.errstate(all="ignore"):
+        code, out = run_code(tmp_path, doc)
+    assert code == EXIT_SOLVER
+    assert json.loads((out / "error.json").read_text())["error"] == error
+    lines = (out / "run.csv").read_text().strip().splitlines()
+    rows = 2 if status == "non_finite" else 1  # the NaN row is kept, where it appeared
+    assert [l.split(",")[0] for l in lines[1:-1]] == ["iter"] * rows
+    assert f"status={status}" in lines[-1]
 
 
 def test_torus_nonconvergence_keeps_trajectory(tmp_path):

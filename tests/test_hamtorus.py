@@ -11,6 +11,7 @@ from paratorus import (
     FrequencyVector,
     HamiltonianData,
     MatrixField,
+    NonFiniteError,
     SingularAverageError,
     SpectralField,
     TorusEmbedding,
@@ -33,6 +34,7 @@ from paratorus import (
     solve_torus,
     torsion_S,
 )
+import paratorus.hamtorus as hamtorus
 from paratorus.hamtorus import _IterationOps, _point_rhs, _symplectic_J, _xh
 from paratorus.paraprod import ParaOpHandle
 from paratorus.spectral import analyze, synthesize, warp_samples
@@ -320,6 +322,15 @@ def test_frame_deviation_linear_in_displacement():
         )
         ratios.append(diff / grad)
     assert max(ratios) < 3.0 * min(ratios) + 1e-12
+
+
+@pytest.mark.parametrize("component", [0, 2], ids=["ux", "uy"])
+def test_frame_rejects_a_nan_embedding(component):
+    g = small_grid()
+    u = TorusEmbedding.flat(g)
+    u.w.coeffs[component, 8, 9] = np.nan
+    with pytest.raises(DegenerateEmbeddingError), np.errstate(invalid="ignore"):
+        frame(u)
 
 
 def test_frame_degenerate_embedding_rejected():
@@ -657,6 +668,57 @@ def test_solve_integrable_short_circuits():
     assert np.all(sol.xi == 0.0) and np.all(sol.mu == 0.0)
 
 
+def test_integrable_summary_has_the_keys_of_a_converged_run():
+    g = small_grid()
+    om = freq()
+    sol = solve_torus(integrable(g, om, np.eye(2)), om, mode="thm1", s=3.0)
+    assert sol.report.status == "converged"
+    assert set(sol.report.extras) == {
+        "residual_sup", "u_minus_flat_hs", "gamma", "e0_strong_norm", "kappa",
+        "counterterm_defect", "xh_tail_energy",
+    }  # no c2_empirical: e0 = 0
+    assert sol.report.extras["kappa"] == 0.0
+    assert sol.report.last("residual_sup") == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["a0", "a1", "Q", "cubic"])
+def test_hamiltonian_rejects_a_non_finite_coefficient(name, value):
+    g = small_grid()
+    data = {
+        "a0": SpectralField.zero(g),
+        "a1": integrable(g, freq(), np.eye(2)).a1,
+        "Q": MatrixField.constant(g, np.eye(2)),
+        "cubic": SpectralField.constant(g, np.zeros((2, 2, 2))),
+    }
+    data[name].coeffs[(0,) * (data[name].coeffs.ndim - 2) + (8, 8)] = value
+    with pytest.raises(NonFiniteError, match=f"{name} has a non-finite coefficient"):
+        HamiltonianData(**data)
+
+
+def test_non_finite_step_attaches_the_partial_report(monkeypatch):
+    # a NaN right-hand side in step 2 stops the linear solve's first para-inversion
+    real, calls = hamtorus.assemble_rhs, []
+
+    def nan_second_rhs(ops, e0, Xh_zeta):
+        calls.append(1)
+        rhs = real(ops, e0, Xh_zeta)
+        return np.nan * rhs if len(calls) == 2 else rhs
+
+    monkeypatch.setattr(hamtorus, "assemble_rhs", nan_second_rhs)
+    g = small_grid()
+    om = freq()
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0): 0.005}),
+        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=MatrixField.constant(g, np.eye(2)),
+    )
+    with pytest.raises(NonFiniteError) as err:
+        solve_torus(h, om, mode="thm1", s=3.0, tol=1e-30)
+    assert err.value.report.status == "non_finite"
+    assert err.value.report.iterations == 1
+
+
 def test_solve_thm2_exact_frequency_shift():
     g = small_grid()
     om = freq()
@@ -857,6 +919,15 @@ def test_flow_oracle_rejects_a_nan_energy_drift():
     h = random_hamiltonian(g, freq(), np.random.default_rng(32))
     with pytest.raises(EnergyDriftError, match="nan at step 200"), np.errstate(all="ignore"):
         flow_oracle(h, TorusEmbedding.flat(g), None, freq(), theta0=[0.3, 0.9], T=2e102, dt=1e100)
+
+
+def test_flow_oracle_checks_the_energy_at_the_last_step():
+    # the same overflowing orbit, 150 steps: it ends before the first 200-step check
+    g = small_grid()
+    h = random_hamiltonian(g, freq(), np.random.default_rng(32))
+    with pytest.raises(EnergyDriftError, match="at step 150"), np.errstate(all="ignore"):
+        flow_oracle(h, TorusEmbedding.flat(g), None, freq(), theta0=[0.3, 0.9],
+                    T=1.5e102, dt=1e100)
 
 
 @pytest.mark.parametrize("dense, cubic", [(True, False), (False, True)], ids=["dense-a0", "cubic"])

@@ -7,6 +7,7 @@ from paratorus import (
     MatrixField,
     MeyerMultiplierFamily,
     NonContractiveError,
+    NonFiniteError,
     SingularAverageError,
     SpectralField,
     TorusGrid,
@@ -18,7 +19,6 @@ from paratorus import (
     para_invert,
     para_invert_matrix,
     para_product,
-    para_product_matrix,
     pl_remainder,
     telescope_remainders,
     zygmund_norm,
@@ -137,7 +137,7 @@ def test_matrix_para_product_constant_matrix():
     rng = np.random.default_rng(7)
     A = MatrixField.constant(g, np.array([[2.0, 1.0], [0.5, -1.0]]))
     v = VectorField([random_field(g, rng), random_field(g, rng)])
-    got = para_product_matrix(A, v, cut)
+    got = para_product(A, v, cut)
     want0 = 2.0 * v[0] + 1.0 * v[1]
     want1 = 0.5 * v[0] - 1.0 * v[1]
     assert np.max(np.abs(got[0].coeffs - want0.coeffs)) < 1e-13
@@ -149,7 +149,7 @@ def test_matrix_para_product_identity():
     rng = np.random.default_rng(8)
     v = VectorField([random_field(g, rng), random_field(g, rng)])
     I = MatrixField.constant(g, np.eye(2))
-    got = para_product_matrix(I, v, cut)
+    got = para_product(I, v, cut)
     for i in range(2):
         assert np.max(np.abs(got[i].coeffs - v[i].coeffs)) < 1e-13
 
@@ -159,7 +159,7 @@ def test_matrix_para_product_entrywise_oracle():
     rng = np.random.default_rng(9)
     A = MatrixField([[random_field(g, rng) for _ in range(2)] for _ in range(2)])
     v = VectorField([random_field(g, rng), random_field(g, rng)])
-    got = para_product_matrix(A, v, cut)
+    got = para_product(A, v, cut)
     for i in range(2):
         want = para_product(A[i, 0], v[0], cut) + para_product(A[i, 1], v[1], cut)
         assert np.max(np.abs(got[i].coeffs - want.coeffs)) < 1e-12
@@ -498,6 +498,20 @@ def test_para_invert_with_handle_rejects_negligible_scalar_mean(fluctuation):
     assert str(via_handle.value) == str(via_symbol.value)
 
 
+def test_para_invert_stops_at_a_non_finite_residual(monkeypatch):
+    # a NaN right-hand side fails on the first residual, not after max_iter applications
+    g, cut = setup_1d(64)
+    v = random_field(g, np.random.default_rng(33))
+    v.coeffs[g.max_mode + 3] = np.nan
+    handle = ParaOpHandle(SpectralField.from_modes(g, {1: 0.05}) + 1.0, cut)
+    applies = []
+    apply = ParaOpHandle.apply
+    monkeypatch.setattr(ParaOpHandle, "apply", lambda self, u: applies.append(1) or apply(self, u))
+    with pytest.raises(NonFiniteError, match="after 0 applications"):
+        para_invert_with_handle(handle, v)
+    assert len(applies) == 1
+
+
 def test_para_invert_has_one_entry_point():
     assert para_invert_matrix is para_invert
 
@@ -527,7 +541,7 @@ def test_para_invert_matrix_forward_check_and_singular():
     )
     v = VectorField([random_field(g, rng, band=16), random_field(g, rng, band=16)])
     w = para_invert_matrix(A, v, cut, tol=1e-13)
-    resid = (para_product_matrix(A, w, cut) - v).l2_norm()
+    resid = (para_product(A, w, cut) - v).l2_norm()
     assert resid < 1e-12 * v.l2_norm()
     singular = MatrixField.constant(g, np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularAverageError):
