@@ -65,6 +65,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
+# a grid whose para-product low-pass stack would exceed this is a config error
+MEMORY_BUDGET_BYTES = 512 * 2**20
+
 
 def _require_keys(obj: dict, allowed: dict, path: str) -> None:
     if not isinstance(obj, dict):
@@ -121,10 +124,18 @@ def _parse_grid(cfg, kind: str) -> TorusGrid:
     _require_keys(cfg, {"dim": True, "K": True, "points": False}, "grid")
     points = cfg.get("points")
     try:
-        return TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1),
+        grid = TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1),
                                 None if points is None else _integer(points, "grid.points", 1))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    # the largest live set: a handle's sampled low-passes of levels 4..j_max, for
+    # a (2n x 2n) frame symbol on the torus and a scalar symbol otherwise
+    entries = (2 * grid.dim) ** 2 if kind == "torus" else 1
+    need = max(0, max_block_index(grid.max_mode) - 3) * entries * grid.points_per_dim**grid.dim * 8
+    if need > MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"grid: the para-product low-passes need about {need / 2**20:.0f} MiB, "
+                          f"more than the budget of {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB")
+    return grid
 
 
 def _parse_solver(cfg, modes, default_mode, path="solver"):
@@ -315,7 +326,10 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
 
 def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
     _require_keys(cfg, {"kind": True, "grid": False, "probes": False, "outputs": False}, "config")
-    K = _parse_grid(cfg.get("grid") or {"dim": 1, "K": 256}, "validate-ops").max_mode
+    grid = _parse_grid(cfg.get("grid") or {"dim": 1, "K": 256}, "validate-ops")
+    if grid != TorusGrid.create(1, grid.max_mode):
+        raise ConfigError("grid: the validate-ops probes run in dim 1 at the default padding 4K")
+    K = grid.max_mode
     probes = cfg.get("probes") or {}
     _require_keys(
         probes,

@@ -3,7 +3,8 @@
 The multipliers come from a C-infinity radial profile built on exp(-1/x), then
 receive a per-mode renormalization so the discrete partition of unity is exact
 at every retained mode. Block 0 is the mean; block j >= 1 lives on the annulus
-2^{j-1} <= |k| <= 2^{j+1}.
+2^{j-1} <= |k| <= 2^{j+1}. DyadicCutoff.blocks stacks all blocks of a field
+along a leading level axis, so one transform synthesizes every level.
 """
 
 from __future__ import annotations
@@ -77,8 +78,11 @@ class DyadicCutoff:
         j = min(j, self.j_max)
         return SpectralField(self.grid, u.coeffs * self.lowpass_mult[j])
 
-    def block_samples(self, u: SpectralField, j: int) -> np.ndarray:
-        return self.block(u, j).samples()
+    def blocks(self, u: SpectralField) -> SpectralField:
+        """All of Delta_0 u .. Delta_{j_max} u as one field with a leading level axis."""
+        self.grid.require_same(u.grid)
+        levels = self.block_mult.shape[:1] + (1,) * len(u.shape) + self.grid.mode_shape
+        return SpectralField(self.grid, self.block_mult.reshape(levels) * u.coeffs)
 
 
 def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
@@ -90,44 +94,31 @@ def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
     block 1, which is inside that block's allowed annulus [1, 4]. A final
     largest-entry adjustment makes the partition exact in floating point.
     """
-    K = grid.max_mode
-    jmax = max_block_index(K)
+    jmax = max_block_index(grid.max_mode)
     norm = grid.mode_norm
     mults = np.zeros((jmax + 1,) + grid.mode_shape)
-    center = (K,) * grid.dim
-    mults[0][center] = 1.0  # Delta_0 = mean
-    for j in range(1, jmax + 1):
-        mults[j] = annulus_profile(norm / (2.0**j))
-        mults[j][center] = 0.0
+    scales = 2.0 ** np.arange(1, jmax + 1).reshape((jmax,) + (1,) * grid.dim)
+    mults[1:] = annulus_profile(norm / scales)
+    mults[grid.mean_index] = [1.0] + [0.0] * jmax  # Delta_0 = mean, alone at k = 0
     stack_sum = mults[1:].sum(axis=0)
     nonzero = norm > 0.5
     lonely = nonzero & (stack_sum <= 0.1)  # exactly the |k| = 1 shell
     safe = nonzero & ~lonely
-    for j in range(1, jmax + 1):
-        mults[j][safe] /= stack_sum[safe]
-        mults[j][lonely] = 0.0
-    mults[1][lonely] = 1.0
+    mults[1:, safe] /= stack_sum[safe]
+    mults[1:, lonely] = 0.0
+    mults[1, lonely] = 1.0
     # exact-sum fixup: push the float residual into the largest block
-    total = mults.sum(axis=0)
-    resid = 1.0 - total
-    arg = np.argmax(mults, axis=0)
-    for j in range(jmax + 1):
-        sel = arg == j
-        mults[j][sel] += resid[sel]
+    arg = np.argmax(mults, axis=0)[None]
+    resid = 1.0 - mults.sum(axis=0)
+    np.put_along_axis(mults, arg, np.take_along_axis(mults, arg, axis=0) + resid, axis=0)
     lowpass = np.cumsum(mults, axis=0)
     return DyadicCutoff(grid=grid, j_max=jmax, block_mult=mults, lowpass_mult=lowpass)
 
 
 def zygmund_norm(u: SpectralField, r: float, cut: DyadicCutoff) -> float:
     """|u|_{C^r_*} = sup_j 2^{jr} |Delta_j u|_{L^inf} over the retained blocks."""
-    cut.grid.require_same(u.grid)
-    best = 0.0
-    for j in range(cut.j_max + 1):
-        b = cut.block(u, j)
-        if not np.any(b.coeffs):
-            continue
-        best = max(best, (2.0 ** (j * r)) * b.sup_norm())
-    return best
+    sups = np.max(np.abs(cut.blocks(u).samples()).reshape(cut.j_max + 1, -1), axis=1)
+    return float(np.max(2.0 ** (np.arange(cut.j_max + 1) * r) * sups))
 
 
 def partition_residual(cut: DyadicCutoff) -> float:

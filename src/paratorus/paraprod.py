@@ -3,14 +3,15 @@
 The para-product of a symbol a with an operand u staggers frequencies,
     T_a u = sum_j S_{j-3} a . Delta_j u,
 so each summand pairs a low-pass of the symbol with one dyadic block of the
-operand. Everything here reduces to dealiased products of retained fields;
-sums run in ascending j so results are bitwise reproducible.
+operand. Everything here reduces to dealiased products of retained fields.
+The levels are array work: DyadicCutoff.blocks stacks the blocks of an operand
+along a leading level axis, one real transform synthesizes them all and one
+einsum sums the level products. The low band j <= 3 acts on coefficients.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -23,9 +24,7 @@ from .errors import (
     NonFiniteError,
     SingularAverageError,
 )
-from .spectral import SpectralField, analyze, warp_samples
-
-log = logging.getLogger(__name__)
+from .spectral import SpectralField, VectorField, analyze, warp_samples
 
 _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 
@@ -33,14 +32,16 @@ _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 class ParaOpHandle:
     """Cached application of T_a for a scalar or matrix symbol a.
 
-    Precomputes the sampled low-passes S_{j-3}(a) of every level, one
-    transform per level for all entries; applying the operator then costs one
-    block synthesis per active level plus a single analysis. For j <= 3 the
-    low-pass is the symbol mean, so those levels collapse to mean(a) * S_3 u. The symbol's
-    component axes are contracted against the operand's: (T_A v)_p =
-    sum_q T_{A_pq} v_q for a matrix symbol, T_a acts on every component of
-    the operand for a scalar one. The handle keeps its symbol, against which
-    para_invert_with_handle checks that mean(a) is invertible.
+    The levels j <= 3, whose low-pass S_{j-3} a is the mean, collapse to
+    mean(a) * S_3 u, applied exactly on coefficients with no transform. The
+    build samples S_{j-3} a for j = 4..j_max into one preallocated
+    (levels, *symbol.shape, *points) array, one transform per level. An apply
+    makes one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u
+    (DyadicCutoff.blocks), one einsum against the low-passes and one analysis.
+    A matrix symbol is contracted against the operand's components,
+    (T_A v)_p = sum_q T_{A_pq} v_q; a scalar one acts on every component. The
+    handle keeps its symbol, against which para_invert_with_handle checks that
+    mean(a) is invertible.
     """
 
     def __init__(self, symbol: SpectralField, cut: DyadicCutoff):
@@ -53,17 +54,20 @@ class ParaOpHandle:
         self.contract = (
             functools.partial(np.einsum, "pq...,q...->p...") if symbol.shape else np.multiply
         )
+        self.sum_levels = "lpq...,lq...->p..." if symbol.shape else "l...,l...->..."
         # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3]
         mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2)]
-        self.low = [SpectralField(self.grid, m * symbol.coeffs).samples() for m in mults]
+        self.low = np.empty((len(mults),) + symbol.shape + self.grid.point_shape)
+        for low, m in zip(self.low, mults):
+            low[...] = SpectralField(self.grid, m * symbol.coeffs).samples()
 
     def apply(self, u: SpectralField) -> SpectralField:
-        self.grid.require_same(u.grid)
         cut = self.cut
-        acc = self.contract(self.avg, cut.partial_sum(u, min(3, cut.j_max)).samples())
-        for j, low in enumerate(self.low, start=4):
-            acc = acc + self.contract(low, cut.block_samples(u, j))
-        return analyze(self.grid, acc)
+        out = self.contract(self.avg, cut.partial_sum(u, 3).coeffs)
+        if len(self.low):
+            high = np.einsum(self.sum_levels, self.low, cut.blocks(u)[4:].samples())
+            out = out + analyze(self.grid, high).coeffs
+        return SpectralField(self.grid, out)
 
     apply_vector = apply  # the former name for matrix symbols, kept for callers
 
@@ -103,10 +107,8 @@ def meyer_apply(fam: MeyerMultiplierFamily, u: SpectralField, cut: DyadicCutoff)
         raise ValueError(
             f"family has {len(fam.multipliers)} multipliers, cutoff needs {cut.j_max + 1}"
         )
-    acc = np.zeros(cut.grid.point_shape)
-    for j, m in enumerate(fam.multipliers):
-        acc = acc + m.samples() * cut.block_samples(u, j)
-    return analyze(cut.grid, acc)
+    mults = VectorField(fam.multipliers).samples()
+    return analyze(cut.grid, np.einsum("l...,l...->...", mults, cut.blocks(u).samples()))
 
 
 def _gauss_nodes():
@@ -129,30 +131,26 @@ def telescope_remainders(F, Fz, u: SpectralField, cut: DyadicCutoff):
     grid = u.grid
     cut.grid.require_same(grid)
     mesh = grid.point_mesh
-    zero = np.zeros(grid.point_shape)
-    fz0 = np.asarray(Fz(mesh, zero), dtype=float)
+    fz0 = np.asarray(Fz(mesh, np.zeros(grid.point_shape)), dtype=float)
     fz0_field = analyze(grid, fz0)
     fz0_centered = fz0_field - fz0_field.mean()
-
-    u_samp = u.samples()
-    fzu = np.asarray(Fz(mesh, u_samp), dtype=float)
-    diff_field = analyze(grid, fzu - fz0)
+    diff_field = analyze(grid, np.asarray(Fz(mesh, u.samples()), dtype=float) - fz0)
 
     nodes, weights = _gauss_nodes()
-    m1, m2 = [], []
-    for j in range(cut.j_max + 1):
-        m1.append(fz0_centered - cut.partial_sum(fz0_centered, j - 3))
-        blk = cut.block_samples(u, j)
-        base = cut.partial_sum(u, j - 1).samples() if j >= 1 else zero
-        integral = np.zeros(grid.point_shape)
-        for t, w in zip(nodes, weights):
-            integral += w * np.asarray(Fz(mesh, base + t * blk), dtype=float)
-        integral -= fz0
-        m2.append(analyze(grid, integral) - cut.partial_sum(diff_field, j - 3))
+    blocks = cut.blocks(u).samples()
+    bases = np.cumsum(blocks, axis=0) - blocks  # S_{j-1} u, and 0 at j = 0
+    integrals = np.stack([
+        sum(w * np.asarray(Fz(mesh, base + t * blk), dtype=float) for t, w in zip(nodes, weights))
+        for base, blk in zip(bases, blocks)
+    ]) - fz0
+    # S_{j-3} of every level j; below j = 3 it is S_0, the mean
+    low = cut.lowpass_mult[np.maximum(np.arange(cut.j_max + 1) - 3, 0)]
+    m1 = SpectralField(grid, (1.0 - low) * fz0_centered.coeffs)
+    m2 = SpectralField(grid, analyze(grid, integrals).coeffs - low * diff_field.coeffs)
     gain = 0.0  # decay order is a measured quantity; families carry the claim
     return (
-        MeyerMultiplierFamily(m1, target_gain=gain),
-        MeyerMultiplierFamily(m2, target_gain=gain),
+        MeyerMultiplierFamily(list(m1), target_gain=gain),
+        MeyerMultiplierFamily(list(m2), target_gain=gain),
     )
 
 
@@ -189,17 +187,12 @@ def para_compose(
             "displacement gradient reaches 1: Id + displacement is not a diffeomorphism"
         )
     wpts = np.stack(grid.point_mesh) + chi_displacement.samples()
-    out = SpectralField.zero(grid)
-    for j in range(cut.j_max + 1):
-        bj = cut.block(F, j)
-        if not np.any(bj.coeffs):
-            continue
-        composed = analyze(grid, warp_samples(bj, wpts))
-        high = cut.partial_sum(composed, j + window)
-        if j - window >= 0:
-            high = high - cut.partial_sum(composed, j - window)
-        out = out + high
-    return out
+    composed = analyze(grid, warp_samples(cut.blocks(F), wpts))
+    # the window multipliers S_{j+N} - S_{j-N} of every level j, S_{j-N} = 0 below j = N
+    levels = np.arange(cut.j_max + 1)
+    windows = cut.lowpass_mult[np.minimum(levels + window, cut.j_max)]
+    windows[window:] -= cut.lowpass_mult[: max(0, cut.j_max + 1 - window)]
+    return SpectralField(grid, np.einsum("l...,l...->...", windows, composed.coeffs))
 
 
 def _stalled(history, patience=4):

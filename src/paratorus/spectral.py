@@ -6,6 +6,11 @@ u_hat(0) is the mean value. Nonlinear operations go through a padded
 collocation grid with points_per_dim >= 4K, which makes products of two
 retained fields alias-free on the retained band.
 
+The fields are real, so their coefficients are Hermitian, u_hat(-k) =
+conj(u_hat(k)), and the transforms are real: samples() reads only the modes
+with k_last >= 0 and calls irfftn; analyze() calls rfftn and fills the rest
+by conjugation.
+
 A field may carry leading component axes: its coefficients have shape
 (*component_shape, *mode_shape), and every transform, derivative and norm
 acts on all components at once. Vector and matrix fields are such fields
@@ -114,14 +119,14 @@ class TorusGrid:
         return tuple(np.meshgrid(*([self.point_axis] * self.dim), indexing="ij"))
 
     @cached_property
-    def _embed_index(self) -> tuple:
-        """Index of the retained modes on the FFT grid of a scalar field.
+    def _half_index(self) -> tuple:
+        """Index of the retained k_last >= 0 modes on the real-FFT grid of a scalar field.
 
         Arrays with component axes prefix it with one slice per axis, not with
         an Ellipsis, which would slow every scalar transform.
         """
         bins = self.mode_axis % self.points_per_dim
-        return np.ix_(*([bins] * self.dim))
+        return np.ix_(*([bins] * (self.dim - 1) + [np.arange(self.max_mode + 1)]))
 
     @cached_property
     def _reverse_index(self) -> tuple:
@@ -138,7 +143,9 @@ class SpectralField:
     """A real field on T^n held as truncated Fourier coefficients.
 
     coeffs has shape (*shape, *grid.mode_shape); `shape` is the component
-    shape, () for a scalar field.
+    shape, () for a scalar field. The coefficients are Hermitian,
+    coeffs(-k) = conj(coeffs(k)): analyze() builds them so, and samples()
+    reads only their k_last >= 0 half.
     """
 
     grid: TorusGrid
@@ -224,10 +231,11 @@ class SpectralField:
         """Real samples on the padded N^n collocation grid, one transform for all components."""
         g = self.grid
         lead = self.shape
-        buf = np.zeros(lead + g.point_shape, dtype=np.complex128)
-        buf[(slice(None),) * len(lead) + g._embed_index] = self.coeffs
+        # the real-FFT grid keeps N // 2 + 1 non-negative bins on the last axis
+        buf = np.zeros(lead + g.point_shape[:-1] + (g.points_per_dim // 2 + 1,), dtype=complex)
+        buf[(slice(None),) * len(lead) + g._half_index] = self.coeffs[..., g.max_mode :]
         # s= spares numpy a per-call lookup of the transformed sizes
-        return np.fft.ifftn(buf, s=g.point_shape, axes=g.axes).real * (g.points_per_dim**g.dim)
+        return np.fft.irfftn(buf, s=g.point_shape, axes=g.axes) * (g.points_per_dim**g.dim)
 
     def hermitian_defect(self) -> float:
         rev = self.coeffs[self.grid._reverse_index]
@@ -365,15 +373,20 @@ def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
         raise ValueError(
             f"expected samples ending in {grid.point_shape}, got {samples.shape}"
         )
-    c = np.fft.fftn(samples, s=grid.point_shape, axes=grid.axes) / (grid.points_per_dim**grid.dim)
-    # fancy indexing behind leading axes returns a strided array; C order keeps
-    # every later reduction summing in the same order as for a scalar field
-    kept = np.ascontiguousarray(c[(slice(None),) * (c.ndim - grid.dim) + grid._embed_index])
-    coeffs = 0.5 * (kept + np.conj(kept[grid._reverse_index]))  # Hermitian projection
+    K = grid.max_mode
+    c = np.fft.rfftn(samples, s=grid.point_shape, axes=grid.axes) / (grid.points_per_dim**grid.dim)
+    # a fresh C-order array keeps every later reduction summing in the same
+    # order as for a scalar field
+    coeffs = np.empty(samples.shape[: samples.ndim - grid.dim] + grid.mode_shape, dtype=complex)
+    coeffs[..., K:] = c[(slice(None),) * (c.ndim - grid.dim) + grid._half_index]
+    # the rest by symmetry: k_last < 0, then k_{n-1} < 0 on the plane k_last = 0, ...
+    for ax in range(grid.dim):
+        half = (Ellipsis, slice(None, K)) + (K,) * ax
+        coeffs[half] = np.conj(coeffs[grid._reverse_index][half])
     out = SpectralField(grid, coeffs)
     if not return_tail:
         return out
-    total = np.sum(np.abs(c) ** 2, axis=grid.axes)
+    total = np.mean(samples**2, axis=grid.axes)  # Parseval
     kept = np.sum(np.abs(coeffs) ** 2, axis=grid.axes)
     tail = np.maximum(0.0, np.divide(total - kept, total, out=np.zeros_like(total), where=total > 0))
     return out, (float(tail) if tail.ndim == 0 else tail)
@@ -469,34 +482,24 @@ def field_from_json(doc: dict, points_per_dim: int | None = None) -> SpectralFie
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed field document: {exc}") from exc
     grid = TorusGrid.create(dim, K, points_per_dim)
-    stored: dict = {}
+    coeffs = np.zeros(grid.mode_shape, dtype=np.complex128)
+    given = np.zeros(grid.mode_shape, dtype=bool)
     for e in entries:
         k = tuple(int(x) for x in e["k"])
         if len(k) != dim or any(abs(c) > K for c in k):
             raise SerializationError(f"mode {k} outside the cutoff")
-        stored[k] = complex(float(e["re"]), float(e["im"]))
-        if not cmath.isfinite(stored[k]):
-            raise SerializationError(f"mode {k} has a non-finite coefficient {stored[k]}")
-    f = SpectralField.zero(grid)
-    seen = set()
-    for k, val in stored.items():
-        if k in seen:
-            continue
-        mk = tuple(-c for c in k)
-        partner = stored.get(mk)
-        if partner is not None and mk != k:
-            defect = abs(val - np.conj(partner))
-            if defect > HERMITIAN_REJECT_TOL * max(1.0, abs(val)):
-                raise SerializationError(
-                    f"Hermitian violation at k={k}: |u(k) - conj(u(-k))| = {defect:.3e}"
-                )
-            val = 0.5 * (val + np.conj(partner))
-        if mk == k:
-            val = complex(val.real, 0.0)
+        val = complex(float(e["re"]), float(e["im"]))
+        if not cmath.isfinite(val):
+            raise SerializationError(f"mode {k} has a non-finite coefficient {val}")
         idx = tuple(c + K for c in k)
-        midx = tuple(-c + K for c in k)
-        f.coeffs[idx] = val
-        f.coeffs[midx] = np.conj(val)
-        seen.add(k)
-        seen.add(mk)
-    return f
+        coeffs[idx], given[idx] = val, True
+    mirror = np.conj(coeffs[grid._reverse_index])
+    paired = given & given[grid._reverse_index]
+    defect = np.where(paired, np.abs(coeffs - mirror), 0.0)
+    bad = np.argwhere(defect > HERMITIAN_REJECT_TOL * np.maximum(1.0, np.abs(coeffs)))
+    if len(bad):
+        raise SerializationError(f"Hermitian violation at k={tuple(int(i) - K for i in bad[0])}: "
+                                 f"|u(k) - conj(u(-k))| = {defect[tuple(bad[0])]:.3e}")
+    # a stored pair is averaged, a lone mode mirrored
+    coeffs = np.where(paired, 0.5 * (coeffs + mirror), np.where(given, coeffs, mirror))
+    return SpectralField(grid, coeffs)

@@ -49,12 +49,10 @@ def partition_probe(K: int, dim: int = 1) -> dict:
     grid = TorusGrid.create(dim, K)
     cut = make_cutoff(grid)
     resid = partition_residual(cut)
-    # block support exactness: no weight outside the dyadic annuli
-    worst = 0.0
-    norm = grid.mode_norm
-    for j in range(1, cut.j_max + 1):
-        outside = (norm < 2.0 ** (j - 1)) | (norm > 2.0 ** (j + 1))
-        worst = max(worst, float(np.max(np.abs(cut.block_mult[j][outside]), initial=0.0)))
+    # block support exactness: no weight of block j >= 1 outside its annulus
+    j = np.arange(1, cut.j_max + 1).reshape((-1,) + (1,) * dim)
+    outside = (grid.mode_norm < 2.0 ** (j - 1)) | (grid.mode_norm > 2.0 ** (j + 1))
+    worst = float(np.max(np.abs(cut.block_mult[1:][outside]), initial=0.0))
     return {
         "partition_residual": resid,
         "support_leak": worst,

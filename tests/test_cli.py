@@ -325,8 +325,9 @@ def test_bad_diophantine_config_is_config_error(tmp_path, frequency, K_values):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("grid", "K", 0), ("probes", "j_range", [3]), ("probes", "regularities", [float("nan")])],
-    ids=["K-zero", "short-j-range", "nan-regularity"],
+    [("grid", "K", 0), ("probes", "j_range", [3]), ("probes", "regularities", [float("nan")]),
+     ("grid", "dim", 3), ("grid", "points", 200)],
+    ids=["K-zero", "short-j-range", "nan-regularity", "dim-3", "non-default-points"],
 )
 def test_bad_validate_ops_config_is_config_error(tmp_path, section, key, value):
     doc = {
@@ -389,3 +390,36 @@ def test_misshapen_torus_data_is_config_error(tmp_path, key, value):
     code, out = run_code(tmp_path, doc, kind="torus")
     assert code == EXIT_CONFIG
     assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
+def dim3_torus_config(K):
+    doc = torus_config()
+    doc["grid"] = {"dim": 3, "K": K}
+    doc["frequency"]["omega"] = [1.0, math.sqrt(2.0), math.sqrt(3.0)]
+    doc["problem"]["a1"] = {"constant": doc["frequency"]["omega"]}
+    doc["problem"]["Q"] = {"constant": np.eye(3).tolist()}
+    doc["solver"]["mode"] = "thm1"
+    return doc
+
+
+class SolveReached(Exception):
+    pass
+
+
+def reach_solve(*args, **kwargs):
+    raise SolveReached
+
+
+def test_torus_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch):
+    # dim 3 at K = 32: 3 levels of 6 x 6 low-passes on 128^3 points, about 1.7 GiB
+    monkeypatch.setattr(cli, "solve_torus", no_solve)
+    code, out = run_code(tmp_path, dim3_torus_config(32), kind="torus")
+    assert code == EXIT_CONFIG
+    assert "MiB" in json.loads((out / "error.json").read_text())["message"]
+
+
+def test_torus_grid_within_the_memory_budget_reaches_the_solve(tmp_path, monkeypatch):
+    # dim 3 at K = 16: 2 levels on 64^3 points, about 144 MiB
+    monkeypatch.setattr(cli, "solve_torus", reach_solve)
+    with pytest.raises(SolveReached):
+        run_code(tmp_path, dim3_torus_config(16), kind="torus")

@@ -359,6 +359,14 @@ def test_serialization_rejects_hermitian_violation():
         field_from_json(doc)
 
 
+def test_serialization_rejects_an_imaginary_mean():
+    doc = {"dim": 1, "K": 4, "coeffs": [{"k": [0], "re": 1.0, "im": 0.5}]}
+    with pytest.raises(SerializationError):
+        field_from_json(doc)
+    doc["coeffs"][0]["im"] = 1e-12  # within the tolerance: dropped, the mean is real
+    assert field_from_json(doc).coeffs[4] == 1.0
+
+
 def test_serialization_mirrors_one_sided_modes():
     doc = {"dim": 1, "K": 4, "coeffs": [{"k": [2], "re": 0.25, "im": -0.1}]}
     f = field_from_json(doc)
