@@ -14,6 +14,7 @@ from .errors import (
     ResonantModeError,
     SerializationError,
     SingularAverageError,
+    SolverError,
 )
 from .spectral import (
     MatrixField,

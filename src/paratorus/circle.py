@@ -23,7 +23,7 @@ from .reporting import SolveReport, picard
 from .smalldiv import RotationAngle, delta_alpha, delta_alpha_inverse, remove_mean
 from .spectral import SpectralField, VectorField, analyze, compose_warped
 
-_MODES = ("standard", "refined", "naive")
+MODES = ("standard", "refined", "naive")  # the first is the CLI default
 
 CIRCLE_COLUMNS = ["iter", "increment_hs", "residual_sup", "residual_hs", "lambda"]
 
@@ -44,8 +44,8 @@ class CircleProblem:
     def __post_init__(self):
         if self.f.grid.dim != 1:
             raise ValueError("circle problems live on T^1")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not np.all(np.isfinite(self.f.coeffs)):
@@ -88,8 +88,8 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
     H_recip = ParaOpHandle(recip, cut)
 
-    comp = compose_warped(f, VectorField([u]))
-    fprime_comp = compose_warped(f.derivative(0), VectorField([u]))
+    # f and f' at the same warped points, sharing every phase exponential
+    comp, fprime_comp = compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]))
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
 
     # remainder from trading T_{ab} for T_a T_b in the factored operator:

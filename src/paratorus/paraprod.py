@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCutoff
+from .dyadic import DyadicCutoff, max_block_index
 from .errors import (
     DiffeomorphismLostError,
     NonContractiveError,
     NonFiniteError,
     SingularAverageError,
 )
-from .spectral import SpectralField, VectorField, analyze, warp_samples
+from .spectral import SpectralField, TorusGrid, VectorField, analyze, warp_samples
 
 _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 
@@ -72,6 +72,16 @@ class ParaOpHandle:
     apply_vector = apply  # the former name for matrix symbols, kept for callers
 
 
+def low_pass_bytes(grid: TorusGrid, symbol_shape: tuple) -> int:
+    """Bytes of a ParaOpHandle's sampled low-passes for a symbol with component shape symbol_shape.
+
+    The handle keeps S_{j-3} a for j = 4..j_max, one real array of the symbol's
+    shape on the collocation grid per level: the largest live set of a solve.
+    """
+    levels = max(0, max_block_index(grid.max_mode) - 3)
+    return levels * math.prod(symbol_shape) * math.prod(grid.point_shape) * 8
+
+
 def para_product(a: SpectralField, u: SpectralField, cut: DyadicCutoff) -> SpectralField:
     """T_a u = sum_j S_{j-3} a . Delta_j u with every summand dealiased.
 
@@ -92,10 +102,9 @@ def cm_remainder(
 
 @dataclass
 class MeyerMultiplierFamily:
-    """A multiplier per block, u -> sum_j m_j . Delta_j u, claiming gain r."""
+    """A multiplier per block, u -> sum_j m_j . Delta_j u."""
 
     multipliers: list
-    target_gain: float
 
     def __post_init__(self):
         if not self.multipliers:
@@ -147,11 +156,7 @@ def telescope_remainders(F, Fz, u: SpectralField, cut: DyadicCutoff):
     low = cut.lowpass_mult[np.maximum(np.arange(cut.j_max + 1) - 3, 0)]
     m1 = SpectralField(grid, (1.0 - low) * fz0_centered.coeffs)
     m2 = SpectralField(grid, analyze(grid, integrals).coeffs - low * diff_field.coeffs)
-    gain = 0.0  # decay order is a measured quantity; families carry the claim
-    return (
-        MeyerMultiplierFamily(list(m1), target_gain=gain),
-        MeyerMultiplierFamily(list(m2), target_gain=gain),
-    )
+    return MeyerMultiplierFamily(list(m1)), MeyerMultiplierFamily(list(m2))
 
 
 def pl_remainder(

@@ -1,19 +1,23 @@
 """Deterministic operator-estimate probes behind the validate-ops harness.
 
 Each probe returns plain records (dicts of floats) so the CLI can serialize
-them to CSV bit-identically; tolerances for the slope fits follow the
-+-0.5 convention, the finest a desk-scale dyadic range can resolve.
+them to CSV bit-identically, including the bound its pass/fail verdict is
+measured against; tolerances for the slope fits follow the +-0.5 convention,
+the finest a desk-scale dyadic range can resolve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import DyadicCutoff, make_cutoff, partition_residual, zygmund_norm
+from .dyadic import make_cutoff, partition_residual, zygmund_norm
 from .paraprod import cm_remainder, para_product, pl_remainder
 from .spectral import SpectralField, TorusGrid, analyze
 
 SLOPE_TOL = 0.5
+PARTITION_TOL = 1e-14  # partition-of-unity residual
+IDENTITY_TOL = 1e-13  # relative defect of T_c u = c u, T_a c = mean(a) c and the CM constant case
+DRIFT_TOL = float(np.log(1.2))  # |log| change of the T_a norm constant from K to 2K
 
 
 def slope_fit(js, logs) -> float:
@@ -32,7 +36,7 @@ def seeded_field(grid: TorusGrid, rng, band=None, amp=1.0) -> SpectralField:
     return f
 
 
-def lacunary_field(grid: TorusGrid, cut: DyadicCutoff, r: float, rng) -> SpectralField:
+def lacunary_field(grid: TorusGrid, r: float, rng) -> SpectralField:
     """Lacunary cosine series with Zygmund regularity r and unit-size blocks."""
     f = SpectralField.zero(grid)
     j = 0
@@ -56,7 +60,8 @@ def partition_probe(K: int, dim: int = 1) -> dict:
     return {
         "partition_residual": resid,
         "support_leak": worst,
-        "passed": resid < 1e-14 and worst == 0.0,
+        "bound": PARTITION_TOL,
+        "passed": resid < PARTITION_TOL and worst == 0.0,
     }
 
 
@@ -79,7 +84,8 @@ def paraproduct_identity_probe(K: int, seed: int, trials: int = 100) -> dict:
     return {
         "const_symbol_defect": worst_const_symbol,
         "const_operand_defect": worst_const_operand,
-        "passed": worst_const_symbol < 1e-13 and worst_const_operand < 1e-13,
+        "bound": IDENTITY_TOL,
+        "passed": worst_const_symbol < IDENTITY_TOL and worst_const_operand < IDENTITY_TOL,
     }
 
 
@@ -87,8 +93,8 @@ def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
     grid = TorusGrid.create(1, K)
     cut = make_cutoff(grid)
     rng = np.random.default_rng(seed)
-    a = lacunary_field(grid, cut, r, rng)
-    b = lacunary_field(grid, cut, r, rng)
+    a = lacunary_field(grid, r, rng)
+    b = lacunary_field(grid, r, rng)
     w = seeded_field(grid, rng)
     rows, js, logs = [], [], []
     for j in range(j_lo, j_hi + 1):
@@ -110,7 +116,7 @@ def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
         "slope": slope,
         "slope_bound": -r + SLOPE_TOL,
         "const_defect": const_defect,
-        "passed": slope <= -r + SLOPE_TOL and const_defect < 1e-13,
+        "passed": slope <= -r + SLOPE_TOL and const_defect < IDENTITY_TOL,
     }
 
 
@@ -167,5 +173,6 @@ def boundedness_stability_probe(K: int) -> dict:
         "constant_K": c1,
         "constant_2K": c2,
         "drift": drift,
-        "passed": drift < float(np.log(1.2)),
+        "bound": DRIFT_TOL,
+        "passed": drift < DRIFT_TOL,
     }

@@ -7,7 +7,22 @@ import numpy as np
 import pytest
 
 from paratorus import cli, field_from_json
-from paratorus.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from paratorus.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_SOLVER, main
+from paratorus.errors import (
+    ConfigError,
+    DegenerateEmbeddingError,
+    DiffeomorphismLostError,
+    EnergyDriftError,
+    GridMismatchError,
+    MaxIterExceededError,
+    NonContractiveError,
+    NonFiniteError,
+    NonzeroMeanError,
+    ResonantModeError,
+    SerializationError,
+    SingularAverageError,
+    SolverError,
+)
 
 from test_circle import nan_field, patch_g_map, stall
 
@@ -380,16 +395,54 @@ def test_bad_flow_oracle_is_config_error(tmp_path, monkeypatch, key, value):
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("a1", {"constant": 1.0}), ("Q", {"entries": [[[], []]]})],
-    ids=["scalar-a1", "one-row-Q"],
+    "key, value, where",
+    [
+        ("a1", {"constant": 1.0}, "problem.a1.constant"),
+        ("Q", {"entries": [[[], []]]}, "problem.Q.entries"),
+        ("Q", {"constant": [["a", 0.0], [0.0, 0.0]]}, "problem.Q.constant[0][0]"),
+        ("Q", {"constant": [[0.0], [0.0, 0.0]]}, "problem.Q.constant[0]"),
+        ("a1", {"constant": [1.0, GOLDEN, 1.0]}, "problem.a1.constant"),
+        ("Q", {"constant": [[1.0, 0.5], [0.0, 1.0]]}, "Q is not symmetric"),
+    ],
+    ids=["scalar-a1", "one-row-Q", "string-Q-entry", "ragged-Q", "long-a1", "asymmetric-Q"],
 )
-def test_misshapen_torus_data_is_config_error(tmp_path, key, value):
+def test_misshapen_torus_data_is_config_error(tmp_path, key, value, where):
     doc = torus_config()
     doc["problem"][key] = value
     code, out = run_code(tmp_path, doc, kind="torus")
     assert code == EXIT_CONFIG
-    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError"
+    assert where in err["message"]
+
+
+# the failures a solve of a valid problem can meet: each one exits 3
+EXIT_3_ERRORS = (
+    MaxIterExceededError, NonContractiveError, DiffeomorphismLostError, DegenerateEmbeddingError,
+    ResonantModeError, NonzeroMeanError, EnergyDriftError, NonFiniteError,
+)
+
+
+def test_exit_3_is_exactly_the_solver_errors():
+    assert all(issubclass(e, SolverError) for e in EXIT_3_ERRORS + (SingularAverageError,))
+    assert not any(issubclass(e, SolverError)
+                   for e in (ConfigError, GridMismatchError, SerializationError))
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(NonzeroMeanError("mean"), EXIT_SOLVER), (SingularAverageError("singular"), EXIT_SOLVER),
+     (ResonantModeError((1,), 0.0), EXIT_SOLVER), (GridMismatchError("grids"), EXIT_INTERNAL)],
+    ids=["nonzero-mean", "singular-average", "resonant", "grid-mismatch"],
+)
+def test_solve_errors_map_to_their_exit_codes(tmp_path, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve", fail)
+    got, out = run_code(tmp_path, circle_config(amp=0.04))
+    assert got == code
+    assert json.loads((out / "error.json").read_text())["error"] == type(error).__name__
 
 
 def dim3_torus_config(K):

@@ -777,7 +777,8 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
     assert n >= 2
     assert counts["handles"] == 4 * n + 1  # + the Neumann certificate's symbol
     assert counts["_jacobian_samples"] == n
-    assert counts["_xh_samples"] <= n + 4
+    # X_h at zeta0 for e0, at each of the n + 1 iterates, and once in counterterm_check
+    assert counts["_xh_samples"] == n + 3
 
 
 def test_solve_thm1_requires_invertible_avg_Q():

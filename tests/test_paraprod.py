@@ -220,9 +220,7 @@ def test_meyer_identity_family():
     g, cut = setup_1d()
     rng = np.random.default_rng(13)
     u = random_field(g, rng, band=g.max_mode)
-    fam = MeyerMultiplierFamily(
-        [SpectralField.constant(g, 1.0) for _ in range(cut.j_max + 1)], target_gain=0.0
-    )
+    fam = MeyerMultiplierFamily([SpectralField.constant(g, 1.0) for _ in range(cut.j_max + 1)])
     got = meyer_apply(fam, u, cut)
     assert np.max(np.abs(got.coeffs - u.coeffs)) < 1e-13
 
@@ -232,9 +230,7 @@ def test_meyer_paraproduct_coincidence():
     rng = np.random.default_rng(14)
     a = random_field(g, rng)
     u = random_field(g, rng, band=g.max_mode)
-    fam = MeyerMultiplierFamily(
-        [cut.partial_sum(a, j - 3) for j in range(cut.j_max + 1)], target_gain=0.0
-    )
+    fam = MeyerMultiplierFamily([cut.partial_sum(a, j - 3) for j in range(cut.j_max + 1)])
     got = meyer_apply(fam, u, cut)
     want = para_product(a, u, cut)
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
@@ -248,8 +244,7 @@ def test_meyer_gain_one_norm_sweep():
         g = TorusGrid.create(1, K)
         cut = make_cutoff(g)
         fam = MeyerMultiplierFamily(
-            [SpectralField.constant(g, 2.0**-j) for j in range(cut.j_max + 1)],
-            target_gain=1.0,
+            [SpectralField.constant(g, 2.0**-j) for j in range(cut.j_max + 1)]
         )
         worst = 0.0
         for _ in range(10):

@@ -105,6 +105,26 @@ def test_json_round_trip_is_exact_and_mirrors_one_sided_documents(dims, seed):
     assert np.array_equal(field_from_json(doc).coeffs, u.coeffs)
 
 
+def direct_product(f, g):
+    """The convolution of two coefficient arrays, summed mode by mode, truncated to |k_i| <= K."""
+    K, dim = f.grid.max_mode, f.grid.dim
+    full = np.zeros((4 * K + 1,) * dim, dtype=complex)  # every mode |k_i| <= 2K of the product
+    for k in np.ndindex(f.coeffs.shape):
+        full[tuple(slice(i, i + 2 * K + 1) for i in k)] += f.coeffs[k] * g.coeffs
+    return full[(slice(K, 3 * K + 1),) * dim]
+
+
+@PROPERTY
+@given(st.sampled_from([(1, 4), (1, 8), (1, 32), (2, 4), (2, 8)]), seeds)
+def test_product_equals_the_truncated_direct_convolution(dims, seed):
+    # on N = 4K points the modes 2K < |k_i| <= 3K that would alias into the band never arise
+    g = TorusGrid.create(*dims)
+    assert g.points_per_dim == 4 * g.max_mode
+    rng = np.random.default_rng(seed)
+    f, h = random_field(g, rng), random_field(g, rng)
+    assert relative(f.product(h).coeffs, direct_product(f, h)) <= 1e-13
+
+
 # --- stacked dyadic decomposition ------------------------------------------------
 
 
@@ -160,7 +180,7 @@ def test_zygmund_norm_and_meyer_apply_equal_their_per_level_forms(dims, r, seed)
     ref = max(2.0 ** (j * r) * np.max(np.abs(complex_samples(cut.block(u, j))))
               for j in range(cut.j_max + 1))
     assert abs(zygmund_norm(u, r, cut) - ref) <= 1e-13 * ref
-    fam = MeyerMultiplierFamily([random_field(g, rng) for _ in range(cut.j_max + 1)], 0.0)
+    fam = MeyerMultiplierFamily([random_field(g, rng) for _ in range(cut.j_max + 1)])
     acc = sum(complex_samples(m) * complex_samples(cut.block(u, j))
               for j, m in enumerate(fam.multipliers))
     assert relative(meyer_apply(fam, u, cut).coeffs, complex_analyze(g, acc)) <= 1e-13
