@@ -161,9 +161,6 @@ class TorusEmbedding:
         """(ux, uy) as one 2n-component field (u - zeta_0)."""
         return self.w
 
-    def diff_norm(self, other: "TorusEmbedding", s: float) -> float:
-        return (self.w - other.w).sobolev_norm(s)
-
 
 @dataclass
 class KamSolution:
@@ -260,27 +257,23 @@ def _embedding_jacobian_samples(u: TorusEmbedding) -> np.ndarray:
     return P
 
 
+def _pointwise_inverse(A: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of the matrix samples A (matrix axes first) at every point."""
+    moved = np.moveaxis(A, (0, 1), (-2, -1))
+    det = np.min(np.abs(np.linalg.det(moved)))
+    if not det >= 1e-12:  # NaN counts as singular
+        raise DegenerateEmbeddingError(f"{what} nearly singular: min |det| = {det:.3e}")
+    return np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
+
+
 def _frame_samples(u: TorusEmbedding):
-    n = u.n
     P = _embedding_jacobian_samples(u)
-    G = np.einsum("am...,an...->mn...", P, P)
-    moved = np.moveaxis(G, (0, 1), (-2, -1))
-    dets = np.linalg.det(moved)
-    if not np.min(np.abs(dets)) >= 1e-12:  # NaN counts as singular
-        raise DegenerateEmbeddingError(
-            f"embedding Gram matrix nearly singular: min |det| = {np.min(np.abs(dets)):.3e}"
-        )
-    Ninv = np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
-    J = _symplectic_J(n)
+    Ninv = _pointwise_inverse(np.einsum("am...,an...->mn...", P, P), "embedding Gram matrix")
+    J = _symplectic_J(u.n)
     JP = np.einsum("ab,bm...->am...", J, P)
     JPN = np.einsum("am...,mn...->an...", JP, Ninv)
     M = np.concatenate([P, JPN], axis=1)
-    movedM = np.moveaxis(M, (0, 1), (-2, -1))
-    detsM = np.linalg.det(movedM)
-    if not np.min(np.abs(detsM)) >= 1e-12:
-        raise DegenerateEmbeddingError("frame matrix M nearly singular")
-    Minv = np.moveaxis(np.linalg.inv(movedM), (-2, -1), (0, 1))
-    return P, Ninv, M, Minv
+    return P, Ninv, M, _pointwise_inverse(M, "frame matrix M")
 
 
 def frame(u: TorusEmbedding) -> tuple:
@@ -309,13 +302,17 @@ def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
 
 def b_matrices(E: SpectralField, u: TorusEmbedding) -> SpectralField:
     """Assembled error-frame matrix B[E] = (B1 | B2 + B3), linear in dE."""
-    n = u.n
+    P, Ninv, _, _ = _frame_samples(u)
+    return analyze(u.grid, _b_samples(E, P, Ninv))
+
+
+def _b_samples(E: SpectralField, P: np.ndarray, Ninv: np.ndarray) -> np.ndarray:
+    """Samples of B[E] from the frame samples P = d(embedding) and N."""
+    n = P.shape[1]
     if E.shape != (2 * n,):
         raise ValueError("E must have 2n components")
-    P, Ninv, _, _ = _frame_samples(u)
     dE = E.jacobian().samples()
     J = _symplectic_J(n)
-    B1 = dE
     B2 = np.einsum("ab,bm...,mn...->an...", J, dE, Ninv)
     JP = np.einsum("ab,bm...->am...", J, P)
     N2 = np.einsum("mk...,kn...->mn...", Ninv, Ninv)
@@ -323,8 +320,7 @@ def b_matrices(E: SpectralField, u: TorusEmbedding) -> SpectralField:
     skew = np.swapaxes(PtdE, 0, 1) - PtdE
     t1 = np.einsum("am...,mk...,kn...->an...", JP, N2, skew)
     t2 = np.einsum("am...,mk...,kn...->an...", JP, np.einsum("mk...,kn...->mn...", Ninv, PtdE), Ninv)
-    B = np.concatenate([B1, B2 + t1 + t2], axis=1)
-    return analyze(u.grid, B)
+    return np.concatenate([dE, B2 + t1 + t2], axis=1)  # (B1 | B2 + B3), B1 = dE
 
 
 # --- linear para-homological solve -----------------------------------------
@@ -492,19 +488,19 @@ def residual_torus(h: HamiltonianData, u: TorusEmbedding, xi, omega) -> tuple:
 
 def counterterm_check(h: HamiltonianData, u: TorusEmbedding, xi, mu, omega) -> float:
     """Defect of mu = Avg((du^y)^T F^x - (du^x)^T (F^y - mu)) with F = F(h_xi, u)."""
+    return _counterterm_defect(residual_torus(h, u, xi, omega)[0], u, mu)
+
+
+def _counterterm_defect(field: SpectralField, u: TorusEmbedding, mu) -> float:
+    """The defect of counterterm_check from the measured residual field F(h_xi, u)."""
     mu = np.asarray(mu, dtype=float)
-    field, _, _ = residual_torus(h, u, xi, omega)
     n = u.n
     F = field.samples()
+    F[n:] -= mu.reshape((n,) + (1,) * u.grid.dim)  # F^y - mu
     P = _embedding_jacobian_samples(u)
-    dux, duy = P[:n], P[n:]
-    Fx, Fy = F[:n], F[n:]
-    Fy_shift = Fy - mu.reshape((n,) + (1,) * u.grid.dim)
-    integrand = np.einsum("im...,i...->m...", duy, Fx) - np.einsum(
-        "im...,i...->m...", dux, Fy_shift
-    )
-    axes = tuple(range(1, 1 + u.grid.dim))
-    avg = integrand.mean(axis=axes)
+    integrand = np.einsum("im...,i...->m...", P[n:], F[:n])
+    integrand -= np.einsum("im...,i...->m...", P[:n], F[n:])
+    avg = integrand.mean(axis=u.grid.axes)
     return float(np.max(np.abs(mu - avg)))
 
 
@@ -516,7 +512,8 @@ def neumann_certificate(E: SpectralField, u: TorusEmbedding, cut: DyadicCutoff, 
     denom = E.sobolev_norm(s)
     if denom == 0.0:
         return 0.0
-    symbol = b_matrices(E, u).matmul(frame(u)[2])
+    P, Ninv, _, Minv = _frame_samples(u)  # taken once for B[E] and M^{-1}
+    symbol = analyze(u.grid, _b_samples(E, P, Ninv)).matmul(analyze(u.grid, Minv))
     return ParaOpHandle(symbol, cut).apply(u.displacement()).sobolev_norm(s) / denom
 
 
@@ -551,7 +548,7 @@ def solve_torus(
         rhs = assemble_rhs(ops, e0, Xh_zeta)
         v, xi, mu = linear_para_homological_solve(ops.HM, ops.HMinv, ops.HS, rhs, mode, omega)
         u = TorusEmbedding.from_displacement(v)
-        inc = u.diff_norm(ops.u, s)
+        inc = (u.w - ops.u.w).sobolev_norm(s)
         # X_h at the new iterate; its frame and handles wait until the next step
         ops = _IterationOps(h, u, omega, cut)
         _, res_sup, res_hs = _residual(ops.Xh_u, u, xi, omega)
@@ -572,10 +569,10 @@ def solve_torus(
     report.extras["e0_strong_norm"] = float(e0_strong)
     if e0_strong > 0:
         report.extras["c2_empirical"] = disp.sobolev_norm(s) / (omega.gamma**2 * e0_strong)
-    # the measured E from the final iterate's X_h, composed once by its ops
-    E = _residual(ops.Xh_u, u, xi, omega)[0] + np.concatenate([np.zeros(h.n), mu])
-    report.extras["kappa"] = neumann_certificate(E, u, cut, s)
-    report.extras["counterterm_defect"] = counterterm_check(h, u, xi, mu, omega)
+    # the measured residual from the final iterate's X_h, composed once by its ops
+    F = _residual(ops.Xh_u, u, xi, omega)[0]
+    report.extras["kappa"] = neumann_certificate(F + np.concatenate([np.zeros(h.n), mu]), u, cut, s)
+    report.extras["counterterm_defect"] = _counterterm_defect(F, u, mu)
     # truncation monitor: discarded tail energy of the composed vector field
     report.extras["xh_tail_energy"] = ops.xh_tail_energy
     return KamSolution(u=u, xi=xi, mu=mu, report=report)
@@ -583,7 +580,7 @@ def solve_torus(
 
 # --- independent flow verification ------------------------------------------
 
-_COMPARE_BLOCK = 1000  # orbit times per block of the final comparison with u(theta0 + omega t)
+_COMPARE_BLOCK = 1000  # orbit points per block of the streamed comparison with u(theta0 + omega t)
 
 
 def _compress(f: SpectralField) -> SpectralField:
@@ -595,52 +592,56 @@ def _compress(f: SpectralField) -> SpectralField:
 
 
 def _point_rhs(h: HamiltonianData, xi: np.ndarray):
-    """Closure z -> X_{h_xi}(z) through one table of every precompressed Taylor gradient.
+    """Closure z -> X_{h_xi}(z) through one table folded from the precompressed Taylor gradients.
 
-    The coefficient rows of all gradients that _xh reads are stacked over the
-    union of their nonzero modes, so a right-hand side costs one phase
-    exponential and one matrix product; the result is split back into the
-    gradient tensors.
+    X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!) has degree d = 2
+    (3 with a cubic term) in y. With y1 = (1, y), the table's row (r, a, b[, c]) holds
+    the coefficients of y1_a y1_b [y1_c] in component r over the union of the nonzero
+    modes. The Hermitian pairs k, -k fold exactly into the half-space (first nonzero
+    k_i > 0, weight 2; k = 0, weight 1), so a right-hand side is one phase exponential,
+    one matrix product and d contractions with y1.
     """
-    n, cubic = h.n, h.cubic is not None
-    keys = [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)] + ([(3, 0), (3, 1)] if cubic else [])
-    grads = [h.gradient(*key) for key in keys]
-    nmodes = h.grid.mode_list.shape[0]
-    rows = [_compress(f).coeffs.reshape((-1, nmodes)) for f in grads]
-    table = np.concatenate(rows)
+    n, d = h.n, (2 if h.cubic is None else 3)
+    # mode_list is lexicographic and symmetric: k = 0 sits in the middle, the half-space after it
+    mid = h.grid.mode_list.shape[0] // 2
+    table = np.zeros((2 * n,) + (n + 1,) * d + (mid + 1,), dtype=complex)
+    for m in range(d + 1):
+        ys = (slice(1, None),) * m
+        dx = _compress(h.gradient(m, 1)).coeffs.reshape((n,) * (m + 1) + (-1,))[..., mid:]
+        table[(slice(n, None),) + (0,) * (d - m) + ys] = -np.moveaxis(dx, m, 0) / math.factorial(m)
+        if m > 0:
+            ay = _compress(h.gradient(m)).coeffs.reshape((n,) * m + (-1,))[..., mid:]
+            table[(slice(None, n),) + (0,) * (d + 1 - m) + ys[1:]] = ay / math.factorial(m - 1)
+    table = table.reshape((-1, mid + 1))
+    table[:, 1:] *= 2.0
     mask = np.any(table != 0, axis=0)
-    modes = h.grid.mode_list[mask].astype(float)
+    modes_t = h.grid.mode_list[mid:][mask].T.astype(float)
     table = table[:, mask]
-    pieces, lo = [], 0  # (key, rows of the table, tensor shape) per gradient
-    for key, f, r in zip(keys, grads, rows):
-        pieces.append((key, slice(lo, lo + len(r)), f.shape))
-        lo += len(r)
+    shape = (2 * n,) + (n + 1,) * d
     shift = np.concatenate([xi, np.zeros(n)])
+    y1 = np.ones(n + 1)  # (1, y), refilled by each call
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        vals = np.real(table @ np.exp(1j * (modes @ z[:n])))
-        T = {key: vals[sl].reshape(shape) for key, sl, shape in pieces}
-        return _xh(lambda m, order=0: T[m, order], z[n:], cubic) + shift
+        vals = (table @ np.exp(1j * (z[:n] @ modes_t))).real.reshape(shape)
+        y1[1:] = z[n:]
+        for _ in range(d):
+            vals = vals @ y1
+        return vals + shift
 
     return rhs
 
 
 def flow_oracle(
-    h: HamiltonianData,
-    u: TorusEmbedding,
-    xi,
-    omega,
-    theta0,
-    T: float,
-    dt: float,
+    h: HamiltonianData, u: TorusEmbedding, xi, omega, theta0, T: float, dt: float
 ) -> float:
     """Max deviation of the RK4 orbit from z(0) = u(theta0) against u(theta0 + omega t).
 
-    Independent invariance check: integrates the Hamiltonian ODE with fixed
-    step dt and compares with the rotated embedding at every step. Raises
-    EnergyDriftError if the initial energy is not finite or the relative
-    energy drift, checked every 200 steps and at the last step, is not at
-    most _ENERGY_TOL.
+    Independent invariance check: integrates the Hamiltonian ODE by RK4 with
+    fixed step dt through the folded table of _point_rhs, and compares each
+    block of _COMPARE_BLOCK orbit points with the rotated embedding as soon as
+    it is integrated, so memory does not grow with T/dt. Raises
+    EnergyDriftError if the initial energy is not finite or the relative energy
+    drift, checked every 200 steps and at the last step, exceeds _ENERGY_TOL.
     """
     omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
     xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
@@ -653,40 +654,39 @@ def flow_oracle(
     steps = int(round(T / dt))
     w_c = _compress(u.displacement())
 
-    def embed(thetas: np.ndarray) -> np.ndarray:
-        vals = synthesize(w_c, thetas)
-        vals[:n] += thetas.T
-        return vals
+    def deviation(lo: int, pts: np.ndarray) -> float:
+        """Max distance of the orbit points of steps lo, lo + 1, ... from u(theta0 + omega t)."""
+        thetas = theta0[None, :] + (dt * np.arange(lo, lo + len(pts)))[:, None] * omega_arr[None, :]
+        ref = synthesize(w_c, thetas).T
+        ref[:, :n] += thetas
+        return np.max(np.sqrt(np.sum((pts - ref) ** 2, axis=1)))
 
-    z = embed(theta0[None, :])[:, 0]
+    z = synthesize(w_c, theta0[None, :])[:, 0]
+    z[:n] += theta0
     H0 = h.value_at(z[:n], z[n:], xi)
     if not math.isfinite(H0):
         raise EnergyDriftError(f"initial energy {H0} at step 0 is not finite")
     rhs = _point_rhs(h, xi)
-    orbit = np.empty((steps + 1, 2 * n))
-    orbit[0] = z
+    block = np.empty((_COMPARE_BLOCK, 2 * n))
+    block[0] = z
+    dev = 0.0  # np.maximum keeps a NaN deviation, where max() would drop it
     for i in range(1, steps + 1):
         k1 = rhs(z)
         k2 = rhs(z + 0.5 * dt * k1)
         k3 = rhs(z + 0.5 * dt * k2)
         k4 = rhs(z + dt * k3)
         z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        orbit[i] = z
         if i % 200 == 0 or i == steps:
             drift = abs(h.value_at(z[:n], z[n:], xi) - H0) / max(1.0, abs(H0))
             if not drift <= _ENERGY_TOL:  # NaN counts as drift
                 raise EnergyDriftError(
                     f"energy drift {drift:.3e} at step {i} exceeds {_ENERGY_TOL:.1e}; reduce dt"
                 )
-    # compare in blocks of times, so the reference never holds the whole orbit;
-    # np.maximum keeps a NaN deviation, where max() would drop it
-    dev = 0.0
-    for lo in range(0, steps + 1, _COMPARE_BLOCK):
-        idx = np.arange(lo, min(lo + _COMPARE_BLOCK, steps + 1))
-        thetas = theta0[None, :] + (dt * idx)[:, None] * omega_arr[None, :]
-        ref = embed(thetas).T
-        dev = np.maximum(dev, np.max(np.sqrt(np.sum((orbit[idx] - ref) ** 2, axis=1))))
-    return float(dev)
+        if i % _COMPARE_BLOCK == 0:  # the block holds steps i - _COMPARE_BLOCK .. i - 1
+            dev = np.maximum(dev, deviation(i - _COMPARE_BLOCK, block))
+        block[i % _COMPARE_BLOCK] = z
+    lo = steps - steps % _COMPARE_BLOCK
+    return float(np.maximum(dev, deviation(lo, block[: steps + 1 - lo])))
 
 
 # --- isotropy reduction -------------------------------------------------------

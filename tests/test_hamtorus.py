@@ -1,6 +1,7 @@
 """Hamiltonian invariant-torus machinery: frames, linear solve, solver, oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from paratorus import (
     lack_of_isotropy,
     linear_para_homological_solve,
     make_cutoff,
+    neumann_certificate,
     residual_torus,
     solve_torus,
     torsion_S,
@@ -749,8 +751,8 @@ def test_solve_thm1_small_perturbation_converges():
 
 def test_solve_builds_each_operator_once_per_step(monkeypatch):
     # per Picard step: four handles (T_M, T_{M^-1}, T_S and the remainder symbol
-    # B) and one Jacobian evaluation; X_h once per iterate plus the flat torus,
-    # e0 and the two terminal checks
+    # B) and one Jacobian evaluation; X_h once per iterate plus the flat torus
+    # for e0; the terminal checks reuse the final iterate's X_h
     import paratorus.hamtorus as ht
 
     counts = {"handles": 0, "_jacobian_samples": 0, "_xh_samples": 0}
@@ -777,8 +779,8 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
     assert n >= 2
     assert counts["handles"] == 4 * n + 1  # + the Neumann certificate's symbol
     assert counts["_jacobian_samples"] == n
-    # X_h at zeta0 for e0, at each of the n + 1 iterates, and once in counterterm_check
-    assert counts["_xh_samples"] == n + 3
+    # X_h at zeta0 for e0 and at each of the n + 1 iterates
+    assert counts["_xh_samples"] == n + 2
 
 
 def test_solve_thm1_requires_invertible_avg_Q():
@@ -849,6 +851,38 @@ def test_counterterm_detects_rough_data():
     u = TorusEmbedding(ux=ux, uy=uy)
     defect = counterterm_check(h, u, np.zeros(2), rng.standard_normal(2), om)
     assert defect > 1e-10
+
+
+def test_solve_reports_the_counterterm_defect_of_its_measured_residual():
+    # the solver reuses the final X_h; the public check composes it again
+    g = small_grid()
+    om = freq()
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0): 0.005, (1, 1): 0.002j}),
+        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=MatrixField.constant(g, np.eye(2)),
+    )
+    sol = solve_torus(h, om, mode="thm1", s=3.0)
+    defect = counterterm_check(h, sol.u, sol.xi, sol.mu, om)
+    assert sol.report.extras["counterterm_defect"] == defect
+
+
+def test_certificate_takes_the_frame_samples_once(monkeypatch):
+    g = small_grid()
+    rng = np.random.default_rng(41)
+    u = random_embedding(g, rng, 0.01)
+    E = VectorField([sparse_field(g, rng, 1e-3) for _ in range(4)])
+    cut = make_cutoff(g)
+    # the composition through the public b_matrices and frame, as before the samples were shared
+    symbol = b_matrices(E, u).matmul(frame(u)[2])
+    expected = ParaOpHandle(symbol, cut).apply(u.displacement()).sobolev_norm(3.0)
+    expected /= E.sobolev_norm(3.0)
+    calls = []
+    frame_samples = hamtorus._frame_samples
+    monkeypatch.setattr(hamtorus, "_frame_samples", lambda v: calls.append(v) or frame_samples(v))
+    kappa = neumann_certificate(E, u, cut, 3.0)
+    assert len(calls) == 1
+    assert kappa == expected and kappa > 0.0
 
 
 # --- flow oracle --------------------------------------------------------------------
@@ -949,6 +983,119 @@ def test_stacked_point_rhs_matches_per_gradient_synthesis(dense, cubic):
         ref = ref + np.concatenate([xi, np.zeros(2)])
         got = rhs(np.concatenate([x, y]))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _random_taylor_data(grid, rng, cubic, dense):
+    """Sparse Taylor data of any dimension with symmetric Q and cubic; optionally a dense a0."""
+    n = grid.dim
+    if dense:
+        phase = sum(np.cos(th + 0.7 * i) for i, th in enumerate(grid.point_mesh))
+        a0 = analyze(grid, 0.002 * np.exp(phase))
+        assert np.count_nonzero(a0.coeffs) > 2 * 3**n
+    else:
+        a0 = sparse_field(grid, rng, 0.02)
+    a1 = VectorField([sparse_field(grid, rng, 0.02) + 1.0 + 0.3 * i for i in range(n)])
+    pool = {}
+
+    def entry(*idx):
+        key = tuple(sorted(idx))
+        if key not in pool:
+            pool[key] = sparse_field(grid, rng, 0.02) + (1.0 if len(set(key)) == 1 else 0.0)
+        return pool[key]
+
+    Q = MatrixField([[entry(i, j) for j in range(n)] for i in range(n)])
+    C = [[[entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)] if cubic else None
+    return HamiltonianData(a0=a0, a1=a1, Q=Q, cubic=C)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cubic", [False, True], ids=["quadratic", "cubic"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse-a0", "dense-a0"])
+def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
+    # the folded half-space table against _xh on each gradient synthesized over all modes
+    g = TorusGrid.create(dim, 4 if dim == 3 else 8)
+    rng = np.random.default_rng(50 + dim)
+    h = _random_taylor_data(g, rng, cubic, dense)
+    xi = rng.standard_normal(dim) * 1e-3
+    rhs = _point_rhs(h, xi)
+    for _ in range(10):
+        x, y = rng.uniform(0.0, 2.0 * np.pi, dim), 0.1 * rng.standard_normal(dim)
+        ref = _xh(lambda m, order=0: synthesize(h.gradient(m, order), x[None, :]), y[:, None], cubic)
+        ref = ref[:, 0] + np.concatenate([xi, np.zeros(dim)])
+        got = rhs(np.concatenate([x, y]))
+        assert got.shape == (2 * dim,)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _whole_orbit_deviation(h, u, xi, omega, theta0, T, dt):
+    """The comparison before it streamed: the whole RK4 orbit is stored, then compared in blocks."""
+    n = u.n
+    w_c = hamtorus._compress(u.displacement())
+
+    def embed(thetas):
+        vals = synthesize(w_c, thetas)
+        vals[:n] += thetas.T
+        return vals
+
+    steps = int(round(T / dt))
+    z = embed(theta0[None, :])[:, 0]
+    rhs = _point_rhs(h, xi)
+    orbit = np.empty((steps + 1, 2 * n))
+    orbit[0] = z
+    for i in range(1, steps + 1):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * dt * k1)
+        k3 = rhs(z + 0.5 * dt * k2)
+        k4 = rhs(z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        orbit[i] = z
+    dev = 0.0
+    for lo in range(0, steps + 1, hamtorus._COMPARE_BLOCK):
+        idx = np.arange(lo, min(lo + hamtorus._COMPARE_BLOCK, steps + 1))
+        thetas = theta0[None, :] + (dt * idx)[:, None] * omega[None, :]
+        dev = np.maximum(dev, np.max(np.sqrt(np.sum((orbit[idx] - embed(thetas).T) ** 2, axis=1))))
+    return float(dev)
+
+
+@pytest.mark.parametrize(
+    "block, T",
+    [(1000, 2.5), (7, 0.1), (7, 0.104), (7, 0.0)],
+    ids=["three-blocks", "partial-last-block", "full-last-block", "no-step"],
+)
+def test_streamed_flow_comparison_matches_the_whole_orbit(monkeypatch, block, T):
+    monkeypatch.setattr(hamtorus, "_COMPARE_BLOCK", block)
+    g = small_grid()
+    om = freq()
+    rng = np.random.default_rng(43)
+    h = random_hamiltonian(g, om, rng)
+    u = random_embedding(g, rng, 0.01)
+    xi = rng.standard_normal(2) * 1e-3
+    theta0 = np.array([0.3, 0.9])
+    dev = flow_oracle(h, u, xi, om, theta0=theta0, T=T, dt=1e-3)
+    assert dev == _whole_orbit_deviation(h, u, xi, om.array, theta0, T, 1e-3)
+    assert dev > 1e-4 or T == 0.0  # u is not invariant: the comparison sees it
+
+
+def test_flow_oracle_memory_does_not_grow_with_T():
+    # dim 3 and dt = 2e-3 keep the traced run short (the integrable flow is
+    # linear), and K = 1 keeps the set-up's transient tables below the orbit's size
+    g = TorusGrid.create(3, 1)
+    om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0], 1.0, 1)
+    h = integrable(g, om, np.eye(3))
+    u = TorusEmbedding.flat(g)
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            flow_oracle(h, u, None, om, theta0=[0.3, 0.9, 0.5], T=T, dt=2e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.02)  # builds the cached gradients and grid tables
+    # both runs fill whole comparison blocks; a stored orbit of 10,001 points of
+    # 6 floats would take 422 KiB more than one of 1,001
+    assert peak(20.0) - peak(2.0) < 100 * 1024
 
 
 # --- isotropy ------------------------------------------------------------------------
