@@ -9,7 +9,7 @@ retained fields alias-free on the retained band.
 The fields are real, so their coefficients are Hermitian, u_hat(-k) =
 conj(u_hat(k)), and the transforms are real: samples() reads only the modes
 with k_last >= 0 and calls irfftn; analyze() calls rfftn and fills the rest
-by conjugation.
+by conjugation. Point evaluation factors e^{i k.x} = prod_a e^{i k_a x_a}.
 
 A field may carry leading component axes: its coefficients have shape
 (*component_shape, *mode_shape), and every transform, derivative and norm
@@ -393,27 +393,37 @@ def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
 
 
 def _eval_at(f: SpectralField, pts: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k u_hat(k) e^{i k.x} at arbitrary points by direct summation.
+    """Evaluate Re sum_k u_hat(k) e^{i k.x} at points of shape (dim, ...) by sum factorization.
 
-    pts has shape (dim, ...); the result has shape (*f.shape, ...). A mode is
-    skipped when every component's coefficient is exactly zero there (free of
-    error; a NaN coefficient is kept); the phases of a mode are shared by all
-    components.
+    For any coefficients this is the sum over k_last >= 0 of c_k + conj(c_{-k}), the
+    plane k_last = 0 kept whole. Each axis gets one table e^{i k_a x_a} over its
+    occupied k_a (nonzero or NaN), skipped if only k_a = 0 is; the last is contracted
+    by one matrix product, the others elementwise, over chunks of targets that keep
+    each temporary within 4,000,000 entries. Returns shape (*f.shape, ...).
     """
-    g = f.grid
+    g, K = f.grid, f.grid.max_mode
     flat = pts.reshape(g.dim, -1)
-    npts = flat.shape[1]
-    cmat = f.coeffs.reshape((-1, g.mode_list.shape[0]))
-    mask = np.any(cmat != 0, axis=0)
-    modes = g.mode_list[mask].astype(float)
-    cmat = cmat[:, mask]
-    out = np.zeros((cmat.shape[0], npts), dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(npts, 1)))
-    for start in range(0, modes.shape[0], chunk):
+    c = f.coeffs.reshape((-1,) + g.mode_shape)
+    half = c[..., K:].copy()
+    half[..., 1:] += np.conj(c[g._reverse_index][..., K + 1 :])
+    occupied = np.any(half != 0, axis=0)
+    out = np.zeros((len(half), flat.shape[1]))
+    if not occupied.any():
+        return out.reshape(f.shape + pts.shape[1:])
+    index = [np.flatnonzero(np.any(occupied, axis=g.axes[:a] + g.axes[a + 1 :])) for a in range(g.dim)]
+    ks = [i - K for i in index[:-1]] + index[-1:]
+    kept = [(a, k.astype(float)) for a, k in enumerate(ks) if np.any(k)] or [(0, np.zeros(1))]
+    # a constant keeps one table of ones; skipped axes have length 1 and fold into rows
+    rows = half[(slice(None),) + np.ix_(*index)].reshape(-1, kept[-1][1].size)
+    chunk = max(1, 4_000_000 // max(len(rows), *(k.size for _, k in kept)))
+    for start in range(0, flat.shape[1], chunk):
         sl = slice(start, start + chunk)
-        waves = 1j * (modes[sl] @ flat)
-        out += cmat[:, sl] @ np.exp(waves, out=waves)  # in place: one chunk-sized buffer
-    return out.real.reshape(f.shape + pts.shape[1:]).copy()
+        tables = [np.exp(1j * np.multiply.outer(k, flat[a, sl])) for a, k in kept]
+        acc = rows @ tables[-1]
+        for table in tables[-2::-1]:
+            acc = np.einsum("rsp,sp->rp", acc.reshape((-1,) + table.shape), table)
+        out[:, sl] = acc.real
+    return out.reshape(f.shape + pts.shape[1:])
 
 
 def synthesize(f: SpectralField, points) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Property tests: the real transforms and the stacked dyadic decomposition
-against complex full-grid transforms and per-level sums written out here."""
+against complex full-grid transforms and per-level sums written out here, and
+point evaluation against the direct sum."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from paratorus import (
     zygmund_norm,
 )
 from paratorus.spectral import warp_samples
+from test_spectral import direct_eval
 
 # derandomized, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
@@ -123,6 +125,38 @@ def test_product_equals_the_truncated_direct_convolution(dims, seed):
     rng = np.random.default_rng(seed)
     f, h = random_field(g, rng), random_field(g, rng)
     assert relative(f.product(h).coeffs, direct_product(f, h)) <= 1e-13
+
+
+# --- point evaluation ------------------------------------------------------------
+
+FIELD_KINDS = ("sparse", "dense", "zero", "one axis", "non-Hermitian")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 8), (1, 32), (2, 6), (2, 12), (3, 4), (3, 8)]), component_shapes,
+       st.sampled_from(FIELD_KINDS), seeds)
+def test_warp_samples_equals_the_direct_sum(dims, shape, kind, seed):
+    g = TorusGrid.create(*dims)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(shape + g.mode_shape) + 1j * rng.standard_normal(shape + g.mode_shape)
+    keep = np.ones(g.mode_shape, dtype=bool)
+    if kind == "sparse":
+        keep = rng.uniform(size=g.mode_shape) < 0.05
+    elif kind == "zero":
+        keep[...] = False
+    elif kind == "one axis":  # every mode has k_b = 0 off one axis a
+        a = rng.integers(g.dim)
+        keep = np.all([k == 0 for b, k in enumerate(g.mode_mesh) if b != a], axis=0)
+    c = c * keep
+    if kind != "non-Hermitian":
+        c = 0.5 * (c + np.conj(c[g._reverse_index]))
+    f = SpectralField(g, c)
+    # warped targets well outside [0, 2pi), in an arbitrary trailing shape
+    pts = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, (g.dim, 7, 5))
+    ref = direct_eval(f, pts)
+    got = warp_samples(f, pts)
+    assert got.shape == shape + (7, 5)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # --- stacked dyadic decomposition ------------------------------------------------
