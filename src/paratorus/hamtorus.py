@@ -45,11 +45,9 @@ _CHECK_TOL = 1e-9  # relative defect allowed in the linear solve's self-check
 _ENERGY_TOL = 1e-6  # relative energy drift allowed along the flow oracle's orbit
 
 
-def _symplectic_J(n: int) -> np.ndarray:
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
+def _apply_J(v: np.ndarray) -> np.ndarray:
+    """J v = (v^y; -v^x) for samples with 2n leading components, J = [[0, I], [-I, 0]]."""
+    return np.concatenate([v[len(v) // 2 :], -v[: len(v) // 2]])
 
 
 @dataclass
@@ -176,23 +174,31 @@ class KamSolution:
 class _Warp:
     """The Taylor gradients of h composed with one fixed x-warp theta -> theta + ux(theta).
 
-    warp(m, order) samples h.gradient(m, order) at the warped collocation
-    points; each stacked tensor is composed in one warp_samples call on first
-    use and kept for the life of the warp.
+    warp(m, order) samples h.gradient(m, order) at the warped points. The first call composes
+    every gradient of order <= max(order, 1) not yet held (all X_h reads, then those A adds) in
+    one warp_samples call of their flattened components that vary in x. Samples are kept.
     """
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding):
-        self.h = h
-        self.trivial = not np.any(u.ux.coeffs)
-        self.pts = None if self.trivial else np.stack(u.grid.point_mesh) + u.ux.samples()
-        self._samples = {}
+        self.h, self._samples = h, {}
+        self.pts = np.stack(u.grid.point_mesh) + u.ux.samples() if np.any(u.ux.coeffs) else None
 
     def __call__(self, m: int, order: int = 0) -> np.ndarray:
-        key = (m, order)
-        if key not in self._samples:
-            f = self.h.gradient(m, order)
-            self._samples[key] = f.samples() if self.trivial else warp_samples(f, self.pts)
-        return self._samples[key]
+        if (m, order) not in self._samples:
+            g, n, top = self.h.grid, self.h.n, (2 if self.h.cubic is None else 3)
+            keys = [(k, o) for o in range(max(order, 1) + 1) for k in range(top + 1)
+                    if (k, o) != (0, 0) and (k, o) not in self._samples]
+            flat = np.concatenate([self.h.gradient(*k).coeffs.reshape(-1, *g.mode_shape) for k in keys])
+            mean = flat[(slice(None),) + g.mean_index]
+            varies = np.count_nonzero(flat.reshape(len(flat), -1), axis=1) > (mean != 0)  # NaN is nonzero
+            vals = mean.real.reshape((-1,) + (1,) * g.dim) + np.zeros(g.point_shape)
+            if varies.any():  # a component whose only nonzero coefficient is its mean is that mean
+                moving = SpectralField(g, flat[varies])
+                vals[varies] = moving.samples() if self.pts is None else warp_samples(moving, self.pts)
+            parts = np.split(vals, np.cumsum([n ** sum(k) for k in keys])[:-1])  # n^(m + order)
+            for k, p in zip(keys, parts):
+                self._samples[k] = p.reshape((n,) * sum(k) + g.point_shape)
+        return self._samples[(m, order)]
 
 
 def _xh(T, uy: np.ndarray, cubic: bool) -> np.ndarray:
@@ -257,37 +263,59 @@ def _embedding_jacobian_samples(u: TorusEmbedding) -> np.ndarray:
     return P
 
 
-def _pointwise_inverse(A: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of the matrix samples A (matrix axes first) at every point."""
-    moved = np.moveaxis(A, (0, 1), (-2, -1))
-    det = np.min(np.abs(np.linalg.det(moved)))
-    if not det >= 1e-12:  # NaN counts as singular
-        raise DegenerateEmbeddingError(f"{what} nearly singular: min |det| = {det:.3e}")
-    return np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product of component-major samples (matrix axes first)."""
+    return np.einsum("ab...,bc...->ac...", A, B)
+
+
+def _inverse(A: np.ndarray, what: str, degree: int = 1) -> tuple:
+    """(A^{-1}, det A) of n x n samples A (n <= 3, matrix axes first) by the written-out adjugate.
+    Raises DegenerateEmbeddingError, before dividing, unless min |det A|^(1/degree) >= 1e-12."""
+    if len(A) == 1:
+        adj = np.ones_like(A)
+    elif len(A) == 2:
+        adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+    else:  # cofactors: column j of adj A is the cross product of rows j + 1 and j + 2 (mod 3)
+        adj = np.array([[A[j - 2, i - 2] * A[j - 1, i - 1] - A[j - 1, i - 2] * A[j - 2, i - 1]
+                         for j in range(3)] for i in range(3)])
+    det = np.einsum("j...,j...->...", A[0], adj[:, 0])  # (A adj A)[0, 0]
+    worst = np.min(np.abs(det)) ** (1 / degree)
+    if not worst >= 1e-12:  # NaN counts as singular
+        raise DegenerateEmbeddingError(f"{what} nearly singular: min |det| = {worst:.3e}")
+    return adj / det, det
 
 
 def _frame_samples(u: TorusEmbedding):
+    """Samples (P, N, M, M^{-1}) of du and the frame M = (P, J P N), all component-major.
+
+    The closed form of the approximately symplectic frame (de la Llave, Gonzalez, Jorba &
+    Villanueva, Nonlinearity 18, 2005): with L = P^T J P and G = N L N (both skew),
+    M^T J M = K = [[L, -I], [I, G]], so M^{-1} = K^{-1} M^T J with K^{-1} = [[G X, Y],
+    [-X, L Y]], X = (I + L G)^{-1}, Y = (I + G L)^{-1} = X^T, and |det M| = |det(I + L G)|^(1/2).
+    """
     P = _embedding_jacobian_samples(u)
-    Ninv = _pointwise_inverse(np.einsum("am...,an...->mn...", P, P), "embedding Gram matrix")
-    J = _symplectic_J(u.n)
-    JP = np.einsum("ab,bm...->am...", J, P)
-    JPN = np.einsum("am...,mn...->an...", JP, Ninv)
-    M = np.concatenate([P, JPN], axis=1)
-    return P, Ninv, M, _pointwise_inverse(M, "frame matrix M")
+    JP = _apply_J(P)
+    N, _ = _inverse(np.einsum("am...,an...->mn...", P, P), "embedding Gram matrix")
+    L = np.einsum("am...,an...->mn...", P, JP)
+    G = _mm(_mm(N, L), N)
+    X, _ = _inverse(np.eye(u.n)[(...,) + (None,) * u.grid.dim] + _mm(L, G), "frame matrix M", 2)
+    Y = X.swapaxes(0, 1)  # (I + G L)^{-1}
+    Kinv = np.concatenate([np.concatenate([_mm(G, X), Y], 1), np.concatenate([-X, _mm(L, Y)], 1)])
+    M = np.concatenate([P, _mm(JP, N)], axis=1)
+    return P, N, M, _mm(Kinv, -_apply_J(M).swapaxes(0, 1))  # M^T J = -(J M)^T
 
 
 def frame(u: TorusEmbedding) -> tuple:
-    """(N, M, M_inv) as matrix fields; N = (du^T du)^{-1}, M = (du, J du N)."""
-    _, Ninv, M, Minv = _frame_samples(u)
-    return analyze(u.grid, Ninv), analyze(u.grid, M), analyze(u.grid, Minv)
+    """(N, M, M_inv) as matrix fields; N = (du^T du)^{-1}, M = (du, J du N), and M_inv the closed
+    form K^{-1} M^T J, K = M^T J M, of _frame_samples (de la Llave et al., Nonlinearity 18, 2005)."""
+    return tuple(analyze(u.grid, s) for s in _frame_samples(u)[1:])
 
 
 def _torsion_samples(A: np.ndarray, P: np.ndarray, Ninv: np.ndarray) -> np.ndarray:
-    """Samples of S = N P^T [A, J] P N from the samples of A, P = d(embedding) and N."""
-    J = _symplectic_J(P.shape[1])
-    comm = np.einsum("ab...,bc->ac...", A, J) - np.einsum("ab,bc...->ac...", J, A)  # [A, J]
-    inner = np.einsum("am...,ab...,bn...->mn...", P, comm, P)
-    return np.einsum("km...,mn...,nl...->kl...", Ninv, inner, Ninv)
+    """Samples of S = N P^T [A, J] P N = N (P^T A J P + (J P)^T A P) N from A, P = du and N."""
+    JP = _apply_J(P)
+    inner = np.einsum("am...,an...->mn...", P, _mm(A, JP))
+    return _mm(_mm(Ninv, inner + np.einsum("am...,an...->mn...", JP, _mm(A, P))), Ninv)
 
 
 def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
@@ -296,31 +324,23 @@ def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
     The orientation is pinned by the exact linearization identity; it gives
     S = -Q0 at the flat torus of an integrable Hamiltonian.
     """
-    P, Ninv, _, _ = _frame_samples(u)
-    return analyze(u.grid, _torsion_samples(_jacobian_samples(h, u, _Warp(h, u)), P, Ninv))
+    A = _jacobian_samples(h, u, _Warp(h, u))
+    return analyze(u.grid, _torsion_samples(A, *_frame_samples(u)[:2]))
 
 
 def b_matrices(E: SpectralField, u: TorusEmbedding) -> SpectralField:
     """Assembled error-frame matrix B[E] = (B1 | B2 + B3), linear in dE."""
-    P, Ninv, _, _ = _frame_samples(u)
-    return analyze(u.grid, _b_samples(E, P, Ninv))
+    return analyze(u.grid, _b_samples(E, *_frame_samples(u)[:2]))
 
 
 def _b_samples(E: SpectralField, P: np.ndarray, Ninv: np.ndarray) -> np.ndarray:
-    """Samples of B[E] from the frame samples P = d(embedding) and N."""
-    n = P.shape[1]
-    if E.shape != (2 * n,):
+    """Samples of B[E] = (dE | J dE N + J P N (N (D^T - D) + D N)), D = P^T dE, from P and N."""
+    if E.shape != (2 * P.shape[1],):
         raise ValueError("E must have 2n components")
     dE = E.jacobian().samples()
-    J = _symplectic_J(n)
-    B2 = np.einsum("ab,bm...,mn...->an...", J, dE, Ninv)
-    JP = np.einsum("ab,bm...->am...", J, P)
-    N2 = np.einsum("mk...,kn...->mn...", Ninv, Ninv)
-    PtdE = np.einsum("am...,an...->mn...", P, dE)
-    skew = np.swapaxes(PtdE, 0, 1) - PtdE
-    t1 = np.einsum("am...,mk...,kn...->an...", JP, N2, skew)
-    t2 = np.einsum("am...,mk...,kn...->an...", JP, np.einsum("mk...,kn...->mn...", Ninv, PtdE), Ninv)
-    return np.concatenate([dE, B2 + t1 + t2], axis=1)  # (B1 | B2 + B3), B1 = dE
+    D = np.einsum("am...,an...->mn...", P, dE)
+    B3 = _mm(_mm(_apply_J(P), Ninv), _mm(Ninv, np.swapaxes(D, 0, 1) - D) + _mm(D, Ninv))
+    return np.concatenate([dE, _mm(_apply_J(dE), Ninv) + B3], axis=1)  # (B1 | B2 + B3), B1 = dE
 
 
 # --- linear para-homological solve -----------------------------------------
@@ -442,8 +462,7 @@ class _IterationOps:
 
     @cached_property
     def HS(self) -> ParaOpHandle:
-        P, Ninv, _, _ = self.frame_s
-        return ParaOpHandle(analyze(self.u.grid, _torsion_samples(self.A, P, Ninv)), self.cut)
+        return ParaOpHandle(analyze(self.u.grid, _torsion_samples(self.A, *self.frame_s[:2])), self.cut)
 
     def remainder_term(self, Xh_zeta: SpectralField) -> SpectralField:
         """Both smoothing remainders at w = u - zeta0, as one literal difference.
@@ -453,14 +472,11 @@ class _IterationOps:
         remainder X_h(u) - X_h(zeta0) - T_A w plus the composition remainder
         [T_{M(0 S;0 0)M^-1} - T_{M(omega.d M^-1)} - (omega.d)] w - L w.
         """
-        n = self.u.n
-        _, _, M_s, Minv_s = self.frame_s
+        P, _, M_s, Minv_s = self.frame_s  # P = M[:, :n]
         w = self.u.displacement()
         omega_arr = self.omega.array
         dMinv = self.HMinv.symbol.omega_derivative(omega_arr).samples()
-        S_s = self.HS.symbol.samples()
-        B = self.A - np.einsum("ab...,bc...,cd...->ad...", M_s[:, :n], S_s, Minv_s[n:])
-        B = B + np.einsum("ab...,bc...->ac...", M_s, dMinv)
+        B = self.A - _mm(_mm(P, self.HS.symbol.samples()), Minv_s[self.u.n :]) + _mm(M_s, dMinv)
         TBw = ParaOpHandle(analyze(self.u.grid, B), self.cut).apply(w)
         Lw = _apply_L(self.HM, self.HMinv, self.HS, w, omega_arr)
         return self.Xh_u - Xh_zeta - w.omega_derivative(omega_arr) - TBw - Lw
@@ -494,14 +510,11 @@ def counterterm_check(h: HamiltonianData, u: TorusEmbedding, xi, mu, omega) -> f
 def _counterterm_defect(field: SpectralField, u: TorusEmbedding, mu) -> float:
     """The defect of counterterm_check from the measured residual field F(h_xi, u)."""
     mu = np.asarray(mu, dtype=float)
-    n = u.n
     F = field.samples()
-    F[n:] -= mu.reshape((n,) + (1,) * u.grid.dim)  # F^y - mu
-    P = _embedding_jacobian_samples(u)
-    integrand = np.einsum("im...,i...->m...", P[n:], F[:n])
-    integrand -= np.einsum("im...,i...->m...", P[:n], F[n:])
-    avg = integrand.mean(axis=u.grid.axes)
-    return float(np.max(np.abs(mu - avg)))
+    F[u.n :] -= mu.reshape((u.n,) + (1,) * u.grid.dim)  # F^y - mu
+    # (du^y)^T F^x - (du^x)^T (F^y - mu) = -(du)^T J F
+    integrand = -np.einsum("am...,a...->m...", _embedding_jacobian_samples(u), _apply_J(F))
+    return float(np.max(np.abs(mu - integrand.mean(axis=u.grid.axes))))
 
 
 def neumann_certificate(E: SpectralField, u: TorusEmbedding, cut: DyadicCutoff, s: float) -> float:
@@ -695,9 +708,7 @@ def flow_oracle(
 def lack_of_isotropy(zeta: TorusEmbedding) -> SpectralField:
     """L[zeta] = (d zeta)^T J (d zeta): the symplectic form pulled back to T^n."""
     P = _embedding_jacobian_samples(zeta)
-    J = _symplectic_J(zeta.n)
-    L = np.einsum("am...,ab,bn...->mn...", P, J, P)
-    return analyze(zeta.grid, L)
+    return analyze(zeta.grid, np.einsum("am...,an...->mn...", P, _apply_J(P)))
 
 
 def isotropy_from_residual(
@@ -706,8 +717,7 @@ def isotropy_from_residual(
     """L[zeta] via the transport formula d(omega.d)^{-1}[(d zeta)^T J F] - (transpose)."""
     field, _, _ = residual_torus(h, zeta, None, omega)
     P = _embedding_jacobian_samples(zeta)
-    J = _symplectic_J(zeta.n)
-    integrand = np.einsum("am...,ab,b...->m...", P, J, field.samples())
+    integrand = np.einsum("am...,a...->m...", P, _apply_J(field.samples()))
     g_vec = omega_directional_inverse(remove_mean(analyze(zeta.grid, integrand)), omega)
     dg = g_vec.jacobian().samples()  # (m, a): d_a g_m
     # transport identity (omega.d) L = (P^T J dF)^T - P^T J dF fixes the

@@ -37,11 +37,12 @@ from paratorus import (
     torsion_S,
 )
 import paratorus.hamtorus as hamtorus
-from paratorus.hamtorus import _IterationOps, _point_rhs, _symplectic_J, _xh
+from paratorus.hamtorus import _IterationOps, _point_rhs, _xh
 from paratorus.paraprod import ParaOpHandle
 from paratorus.spectral import analyze, synthesize, warp_samples
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])  # J for n = 2
 
 
 def small_grid(K=8):
@@ -113,6 +114,32 @@ def h_eval(h, x, y):
 # --- Hamiltonian vector field -------------------------------------------------
 
 
+def test_warp_composes_xh_and_a_gradients_in_one_call_each(monkeypatch):
+    """X_h's gradients take one warp_samples call and A's second derivatives another; each
+    gradient, constant (a1[1], Q), zero (their x-gradients) or varying, equals its own call."""
+    from paratorus.hamtorus import _jacobian_samples, _Warp, _xh_samples
+
+    g = small_grid()
+    rng = np.random.default_rng(12)
+    cubic = random_hamiltonian(g, freq(), rng, band=2).cubic
+    a1 = VectorField([sparse_field(g, rng, 0.02, 2) + 1.0, SpectralField.constant(g, GOLDEN)])
+    h = HamiltonianData(a0=sparse_field(g, rng, 0.02, 2), a1=a1,
+                        Q=MatrixField.constant(g, np.eye(2)), cubic=cubic)
+    u = random_embedding(g, rng, 0.01, band=2)
+    real = hamtorus.warp_samples
+    calls = []
+    monkeypatch.setattr(hamtorus, "warp_samples", lambda f, pts: calls.append(f.shape) or real(f, pts))
+    warp = _Warp(h, u)
+    _xh_samples(h, u, warp)
+    assert len(calls) == 1
+    _jacobian_samples(h, u, warp)
+    assert len(calls) == 2
+    for (m, order), got in warp._samples.items():
+        ref = real(h.gradient(m, order), warp.pts)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_xh_pure_rotation_at_flat_torus():
     g = small_grid()
     om = freq()
@@ -142,7 +169,7 @@ def test_xh_finite_difference_oracle():
     h = random_hamiltonian(g, om, rng, with_cubic=True, band=2, amp=0.01)
     u = random_embedding(g, rng, 0.005, band=2)
     X = hamiltonian_vector_field(h, u)
-    J = _symplectic_J(2)
+    J = J4
     thetas = rng.uniform(0, 2 * np.pi, size=(50, 2))
     ux_v = np.stack([synthesize(f, thetas) for f in u.ux])
     uy_v = np.stack([synthesize(f, thetas) for f in u.uy])
@@ -247,7 +274,7 @@ def test_jacobian_hessian_symmetry_oracle():
     h = random_hamiltonian(g, om, rng, with_cubic=True, band=2, amp=0.01)
     u = random_embedding(g, rng, 0.005, band=2)
     A = jacobian_A(h, u)
-    J = _symplectic_J(2)
+    J = J4
     thetas = rng.uniform(0, 2 * np.pi, size=(20, 2))
     ux_v = np.stack([synthesize(f, thetas) for f in u.ux])
     uy_v = np.stack([synthesize(f, thetas) for f in u.uy])
@@ -331,7 +358,7 @@ def test_frame_rejects_a_nan_embedding(component):
     g = small_grid()
     u = TorusEmbedding.flat(g)
     u.w.coeffs[component, 8, 9] = np.nan
-    with pytest.raises(DegenerateEmbeddingError), np.errstate(invalid="ignore"):
+    with pytest.raises(DegenerateEmbeddingError, match="embedding Gram matrix"), np.errstate(invalid="ignore"):
         frame(u)
 
 
@@ -340,8 +367,45 @@ def test_frame_degenerate_embedding_rejected():
     # ux with slope ~ -1 along theta_1 collapses the first tangent column
     ux = VectorField([SpectralField.from_modes(g, {(1, 0): 0.5j}), SpectralField.zero(g)])
     u = TorusEmbedding(ux=ux, uy=VectorField.zero(g, 2))
-    with pytest.raises(DegenerateEmbeddingError):
+    with pytest.raises(DegenerateEmbeddingError, match="embedding Gram matrix"):
         frame(u)
+
+
+def gram_guard_embedding(g, b):
+    """ux = (-b sin theta_1, 0), uy = 0: min det(du^T du) = (1 - b)^2 at theta_1 = 0, |det M| = 1."""
+    ux = VectorField([SpectralField.from_modes(g, {(1, 0): 0.5j * b}), SpectralField.zero(g)])
+    return TorusEmbedding(ux=ux, uy=VectorField.zero(g, 2))
+
+
+def frame_guard_embedding(g, a, c):
+    """ux = 0, uy = (a sin theta_2, -c sin theta_1): det(du^T du) >= 1 everywhere.
+
+    At theta = 0, du^y = [[0, a], [-c, 0]], so L = (a + c) J_2 and
+    |det M| = |1 - (a + c)^2 det N| = (1 - a c)^2 / ((1 + a^2) (1 + c^2)), the minimum.
+    """
+    uy = VectorField([SpectralField.from_modes(g, {(0, 1): -0.5j * a}),
+                      SpectralField.from_modes(g, {(1, 0): 0.5j * c})])
+    return TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
+
+
+@pytest.mark.parametrize("det", [1e-11, 1e-13, 0.0])
+@pytest.mark.parametrize("what", ["embedding Gram matrix", "frame matrix M"])
+def test_frame_guards_either_side_of_the_threshold(what, det):
+    """min |det| a factor 10 above the 1e-12 guard passes; a factor 10 below, or 0, raises.
+
+    The M guard is tested alone: its embeddings have det(du^T du) >= 1.
+    """
+    g = small_grid()
+    if what == "embedding Gram matrix":
+        u = gram_guard_embedding(g, 1.0 - math.sqrt(det))
+    else:  # (1 - c)^2 / (2 (1 + c^2)) = det (1 + O(sqrt(det))) at a = 1
+        u = frame_guard_embedding(g, 1.0, 1.0 - 2.0 * math.sqrt(det))
+    if det > 1e-12:
+        N, M, Minv = frame(u)
+        assert np.all(np.isfinite(Minv.coeffs))
+    else:
+        with pytest.raises(DegenerateEmbeddingError, match=what):
+            frame(u)
 
 
 # --- torsion -----------------------------------------------------------------

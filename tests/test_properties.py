@@ -1,6 +1,7 @@
 """Property tests: the real transforms and the stacked dyadic decomposition
-against complex full-grid transforms and per-level sums written out here, and
-point evaluation against the direct sum."""
+against complex full-grid transforms and per-level sums written out here, point
+evaluation against the direct sum, and the closed-form torus frame against
+LAPACK."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from paratorus import (
     MeyerMultiplierFamily,
     ParaOpHandle,
     SpectralField,
+    TorusEmbedding,
     TorusGrid,
     VectorField,
     analyze,
@@ -20,6 +22,7 @@ from paratorus import (
     para_compose,
     zygmund_norm,
 )
+from paratorus.hamtorus import _apply_J, _frame_samples, _inverse
 from paratorus.spectral import warp_samples
 from test_spectral import direct_eval
 
@@ -238,3 +241,33 @@ def test_para_compose_equals_its_per_level_form(dims, window, seed):
             high = high - cut.partial_sum(composed, j - window)
         ref = ref + high.coeffs
     assert relative(para_compose(F, disp, cut, window=window).coeffs, ref) <= 1e-13
+
+
+# --- closed-form torus frame -------------------------------------------------------
+
+
+def lapack_inverse(A):
+    """Inverse and determinant of the matrix samples A (matrix axes first) at every point."""
+    moved = np.moveaxis(A, (0, 1), (-2, -1))
+    return np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1)), np.linalg.det(moved)
+
+
+@PROPERTY
+@given(st.sampled_from([(1, 8), (2, 6), (3, 4)]), st.floats(0.0, 0.3), seeds)
+def test_closed_form_frame_equals_lapack(dims, slope, seed):
+    """N, M^{-1}, det(P^T P) and |det M| = |det(I + L G)|^(1/2) of embeddings whose
+    displacement has sup |d w| = slope, against the LAPACK inverses and determinants."""
+    g = TorusGrid.create(*dims)
+    w = random_field(g, np.random.default_rng(seed), (2 * g.dim,))
+    w = w * (slope / w.jacobian().sup_norm())
+    P, N, M, Minv = _frame_samples(TorusEmbedding.from_displacement(w))
+    gram = np.einsum("am...,an...->mn...", P, P)
+    N_ref, gram_det = lapack_inverse(gram)
+    Minv_ref, M_det = lapack_inverse(M)
+    assert relative(N, N_ref) <= 1e-13
+    assert relative(Minv, Minv_ref) <= 1e-13
+    assert relative(_inverse(gram, "Gram")[1], gram_det) <= 1e-13
+    L = np.einsum("am...,an...->mn...", P, _apply_J(P))
+    LG = np.einsum("ab...,bc...,cd...,de...->ae...", L, N, L, N)
+    _, det_K = _inverse(np.eye(g.dim)[(...,) + (None,) * g.dim] + LG, "I + L G", 2)
+    assert relative(np.sqrt(np.abs(det_K)), np.abs(M_det)) <= 1e-13
