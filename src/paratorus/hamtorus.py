@@ -96,14 +96,10 @@ class HamiltonianData:
 
         Built on first use and kept: the data is fixed for the life of h.
         """
-        key = (m, order)
-        if key not in self._gradients:
-            self._gradients[key] = (
-                (self.a0, self.a1, self.Q, self.cubic)[m]
-                if order == 0
-                else self.gradient(m, order - 1).jacobian()
-            )
-        return self._gradients[key]
+        if (m, order) not in self._gradients:
+            data = (self.a0, self.a1, self.Q, self.cubic)[m]
+            self._gradients[(m, order)] = self.gradient(m, order - 1).jacobian() if order else data
+        return self._gradients[(m, order)]
 
     def value_at(self, x: np.ndarray, y: np.ndarray, xi=None) -> float:
         """Pointwise h_xi(x, y) for the flow oracle's energy monitor."""
@@ -172,11 +168,11 @@ class KamSolution:
 
 
 class _Warp:
-    """The Taylor gradients of h composed with one fixed x-warp theta -> theta + ux(theta).
+    """The Taylor gradients T(m, o) = h.gradient(m, o) composed with one fixed x-warp theta + ux.
 
-    warp(m, order) samples h.gradient(m, order) at the warped points. The first call composes
-    every gradient of order <= max(order, 1) not yet held (all X_h reads, then those A adds) in
-    one warp_samples call of their flattened components that vary in x. Samples are kept.
+    prefetch(order) composes every T(m, o) that the order-th derivative of h in (x, y) reads,
+    o <= order <= m + o, and the warp does not hold, in one warp_samples call of their flattened
+    components that vary in x. warp(m, o) returns T(m, o), prefetching o on a miss; all are kept.
     """
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding):
@@ -185,20 +181,25 @@ class _Warp:
 
     def __call__(self, m: int, order: int = 0) -> np.ndarray:
         if (m, order) not in self._samples:
-            g, n, top = self.h.grid, self.h.n, (2 if self.h.cubic is None else 3)
-            keys = [(k, o) for o in range(max(order, 1) + 1) for k in range(top + 1)
-                    if (k, o) != (0, 0) and (k, o) not in self._samples]
-            flat = np.concatenate([self.h.gradient(*k).coeffs.reshape(-1, *g.mode_shape) for k in keys])
-            mean = flat[(slice(None),) + g.mean_index]
-            varies = np.count_nonzero(flat.reshape(len(flat), -1), axis=1) > (mean != 0)  # NaN is nonzero
-            vals = mean.real.reshape((-1,) + (1,) * g.dim) + np.zeros(g.point_shape)
-            if varies.any():  # a component whose only nonzero coefficient is its mean is that mean
-                moving = SpectralField(g, flat[varies])
-                vals[varies] = moving.samples() if self.pts is None else warp_samples(moving, self.pts)
-            parts = np.split(vals, np.cumsum([n ** sum(k) for k in keys])[:-1])  # n^(m + order)
-            for k, p in zip(keys, parts):
-                self._samples[k] = p.reshape((n,) * sum(k) + g.point_shape)
+            self.prefetch(order)
         return self._samples[(m, order)]
+
+    def prefetch(self, order: int) -> None:
+        g, n, top = self.h.grid, self.h.n, (2 if self.h.cubic is None else 3)
+        keys = [(m, o) for m in range(top + 1) for o in range(order + 1)
+                if m + o >= order and (m, o) not in self._samples]
+        if not keys:
+            return
+        flat = np.concatenate([self.h.gradient(*k).coeffs.reshape(-1, *g.mode_shape) for k in keys])
+        mean = flat[(slice(None),) + g.mean_index]
+        varies = np.count_nonzero(flat.reshape(len(flat), -1), axis=1) > (mean != 0)  # NaN is nonzero
+        vals = mean.real.reshape((-1,) + (1,) * g.dim) + np.zeros(g.point_shape)
+        if varies.any():  # a component whose only nonzero coefficient is its mean is that mean
+            moving = SpectralField(g, flat[varies])
+            vals[varies] = moving.samples() if self.pts is None else warp_samples(moving, self.pts)
+        parts = np.split(vals, np.cumsum([n ** sum(k) for k in keys])[:-1])  # n^(m + order)
+        for k, p in zip(keys, parts):
+            self._samples[k] = p.reshape((n,) * sum(k) + g.point_shape)
 
 
 def _xh(T, uy: np.ndarray, cubic: bool) -> np.ndarray:
@@ -217,6 +218,7 @@ def _xh(T, uy: np.ndarray, cubic: bool) -> np.ndarray:
 
 def _xh_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
     """Samples of X_h along u: (grad_y h; -grad_x h) at (theta + ux, uy)."""
+    warp.prefetch(1)
     return _xh(warp, u.uy.samples(), h.cubic is not None)
 
 
@@ -228,6 +230,7 @@ def hamiltonian_vector_field(h: HamiltonianData, u: TorusEmbedding) -> SpectralF
 def _jacobian_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
     """Samples of A[u] = (DX_h)(u), shape (2n, 2n, *grid)."""
     T, uy = warp, u.uy.samples()
+    T.prefetch(2)
     A11 = T(1, 1) + np.einsum("ijl...,j...->il...", T(2, 1), uy)  # D_x grad_y h
     A12 = T(2)  # D_y grad_y h
     A21 = T(0, 2) + np.einsum("ilm...,i...->lm...", T(1, 2), uy)  # D_x grad_x h
@@ -268,9 +271,15 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ab...,bc...->ac...", A, B)
 
 
-def _inverse(A: np.ndarray, what: str, degree: int = 1) -> tuple:
-    """(A^{-1}, det A) of n x n samples A (n <= 3, matrix axes first) by the written-out adjugate.
-    Raises DegenerateEmbeddingError, before dividing, unless min |det A|^(1/degree) >= 1e-12."""
+def _guard(det: np.ndarray, what: str) -> np.ndarray:
+    """det, unless min |det| < 1e-12: then DegenerateEmbeddingError, before any division by it."""
+    if not (worst := np.min(np.abs(det))) >= 1e-12:  # NaN counts as singular
+        raise DegenerateEmbeddingError(f"{what} nearly singular: min |det| = {worst:.3e}")
+    return det
+
+
+def _inverse(A: np.ndarray, what: str) -> np.ndarray:
+    """A^{-1} of n x n samples A (n <= 3, matrix axes first) by the written-out adjugate."""
     if len(A) == 1:
         adj = np.ones_like(A)
     elif len(A) == 2:
@@ -278,11 +287,7 @@ def _inverse(A: np.ndarray, what: str, degree: int = 1) -> tuple:
     else:  # cofactors: column j of adj A is the cross product of rows j + 1 and j + 2 (mod 3)
         adj = np.array([[A[j - 2, i - 2] * A[j - 1, i - 1] - A[j - 1, i - 2] * A[j - 2, i - 1]
                          for j in range(3)] for i in range(3)])
-    det = np.einsum("j...,j...->...", A[0], adj[:, 0])  # (A adj A)[0, 0]
-    worst = np.min(np.abs(det)) ** (1 / degree)
-    if not worst >= 1e-12:  # NaN counts as singular
-        raise DegenerateEmbeddingError(f"{what} nearly singular: min |det| = {worst:.3e}")
-    return adj / det, det
+    return adj / _guard(np.einsum("j...,j...->...", A[0], adj[:, 0]), what)  # (A adj A)[0, 0]
 
 
 def _frame_samples(u: TorusEmbedding):
@@ -291,14 +296,17 @@ def _frame_samples(u: TorusEmbedding):
     The closed form of the approximately symplectic frame (de la Llave, Gonzalez, Jorba &
     Villanueva, Nonlinearity 18, 2005): with L = P^T J P and G = N L N (both skew),
     M^T J M = K = [[L, -I], [I, G]], so M^{-1} = K^{-1} M^T J with K^{-1} = [[G X, Y],
-    [-X, L Y]], X = (I + L G)^{-1}, Y = (I + G L)^{-1} = X^T, and |det M| = |det(I + L G)|^(1/2).
+    [-X, L Y]], X = (I + L G)^{-1} and Y = (I + G L)^{-1} = X^T. For skew L, G and n <= 3,
+    det(I + L G) = s^2 and X = I - L G / s with s = 1 + tr(L G) / 2; the guard reads |s| = |det M|.
     """
     P = _embedding_jacobian_samples(u)
     JP = _apply_J(P)
-    N, _ = _inverse(np.einsum("am...,an...->mn...", P, P), "embedding Gram matrix")
+    N = _inverse(np.einsum("am...,an...->mn...", P, P), "embedding Gram matrix")
     L = np.einsum("am...,an...->mn...", P, JP)
     G = _mm(_mm(N, L), N)
-    X, _ = _inverse(np.eye(u.n)[(...,) + (None,) * u.grid.dim] + _mm(L, G), "frame matrix M", 2)
+    LG = _mm(L, G)
+    s = _guard(1 + np.einsum("aa...->...", LG) / 2, "frame matrix M")
+    X = np.eye(u.n)[(...,) + (None,) * u.grid.dim] - LG / s
     Y = X.swapaxes(0, 1)  # (I + G L)^{-1}
     Kinv = np.concatenate([np.concatenate([_mm(G, X), Y], 1), np.concatenate([-X, _mm(L, Y)], 1)])
     M = np.concatenate([P, _mm(JP, N)], axis=1)
@@ -347,8 +355,7 @@ def _b_samples(E: SpectralField, P: np.ndarray, Ninv: np.ndarray) -> np.ndarray:
 
 
 def _split(v: SpectralField) -> tuple:
-    n = v.shape[0] // 2
-    return v[:n], v[n:]
+    return v[: v.shape[0] // 2], v[v.shape[0] // 2 :]
 
 
 def _apply_torsion_block(HS: ParaOpHandle, v: SpectralField) -> SpectralField:
@@ -363,14 +370,8 @@ def _apply_L(HM, HMinv, HS, w: SpectralField, omega_arr: np.ndarray) -> Spectral
     return HM.apply(_apply_torsion_block(HS, w1) - w1.omega_derivative(omega_arr))
 
 
-def linear_para_homological_solve(
-    HM: ParaOpHandle,
-    HMinv: ParaOpHandle,
-    HS: ParaOpHandle,
-    f: SpectralField,
-    mode: str,
-    omega: FrequencyVector,
-):
+def linear_para_homological_solve(HM: ParaOpHandle, HMinv: ParaOpHandle, HS: ParaOpHandle,
+                                  f: SpectralField, mode: str, omega: FrequencyVector):
     """Solve the linear para-homological system for (v, xi, mu).
 
     HM, HMinv and HS are the handles of the frame M, its inverse and the
@@ -577,8 +578,7 @@ def solve_torus(
     disp = u.displacement()
     report.extras["u_minus_flat_hs"] = disp.sobolev_norm(s)
     report.extras["gamma"] = omega.gamma
-    eps = 0.1
-    e0_strong = e0.sobolev_norm(s + 2 * omega.sigma + eps)
+    e0_strong = e0.sobolev_norm(s + 2 * omega.sigma + 0.1)  # strong norm, loss eps = 0.1
     report.extras["e0_strong_norm"] = float(e0_strong)
     if e0_strong > 0:
         report.extras["c2_empirical"] = disp.sobolev_norm(s) / (omega.gamma**2 * e0_strong)

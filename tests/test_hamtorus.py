@@ -408,6 +408,34 @@ def test_frame_guards_either_side_of_the_threshold(what, det):
             frame(u)
 
 
+@pytest.mark.parametrize("det", [1e-11, 1e-13, 0.0])
+def test_frame_m_guard_on_a_rotated_dim3_frame(monkeypatch, det):
+    """A constant dim-3 frame, off the axes, with det(du^T du) >= 1 and |det M| = det.
+
+    du = [I; B], B = [[0, 1, 0], [-c, 0, 0], [0, 0, 1/2]], has |det M| = (1 - c)^2 / (2 (1 + c^2))
+    as in frame_guard_embedding. Both determinants are invariant under du -> diag(Q, Q) du R for
+    orthogonal Q, R, which leave no entry of du zero. The guard must be as sharp here as in dim 2:
+    det(I + L G) = det(M)^2 would be lost to rounding below |det M| ~ 1e-8.
+    """
+    g = TorusGrid.create(3, 4)
+    rng = np.random.default_rng(3)
+    Q, R = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    c = 1.0 - 2.0 * math.sqrt(det)
+    du = np.kron(np.eye(2), Q) @ np.vstack([np.eye(3), [[0, 1, 0], [-c, 0, 0], [0, 0, 0.5]]]) @ R
+    J6 = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
+    M0 = np.hstack([du, J6 @ du @ np.linalg.inv(du.T @ du)])
+    assert abs(abs(np.linalg.det(M0)) - det) <= 1e-3 * det + 1e-15  # the construction, by LAPACK
+    samples = du[:, :, None, None, None] + np.zeros((6, 3) + g.point_shape)
+    monkeypatch.setattr(hamtorus, "_embedding_jacobian_samples", lambda u: samples.copy())
+    u = TorusEmbedding.flat(g)
+    if det > 1e-12:
+        N, M, Minv = frame(u)
+        assert np.all(np.isfinite(Minv.coeffs))
+    else:
+        with pytest.raises(DegenerateEmbeddingError, match="frame matrix M"):
+            frame(u)
+
+
 # --- torsion -----------------------------------------------------------------
 
 

@@ -3,6 +3,8 @@ against complex full-grid transforms and per-level sums written out here, point
 evaluation against the direct sum, and the closed-form torus frame against
 LAPACK."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from paratorus import (
     para_compose,
     zygmund_norm,
 )
-from paratorus.hamtorus import _apply_J, _frame_samples, _inverse
+import paratorus.hamtorus as hamtorus
 from paratorus.spectral import warp_samples
 from test_spectral import direct_eval
 
@@ -255,19 +257,17 @@ def lapack_inverse(A):
 @PROPERTY
 @given(st.sampled_from([(1, 8), (2, 6), (3, 4)]), st.floats(0.0, 0.3), seeds)
 def test_closed_form_frame_equals_lapack(dims, slope, seed):
-    """N, M^{-1}, det(P^T P) and |det M| = |det(I + L G)|^(1/2) of embeddings whose
-    displacement has sup |d w| = slope, against the LAPACK inverses and determinants."""
+    """N, M^{-1} and the two guarded determinants, det(P^T P) and s = +-det M, of embeddings
+    whose displacement has sup |d w| = slope, against the LAPACK inverses and determinants."""
     g = TorusGrid.create(*dims)
     w = random_field(g, np.random.default_rng(seed), (2 * g.dim,))
     w = w * (slope / w.jacobian().sup_norm())
-    P, N, M, Minv = _frame_samples(TorusEmbedding.from_displacement(w))
-    gram = np.einsum("am...,an...->mn...", P, P)
-    N_ref, gram_det = lapack_inverse(gram)
+    guarded, guard = {}, hamtorus._guard
+    with mock.patch.object(hamtorus, "_guard", lambda det, what: guarded.setdefault(what, guard(det, what))):
+        P, N, M, Minv = hamtorus._frame_samples(TorusEmbedding.from_displacement(w))
+    N_ref, gram_det = lapack_inverse(np.einsum("am...,an...->mn...", P, P))
     Minv_ref, M_det = lapack_inverse(M)
     assert relative(N, N_ref) <= 1e-13
     assert relative(Minv, Minv_ref) <= 1e-13
-    assert relative(_inverse(gram, "Gram")[1], gram_det) <= 1e-13
-    L = np.einsum("am...,an...->mn...", P, _apply_J(P))
-    LG = np.einsum("ab...,bc...,cd...,de...->ae...", L, N, L, N)
-    _, det_K = _inverse(np.eye(g.dim)[(...,) + (None,) * g.dim] + LG, "I + L G", 2)
-    assert relative(np.sqrt(np.abs(det_K)), np.abs(M_det)) <= 1e-13
+    assert relative(guarded["embedding Gram matrix"], gram_det) <= 1e-13
+    assert relative(np.abs(guarded["frame matrix M"]), np.abs(M_det)) <= 1e-13
