@@ -45,6 +45,16 @@ _CHECK_TOL = 1e-9  # relative defect allowed in the linear solve's self-check
 _ENERGY_TOL = 1e-6  # relative energy drift allowed along the flow oracle's orbit
 
 
+def _frequency(omega) -> np.ndarray:
+    """omega as a float array, from a FrequencyVector or a sequence."""
+    return omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, dtype=float)
+
+
+def _xi(xi, n: int) -> np.ndarray:
+    """The counterterm xi as n floats; None is no counterterm."""
+    return np.zeros(n) if xi is None else np.asarray(xi, dtype=float)
+
+
 def _apply_J(v: np.ndarray) -> np.ndarray:
     """J v = (v^y; -v^x) for samples with 2n leading components, J = [[0, I], [-I, 0]]."""
     return np.concatenate([v[len(v) // 2 :], -v[: len(v) // 2]])
@@ -55,8 +65,8 @@ class HamiltonianData:
     """Taylor data of h in the action variable, truncated at cubic order.
 
     The m-th Taylor coefficient (a0, a1, Q, cubic) has m component axes of
-    length n; the cubic term may also be given as a symmetric n x n x n nest
-    of scalar fields.
+    length n and is symmetric in them; the cubic term may also be given as a
+    symmetric n x n x n nest of scalar fields.
     """
 
     a0: SpectralField
@@ -65,7 +75,6 @@ class HamiltonianData:
     cubic: SpectralField | list | None = None
 
     def __post_init__(self):
-        n = self.n
         if self.cubic is not None:
             self.cubic = VectorField(self.cubic)
         for name in ("a0", "a1", "Q", "cubic"):
@@ -74,18 +83,24 @@ class HamiltonianData:
                 self.grid.require_same(f.grid)
                 if not np.all(np.isfinite(f.coeffs)):
                     raise NonFiniteError(f"{name} has a non-finite coefficient")
-        if self.Q.shape != (n, n):
-            raise ValueError("Q must be n x n")
-        sym = (self.Q - self.Q.T).sup_norm()
-        if sym > 1e-12 * max(1.0, self.Q.sup_norm()):
-            raise ValueError(f"Q is not symmetric: defect {sym:.3e}")
-        if self.cubic is not None and self.cubic.shape != (n, n, n):
-            raise ValueError("cubic must be n x n x n")
+        for m, name in enumerate(("Q", "cubic")[: self.degree - 1], start=2):
+            f = getattr(self, name)
+            if f.shape != (self.n,) * m:
+                raise ValueError(f"{name} must be {' x '.join('n' * m)}")
+            sym = max((f - SpectralField(f.grid, np.swapaxes(f.coeffs, a, a + 1))).sup_norm()
+                      for a in range(m - 1))  # adjacent axis swaps
+            if sym > 1e-12 * max(1.0, f.sup_norm()):
+                raise ValueError(f"{name} is not symmetric: defect {sym:.3e}")
         self._gradients = {}
 
     @property
     def n(self) -> int:
         return self.a1.shape[0]
+
+    @property
+    def degree(self) -> int:
+        """The degree of h in y: 2, or 3 with a cubic term."""
+        return 2 if self.cubic is None else 3
 
     @property
     def grid(self) -> TorusGrid:
@@ -103,14 +118,8 @@ class HamiltonianData:
 
     def value_at(self, x: np.ndarray, y: np.ndarray, xi=None) -> float:
         """Pointwise h_xi(x, y) for the flow oracle's energy monitor."""
-        val = synthesize(self.a0, x)
-        val += float(synthesize(self.a1, x) @ y)
-        val += 0.5 * float(y @ synthesize(self.Q, x) @ y)
-        if self.cubic is not None:
-            val += float(np.einsum("ijk,i,j,k->", synthesize(self.cubic, x), y, y, y)) / 6.0
-        if xi is not None:
-            val += float(np.dot(xi, y))
-        return val
+        T = lambda m, order: synthesize(self.gradient(m, order), x[None, :])  # one point, any dim
+        return float(_taylor(T, self.degree, 0, y[:, None], 0)[0] + np.dot(_xi(xi, self.n), y))
 
 
 def _stack(x: SpectralField, y: SpectralField) -> SpectralField:
@@ -179,13 +188,13 @@ class _Warp:
         self.h, self._samples = h, {}
         self.pts = np.stack(u.grid.point_mesh) + u.ux.samples() if np.any(u.ux.coeffs) else None
 
-    def __call__(self, m: int, order: int = 0) -> np.ndarray:
+    def __call__(self, m: int, order: int) -> np.ndarray:
         if (m, order) not in self._samples:
             self.prefetch(order)
         return self._samples[(m, order)]
 
     def prefetch(self, order: int) -> None:
-        g, n, top = self.h.grid, self.h.n, (2 if self.h.cubic is None else 3)
+        g, n, top = self.h.grid, self.h.n, self.h.degree
         keys = [(m, o) for m in range(top + 1) for o in range(order + 1)
                 if m + o >= order and (m, o) not in self._samples]
         if not keys:
@@ -202,24 +211,32 @@ class _Warp:
             self._samples[k] = p.reshape((n,) * sum(k) + g.point_shape)
 
 
-def _xh(T, uy: np.ndarray, cubic: bool) -> np.ndarray:
-    """X_h = (grad_y h; -grad_x h) from the Taylor gradients T(m, order) at actions uy.
+def _taylor(T, degree: int, order: int, y: np.ndarray, keep: int) -> np.ndarray:
+    """sum_{m >= keep} T(m, order)[y^(m - keep)] / (m - keep)!, m up to degree.
 
-    Works on collocation samples (trailing point axes) and on single points alike.
+    T(m, order) is the order-th x-gradient of the m-th Taylor coefficient of h; its last m - keep
+    Taylor axes are contracted with y. (order, keep) = (0, 1), (1, 0), (1, 1), (0, 2), (2, 0) and
+    (0, 0) give grad_y h, grad_x h, D_x grad_y h, D_y grad_y h, D_x grad_x h and h itself. Works
+    on collocation samples (trailing point axes) and on single points alike.
     """
-    gy = T(1) + np.einsum("ij...,j...->i...", T(2), uy)
-    gx = T(0, 1) + np.einsum("il...,i...->l...", T(1, 1), uy)
-    gx = gx + 0.5 * np.einsum("ijl...,i...,j...->l...", T(2, 1), uy, uy)
-    if cubic:
-        gy = gy + 0.5 * np.einsum("ijk...,j...,k...->i...", T(3), uy, uy)
-        gx = gx + np.einsum("ijkl...,i...,j...,k...->l...", T(3, 1), uy, uy, uy) / 6.0
-    return np.concatenate([gy, -gx])
+    out, d = T(keep, order), "lm"[:order]
+    for m in range(keep + 1, degree + 1):
+        t = "ijk"[:m]
+        ys = "".join(f",{c}..." for c in t[keep:])
+        term = np.einsum(f"{t}{d}...{ys}->{t[:keep]}{d}...", T(m, order), *[y] * (m - keep))
+        out = out + term / math.factorial(m - keep)
+    return out
+
+
+def _xh(T, degree: int, y: np.ndarray) -> np.ndarray:
+    """X_h = (grad_y h; -grad_x h) from the Taylor gradients T(m, order) at actions y."""
+    return np.concatenate([_taylor(T, degree, 0, y, 1), -_taylor(T, degree, 1, y, 0)])
 
 
 def _xh_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
     """Samples of X_h along u: (grad_y h; -grad_x h) at (theta + ux, uy)."""
     warp.prefetch(1)
-    return _xh(warp, u.uy.samples(), h.cubic is not None)
+    return _xh(warp, h.degree, u.uy.samples())
 
 
 def hamiltonian_vector_field(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
@@ -229,19 +246,13 @@ def hamiltonian_vector_field(h: HamiltonianData, u: TorusEmbedding) -> SpectralF
 
 def _jacobian_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
     """Samples of A[u] = (DX_h)(u), shape (2n, 2n, *grid)."""
-    T, uy = warp, u.uy.samples()
-    T.prefetch(2)
-    A11 = T(1, 1) + np.einsum("ijl...,j...->il...", T(2, 1), uy)  # D_x grad_y h
-    A12 = T(2)  # D_y grad_y h
-    A21 = T(0, 2) + np.einsum("ilm...,i...->lm...", T(1, 2), uy)  # D_x grad_x h
-    A21 = A21 + 0.5 * np.einsum("ijlm...,i...,j...->lm...", T(2, 2), uy, uy)
-    if h.cubic is not None:
-        A11 = A11 + 0.5 * np.einsum("ijkl...,j...,k...->il...", T(3, 1), uy, uy)
-        A12 = A12 + np.einsum("ijk...,k...->ij...", T(3), uy)
-        A21 = A21 + np.einsum("ijklm...,i...,j...,k...->lm...", T(3, 2), uy, uy, uy) / 6.0
+    warp.prefetch(2)
+    T, d, uy = warp, h.degree, u.uy.samples()
+    A11 = _taylor(T, d, 1, uy, 1)  # D_x grad_y h
+    top = np.concatenate([A11, _taylor(T, d, 0, uy, 2)], axis=1)  # D_y grad_y h
     # the lower row is -D(grad_x h), whose y-block is the transpose of A11
-    top = np.concatenate([A11, A12], axis=1)
-    return np.concatenate([top, np.concatenate([-A21, -np.swapaxes(A11, 0, 1)], axis=1)])
+    bottom = np.concatenate([_taylor(T, d, 2, uy, 0), np.swapaxes(A11, 0, 1)], axis=1)
+    return np.concatenate([top, -bottom])
 
 
 def jacobian_A(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
@@ -250,9 +261,8 @@ def jacobian_A(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
 
 def error_fields(h: HamiltonianData, omega) -> tuple:
     """(e0, e1): invariance defect X_h(zeta0) - (omega; 0), integrability defect Q - Avg Q."""
-    omega = np.asarray(omega, dtype=float) if not isinstance(omega, FrequencyVector) else omega.array
     e0 = hamiltonian_vector_field(h, TorusEmbedding.flat(h.grid))
-    e0 = e0 - np.concatenate([omega, np.zeros(h.n)])
+    e0 = e0 - np.concatenate([_frequency(omega), np.zeros(h.n)])
     return e0, h.Q - h.Q.mean()
 
 
@@ -386,8 +396,7 @@ def linear_para_homological_solve(HM: ParaOpHandle, HMinv: ParaOpHandle, HS: Par
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = f.shape[0] // 2
-    avgM = HM.avg
-    avgS = HS.avg
+    avgM, avgS = HM.avg, HS.avg
     if mode == "thm1" and np.linalg.cond(avgS) > 1e12:
         raise SingularAverageError("Avg S is singular: thm1 requires invertible Avg Q")
 
@@ -397,10 +406,8 @@ def linear_para_homological_solve(HM: ParaOpHandle, HMinv: ParaOpHandle, HS: Par
 
     v1y = -1.0 * omega_directional_inverse(remove_mean(f1y), omega)
     if mode == "thm1":
-        m11, m12 = avgM[:n, :n], avgM[:n, n:]
-        m21, m22 = avgM[n:, :n], avgM[n:, n:]
-        xi1 = np.linalg.solve(m11, -m12 @ mu1)
-        mu = m21 @ xi1 + m22 @ mu1
+        xi1 = np.linalg.solve(avgM[:n, :n], -avgM[:n, n:] @ mu1)
+        mu = avgM[n:, :n] @ xi1 + avgM[n:, n:] @ mu1
         xi = np.zeros(n)
         # the mean of v^y balances the mean of the x-row through (Avg S)^{-1}
         v1y = v1y + np.linalg.solve(avgS, f1x.mean() - xi1 - HS.apply(v1y).mean())
@@ -474,8 +481,7 @@ class _IterationOps:
         [T_{M(0 S;0 0)M^-1} - T_{M(omega.d M^-1)} - (omega.d)] w - L w.
         """
         P, _, M_s, Minv_s = self.frame_s  # P = M[:, :n]
-        w = self.u.displacement()
-        omega_arr = self.omega.array
+        w, omega_arr = self.u.displacement(), self.omega.array
         dMinv = self.HMinv.symbol.omega_derivative(omega_arr).samples()
         B = self.A - _mm(_mm(P, self.HS.symbol.samples()), Minv_s[self.u.n :]) + _mm(M_s, dMinv)
         TBw = ParaOpHandle(analyze(self.u.grid, B), self.cut).apply(w)
@@ -490,10 +496,8 @@ def assemble_rhs(ops: _IterationOps, e0: SpectralField, Xh_zeta: SpectralField) 
 
 def _residual(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
     """F(h_xi, u) = X_h(u) + (xi; 0) - (omega.d) u from Xh = X_h(u), with sup and L2 norms."""
-    omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
-    xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
-    zeros = np.zeros(u.n)
-    field = Xh + np.concatenate([xi, zeros])
+    omega_arr, zeros = _frequency(omega), np.zeros(u.n)
+    field = Xh + np.concatenate([_xi(xi, u.n), zeros])
     field = field - np.concatenate([omega_arr, zeros]) - u.displacement().omega_derivative(omega_arr)
     return field, field.sup_norm(), field.l2_norm()
 
@@ -553,8 +557,9 @@ def solve_torus(
     if mode == "thm1" and np.linalg.cond(h.Q.mean()) > 1e12:
         raise SingularAverageError("thm1 requires invertible Avg Q")
     cut = make_cutoff(h.grid)
-    zeta = TorusEmbedding.flat(h.grid)
-    Xh_zeta = hamiltonian_vector_field(h, zeta)
+    # X_h at zeta0 from the flat iterate's ops; pop() hands them over: no local keeps them alive
+    flat = [_IterationOps(h, TorusEmbedding.flat(h.grid), omega, cut)]
+    Xh_zeta = flat[0].Xh_u
     e0 = Xh_zeta - np.concatenate([omega.array, np.zeros(h.n)])  # invariance defect of zeta0
 
     def step(state):
@@ -570,12 +575,8 @@ def solve_torus(
                "xi_norm": float(np.linalg.norm(xi)), "mu_norm": float(np.linalg.norm(mu))}
         return (ops, xi, mu), row, inc < tol
 
-    # the flat iterate's ops go straight to the driver: no local keeps its handles alive
-    (ops, xi, mu), report = picard(
-        step, (_IterationOps(h, zeta, omega, cut), None, None), TORUS_COLUMNS, max_iter
-    )
-    u = ops.u
-    disp = u.displacement()
+    (ops, xi, mu), report = picard(step, (flat.pop(), None, None), TORUS_COLUMNS, max_iter)
+    u, disp = ops.u, ops.u.displacement()
     report.extras["u_minus_flat_hs"] = disp.sobolev_norm(s)
     report.extras["gamma"] = omega.gamma
     e0_strong = e0.sobolev_norm(s + 2 * omega.sigma + 0.1)  # strong norm, loss eps = 0.1
@@ -607,14 +608,13 @@ def _compress(f: SpectralField) -> SpectralField:
 def _point_rhs(h: HamiltonianData, xi: np.ndarray):
     """Closure z -> X_{h_xi}(z) through one table folded from the precompressed Taylor gradients.
 
-    X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!) has degree d = 2
-    (3 with a cubic term) in y. With y1 = (1, y), the table's row (r, a, b[, c]) holds
-    the coefficients of y1_a y1_b [y1_c] in component r over the union of the nonzero
-    modes. The Hermitian pairs k, -k fold exactly into the half-space (first nonzero
-    k_i > 0, weight 2; k = 0, weight 1), so a right-hand side is one phase exponential,
-    one matrix product and d contractions with y1.
+    X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!) has degree d = h.degree in
+    y. With y1 = (1, y), the table's row (r, a, b[, c]) holds the coefficients of y1_a y1_b [y1_c]
+    in component r over the union of the nonzero modes. The Hermitian pairs k, -k fold exactly
+    into the half-space (first nonzero k_i > 0, weight 2; k = 0, weight 1), so a right-hand side
+    is one phase exponential, one matrix product and d contractions with y1.
     """
-    n, d = h.n, (2 if h.cubic is None else 3)
+    n, d = h.n, h.degree
     # mode_list is lexicographic and symmetric: k = 0 sits in the middle, the half-space after it
     mid = h.grid.mode_list.shape[0] // 2
     table = np.zeros((2 * n,) + (n + 1,) * d + (mid + 1,), dtype=complex)
@@ -656,10 +656,8 @@ def flow_oracle(
     EnergyDriftError if the initial energy is not finite or the relative energy
     drift, checked every 200 steps and at the last step, exceeds _ENERGY_TOL.
     """
-    omega_arr = omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, float)
-    xi = np.zeros(u.n) if xi is None else np.asarray(xi, dtype=float)
+    n, omega_arr, xi = u.n, _frequency(omega), _xi(xi, u.n)
     theta0 = np.asarray(theta0, dtype=float)
-    n = u.n
     if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T < 0:
         raise ValueError(f"need finite T >= 0 and dt > 0, got T={T!r}, dt={dt!r}")
     if theta0.shape != (n,):
@@ -722,8 +720,7 @@ def isotropy_from_residual(
     dg = g_vec.jacobian().samples()  # (m, a): d_a g_m
     # transport identity (omega.d) L = (P^T J dF)^T - P^T J dF fixes the
     # orientation: the gradient matrix enters transposed relative to dg
-    L = np.swapaxes(dg, 0, 1) - dg
-    return analyze(zeta.grid, L)
+    return analyze(zeta.grid, np.swapaxes(dg, 0, 1) - dg)
 
 
 def isotropic_correction(
@@ -735,5 +732,4 @@ def isotropic_correction(
     p = remove_mean(div).laplace_inverse()
     dzx = _embedding_jacobian_samples(zeta)[: zeta.n]  # (i, m, ...): d_m zeta^x_i
     corr = np.einsum("im...,i...->m...", dzx, p.samples())
-    uy_new = analyze(zeta.grid, zeta.uy.samples() - corr)
-    return TorusEmbedding(ux=zeta.ux, uy=uy_new)
+    return TorusEmbedding(ux=zeta.ux, uy=analyze(zeta.grid, zeta.uy.samples() - corr))

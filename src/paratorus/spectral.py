@@ -495,10 +495,12 @@ def field_from_json(doc: dict, points_per_dim: int | None = None) -> SpectralFie
     coeffs = np.zeros(grid.mode_shape, dtype=np.complex128)
     given = np.zeros(grid.mode_shape, dtype=bool)
     for e in entries:
-        k = tuple(int(x) for x in e["k"])
+        try:  # a NaN or infinite k is malformed, not an exception of int()
+            k, val = tuple(int(x) for x in e["k"]), complex(float(e["re"]), float(e["im"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SerializationError(f"malformed mode entry {e!r}: {exc}") from exc
         if len(k) != dim or any(abs(c) > K for c in k):
             raise SerializationError(f"mode {k} outside the cutoff")
-        val = complex(float(e["re"]), float(e["im"]))
         if not cmath.isfinite(val):
             raise SerializationError(f"mode {k} has a non-finite coefficient {val}")
         idx = tuple(c + K for c in k)

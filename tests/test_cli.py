@@ -153,6 +153,23 @@ def test_torus_run_deterministic(tmp_path):
     assert (out1 / "sol.json").read_bytes() == (out2 / "sol.json").read_bytes()
 
 
+def test_torus_dim_1_flow_oracle(tmp_path):
+    doc = {
+        "kind": "torus",
+        "grid": {"dim": 1, "K": 16},
+        "frequency": {"omega": [1.0], "sigma": 1.0},
+        "problem": {"a0_modes": [{"k": [1], "re": 0.0025, "im": 0.0}],  # 0.005 cos(theta)
+                    "a1": {"constant": [1.0]}, "Q": {"constant": [[1.0]]}},
+        "solver": {"s": 3.0, "mode": "thm1"},
+        "outputs": {"csv": "torus.csv", "flow_oracle": {"theta0": [0.7], "T": 1.0, "dt": 0.01}},
+    }
+    code, out = run_code(tmp_path, doc, kind="torus")
+    assert code == EXIT_OK
+    summary = (out / "torus.csv").read_text().splitlines()[-1]
+    assert "status=converged" in summary
+    assert float(summary.split("flow_deviation=")[1].split(",")[0]) < 1e-10
+
+
 def test_validate_ops_report(tmp_path):
     doc = {
         "kind": "validate-ops",

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -108,7 +109,14 @@ def random_embedding(grid, rng, amp, band=3):
 
 
 def h_eval(h, x, y):
-    return h.value_at(np.asarray(x, float), np.asarray(y, float))
+    """h(x, y) = a0 + <a1, y> + <Q y, y> / 2 [+ C[y, y, y] / 6], written out independently of
+    the solver's Taylor rule."""
+    x, y = np.asarray(x, float)[None, :], np.asarray(y, float)
+    val = synthesize(h.a0, x)[0] + synthesize(h.a1, x)[:, 0] @ y
+    val += 0.5 * y @ synthesize(h.Q, x)[..., 0] @ y
+    if h.cubic is not None:
+        val += np.einsum("ijk,i,j,k->", synthesize(h.cubic, x)[..., 0], y, y, y) / 6.0
+    return float(val)
 
 
 # --- Hamiltonian vector field -------------------------------------------------
@@ -790,6 +798,18 @@ def test_hamiltonian_rejects_a_non_finite_coefficient(name, value):
         HamiltonianData(**data)
 
 
+def test_hamiltonian_rejects_a_non_symmetric_cubic():
+    # C[0][0][1] = 1 alone: h has no single cubic term, and X_h would not be J grad h
+    g = small_grid()
+    C = np.zeros((2, 2, 2))
+    C[0, 0, 1] = 1.0
+    data = integrable(g, freq(), np.eye(2))
+    with pytest.raises(ValueError, match="cubic is not symmetric: defect 1.000e"):
+        HamiltonianData(a0=data.a0, a1=data.a1, Q=data.Q, cubic=SpectralField.constant(g, C))
+    C[0, 1, 0] = C[1, 0, 0] = 1.0  # symmetrized, it is accepted
+    HamiltonianData(a0=data.a0, a1=data.a1, Q=data.Q, cubic=SpectralField.constant(g, C))
+
+
 def test_non_finite_step_attaches_the_partial_report(monkeypatch):
     # a NaN right-hand side in step 2 stops the linear solve's first para-inversion
     real, calls = hamtorus.assemble_rhs, []
@@ -843,8 +863,8 @@ def test_solve_thm1_small_perturbation_converges():
 
 def test_solve_builds_each_operator_once_per_step(monkeypatch):
     # per Picard step: four handles (T_M, T_{M^-1}, T_S and the remainder symbol
-    # B) and one Jacobian evaluation; X_h once per iterate plus the flat torus
-    # for e0; the terminal checks reuse the final iterate's X_h
+    # B) and one Jacobian evaluation; X_h once per iterate, the flat torus's
+    # giving e0; the terminal checks reuse the final iterate's X_h
     import paratorus.hamtorus as ht
 
     counts = {"handles": 0, "_jacobian_samples": 0, "_xh_samples": 0}
@@ -871,8 +891,36 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
     assert n >= 2
     assert counts["handles"] == 4 * n + 1  # + the Neumann certificate's symbol
     assert counts["_jacobian_samples"] == n
-    # X_h at zeta0 for e0 and at each of the n + 1 iterates
-    assert counts["_xh_samples"] == n + 2
+    # X_h at each of the n + 1 iterates, zeta0 included
+    assert counts["_xh_samples"] == n + 1
+
+
+def test_flat_ops_are_released_before_the_second_step(monkeypatch):
+    # the flat iterate's ops give X_h(zeta0), then only the driver holds them: once the second
+    # step starts, its frame and handles are gone
+    refs, flat_alive = [], []
+    real_ops, real_rhs = hamtorus._IterationOps, hamtorus.assemble_rhs
+
+    def recording_ops(*args):
+        refs.append(weakref.ref(ops := real_ops(*args)))
+        return ops
+
+    def checking_rhs(ops, e0, Xh_zeta):
+        flat_alive.append(refs[0]() is not None)
+        return real_rhs(ops, e0, Xh_zeta)
+
+    monkeypatch.setattr(hamtorus, "_IterationOps", recording_ops)
+    monkeypatch.setattr(hamtorus, "assemble_rhs", checking_rhs)
+    g = small_grid()
+    om = freq()
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0): 0.005}),
+        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=MatrixField.constant(g, np.eye(2)),
+    )
+    sol = solve_torus(h, om, mode="thm1", s=3.0)
+    assert sol.report.iterations >= 2
+    assert flat_alive == [True] + [False] * (sol.report.iterations - 1)
 
 
 def test_solve_thm1_requires_invertible_avg_Q():
@@ -1071,7 +1119,7 @@ def test_stacked_point_rhs_matches_per_gradient_synthesis(dense, cubic):
     rhs = _point_rhs(h, xi)
     for _ in range(20):
         x, y = rng.uniform(0.0, 2.0 * np.pi, 2), 0.1 * rng.standard_normal(2)
-        ref = _xh(lambda m, order=0: synthesize(h.gradient(m, order), x), y, cubic)
+        ref = _xh(lambda m, order: synthesize(h.gradient(m, order), x), h.degree, y)
         ref = ref + np.concatenate([xi, np.zeros(2)])
         got = rhs(np.concatenate([x, y]))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -1112,11 +1160,39 @@ def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
     rhs = _point_rhs(h, xi)
     for _ in range(10):
         x, y = rng.uniform(0.0, 2.0 * np.pi, dim), 0.1 * rng.standard_normal(dim)
-        ref = _xh(lambda m, order=0: synthesize(h.gradient(m, order), x[None, :]), y[:, None], cubic)
+        ref = _xh(lambda m, order: synthesize(h.gradient(m, order), x[None, :]), h.degree, y[:, None])
         ref = ref[:, 0] + np.concatenate([xi, np.zeros(dim)])
         got = rhs(np.concatenate([x, y]))
         assert got.shape == (2 * dim,)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cubic", [False, True], ids=["quadratic", "cubic"])
+def test_value_at_matches_the_written_out_h(dim, cubic):
+    g = TorusGrid.create(dim, 4 if dim == 3 else 8)
+    rng = np.random.default_rng(60 + dim)
+    h = _random_taylor_data(g, rng, cubic, dense=False)
+    for _ in range(10):
+        x, y = rng.uniform(0.0, 2.0 * np.pi, dim), 0.3 * rng.standard_normal(dim)
+        xi = rng.standard_normal(dim) * 1e-3
+        ref = h_eval(h, x, y) + xi @ y
+        assert abs(h.value_at(x, y, xi) - ref) <= 1e-14 * abs(ref)
+        assert h.value_at(x, y) == h.value_at(x, y, np.zeros(dim))
+
+
+def test_flow_oracle_in_dim_1():
+    # a single point of T^1 is an array of shape (1,): the energy monitor reads it as one point
+    g = TorusGrid.create(1, 16)
+    om = FrequencyVector.certify([1.0], 1.0, 16)
+    h = HamiltonianData(a0=SpectralField.from_modes(g, {1: 0.0025}),
+                        a1=SpectralField.constant(g, [1.0]), Q=SpectralField.constant(g, [[1.0]]))
+    sol = solve_torus(h, om, mode="thm1", s=3.0)
+    assert sol.report.extras["residual_sup"] < 1e-12
+    dev = flow_oracle(h, sol.u, sol.xi, om, theta0=[0.7], T=1.0, dt=0.01)
+    assert dev < 1e-10
+    # the solved torus is not the flat one, so the comparison has something to see
+    assert flow_oracle(h, TorusEmbedding.flat(g), None, om, theta0=[0.7], T=1.0, dt=0.01) > 1e-4
 
 
 def _whole_orbit_deviation(h, u, xi, omega, theta0, T, dt):

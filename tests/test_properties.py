@@ -1,17 +1,28 @@
 """Property tests: the real transforms and the stacked dyadic decomposition
 against complex full-grid transforms and per-level sums written out here, point
 evaluation against the direct sum, and the closed-form torus frame against
-LAPACK."""
+LAPACK. Non-finite input is rejected where it enters: a solver input with NonFiniteError, a CLI
+config with ConfigError."""
 
+import copy
+import itertools
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paratorus import (
+    CircleProblem,
+    HamiltonianData,
     MeyerMultiplierFamily,
+    NonFiniteError,
     ParaOpHandle,
+    RotationAngle,
     SpectralField,
     TorusEmbedding,
     TorusGrid,
@@ -25,7 +36,9 @@ from paratorus import (
     zygmund_norm,
 )
 import paratorus.hamtorus as hamtorus
+from paratorus import cli
 from paratorus.spectral import warp_samples
+from test_cli import GOLDEN, GOLDEN_ALPHA, circle_config, no_solve, torus_config
 from test_spectral import direct_eval
 
 # derandomized, so the suite stays deterministic
@@ -271,3 +284,102 @@ def test_closed_form_frame_equals_lapack(dims, slope, seed):
     assert relative(Minv, Minv_ref) <= 1e-13
     assert relative(guarded["embedding Gram matrix"], gram_det) <= 1e-13
     assert relative(np.abs(guarded["frame matrix M"]), np.abs(M_det)) <= 1e-13
+
+
+# --- non-finite input ------------------------------------------------------------------
+
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+
+
+def symmetric_field(grid, rng, order):
+    """A random field with order component axes of length n, symmetric in them."""
+    f = random_field(grid, rng, (grid.dim,) * order)
+    perms = list(itertools.permutations(range(order)))
+    axes = lambda p: p + tuple(range(order, order + grid.dim))
+    return SpectralField(grid, sum(np.transpose(f.coeffs, axes(p)) for p in perms) / len(perms))
+
+
+@PROPERTY
+@given(st.sampled_from(["f", "a0", "a1", "Q", "cubic"]), st.sampled_from([(1, 4), (2, 4), (3, 2)]),
+       non_finite, seeds)
+def test_a_non_finite_solver_input_raises_non_finite_error(name, dims, value, seed):
+    """One NaN or infinite coefficient anywhere in CircleProblem.f, a0, a1, Q or cubic."""
+    g, rng = TorusGrid.create(*dims), np.random.default_rng(seed)
+    if name == "f":
+        g = TorusGrid.create(1, dims[1])
+    data = {"f": random_field(g, rng)} if name == "f" else {
+        "a0": random_field(g, rng), "a1": random_field(g, rng, (g.dim,)),
+        "Q": symmetric_field(g, rng, 2), "cubic": symmetric_field(g, rng, 3)}
+    coeffs = data[name].coeffs
+    coeffs[np.unravel_index(rng.integers(coeffs.size), coeffs.shape)] = value
+    with pytest.raises(NonFiniteError, match=f"{name} has a non-finite coefficient"):
+        if name == "f":
+            CircleProblem(alpha=RotationAngle.certify(GOLDEN_ALPHA, 1.0, g.max_mode), s=3.0, **data)
+        else:
+            HamiltonianData(**data)
+
+
+def cli_configs():
+    """One config of each kind, between them holding every numeric key and form the CLI reads."""
+    circle = circle_config(amp=0.04)
+    circle["outputs"]["rotation_oracle_iterations"] = 10
+    torus = torus_config()
+    torus["grid"]["points"] = 32
+    torus["solver"].update(tol=1e-10, max_iter=40)
+    torus["problem"]["a0_modes"] = [{"k": [1, 0], "re": 0.005, "im": 0.0}]
+    torus["outputs"]["flow_oracle"] = {"theta0": [0.7, 1.9], "T": 1.0, "dt": 1e-3}
+    fields = torus_config()
+    mode = lambda c: [{"k": [0, 0], "re": c, "im": 0.0}]
+    fields["problem"]["a1"] = {"components": [mode(1.0), mode(GOLDEN)]}
+    fields["problem"]["Q"] = {"entries": [[mode(1.0), mode(0.0)], [mode(0.0), mode(1.0)]]}
+    ops = {"kind": "validate-ops", "grid": {"dim": 1, "K": 32},
+           "probes": {"regularities": [1.0], "j_range": [3, 5], "boundedness_K": 16,
+                      "identity_K": 16, "identity_trials": 2}}
+    scan = lambda freq: {"kind": "diophantine", "frequency": {"sigma": 1.0, **freq},
+                         "scan": {"K_values": [8, 16]}}
+    return {"circle": circle, "torus": torus, "torus-fields": fields, "validate-ops": ops,
+            "diophantine-omega": scan({"omega": [1.0, GOLDEN]}),
+            "diophantine-alpha": scan({"alpha": GOLDEN_ALPHA})}
+
+
+def numeric_leaves(doc, path=()):
+    """The paths of every number (bool excluded) in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, v in items for leaf in numeric_leaves(v, path + (key,))]
+    return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+LEAVES = [(name, path) for name, doc in cli_configs().items() for path in numeric_leaves(doc)]
+
+
+def run_cli(doc, tmp):
+    """Exit code of the CLI on doc, with both solves replaced by an AssertionError."""
+    cfg = Path(tmp) / "c.json"
+    cfg.write_text(json.dumps(doc))
+    with mock.patch.object(cli, "solve", no_solve), mock.patch.object(cli, "solve_torus", no_solve):
+        return cli.main([doc["kind"], "--config", str(cfg), "--out", tmp])
+
+
+@pytest.mark.parametrize("name", sorted(cli_configs()))
+def test_the_unaltered_configs_are_valid(name, tmp_path):
+    doc = cli_configs()[name]
+    if doc["kind"] in ("circle", "torus"):
+        with pytest.raises(AssertionError, match="the solve ran"):
+            run_cli(doc, str(tmp_path))
+    else:
+        assert run_cli(doc, str(tmp_path)) == cli.EXIT_OK
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(LEAVES), st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+def test_a_non_finite_config_number_is_a_config_error(leaf, value):
+    name, path = leaf
+    doc = copy.deepcopy(cli_configs()[name])
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_cli(doc, tmp) == cli.EXIT_CONFIG
+        assert json.loads((Path(tmp) / "error.json").read_text())["error"] == "ConfigError"
