@@ -4,7 +4,8 @@ Solves eta(x + alpha) = eta(x) + alpha + f(eta(x)) - lambda with eta = Id + u,
 rearranged as Delta_alpha u = f o (Id + u) - lambda. One Picard step inverts
     T_{1/(1+u')} Delta_alpha T_{(1+u') o tau_alpha}
 against the fully evaluated right-hand side, with both smoothing remainders
-computed as literal differences. A naive baseline iterates the unconditioned
+computed as one literal difference: two Neumann inversions per step, the mean
+balance lambda in closed form. A naive baseline iterates the unconditioned
 equation and is expected to degrade first as the perturbation grows.
 """
 
@@ -74,12 +75,14 @@ def _reciprocal(field: SpectralField) -> SpectralField:
 def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     """One application of the para-inverse right-hand side; returns (u_next, lambda).
 
-    Assembly: (i) composed value and para-linearization remainder as a literal
-    difference, (ii) the composition remainder of the factored operator, also
-    literal, (iii) lambda balancing the mean through two para-inversions,
-    (iv) the small-divisor inverse followed by the outer para-inversion. The
-    handles of T_{(1+u') o tau_alpha} and T_{1/(1+u')} are built once and
-    serve both the remainder and the three inversions.
+    With base = f (or chi* f in refined mode), both smoothing remainders are one
+    literal difference, T_a being linear in its symbol a:
+        rem = f o (Id + u) - base - Delta_alpha u + T_{slope - f' o (Id + u)} u
+              + T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u,
+    slope = Delta_alpha u' / (1 + u'). T_{(1+u') o tau_alpha} is inverted on
+    base + rem; since T_a c = mean(a) c, lambda balances the mean in closed
+    form, and the small-divisor inverse is followed by the outer inversion of
+    T_{1/(1+u')}. Three handles per step: those two and the remainder's.
     """
     f = problem.f
     alpha = problem.alpha
@@ -91,31 +94,20 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     # f and f' at the same warped points, sharing every phase exponential
     comp, fprime_comp = compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]))
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
-
-    # remainder from trading T_{ab} for T_a T_b in the factored operator:
-    # R_1(u) = [Delta_alpha u - T_{Delta_alpha u'/(1+u')} u]
-    #          - T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u
-    r1 = (
-        delta_alpha(u, alpha)
-        - para_product(slope_symbol, u, cut)
-        - H_fwd.apply(delta_alpha(H_recip.apply(u), alpha))
+    if problem.mode == "refined":
+        base = para_compose(f, VectorField([u]), cut, window=_COMPOSE_WINDOW)
+    else:
+        base = f
+    rem = (
+        comp - base - delta_alpha(u, alpha)
+        + para_product(slope_symbol - fprime_comp, u, cut)
+        + H_fwd.apply(delta_alpha(H_recip.apply(u), alpha))
     )
 
-    if problem.mode == "refined":
-        chi_star = para_compose(f, VectorField([u]), cut, window=_COMPOSE_WINDOW)
-        compose_rem = comp - chi_star - para_product(fprime_comp, u, cut)
-        bracket = chi_star + compose_rem - r1
-    else:
-        pl = comp - f - para_product(fprime_comp, u, cut)
-        bracket = f + pl - r1
-
     inv = lambda H, v: para_invert_with_handle(H, v, tol=_INVERT_TOL, max_iter=_INVERT_MAX_ITER)
-    gi = inv(H_fwd, bracket)
-    onei = inv(H_fwd, SpectralField.constant(u.grid, 1.0))
-    lam = gi.mean() / onei.mean()
-    w = gi - lam * onei
-    v = delta_alpha_inverse(w, alpha)
-    u_next = inv(H_recip, v)
+    gi = inv(H_fwd, base + rem)
+    lam = H_fwd.avg * gi.mean()  # T_fwd^{-1} 1 = 1 / mean(a)
+    u_next = inv(H_recip, delta_alpha_inverse(gi - gi.mean(), alpha))
     return u_next, lam
 
 

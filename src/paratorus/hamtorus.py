@@ -83,6 +83,9 @@ class HamiltonianData:
                 self.grid.require_same(f.grid)
                 if not np.all(np.isfinite(f.coeffs)):
                     raise NonFiniteError(f"{name} has a non-finite coefficient")
+        if self.a0.shape != () or self.a1.shape != (self.grid.dim,):
+            raise ValueError(f"a0 must be scalar and a1 have {self.grid.dim} components on this "
+                             f"grid, got shapes {self.a0.shape} and {self.a1.shape}")
         for m, name in enumerate(("Q", "cubic")[: self.degree - 1], start=2):
             f = getattr(self, name)
             if f.shape != (self.n,) * m:

@@ -143,8 +143,8 @@ def delta_alpha_inverse(f: SpectralField, alpha) -> SpectralField:
     small = np.abs(div) < _RESONANCE_EPS
     small[f.grid.max_mode] = False
     if np.any(small):
-        kbad = int(k[np.argmax(small)])
-        raise ResonantModeError((kbad,), float(np.min(np.abs(div[small]))))
+        i = np.argmax(small)
+        raise ResonantModeError((int(k[i]),), float(abs(div[i])))
     out = np.zeros_like(f.coeffs)
     nz = k != 0
     out[nz] = f.coeffs[nz] / div[nz]
@@ -160,7 +160,7 @@ def omega_directional_inverse(f: SpectralField, omega: FrequencyVector) -> Spect
     if np.any(small):
         idx = np.unravel_index(int(np.argmax(small)), small.shape)
         kbad = tuple(int(f.grid.mode_axis[i]) for i in idx)
-        raise ResonantModeError(kbad, 0.0)
+        raise ResonantModeError(kbad, float(abs(kw[idx])))
     out = np.zeros_like(f.coeffs)
     nz = kw != 0
     out[..., nz] = f.coeffs[..., nz] / (1j * kw[nz])

@@ -495,8 +495,10 @@ def field_from_json(doc: dict, points_per_dim: int | None = None) -> SpectralFie
     coeffs = np.zeros(grid.mode_shape, dtype=np.complex128)
     given = np.zeros(grid.mode_shape, dtype=bool)
     for e in entries:
-        try:  # a NaN or infinite k is malformed, not an exception of int()
+        try:  # a NaN, infinite or non-integral k is malformed, not an exception of int()
             k, val = tuple(int(x) for x in e["k"]), complex(float(e["re"]), float(e["im"]))
+            if list(k) != list(e["k"]):
+                raise ValueError(f"non-integral mode index {e['k']!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SerializationError(f"malformed mode entry {e!r}: {exc}") from exc
         if len(k) != dim or any(abs(c) > K for c in k):

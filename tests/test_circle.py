@@ -24,8 +24,8 @@ from paratorus import (
     solve,
 )
 import paratorus.circle as circle
-from paratorus.paraprod import ParaOpHandle
-from paratorus.spectral import analyze, synthesize, warp_samples
+from paratorus.paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
+from paratorus.spectral import VectorField, analyze, compose_warped, synthesize, warp_samples
 
 GOLDEN_ALPHA = math.pi * (math.sqrt(5.0) - 1.0)
 
@@ -100,22 +100,71 @@ def test_g_map_equals_small_divisor_inverse_at_zero():
 
 
 @pytest.mark.parametrize("mode", ["standard", "refined"])
-def test_g_map_builds_four_handles(monkeypatch, mode):
-    # T_{(1+u') o tau_alpha} and T_{1/(1+u')} serve the remainder and all three
-    # inversions; the slope and f'(Id + u) symbols make the other two
+def test_g_map_builds_three_handles(monkeypatch, mode):
+    # T_{(1+u') o tau_alpha} and T_{1/(1+u')} serve the remainder and both
+    # inversions; the remainder's symbol slope - f'(Id + u) makes the third
     prob = setup(amp=0.1, mode=mode)
     cut = make_cutoff(prob.f.grid)
     u, _ = g_map(SpectralField.zero(prob.f.grid), prob, cut)
-    builds = []
-    init = ParaOpHandle.__init__
+    builds, inversions = [], []
+    init, invert = ParaOpHandle.__init__, circle.para_invert_with_handle
 
     def counting_init(self, *args, **kwargs):
         builds.append(args[0])
         init(self, *args, **kwargs)
 
+    def counting_invert(*args, **kwargs):
+        inversions.append(args[0])
+        return invert(*args, **kwargs)
+
     monkeypatch.setattr(ParaOpHandle, "__init__", counting_init)
+    monkeypatch.setattr(circle, "para_invert_with_handle", counting_invert)
     g_map(u, prob, cut)
-    assert len(builds) == 4
+    assert len(builds) == 3 and len(inversions) == 2
+
+
+def four_handle_g_map(u, problem, cut):
+    """The step as four handles and three inversions: separate remainders, lambda by inversion."""
+    f, alpha = problem.f, problem.alpha
+    one_du = u.derivative(0) + 1.0
+    recip = analyze(u.grid, 1.0 / one_du.samples())
+    H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
+    H_recip = ParaOpHandle(recip, cut)
+    comp, fprime_comp = compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]))
+    slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
+    # R_1(u) = [Delta_alpha u - T_{Delta_alpha u'/(1+u')} u]
+    #          - T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u
+    r1 = (
+        delta_alpha(u, alpha)
+        - para_product(slope_symbol, u, cut)
+        - H_fwd.apply(delta_alpha(H_recip.apply(u), alpha))
+    )
+    if problem.mode == "refined":
+        chi_star = para_compose(f, VectorField([u]), cut, window=2)
+        compose_rem = comp - chi_star - para_product(fprime_comp, u, cut)
+        bracket = chi_star + compose_rem - r1
+    else:
+        pl = comp - f - para_product(fprime_comp, u, cut)
+        bracket = f + pl - r1
+    inv = lambda H, v: para_invert_with_handle(H, v, tol=1e-13, max_iter=300)
+    gi = inv(H_fwd, bracket)
+    onei = inv(H_fwd, SpectralField.constant(u.grid, 1.0))
+    lam = gi.mean() / onei.mean()
+    return inv(H_recip, delta_alpha_inverse(gi - lam * onei, alpha)), lam
+
+
+@pytest.mark.parametrize("mode", ["standard", "refined"])
+def test_g_map_matches_the_four_handle_step(mode):
+    prob = setup(K=128, amp=0.1, mode=mode)
+    prob.f = prob.f + SpectralField.from_modes(prob.f.grid, {2: 0.01 + 0.02j}) + 0.003
+    cut = make_cutoff(prob.f.grid)
+    u = SpectralField.zero(prob.f.grid)
+    for _ in range(3):  # a nonzero iterate
+        u, _ = g_map(u, prob, cut)
+    u_next, lam = g_map(u, prob, cut)
+    ref_u, ref_lam = four_handle_g_map(u, prob, cut)
+    assert lam == ref_lam
+    assert (u_next - ref_u).l2_norm() <= 1e-13 * ref_u.l2_norm()
 
 
 def test_g_map_rejects_lost_diffeomorphism():

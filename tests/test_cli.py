@@ -268,6 +268,15 @@ def test_non_finite_mode_is_config_error(tmp_path):
         assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
 
 
+def test_non_integral_mode_index_is_config_error(tmp_path):
+    doc = circle_config(amp=0.04)
+    doc["problem"]["f_modes"][0]["k"] = [1.5]
+    code, out = run_code(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "non-integral mode index" in err["message"]
+
+
 def test_max_iter_below_one_is_config_error(tmp_path):
     code, out = run_code(tmp_path, circle_config(amp=0.04, max_iter=0))
     assert code == EXIT_CONFIG

@@ -810,6 +810,18 @@ def test_hamiltonian_rejects_a_non_symmetric_cubic():
     HamiltonianData(a0=data.a0, a1=data.a1, Q=data.Q, cubic=SpectralField.constant(g, C))
 
 
+def test_hamiltonian_rejects_a1_off_the_grid_dimension():
+    g = small_grid()
+    data = integrable(g, freq(), np.eye(2))
+    with pytest.raises(ValueError, match="a1 have 2 components"):  # scalar a1
+        HamiltonianData(a0=data.a0, a1=SpectralField.constant(g, 1.0), Q=data.Q)
+    with pytest.raises(ValueError, match="a1 have 2 components"):  # n = 3 on a dim-2 grid
+        HamiltonianData(a0=data.a0, a1=SpectralField.constant(g, np.ones(3)),
+                        Q=MatrixField.constant(g, np.eye(3)))
+    with pytest.raises(ValueError, match="a0 must be scalar"):
+        HamiltonianData(a0=SpectralField.constant(g, np.ones(2)), a1=data.a1, Q=data.Q)
+
+
 def test_non_finite_step_attaches_the_partial_report(monkeypatch):
     # a NaN right-hand side in step 2 stops the linear solve's first para-inversion
     real, calls = hamtorus.assemble_rhs, []

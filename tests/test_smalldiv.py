@@ -112,6 +112,28 @@ def test_delta_alpha_inverse_rejects_nonzero_mean():
         delta_alpha_inverse(f, alpha)
 
 
+@pytest.mark.parametrize("case", ["angle", "vector"])
+def test_small_divisor_error_reports_the_divisor_of_its_mode(case):
+    # several retained modes are near-resonant with different divisors; the
+    # error names the first and must report that mode's own |divisor|
+    if case == "angle":
+        g, a = TorusGrid.create(1, 8), 2.0 * math.pi / 3.0  # k = -6, -3, 3, 6
+        f = SpectralField.from_modes(g, {1: 1.0})
+        with pytest.raises(ResonantModeError) as err:
+            delta_alpha_inverse(f, a)
+        expect = abs(np.exp(1j * err.value.mode[0] * a) - 1.0)
+    else:
+        g = TorusGrid.create(2, 8)
+        omega = FrequencyVector((1.0, 1.0 + 1e-15), 1.0, 1.0, 8)
+        f = SpectralField.from_modes(g, {(1, 0): 1.0})
+        with pytest.raises(ResonantModeError) as err:
+            omega_directional_inverse(f, omega)
+        expect = abs(np.dot(err.value.mode, omega.array))
+        assert err.value.mode == (-8, 8)
+    assert err.value.value > 0.0
+    assert err.value.value == pytest.approx(expect, rel=1e-6, abs=0.0)
+
+
 def test_delta_alpha_round_trip():
     g, alpha = circle_setup()
     rng = np.random.default_rng(2)

@@ -443,6 +443,14 @@ def test_serialization_rejects_non_finite_coefficients(value):
         field_from_json(doc)
 
 
+def test_serialization_rejects_a_non_integral_mode_index():
+    doc = {"dim": 1, "K": 4, "coeffs": [{"k": [1.5], "re": 0.1, "im": 0.0}]}
+    with pytest.raises(SerializationError, match="non-integral mode index"):
+        field_from_json(doc)
+    doc["coeffs"][0]["k"] = [1.0]  # an integral float names the mode
+    assert field_from_json(doc).coeffs[5] == 0.1
+
+
 # --- component axes ----------------------------------------------------------
 
 
