@@ -249,8 +249,8 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
         _require_keys(oracle, {"theta0": True, "T": True, "dt": True}, path)
         theta0 = _nested(oracle["theta0"], (grid.dim,), f"{path}.theta0", _finite)
         T, dt = _finite(oracle["T"], f"{path}.T"), _finite(oracle["dt"], f"{path}.dt")
-        if T < 0 or dt <= 0:
-            raise ConfigError(f"{path}: need T >= 0 and dt > 0, got T={T}, dt={dt}")
+        if T < 0 or dt <= 0 or not math.isfinite(T / dt):
+            raise ConfigError(f"{path}: need T >= 0, dt > 0 and T / dt finite, got T={T}, dt={dt}")
     csv_path = out / outputs.get("csv", "torus.csv")
     sol = _solve_saving_trajectory(
         lambda: solve_torus(

@@ -52,7 +52,10 @@ def _frequency(omega) -> np.ndarray:
 
 def _xi(xi, n: int) -> np.ndarray:
     """The counterterm xi as n floats; None is no counterterm."""
-    return np.zeros(n) if xi is None else np.asarray(xi, dtype=float)
+    out = np.zeros(n) if xi is None else np.asarray(xi, dtype=float)
+    if out.shape != (n,):
+        raise ValueError(f"xi needs shape ({n},), got shape {out.shape}")
+    return out
 
 
 def _apply_J(v: np.ndarray) -> np.ndarray:
@@ -120,7 +123,8 @@ class HamiltonianData:
         return self._gradients[(m, order)]
 
     def value_at(self, x: np.ndarray, y: np.ndarray, xi=None) -> float:
-        """Pointwise h_xi(x, y) for the flow oracle's energy monitor."""
+        """Pointwise h_xi(x, y) for the flow oracle's energy monitor; x and y are n floats each."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         T = lambda m, order: synthesize(self.gradient(m, order), x[None, :])  # one point, any dim
         return float(_taylor(T, self.degree, 0, y[:, None], 0)[0] + np.dot(_xi(xi, self.n), y))
 
@@ -609,13 +613,16 @@ def _compress(f: SpectralField) -> SpectralField:
 
 
 def _point_rhs(h: HamiltonianData, xi: np.ndarray):
-    """Closure z -> X_{h_xi}(z) through one table folded from the precompressed Taylor gradients.
+    """Closure z -> X_{h_xi}(z) on the nonzero real terms of the precompressed Taylor gradients.
 
     X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!) has degree d = h.degree in
-    y. With y1 = (1, y), the table's row (r, a, b[, c]) holds the coefficients of y1_a y1_b [y1_c]
-    in component r over the union of the nonzero modes. The Hermitian pairs k, -k fold exactly
-    into the half-space (first nonzero k_i > 0, weight 2; k = 0, weight 1), so a right-hand side
-    is one phase exponential, one matrix product and d contractions with y1.
+    y. With y1 = (1, y), the folded table's row (r, a, b[, c]) holds the coefficients of
+    y1_a y1_b [y1_c] in component r over the union of the nonzero modes; the Hermitian pairs
+    k, -k fold exactly into the half-space (first nonzero k_i > 0, weight 2; k = 0, weight 1).
+    Each nonzero row is a term: component r times the monomial of y at the indices a, b[, c] > 0.
+    Their x-dependent factors are one real product [Re T | -Im T | T_0] @ [cos | sin | 1] of the
+    phases x.k over the modes k != 0 that some row uses; the monomials and the shift (xi; 0) are
+    summed on Python floats. rhs takes any sequence of 2n floats and returns a list.
     """
     n, d = h.n, h.degree
     # mode_list is lexicographic and symmetric: k = 0 sits in the middle, the half-space after it
@@ -630,19 +637,27 @@ def _point_rhs(h: HamiltonianData, xi: np.ndarray):
             table[(slice(None, n),) + (0,) * (d + 1 - m) + ys[1:]] = ay / math.factorial(m - 1)
     table = table.reshape((-1, mid + 1))
     table[:, 1:] *= 2.0
-    mask = np.any(table != 0, axis=0)
-    modes_t = h.grid.mode_list[mid:][mask].T.astype(float)
-    table = table[:, mask]
-    shape = (2 * n,) + (n + 1,) * d
-    shift = np.concatenate([xi, np.zeros(n)])
-    y1 = np.ones(n + 1)  # (1, y), refilled by each call
+    rows = np.flatnonzero(np.any(table != 0, axis=1))
+    table = table[rows]
+    cols = 1 + np.flatnonzero(np.any(table[:, 1:] != 0, axis=0))
+    modes = h.grid.mode_list[mid:][cols].T.astype(float)
+    mat = np.concatenate([table[:, cols].real, -table[:, cols].imag, table[:, :1].real], axis=1)
+    index = np.array(np.unravel_index(rows, (2 * n,) + (n + 1,) * d)).T.tolist()
+    terms = [(r, [a - 1 for a in ab if a]) for r, *ab in index]
+    shift = xi.tolist() + [0.0] * n
+    phase, buf = np.empty(len(cols)), np.ones(2 * len(cols) + 1)  # buf: [cos | sin | 1]
+    cos_part, sin_part = buf[: len(cols)], buf[len(cols) : -1]
 
-    def rhs(z: np.ndarray) -> np.ndarray:
-        vals = (table @ np.exp(1j * (z[:n] @ modes_t))).real.reshape(shape)
-        y1[1:] = z[n:]
-        for _ in range(d):
-            vals = vals @ y1
-        return vals + shift
+    def rhs(z) -> list:
+        np.dot(z[:n], modes, out=phase)
+        np.cos(phase, out=cos_part)
+        np.sin(phase, out=sin_part)
+        out, y = shift.copy(), z[n:]
+        for (r, ys), v in zip(terms, (mat @ buf).tolist()):
+            for a in ys:
+                v *= y[a]
+            out[r] += v
+        return out
 
     return rhs
 
@@ -653,16 +668,17 @@ def flow_oracle(
     """Max deviation of the RK4 orbit from z(0) = u(theta0) against u(theta0 + omega t).
 
     Independent invariance check: integrates the Hamiltonian ODE by RK4 with
-    fixed step dt through the folded table of _point_rhs, and compares each
-    block of _COMPARE_BLOCK orbit points with the rotated embedding as soon as
-    it is integrated, so memory does not grow with T/dt. Raises
-    EnergyDriftError if the initial energy is not finite or the relative energy
-    drift, checked every 200 steps and at the last step, exceeds _ENERGY_TOL.
+    fixed step dt through the real terms of _point_rhs, its stages on Python
+    floats, and compares each block of _COMPARE_BLOCK orbit points with the
+    rotated embedding as soon as it is integrated, so memory does not grow with
+    T/dt. T/dt must be finite and xi of shape (n,). Raises EnergyDriftError if
+    the initial energy is not finite or the relative energy drift, checked
+    every 200 steps and at the last step, exceeds _ENERGY_TOL.
     """
     n, omega_arr, xi = u.n, _frequency(omega), _xi(xi, u.n)
     theta0 = np.asarray(theta0, dtype=float)
-    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T < 0:
-        raise ValueError(f"need finite T >= 0 and dt > 0, got T={T!r}, dt={dt!r}")
+    if not (0 < dt < math.inf and T >= 0 and math.isfinite(T / dt)):  # NaN fails each test
+        raise ValueError(f"need finite T >= 0 and dt > 0 and T / dt, got T={T!r}, dt={dt!r}")
     if theta0.shape != (n,):
         raise ValueError(f"theta0 needs {n} entries, got shape {theta0.shape}")
     steps = int(round(T / dt))
@@ -684,12 +700,13 @@ def flow_oracle(
     block = np.empty((_COMPARE_BLOCK, 2 * n))
     block[0] = z
     dev = 0.0  # np.maximum keeps a NaN deviation, where max() would drop it
+    z = z.tolist()
     for i in range(1, steps + 1):
         k1 = rhs(z)
-        k2 = rhs(z + 0.5 * dt * k1)
-        k3 = rhs(z + 0.5 * dt * k2)
-        k4 = rhs(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = rhs([a + 0.5 * dt * b for a, b in zip(z, k1)])
+        k3 = rhs([a + 0.5 * dt * b for a, b in zip(z, k2)])
+        k4 = rhs([a + dt * b for a, b in zip(z, k3)])
+        z = [a + (dt / 6.0) * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
         if i % 200 == 0 or i == steps:
             drift = abs(h.value_at(z[:n], z[n:], xi) - H0) / max(1.0, abs(H0))
             if not drift <= _ENERGY_TOL:  # NaN counts as drift

@@ -420,6 +420,17 @@ def test_bad_flow_oracle_is_config_error(tmp_path, monkeypatch, key, value):
     assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
 
 
+def test_flow_oracle_step_count_that_overflows_is_config_error(tmp_path, monkeypatch):
+    # T and dt are finite, T / dt is not: rejected before the solve, not after it
+    monkeypatch.setattr(cli, "solve_torus", no_solve)
+    doc = torus_config()
+    doc["outputs"]["flow_oracle"] = {"theta0": [0.7, 1.9], "T": 1e300, "dt": 1e-300}
+    code, out = run_code(tmp_path, doc, kind="torus")
+    assert code == EXIT_CONFIG
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConfigError" and "T / dt" in error["message"]
+
+
 @pytest.mark.parametrize(
     "key, value, where",
     [

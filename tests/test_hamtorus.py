@@ -1133,7 +1133,7 @@ def test_stacked_point_rhs_matches_per_gradient_synthesis(dense, cubic):
         x, y = rng.uniform(0.0, 2.0 * np.pi, 2), 0.1 * rng.standard_normal(2)
         ref = _xh(lambda m, order: synthesize(h.gradient(m, order), x), h.degree, y)
         ref = ref + np.concatenate([xi, np.zeros(2)])
-        got = rhs(np.concatenate([x, y]))
+        got = np.asarray(rhs(np.concatenate([x, y])))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -1174,7 +1174,7 @@ def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
         x, y = rng.uniform(0.0, 2.0 * np.pi, dim), 0.1 * rng.standard_normal(dim)
         ref = _xh(lambda m, order: synthesize(h.gradient(m, order), x[None, :]), h.degree, y[:, None])
         ref = ref[:, 0] + np.concatenate([xi, np.zeros(dim)])
-        got = rhs(np.concatenate([x, y]))
+        got = np.asarray(rhs(np.concatenate([x, y])))
         assert got.shape == (2 * dim,)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -1223,10 +1223,10 @@ def _whole_orbit_deviation(h, u, xi, omega, theta0, T, dt):
     orbit = np.empty((steps + 1, 2 * n))
     orbit[0] = z
     for i in range(1, steps + 1):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * dt * k1)
-        k3 = rhs(z + 0.5 * dt * k2)
-        k4 = rhs(z + dt * k3)
+        k1 = np.asarray(rhs(z))
+        k2 = np.asarray(rhs(z + 0.5 * dt * k1))
+        k3 = np.asarray(rhs(z + 0.5 * dt * k2))
+        k4 = np.asarray(rhs(z + dt * k3))
         z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         orbit[i] = z
     dev = 0.0
@@ -1276,6 +1276,114 @@ def test_flow_oracle_memory_does_not_grow_with_T():
     # both runs fill whole comparison blocks; a stored orbit of 10,001 points of
     # 6 floats would take 422 KiB more than one of 1,001
     assert peak(20.0) - peak(2.0) < 100 * 1024
+
+
+def test_flow_oracle_rejects_a_step_count_that_overflows():
+    # T and dt are finite, but T / dt is not
+    g = small_grid()
+    h = integrable(g, freq(), np.eye(2))
+    with pytest.raises(ValueError, match="T >= 0 and dt > 0 and T / dt"):
+        flow_oracle(h, TorusEmbedding.flat(g), None, freq(), theta0=[0.3, 0.9], T=1e300,
+                    dt=1e-300)
+
+
+@pytest.mark.parametrize("xi", [[1e-3, 0.0, 0.0], 1e-3, [[1e-3, 0.0]]],
+                         ids=["three-entries", "scalar", "two-dimensional"])
+@pytest.mark.parametrize("caller", ["flow_oracle", "residual_torus", "value_at"])
+def test_counterterm_of_the_wrong_shape_is_rejected(caller, xi):
+    g = small_grid()
+    om = freq()
+    h = integrable(g, om, np.eye(2))
+    u = TorusEmbedding.flat(g)
+    call = {
+        "flow_oracle": lambda: flow_oracle(h, u, xi, om, theta0=[0.3, 0.9], T=0.01, dt=1e-3),
+        "residual_torus": lambda: residual_torus(h, u, xi, om),
+        "value_at": lambda: h.value_at(np.array([0.3, 0.9]), np.array([0.1, 0.2]), xi),
+    }[caller]
+    with pytest.raises(ValueError, match=r"xi needs shape \(2,\), got shape"):
+        call()
+
+
+def _complex_table_rhs(h, xi):
+    """The flow right-hand side before it ran on real terms: one complex table over every
+    (r, a, b[, c]) row, one phase exponential, one matrix product and d contractions with
+    y1 = (1, y)."""
+    n, d = h.n, h.degree
+    mid = h.grid.mode_list.shape[0] // 2
+    table = np.zeros((2 * n,) + (n + 1,) * d + (mid + 1,), dtype=complex)
+    for m in range(d + 1):
+        ys = (slice(1, None),) * m
+        dx = hamtorus._compress(h.gradient(m, 1)).coeffs.reshape((n,) * (m + 1) + (-1,))[..., mid:]
+        table[(slice(n, None),) + (0,) * (d - m) + ys] = -np.moveaxis(dx, m, 0) / math.factorial(m)
+        if m > 0:
+            ay = hamtorus._compress(h.gradient(m)).coeffs.reshape((n,) * m + (-1,))[..., mid:]
+            table[(slice(None, n),) + (0,) * (d + 1 - m) + ys[1:]] = ay / math.factorial(m - 1)
+    table = table.reshape((-1, mid + 1))
+    table[:, 1:] *= 2.0
+    mask = np.any(table != 0, axis=0)
+    modes_t = h.grid.mode_list[mid:][mask].T.astype(float)
+    table = table[:, mask]
+    shape = (2 * n,) + (n + 1,) * d
+    shift = np.concatenate([xi, np.zeros(n)])
+    y1 = np.ones(n + 1)
+
+    def rhs(z):
+        vals = (table @ np.exp(1j * (z[:n] @ modes_t))).real.reshape(shape)
+        y1[1:] = z[n:]
+        for _ in range(d):
+            vals = vals @ y1
+        return vals + shift
+
+    return rhs
+
+
+def _complex_table_deviation(h, u, xi, omega, theta0, T, dt):
+    """Max distance of the NumPy RK4 orbit through _complex_table_rhs from u(theta0 + omega t)."""
+    n = u.n
+    w_c = hamtorus._compress(u.displacement())
+    steps = int(round(T / dt))
+    thetas = theta0[None, :] + (dt * np.arange(steps + 1))[:, None] * omega[None, :]
+    ref = synthesize(w_c, thetas).T
+    ref[:, :n] += thetas
+    rhs = _complex_table_rhs(h, xi)
+    z = ref[0].copy()
+    orbit = [z]
+    for _ in range(steps):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * dt * k1)
+        k3 = rhs(z + 0.5 * dt * k2)
+        k4 = rhs(z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        orbit.append(z)
+    return float(np.max(np.sqrt(np.sum((np.array(orbit) - ref) ** 2, axis=1))))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cubic", [False, True], ids=["quadratic", "cubic"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse-a0", "dense-a0"])
+def test_flow_oracle_matches_the_complex_table_orbit(dim, cubic, dense):
+    g = TorusGrid.create(dim, 4 if dim == 3 else 8)
+    rng = np.random.default_rng(70 + dim)
+    h = _random_taylor_data(g, rng, cubic, dense)
+    u = random_embedding(g, rng, 0.01)
+    xi = rng.standard_normal(dim) * 1e-3
+    omega = 1.0 + 0.3 * np.arange(dim)  # the mean of a1 in _random_taylor_data
+    theta0 = rng.uniform(0.0, 2.0 * np.pi, dim)
+    dev = flow_oracle(h, u, xi, omega, theta0=theta0, T=0.3, dt=1e-3)
+    assert dev > 1e-4  # u is not invariant: the comparison sees it
+    assert abs(dev - _complex_table_deviation(h, u, xi, omega, theta0, 0.3, 1e-3)) <= 1e-15
+
+
+def test_point_rhs_without_a_varying_mode_is_the_constant_polynomial():
+    # a0 = 0 with constant a1 and Q: no phase is formed, and dyadic data keeps every sum exact
+    g = small_grid()
+    a1 = VectorField([SpectralField.constant(g, 1.0), SpectralField.constant(g, 0.5)])
+    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1,
+                        Q=MatrixField.constant(g, np.array([[2.0, 0.25], [0.25, 1.0]])))
+    rhs = _point_rhs(h, np.array([0.125, -0.375]))
+    for x in ([0.3, 0.9], [5.1, -2.0]):
+        assert rhs(x + [0.5, -1.5]) == [0.125 + 1.0 + 1.0 - 0.375, -0.375 + 0.5 + 0.125 - 1.5,
+                                        0.0, 0.0]
 
 
 # --- isotropy ------------------------------------------------------------------------
