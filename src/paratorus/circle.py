@@ -82,10 +82,11 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     slope = Delta_alpha u' / (1 + u'). T_{(1+u') o tau_alpha} is inverted on
     base + rem; since T_a c = mean(a) c, lambda balances the mean in closed
     form, and the small-divisor inverse is followed by the outer inversion of
-    T_{1/(1+u')}. Three handles per step: those two and the remainder's.
+    T_{1/(1+u')}. Three handles per step: those two and the remainder's. The inversions
+    start one Neumann step past d + mean(base + rem) / mean(a), d = Delta_alpha T_{1/(1+u')} u
+    (mean(T_a w) = mean(a) mean(w)), and past u, on applies that rem already made.
     """
-    f = problem.f
-    alpha = problem.alpha
+    f, alpha = problem.f, problem.alpha
     one_du = _one_plus_du(u)
     recip = _reciprocal(one_du)
     H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
@@ -98,16 +99,17 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
         base = para_compose(f, VectorField([u]), cut, window=_COMPOSE_WINDOW)
     else:
         base = f
-    rem = (
-        comp - base - delta_alpha(u, alpha)
-        + para_product(slope_symbol - fprime_comp, u, cut)
-        + H_fwd.apply(delta_alpha(H_recip.apply(u), alpha))
-    )
+    recip_u = H_recip.apply(u)
+    d = delta_alpha(recip_u, alpha)
+    fwd_d = H_fwd.apply(d)
+    rest = comp - base - delta_alpha(u, alpha) + para_product(slope_symbol - fprime_comp, u, cut)
+    rhs = base + (rest + fwd_d)  # base + rem
 
-    inv = lambda H, v: para_invert_with_handle(H, v, tol=_INVERT_TOL, max_iter=_INVERT_MAX_ITER)
-    gi = inv(H_fwd, base + rem)
+    inv = lambda H, v, w0: para_invert_with_handle(H, v, _INVERT_TOL, _INVERT_MAX_ITER, w0=w0)
+    gi = inv(H_fwd, rhs, d + (base + rest) * (1.0 / H_fwd.avg))
     lam = H_fwd.avg * gi.mean()  # T_fwd^{-1} 1 = 1 / mean(a)
-    u_next = inv(H_recip, delta_alpha_inverse(gi - gi.mean(), alpha))
+    v = delta_alpha_inverse(gi - gi.mean(), alpha)
+    u_next = inv(H_recip, v, u + (v - recip_u) * (1.0 / H_recip.avg))
     return u_next, lam
 
 

@@ -3,8 +3,8 @@
 The multipliers come from a C-infinity radial profile built on exp(-1/x), then
 receive a per-mode renormalization so the discrete partition of unity is exact
 at every retained mode. Block 0 is the mean; block j >= 1 lives on the annulus
-2^{j-1} <= |k| <= 2^{j+1}. DyadicCutoff.blocks stacks all blocks of a field
-along a leading level axis, so one transform synthesizes every level.
+2^{j-1} <= |k| <= 2^{j+1}. DyadicCutoff.block_samples stacks the samples of
+all blocks along a leading level axis, one transform for every level.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, _synthesize_half
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -50,10 +50,10 @@ def max_block_index(max_mode: int) -> int:
 class DyadicCutoff:
     """Sampled dyadic multipliers for one grid.
 
-    block_mult[j] is the multiplier of block j on the retained modes
-    (j = 0 is the mean projector); lowpass_mult[l] realizes the partial sum
-    S_l = sum_{j<=l} blocks. After renormalization the stack sums to exactly
-    one at every retained mode.
+    block_mult[j] multiplies block j on the retained modes (j = 0: the mean);
+    lowpass_mult[l] realizes S_l = sum_{j<=l} blocks, and after renormalization
+    the stack sums to exactly one at every retained mode. block_samples samples
+    the blocks from the k_last >= 0 half of a field; blocks keeps coefficients.
     """
 
     grid: TorusGrid
@@ -83,6 +83,14 @@ class DyadicCutoff:
         self.grid.require_same(u.grid)
         levels = self.block_mult.shape[:1] + (1,) * len(u.shape) + self.grid.mode_shape
         return SpectralField(self.grid, self.block_mult.reshape(levels) * u.coeffs)
+
+    def block_samples(self, u: SpectralField, first: int = 0) -> np.ndarray:
+        """blocks(u)[first:].samples(), synthesized from the k_last >= 0 half of u alone."""
+        self.grid.require_same(u.grid)
+        K = self.grid.max_mode
+        mult = self.block_mult[first:, ..., K:]
+        mult = mult.reshape(mult.shape[:1] + (1,) * len(u.shape) + mult.shape[1:])
+        return _synthesize_half(self.grid, mult * u.coeffs[..., K:])
 
 
 def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
@@ -117,7 +125,7 @@ def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
 
 def zygmund_norm(u: SpectralField, r: float, cut: DyadicCutoff) -> float:
     """|u|_{C^r_*} = sup_j 2^{jr} |Delta_j u|_{L^inf} over the retained blocks."""
-    sups = np.max(np.abs(cut.blocks(u).samples()).reshape(cut.j_max + 1, -1), axis=1)
+    sups = np.max(np.abs(cut.block_samples(u)).reshape(cut.j_max + 1, -1), axis=1)
     return float(np.max(2.0 ** (np.arange(cut.j_max + 1) * r) * sups))
 
 

@@ -4,9 +4,9 @@ The para-product of a symbol a with an operand u staggers frequencies,
     T_a u = sum_j S_{j-3} a . Delta_j u,
 so each summand pairs a low-pass of the symbol with one dyadic block of the
 operand. Everything here reduces to dealiased products of retained fields.
-The levels are array work: DyadicCutoff.blocks stacks the blocks of an operand
-along a leading level axis, one real transform synthesizes them all and one
-einsum sums the level products. The low band j <= 3 acts on coefficients.
+The levels are array work: DyadicCutoff.block_samples synthesizes the blocks
+of an operand along a leading level axis in one real transform, and one einsum
+sums the level products. The low band j <= 3 acts on coefficients.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class ParaOpHandle:
     build samples S_{j-3} a for j = 4..j_max into one preallocated
     (levels, *symbol.shape, *points) array, one transform per level. An apply
     makes one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u
-    (DyadicCutoff.blocks), one einsum against the low-passes and one analysis.
+    from the k_last >= 0 half of u (DyadicCutoff.block_samples), one einsum
+    against the low-passes and one analysis.
     A matrix symbol is contracted against the operand's components,
     (T_A v)_p = sum_q T_{A_pq} v_q; a scalar one acts on every component. The
     handle keeps its symbol, against which para_invert_with_handle checks that
@@ -65,7 +66,7 @@ class ParaOpHandle:
         cut = self.cut
         out = self.contract(self.avg, cut.partial_sum(u, 3).coeffs)
         if len(self.low):
-            high = np.einsum(self.sum_levels, self.low, cut.blocks(u)[4:].samples())
+            high = np.einsum(self.sum_levels, self.low, cut.block_samples(u, 4))
             out = out + analyze(self.grid, high).coeffs
         return SpectralField(self.grid, out)
 
@@ -116,13 +117,9 @@ def meyer_apply(fam: MeyerMultiplierFamily, u: SpectralField, cut: DyadicCutoff)
         raise ValueError(
             f"family has {len(fam.multipliers)} multipliers, cutoff needs {cut.j_max + 1}"
         )
-    mults = VectorField(fam.multipliers).samples()
-    return analyze(cut.grid, np.einsum("l...,l...->...", mults, cut.blocks(u).samples()))
-
-
-def _gauss_nodes():
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    return 0.5 * (x + 1.0), 0.5 * w
+    mults = VectorField(fam.multipliers)
+    cut.grid.require_same(mults.grid)
+    return analyze(cut.grid, np.einsum("l...,l...->...", mults.samples(), cut.block_samples(u)))
 
 
 def telescope_remainders(F, Fz, u: SpectralField, cut: DyadicCutoff):
@@ -138,15 +135,15 @@ def telescope_remainders(F, Fz, u: SpectralField, cut: DyadicCutoff):
     Gauss-Legendre quadrature, exact for the polynomial nonlinearities in scope.
     """
     grid = u.grid
-    cut.grid.require_same(grid)
+    blocks = cut.block_samples(u)  # checks the grids
     mesh = grid.point_mesh
     fz0 = np.asarray(Fz(mesh, np.zeros(grid.point_shape)), dtype=float)
     fz0_field = analyze(grid, fz0)
     fz0_centered = fz0_field - fz0_field.mean()
     diff_field = analyze(grid, np.asarray(Fz(mesh, u.samples()), dtype=float) - fz0)
 
-    nodes, weights = _gauss_nodes()
-    blocks = cut.blocks(u).samples()
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights  # on the unit interval
     bases = np.cumsum(blocks, axis=0) - blocks  # S_{j-1} u, and 0 at j = 0
     integrals = np.stack([
         sum(w * np.asarray(Fz(mesh, base + t * blk), dtype=float) for t, w in zip(nodes, weights))
@@ -201,19 +198,12 @@ def para_compose(
 
 
 def _stalled(history, patience=4):
-    if len(history) < patience + 1:
-        return False
     recent = history[-(patience + 1) :]
-    return all(recent[i + 1] >= recent[i] * 0.999 for i in range(patience))
+    return len(recent) > patience and all(b >= a * 0.999 for a, b in zip(recent, recent[1:]))
 
 
-def para_invert(
-    a: SpectralField,
-    v: SpectralField,
-    cut: DyadicCutoff,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> SpectralField:
+def para_invert(a: SpectralField, v: SpectralField, cut: DyadicCutoff,
+                tol: float = 1e-12, max_iter: int = 200) -> SpectralField:
     """Solve T_a w = v for a scalar or matrix symbol a (see para_invert_with_handle)."""
     return para_invert_with_handle(ParaOpHandle(a, cut), v, tol=tol, max_iter=max_iter)
 
@@ -226,18 +216,26 @@ def para_invert_with_handle(
     v: SpectralField,
     tol: float = 1e-12,
     max_iter: int = 200,
+    w0: SpectralField | None = None,
 ) -> SpectralField:
     """Solve T_a w = v by the preconditioned Neumann iteration on a prebuilt handle.
 
-    Iterates w <- w + mean(a)^{-1} (v - T_a w) until the relative L2 residual
-    drops below tol; the forward application is always re-checked, so a
-    returned w certifies itself. Raises SingularAverageError when mean(a) is
-    singular (for a scalar symbol: negligible against sup |a|),
-    NonFiniteError as soon as the residual is not finite and
-    NonContractiveError when the iteration stalls.
+    Iterates w <- w + mean(a)^{-1} (v - T_a w) from w0 (default mean(a)^{-1} v)
+    until the relative L2 residual |v - T_a w| / |v| drops below tol; the
+    forward application is always re-checked, so a returned w certifies itself.
+    Raises ValueError for a tol not finite and > 0 or a w0 not shaped like v,
+    GridMismatchError for a w0 on another grid, SingularAverageError when
+    mean(a) is singular (for a scalar symbol: negligible against sup |a|),
+    NonFiniteError at a non-finite residual and NonContractiveError at a stall.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if w0 is not None:
+        handle.grid.require_same(w0.grid)
+        if w0.shape != v.shape:
+            raise ValueError(f"w0 has component shape {w0.shape}, v has {v.shape}")
     avg = np.atleast_2d(handle.avg)
     if handle.symbol.shape:
         cond = np.linalg.cond(avg)
@@ -254,11 +252,9 @@ def para_invert_with_handle(
     if vnorm == 0.0:
         return SpectralField(v.grid, np.zeros_like(v.coeffs))
 
-    def precond(res: SpectralField) -> SpectralField:
-        # constant preconditioner acts exactly on coefficients, no transforms
-        return SpectralField(v.grid, handle.contract(pre, res.coeffs))
-
-    w = precond(v)
+    # the constant preconditioner acts exactly on coefficients, no transforms
+    precond = lambda res: SpectralField(v.grid, handle.contract(pre, res.coeffs))
+    w = precond(v) if w0 is None else w0
     history = []
     for _ in range(max_iter):
         r = v - handle.apply(w)

@@ -9,7 +9,8 @@ retained fields alias-free on the retained band.
 The fields are real, so their coefficients are Hermitian, u_hat(-k) =
 conj(u_hat(k)), and the transforms are real: samples() reads only the modes
 with k_last >= 0 and calls irfftn; analyze() calls rfftn and fills the rest
-by conjugation. Point evaluation factors e^{i k.x} = prod_a e^{i k_a x_a}.
+by conjugation, both with norm="forward". Point evaluation factors e^{i k.x} =
+prod_a e^{i k_a x_a}.
 
 A field may carry leading component axes: its coefficients have shape
 (*component_shape, *mode_shape), and every transform, derivative and norm
@@ -126,7 +127,7 @@ class TorusGrid:
         an Ellipsis, which would slow every scalar transform.
         """
         bins = self.mode_axis % self.points_per_dim
-        return np.ix_(*([bins] * (self.dim - 1) + [np.arange(self.max_mode + 1)]))
+        return np.ix_(*[bins] * (self.dim - 1)) + (slice(self.max_mode + 1),)
 
     @cached_property
     def _reverse_index(self) -> tuple:
@@ -229,13 +230,7 @@ class SpectralField:
 
     def samples(self) -> np.ndarray:
         """Real samples on the padded N^n collocation grid, one transform for all components."""
-        g = self.grid
-        lead = self.shape
-        # the real-FFT grid keeps N // 2 + 1 non-negative bins on the last axis
-        buf = np.zeros(lead + g.point_shape[:-1] + (g.points_per_dim // 2 + 1,), dtype=complex)
-        buf[(slice(None),) * len(lead) + g._half_index] = self.coeffs[..., g.max_mode :]
-        # s= spares numpy a per-call lookup of the transformed sizes
-        return np.fft.irfftn(buf, s=g.point_shape, axes=g.axes) * (g.points_per_dim**g.dim)
+        return _synthesize_half(self.grid, self.coeffs[..., self.grid.max_mode :])
 
     def hermitian_defect(self) -> float:
         rev = self.coeffs[self.grid._reverse_index]
@@ -360,6 +355,17 @@ class MatrixField(VectorField):
     """Rows of scalar fields stacked along two leading component axes (a constructor only)."""
 
 
+def _synthesize_half(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Real samples from the k_last >= 0 half (*lead, *mode_shape[:-1], K + 1) by one irfftn."""
+    if grid.dim > 1:
+        lead = half.shape[: half.ndim - grid.dim]
+        buf = np.zeros(lead + grid.point_shape[:-1] + half.shape[-1:], dtype=complex)
+        buf[(slice(None),) * len(lead) + grid._half_index] = half
+        half = buf
+    # s= zero-pads the last axis to its N // 2 + 1 bins
+    return np.fft.irfftn(half, s=grid.point_shape, axes=grid.axes, norm="forward")
+
+
 def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
     """Forward transform of real collocation samples, truncated to |k_i| <= K.
 
@@ -370,11 +376,9 @@ def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[samples.ndim - grid.dim :] != grid.point_shape:
-        raise ValueError(
-            f"expected samples ending in {grid.point_shape}, got {samples.shape}"
-        )
+        raise ValueError(f"expected samples ending in {grid.point_shape}, got {samples.shape}")
     K = grid.max_mode
-    c = np.fft.rfftn(samples, s=grid.point_shape, axes=grid.axes) / (grid.points_per_dim**grid.dim)
+    c = np.fft.rfftn(samples, s=grid.point_shape, axes=grid.axes, norm="forward")
     # a fresh C-order array keeps every later reduction summing in the same
     # order as for a scalar field
     coeffs = np.empty(samples.shape[: samples.ndim - grid.dim] + grid.mode_shape, dtype=complex)

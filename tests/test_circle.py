@@ -167,6 +167,28 @@ def test_g_map_matches_the_four_handle_step(mode):
     assert (u_next - ref_u).l2_norm() <= 1e-13 * ref_u.l2_norm()
 
 
+# circle_golden's problem, where every cold inversion already returns after its one
+# checking apply, so no start can save one; and amplitude 0.3, the top of circle_batch's ladder
+@pytest.mark.parametrize("K, amp, share", [(256, 0.05, 1.0), (512, 0.3, 0.85)],
+                         ids=["circle_golden", "amplitude-0.3"])
+def test_warm_starts_cut_the_applies_of_a_solve(monkeypatch, K, amp, share):
+    # the solve as shipped, and with both inversions started cold
+    prob = setup(K=K, amp=amp, tol=1e-10, max_iter=30)
+    applies = []
+    apply = ParaOpHandle.apply
+    monkeypatch.setattr(ParaOpHandle, "apply", lambda self, u: applies.append(1) or apply(self, u))
+    warm = solve(prob)
+    warm_applies = len(applies)
+    invert = circle.para_invert_with_handle
+    monkeypatch.setattr(circle, "para_invert_with_handle",
+                        lambda *args, w0=None, **kwargs: invert(*args, **kwargs))
+    applies.clear()
+    cold = solve(prob)
+    assert warm_applies <= share * len(applies)
+    assert warm.report.iterations == cold.report.iterations
+    assert (warm.u - cold.u).l2_norm() <= 1e-12 * cold.u.l2_norm()
+
+
 def test_g_map_rejects_lost_diffeomorphism():
     prob = setup()
     g = prob.f.grid

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paratorus import (
+    GridMismatchError,
     MatrixField,
     MeyerMultiplierFamily,
     NonContractiveError,
@@ -234,6 +235,16 @@ def test_meyer_paraproduct_coincidence():
     got = meyer_apply(fam, u, cut)
     want = para_product(a, u, cut)
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
+
+
+def test_meyer_apply_rejects_multipliers_on_another_grid():
+    # same N and level count, different K: the samples line up, so this once passed silently
+    cut = make_cutoff(TorusGrid(1, 8, 32))
+    other = TorusGrid(1, 4, 32)
+    fam = MeyerMultiplierFamily([SpectralField.constant(other, 1.0) for _ in range(cut.j_max + 1)])
+    u = random_field(cut.grid, np.random.default_rng(16))
+    with pytest.raises(GridMismatchError):
+        meyer_apply(fam, u, cut)
 
 
 def test_meyer_gain_one_norm_sweep():
@@ -504,6 +515,40 @@ def test_para_invert_stops_at_a_non_finite_residual(monkeypatch):
     monkeypatch.setattr(ParaOpHandle, "apply", lambda self, u: applies.append(1) or apply(self, u))
     with pytest.raises(NonFiniteError, match="after 0 applications"):
         para_invert_with_handle(handle, v)
+    assert len(applies) == 1
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_para_invert_rejects_a_tol_not_finite_and_positive(tol):
+    # a NaN or negative tol once ended in a NonContractiveError at residual 0
+    g, cut = setup_1d()
+    v = random_field(g, np.random.default_rng(34))
+    a = SpectralField.from_modes(g, {1: 0.05}) + 1.0
+    with pytest.raises(ValueError, match="tol"):
+        para_invert_with_handle(ParaOpHandle(a, cut), v, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        para_invert(a, v, cut, tol=tol)
+
+
+def test_para_invert_rejects_a_w0_on_another_grid_or_of_another_shape():
+    g, cut = setup_1d()
+    v = random_field(g, np.random.default_rng(35))
+    handle = ParaOpHandle(SpectralField.from_modes(g, {1: 0.05}) + 1.0, cut)
+    with pytest.raises(GridMismatchError):
+        para_invert_with_handle(handle, v, w0=SpectralField.zero(TorusGrid.create(1, 16)))
+    with pytest.raises(ValueError, match="w0"):
+        para_invert_with_handle(handle, v, w0=VectorField([v, v]))
+
+
+def test_a_converged_w0_returns_after_one_apply(monkeypatch):
+    g, cut = setup_1d(64)
+    v = random_field(g, np.random.default_rng(36))
+    handle = ParaOpHandle(SpectralField.from_modes(g, {1: 0.05}) + 1.0, cut)
+    w = para_invert_with_handle(handle, v, tol=1e-13)
+    applies = []
+    apply = ParaOpHandle.apply
+    monkeypatch.setattr(ParaOpHandle, "apply", lambda self, u: applies.append(1) or apply(self, u))
+    assert para_invert_with_handle(handle, v, tol=1e-13, w0=w) is w
     assert len(applies) == 1
 
 

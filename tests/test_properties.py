@@ -37,6 +37,7 @@ from paratorus import (
 )
 import paratorus.hamtorus as hamtorus
 from paratorus import cli
+from paratorus.paraprod import para_invert_with_handle
 from paratorus.spectral import warp_samples
 from test_cli import GOLDEN, GOLDEN_ALPHA, circle_config, no_solve, torus_config
 from test_spectral import direct_eval
@@ -203,6 +204,83 @@ def test_apply_equals_the_literal_per_block_sum(dims, matrix, seed):
     u = random_field(g, rng, (2,))
     got = ParaOpHandle(a, cut).apply(u).coeffs
     assert relative(got, literal_para_product(a, u, cut)) <= 1e-13
+
+
+def stacked_samples(f):
+    """SpectralField.samples() as it was before the half-spectrum synthesis: a zero
+    real-FFT buffer of N // 2 + 1 bins, the default 1/N^n inverse scaling undone by N^n."""
+    g, lead = f.grid, f.shape
+    buf = np.zeros(lead + g.point_shape[:-1] + (g.points_per_dim // 2 + 1,), dtype=complex)
+    bins = g.mode_axis % g.points_per_dim
+    index = np.ix_(*([bins] * (g.dim - 1) + [np.arange(g.max_mode + 1)]))
+    buf[(slice(None),) * len(lead) + index] = f.coeffs[..., g.max_mode :]
+    return np.fft.irfftn(buf, s=g.point_shape, axes=g.axes) * (g.points_per_dim**g.dim)
+
+
+def stacked_analyze(grid, samples):
+    """analyze() as it was before norm="forward": rfftn, then a division by N^n."""
+    K = grid.max_mode
+    c = np.fft.rfftn(samples, s=grid.point_shape, axes=grid.axes) / (grid.points_per_dim**grid.dim)
+    bins = grid.mode_axis % grid.points_per_dim
+    index = np.ix_(*([bins] * (grid.dim - 1) + [np.arange(K + 1)]))
+    coeffs = np.empty(samples.shape[: samples.ndim - grid.dim] + grid.mode_shape, dtype=complex)
+    coeffs[..., K:] = c[(slice(None),) * (c.ndim - grid.dim) + index]
+    for ax in range(grid.dim):
+        half = (Ellipsis, slice(None, K)) + (K,) * ax
+        coeffs[half] = np.conj(coeffs[grid._reverse_index][half])
+    return coeffs
+
+
+def stacked_apply(a, u, cut):
+    """ParaOpHandle.apply as it was: two-sided blocks(u)[4:] synthesized, one einsum, analyze."""
+    H = ParaOpHandle(a, cut)
+    mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2)]
+    low = np.stack([stacked_samples(SpectralField(cut.grid, m * a.coeffs)) for m in mults])
+    high = np.einsum(H.sum_levels, low, stacked_samples(cut.blocks(u)[4:]))
+    return H.contract(H.avg, cut.partial_sum(u, 3).coeffs) + stacked_analyze(cut.grid, high)
+
+
+# (dim, K, N): the circle_batch grid N = 2048, the sparse torus N = 128, and N = 48,
+# which is not a power of two; a 4x4 symbol acts on a 4-vector as on the T^2 frame
+ORACLE_GRIDS = [(1, 32, 128), (1, 512, 2048), (2, 32, 128), (1, 12, 48), (2, 12, 48)]
+
+
+@pytest.mark.parametrize("symbol_shape", [(), (4, 4)], ids=["scalar", "4x4"])
+@pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=lambda d: "dim%d-K%d-N%d" % d)
+def test_half_spectrum_apply_equals_the_stacked_apply(dims, symbol_shape):
+    # multiplying by a power of two is exact, so at N = 2^m the change of scaling is too
+    g = TorusGrid(*dims)
+    cut = make_cutoff(g)
+    rng = np.random.default_rng(sum(dims))
+    a = random_field(g, rng, symbol_shape)
+    u = random_field(g, rng, symbol_shape[:1])
+    got = ParaOpHandle(a, cut).apply(u).coeffs
+    ref = stacked_apply(a, u, cut)
+    power_of_two = g.points_per_dim & (g.points_per_dim - 1) == 0
+    assert np.array_equal(got, ref) if power_of_two else relative(got, ref) <= 1e-15
+    for first in (0, 4):
+        blocks = cut.block_samples(u, first)
+        assert np.array_equal(blocks, cut.blocks(u)[first:].samples())
+        old = stacked_samples(cut.blocks(u)[first:])
+        assert np.array_equal(blocks, old) if power_of_two else relative(blocks, old) <= 1e-15
+
+
+@PROPERTY
+@given(st.sampled_from([(1, 16), (1, 64), (2, 8)]), st.booleans(),
+       st.sampled_from([1e-6, 1e-10, 1e-13]), st.floats(-1e6, 1e6), seeds)
+def test_a_warm_start_from_any_finite_w0_certifies_itself(dims, matrix, tol, scale, seed):
+    g = TorusGrid.create(*dims)
+    cut = make_cutoff(g)
+    rng = np.random.default_rng(seed)
+    shape = (2, 2) if matrix else ()
+    wiggle = random_field(g, rng, shape)
+    a = SpectralField.constant(g, 2.0 * np.eye(2) if matrix else 2.0)
+    a = a + wiggle * (0.3 / wiggle.sup_norm())
+    v = random_field(g, rng, shape[:1])
+    w0 = random_field(g, rng, shape[:1]) * scale
+    H = ParaOpHandle(a, cut)
+    w = para_invert_with_handle(H, v, tol=tol, max_iter=300, w0=w0)
+    assert (v - H.apply(w)).l2_norm() <= tol * v.l2_norm()
 
 
 @PROPERTY
