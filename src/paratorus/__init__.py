@@ -34,7 +34,6 @@ from .dyadic import (
     zygmund_norm,
 )
 from .paraprod import (
-    MeyerMultiplierFamily,
     ParaOpHandle,
     cm_remainder,
     meyer_apply,
@@ -52,7 +51,6 @@ from .smalldiv import (
     certify_rotation_angle,
     delta_alpha,
     delta_alpha_inverse,
-    fundamental_solution_partial,
     omega_directional_inverse,
     remove_mean,
 )

@@ -47,8 +47,8 @@ class CircleProblem:
             raise ValueError("circle problems live on T^1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):  # the driver checks max_iter
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if not np.all(np.isfinite(self.f.coeffs)):
             raise NonFiniteError("f has a non-finite coefficient")
 

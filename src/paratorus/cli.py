@@ -118,9 +118,12 @@ def _parse_solver(cfg, modes, path="solver"):
     mode = cfg.get("mode", modes[0])
     if mode not in modes:
         raise ConfigError(f"{path}.mode: {mode!r} not in {modes}")
+    tol = _finite(cfg.get("tol", 1e-10), f"{path}.tol")
+    if tol <= 0.0:
+        raise ConfigError(f"{path}.tol: expected a number > 0, got {tol}")
     return {
         "s": _finite(cfg.get("s", 3.0), f"{path}.s"),
-        "tol": _finite(cfg.get("tol", 1e-10), f"{path}.tol"),
+        "tol": tol,
         "max_iter": _integer(cfg.get("max_iter", 40), f"{path}.max_iter", 1),
         "mode": mode,
     }

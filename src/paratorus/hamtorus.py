@@ -561,6 +561,8 @@ def solve_torus(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if mode == "thm1" and np.linalg.cond(h.Q.mean()) > 1e12:
         raise SingularAverageError("thm1 requires invertible Avg Q")
     cut = make_cutoff(h.grid)

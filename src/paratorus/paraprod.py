@@ -6,14 +6,15 @@ so each summand pairs a low-pass of the symbol with one dyadic block of the
 operand. Everything here reduces to dealiased products of retained fields.
 The levels are array work: DyadicCutoff.block_samples synthesizes the blocks
 of an operand along a leading level axis in one real transform, and one einsum
-sums the level products. The low band j <= 3 acts on coefficients.
+sums the level products. The low band j <= 3 acts on coefficients. A Meyer
+multiplier family m_0 .. m_{j_max} is one SpectralField on the same leading
+level axis.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     NonFiniteError,
     SingularAverageError,
 )
-from .spectral import SpectralField, TorusGrid, VectorField, analyze, warp_samples
+from .spectral import SpectralField, TorusGrid, analyze, warp_samples
 
 _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 
@@ -101,23 +102,14 @@ def cm_remainder(
     return composed - direct
 
 
-@dataclass
-class MeyerMultiplierFamily:
-    """A multiplier per block, u -> sum_j m_j . Delta_j u."""
+def meyer_apply(mults: SpectralField, u: SpectralField, cut: DyadicCutoff) -> SpectralField:
+    """sum_j m_j . Delta_j u for a Meyer family m_0 .. m_{j_max} on a leading level axis.
 
-    multipliers: list
-
-    def __post_init__(self):
-        if not self.multipliers:
-            raise ValueError("empty multiplier family")
-
-
-def meyer_apply(fam: MeyerMultiplierFamily, u: SpectralField, cut: DyadicCutoff) -> SpectralField:
-    if len(fam.multipliers) != cut.j_max + 1:
-        raise ValueError(
-            f"family has {len(fam.multipliers)} multipliers, cutoff needs {cut.j_max + 1}"
-        )
-    mults = VectorField(fam.multipliers)
+    Raises ValueError when the level axis does not have j_max + 1 entries and
+    GridMismatchError for multipliers on another grid.
+    """
+    if mults.shape[:1] != (cut.j_max + 1,):
+        raise ValueError(f"family has level axis {mults.shape[:1]}, cutoff needs {cut.j_max + 1}")
     cut.grid.require_same(mults.grid)
     return analyze(cut.grid, np.einsum("l...,l...->...", mults.samples(), cut.block_samples(u)))
 
@@ -126,8 +118,9 @@ def telescope_remainders(F, Fz, u: SpectralField, cut: DyadicCutoff):
     """Both Meyer families of the telescoped para-linearization of F(x, u).
 
     F and Fz evaluate F(x, z) and dF/dz(x, z) pointwise on the collocation
-    grid: they take (mesh, z_samples) and return samples. Returns (m1, m2)
-    with, writing S_l for the partial sums and A for the mean,
+    grid: they take (mesh, z_samples) and return samples. Returns (m1, m2),
+    each one field with a leading level axis j = 0..j_max, as meyer_apply
+    takes it, with, writing S_l for the partial sums and A for the mean,
         m_j^1 = (1 - S_{j-3})(Fz(x,0) - A Fz(x,0)),
         m_j^2 = int_0^1 [Fz(x, S_{j-1}u + t Delta_j u) - Fz(x,0)] dt
                 - S_{j-3}(Fz(x,u) - Fz(x,0)),
@@ -153,7 +146,7 @@ def telescope_remainders(F, Fz, u: SpectralField, cut: DyadicCutoff):
     low = cut.lowpass_mult[np.maximum(np.arange(cut.j_max + 1) - 3, 0)]
     m1 = SpectralField(grid, (1.0 - low) * fz0_centered.coeffs)
     m2 = SpectralField(grid, analyze(grid, integrals).coeffs - low * diff_field.coeffs)
-    return MeyerMultiplierFamily(list(m1)), MeyerMultiplierFamily(list(m2))
+    return m1, m2
 
 
 def pl_remainder(

@@ -77,8 +77,10 @@ def picard(step, state, columns, max_iter: int):
     increment_hs or residual_sup is not finite (NonFiniteError) and after
     max_iter steps without done (MaxIterExceededError). Every solver error
     leaves with the partial report attached, its status max_iter_exceeded,
-    non_finite or failed.
+    non_finite or failed. A max_iter below 1 is a ValueError before any step.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     t0 = time.perf_counter()
     report = SolveReport(columns=list(columns))
     try:

@@ -1,5 +1,6 @@
 """Diophantine certification and the two small-divisor inverse operators.
 
+Both inverses run one modewise division (_divide) over every component axis.
 Certification is always by exhaustive scan over the retained modes, so every
 smallness threshold downstream is a checkable number rather than an
 assumption. Mean tolerances follow a zero-or-error policy: means below 1e-12
@@ -27,11 +28,12 @@ def certify_diophantine(omega, sigma: float, K: int) -> float:
     """Smallest gamma with |k.omega| >= 1/(gamma |k|^sigma) for all 0 < |k_i| <= K.
 
     Scans the full retained mode box; raises ResonantModeError if some k.omega
-    vanishes to machine precision.
+    vanishes to machine precision, ValueError unless sigma > 0 and sigma and
+    omega are finite.
     """
     omega = np.asarray(omega, dtype=float)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0 and np.all(np.isfinite(omega))):
+        raise ValueError(f"need a finite sigma > 0 and a finite omega, got {sigma}, {omega}")
     n = omega.size
     axes = [np.arange(-K, K + 1)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -55,8 +57,8 @@ def certify_diophantine(omega, sigma: float, K: int) -> float:
 
 def certify_rotation_angle(alpha: float, sigma: float, K: int) -> float:
     """Smallest gamma with |q alpha/pi - p| >= 1/(gamma q^sigma) for 1 <= q <= K."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(alpha)):
+        raise ValueError(f"need a finite sigma > 0 and a finite alpha, got {sigma}, {alpha}")
     q = np.arange(1, K + 1, dtype=float)
     t = q * alpha / math.pi
     dist = np.abs(t - np.round(t))
@@ -132,80 +134,33 @@ def delta_alpha(u: SpectralField, alpha) -> SpectralField:
     return u.translate([_alpha_value(alpha)]) - u
 
 
-def delta_alpha_inverse(f: SpectralField, alpha) -> SpectralField:
-    """Modewise division by e^{ik alpha} - 1 on mean-zero circle fields."""
-    if f.grid.dim != 1:
-        raise ValueError("delta_alpha_inverse acts on circle fields (dim 1)")
-    f = _check_mean(f, "delta_alpha_inverse")
-    a = _alpha_value(alpha)
-    k = f.grid.mode_axis
-    div = np.exp(1j * k * a) - 1.0
-    small = np.abs(div) < _RESONANCE_EPS
-    small[f.grid.max_mode] = False
-    if np.any(small):
-        i = np.argmax(small)
-        raise ResonantModeError((int(k[i]),), float(abs(div[i])))
-    out = np.zeros_like(f.coeffs)
-    nz = k != 0
-    out[nz] = f.coeffs[nz] / div[nz]
-    return SpectralField(f.grid, out)
+def _divide(f: SpectralField, divisor: np.ndarray, opname: str) -> SpectralField:
+    """f_k / divisor_k at every k != 0 of every component, after projecting out the mean.
 
-
-def omega_directional_inverse(f: SpectralField, omega: FrequencyVector) -> SpectralField:
-    """(omega . d/dx)^{-1} by modewise division, on every component at once."""
-    f = _check_mean(f, "omega_directional_inverse")
-    kw = sum(k * w for k, w in zip(f.grid.mode_mesh, omega.array))
-    small = np.abs(kw) < _RESONANCE_EPS
-    small[f.grid.mean_index] = False
+    Raises ResonantModeError at the first retained k != 0, in C order, with
+    |divisor_k| below 1e-14.
+    """
+    f = _check_mean(f, opname)
+    nz = f.grid.mode_norm > 0
+    small = nz & (np.abs(divisor) < _RESONANCE_EPS)
     if np.any(small):
         idx = np.unravel_index(int(np.argmax(small)), small.shape)
         kbad = tuple(int(f.grid.mode_axis[i]) for i in idx)
-        raise ResonantModeError(kbad, float(abs(kw[idx])))
+        raise ResonantModeError(kbad, float(abs(divisor[idx])))
     out = np.zeros_like(f.coeffs)
-    nz = kw != 0
-    out[..., nz] = f.coeffs[..., nz] / (1j * kw[nz])
+    out[..., nz] = f.coeffs[..., nz] / divisor[nz]
     return SpectralField(f.grid, out)
 
 
-def _tail_sum(power: float, start: int, dim: int) -> float:
-    """Upper bound of sum over |k|_2 > start of |k|^{-power} on the Z^dim lattice."""
-    if power <= dim:
-        return math.inf
-    # |k|_2 >= |k|_inf and {|k|_2 > m} contained in {|k|_inf > m/sqrt(dim)};
-    # sum 2000 sup-norm shells explicitly, close with an integral bound
-    m0 = max(1, int(math.floor(start / math.sqrt(dim))))
-    m = np.arange(m0 + 1, m0 + 2001, dtype=float)
-    shells = (2 * m + 1) ** dim - (2 * m - 1) ** dim
-    total = float(np.sum(shells * m ** (-power)))
-    M = float(m[-1])
-    total += 2 * dim * 3 ** (dim - 1) * M ** (dim - power) / (power - dim)
-    return total
+def delta_alpha_inverse(f: SpectralField, alpha) -> SpectralField:
+    """Modewise division by e^{ik alpha} - 1 on mean-zero circle fields, on every component."""
+    if f.grid.dim != 1:
+        raise ValueError("delta_alpha_inverse acts on circle fields (dim 1)")
+    div = np.exp(1j * f.grid.mode_axis * _alpha_value(alpha)) - 1.0
+    return _divide(f, div, "delta_alpha_inverse")
 
 
-def fundamental_solution_partial(
-    omega: FrequencyVector, tau: float, K: int, theta
-) -> tuple:
-    """Partial sum of the directional-derivative fundamental solution at theta.
-
-    Sums e^{ik.theta} / (i (k.omega) |k|^tau) over 0 < |k|_2 <= K and returns
-    (value, tail_bound) where the tail bound is gamma * sum_{|k|>K} |k|^{sigma-tau},
-    valid under the certified Diophantine property; requires tau > sigma + 1.
-    """
-    if tau <= omega.sigma + 1.0:
-        raise ValueError(f"tau must exceed sigma + 1 = {omega.sigma + 1.0}")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    n = omega.array.size
-    axes = [np.arange(-K, K + 1)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    modes = np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
-    norms = np.sqrt(np.sum(modes**2, axis=1))
-    keep = (norms > 0) & (norms <= K)
-    modes, norms = modes[keep], norms[keep]
-    dots = modes @ omega.array
-    if np.any(np.abs(dots) < _RESONANCE_EPS):
-        bad = modes[int(np.argmin(np.abs(dots)))]
-        raise ResonantModeError(tuple(int(b) for b in bad), float(np.min(np.abs(dots))))
-    phases = modes @ theta
-    value = float(np.sum(np.sin(phases) / (dots * norms**tau)))
-    tail = omega.gamma * _tail_sum(tau - omega.sigma, K, n)
-    return value, tail
+def omega_directional_inverse(f: SpectralField, omega: FrequencyVector) -> SpectralField:
+    """(omega . d/dx)^{-1} by modewise division by i k.omega, on every component."""
+    kw = sum(k * w for k, w in zip(f.grid.mode_mesh, omega.array))
+    return _divide(f, 1j * kw, "omega_directional_inverse")

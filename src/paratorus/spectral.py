@@ -232,10 +232,6 @@ class SpectralField:
         """Real samples on the padded N^n collocation grid, one transform for all components."""
         return _synthesize_half(self.grid, self.coeffs[..., self.grid.max_mode :])
 
-    def hermitian_defect(self) -> float:
-        rev = self.coeffs[self.grid._reverse_index]
-        return float(np.max(np.abs(self.coeffs - np.conj(rev)), initial=0.0))
-
     # --- linear calculus ----------------------------------------------
 
     def derivative(self, axis: int = 0) -> "SpectralField":

@@ -334,6 +334,19 @@ def test_max_iter_exceeded_attaches_report():
     assert err.value.report.iterations == 3
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_problem_rejects_a_tol_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        setup(K=16, tol=tol)
+
+
+def test_max_iter_below_one_is_rejected_before_the_first_step(monkeypatch):
+    calls = patch_g_map(monkeypatch, 1, nan_field)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve(setup(K=16, max_iter=0))
+    assert calls == []
+
+
 def test_non_finite_step_stops_the_solve_at_once(monkeypatch):
     calls = patch_g_map(monkeypatch, 2, nan_field)
     with pytest.raises(NonFiniteError, match="increment_hs is nan at iteration 2") as err:

@@ -289,6 +289,17 @@ def test_nan_tol_is_config_error(tmp_path):
     assert run_code(tmp_path, doc)[0] == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kind", ["circle", "torus"])
+@pytest.mark.parametrize("tol", [-1.0, 0.0])
+def test_tol_not_above_zero_is_config_error_and_writes_no_csv(tmp_path, kind, tol):
+    doc = circle_config(amp=0.04) if kind == "circle" else torus_config()
+    doc["solver"]["tol"] = tol
+    code, out = run_code(tmp_path, doc, kind)
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "section, key", [("solver", "s"), ("frequency", "alpha"), ("frequency", "sigma")]
 )

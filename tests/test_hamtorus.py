@@ -845,6 +845,27 @@ def test_non_finite_step_attaches_the_partial_report(monkeypatch):
     assert err.value.report.iterations == 1
 
 
+def thm2_shift_data(g, om):
+    a1 = VectorField([SpectralField.constant(g, om.omega[i] + 0.01 * (i == 0)) for i in range(2)])
+    return HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=MatrixField.constant(g, np.zeros((2, 2))))
+
+
+def test_solve_torus_rejects_max_iter_below_one_before_the_first_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hamtorus, "assemble_rhs", lambda *args: calls.append(1))
+    g, om = small_grid(), freq()
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_torus(thm2_shift_data(g, om), om, mode="thm2", s=3.0, max_iter=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_solve_torus_rejects_a_tol_not_finite_and_positive(tol):
+    g, om = small_grid(), freq()
+    with pytest.raises(ValueError, match="tol must be finite"):
+        solve_torus(thm2_shift_data(g, om), om, mode="thm2", s=3.0, tol=tol)
+
+
 def test_solve_thm2_exact_frequency_shift():
     g = small_grid()
     om = freq()

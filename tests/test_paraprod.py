@@ -6,7 +6,6 @@ import pytest
 from paratorus import (
     GridMismatchError,
     MatrixField,
-    MeyerMultiplierFamily,
     NonContractiveError,
     NonFiniteError,
     SingularAverageError,
@@ -26,7 +25,7 @@ from paratorus import (
 )
 from paratorus.paraprod import ParaOpHandle, para_invert_with_handle
 
-from test_spectral import random_field
+from test_spectral import hermitian_defect, random_field
 
 
 def setup_1d(K=32):
@@ -97,7 +96,7 @@ def test_para_product_real_to_real():
     g, cut = setup_1d()
     rng = np.random.default_rng(5)
     out = para_product(random_field(g, rng), random_field(g, rng), cut)
-    assert out.hermitian_defect() < 1e-13
+    assert hermitian_defect(out) < 1e-13
 
 
 def dense_random_field(grid, rng, decay=1.0):
@@ -221,7 +220,7 @@ def test_meyer_identity_family():
     g, cut = setup_1d()
     rng = np.random.default_rng(13)
     u = random_field(g, rng, band=g.max_mode)
-    fam = MeyerMultiplierFamily([SpectralField.constant(g, 1.0) for _ in range(cut.j_max + 1)])
+    fam = VectorField([SpectralField.constant(g, 1.0) for _ in range(cut.j_max + 1)])
     got = meyer_apply(fam, u, cut)
     assert np.max(np.abs(got.coeffs - u.coeffs)) < 1e-13
 
@@ -231,7 +230,7 @@ def test_meyer_paraproduct_coincidence():
     rng = np.random.default_rng(14)
     a = random_field(g, rng)
     u = random_field(g, rng, band=g.max_mode)
-    fam = MeyerMultiplierFamily([cut.partial_sum(a, j - 3) for j in range(cut.j_max + 1)])
+    fam = VectorField([cut.partial_sum(a, j - 3) for j in range(cut.j_max + 1)])
     got = meyer_apply(fam, u, cut)
     want = para_product(a, u, cut)
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
@@ -241,10 +240,20 @@ def test_meyer_apply_rejects_multipliers_on_another_grid():
     # same N and level count, different K: the samples line up, so this once passed silently
     cut = make_cutoff(TorusGrid(1, 8, 32))
     other = TorusGrid(1, 4, 32)
-    fam = MeyerMultiplierFamily([SpectralField.constant(other, 1.0) for _ in range(cut.j_max + 1)])
+    fam = VectorField([SpectralField.constant(other, 1.0) for _ in range(cut.j_max + 1)])
     u = random_field(cut.grid, np.random.default_rng(16))
     with pytest.raises(GridMismatchError):
         meyer_apply(fam, u, cut)
+
+
+def test_meyer_apply_rejects_a_family_without_a_level_per_block():
+    g, cut = setup_1d()
+    u = random_field(g, np.random.default_rng(17))
+    short = VectorField([SpectralField.constant(g, 1.0) for _ in range(cut.j_max)])
+    with pytest.raises(ValueError, match="cutoff needs"):
+        meyer_apply(short, u, cut)
+    with pytest.raises(ValueError, match="cutoff needs"):
+        meyer_apply(SpectralField.constant(g, 1.0), u, cut)
 
 
 def test_meyer_gain_one_norm_sweep():
@@ -254,7 +263,7 @@ def test_meyer_gain_one_norm_sweep():
     for K in (32, 64):
         g = TorusGrid.create(1, K)
         cut = make_cutoff(g)
-        fam = MeyerMultiplierFamily(
+        fam = VectorField(
             [SpectralField.constant(g, 2.0**-j) for j in range(cut.j_max + 1)]
         )
         worst = 0.0
@@ -302,7 +311,7 @@ def test_telescope_constant_linear_collapses():
     F, Fz = F_linear_const(1.8)
     m1, m2 = telescope_remainders(F, Fz, u, cut)
     for fam in (m1, m2):
-        assert max(m.sup_norm() for m in fam.multipliers) < 1e-12
+        assert max(m.sup_norm() for m in fam) < 1e-12
     total, oracle, _ = reconstruct(F, Fz, u, cut)
     assert (total - oracle).l2_norm() < 1e-12
     # F = cz: F(x,u) - F(x,0) = T_c u = cu exactly
@@ -316,7 +325,7 @@ def test_telescope_linear_coefficient_case():
     u = random_field(g, rng, band=16)
     F, Fz = F_linear_coeff(a)
     m1, m2 = telescope_remainders(F, Fz, u, cut)
-    assert max(m.sup_norm() for m in m2.multipliers) < 1e-11  # m^2 collapses
+    assert max(m.sup_norm() for m in m2) < 1e-11  # m^2 collapses
     total, oracle, _ = reconstruct(F, Fz, u, cut)
     assert (total - oracle).l2_norm() < 1e-10
     prod = a.product(u)

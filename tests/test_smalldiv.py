@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paratorus import (
     FrequencyVector,
@@ -17,7 +19,6 @@ from paratorus import (
     certify_rotation_angle,
     delta_alpha,
     delta_alpha_inverse,
-    fundamental_solution_partial,
     omega_directional_inverse,
     remove_mean,
 )
@@ -76,6 +77,23 @@ def test_rotation_angle_certification_and_rational_rejection():
     with pytest.raises(ResonantModeError) as err:
         certify_rotation_angle(2.0 * math.pi * 3.0 / 7.0, sigma=1.0, K=32)
     assert err.value.mode == (7,)
+
+
+@pytest.mark.parametrize(
+    "omega, sigma",
+    [([math.nan, 1.0], 1.0), ([math.inf, 1.0], 1.0), ([1.0, GOLDEN], math.nan), ([1.0, GOLDEN], math.inf)],
+)
+def test_certify_diophantine_rejects_non_finite_input(omega, sigma):
+    with pytest.raises(ValueError, match="finite"):
+        certify_diophantine(omega, sigma, 4)
+    with pytest.raises(ValueError, match="finite"):
+        FrequencyVector.certify(omega, sigma, 4)
+
+
+@pytest.mark.parametrize("alpha, sigma", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)])
+def test_certify_rotation_angle_rejects_non_finite_input(alpha, sigma):
+    with pytest.raises(ValueError, match="finite"):
+        certify_rotation_angle(alpha, sigma, 4)
 
 
 # --- delta_alpha and its inverse ----------------------------------------------
@@ -216,6 +234,40 @@ def test_omega_inverse_componentwise_on_vectors():
         assert (out[i] - single).l2_norm() == 0.0
 
 
+def test_delta_alpha_inverse_componentwise_on_vectors():
+    g, alpha = circle_setup()
+    rng = np.random.default_rng(9)
+    v = VectorField([mean_zero_random(g, rng) for _ in range(3)])
+    out = delta_alpha_inverse(v, alpha)
+    for i in range(3):
+        assert np.array_equal(out[i].coeffs, delta_alpha_inverse(v[i], alpha).coeffs)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([(), (3,), (2, 2)]), st.integers(0, 2**32 - 1))
+def test_both_inverses_are_the_literal_modewise_division(dim, shape, seed):
+    # the quotient f_k / divisor_k mode by mode, on numpy scalars, bit for bit
+    rng = np.random.default_rng(seed)
+    g = TorusGrid.create(dim, 4)
+    c = rng.standard_normal(shape + g.mode_shape) + 1j * rng.standard_normal(shape + g.mode_shape)
+    f = SpectralField(g, 0.5 * (c + np.conj(c[g._reverse_index])))
+    f.coeffs[g.mean_index] = 0.0
+    omega = FrequencyVector(tuple(rng.uniform(0.5, 1.5, dim)), 1.0, 1.0, 4)
+    alpha = rng.uniform(0.5, 6.0)
+    divisors = [lambda k: 1j * sum(ki * wi for ki, wi in zip(k, omega.array))]
+    inverses = [omega_directional_inverse(f, omega)]
+    if dim == 1:
+        divisors.append(lambda k: np.exp(1j * k[0] * alpha) - 1.0)
+        inverses.append(delta_alpha_inverse(f, alpha))
+    for divisor, got in zip(divisors, inverses):
+        want = np.zeros_like(f.coeffs)
+        for idx in np.ndindex(g.mode_shape):
+            k = g.mode_axis[list(idx)]
+            if np.any(k):
+                want[(Ellipsis,) + idx] = f.coeffs[(Ellipsis,) + idx] / divisor(k)
+        assert np.array_equal(got.coeffs, want)
+
+
 # --- remove_mean ---------------------------------------------------------------
 
 
@@ -227,36 +279,6 @@ def test_remove_mean():
     f = mean_zero_random(g, rng)
     assert (remove_mean(f) - f).l2_norm() == 0.0
     assert remove_mean(f + 2.0).mean() == 0.0
-
-
-# --- fundamental solution -------------------------------------------------------
-
-
-def test_fundamental_solution_rejects_small_tau():
-    _, omega = torus_setup()
-    with pytest.raises(ValueError):
-        fundamental_solution_partial(omega, tau=omega.sigma + 0.5, K=8, theta=[0.3, 0.7])
-
-
-def test_fundamental_solution_cauchy_property():
-    omega = FrequencyVector.certify([1.0, GOLDEN], 1.0, 64)
-    tau = omega.sigma + 2.0 + 1.5  # > sigma + n, so the tail bound is finite
-    theta = [0.4, 1.1]
-    v16, tail16 = fundamental_solution_partial(omega, tau, 16, theta)
-    v32, tail32 = fundamental_solution_partial(omega, tau, 32, theta)
-    v64, tail64 = fundamental_solution_partial(omega, tau, 64, theta)
-    assert np.isfinite(tail16) and tail32 < tail16
-    assert abs(v32 - v16) <= tail16
-    assert abs(v64 - v32) <= tail32
-
-
-def test_fundamental_solution_odd_symmetry():
-    omega = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
-    tau = omega.sigma + 4.0
-    theta = np.array([0.8, 0.25])
-    vp, _ = fundamental_solution_partial(omega, tau, 16, theta)
-    vm, _ = fundamental_solution_partial(omega, tau, 16, -theta)
-    assert abs(vp + vm) < 1e-12 * max(1.0, abs(vp))
 
 
 def test_omega_inverse_commutes_with_translate():

@@ -41,6 +41,12 @@ def random_field(grid, rng, band=None, amp=1.0):
     return f
 
 
+def hermitian_defect(f):
+    """max_k |f_k - conj(f_{-k})|: zero exactly when every component is a real field."""
+    rev = f.coeffs[f.grid._reverse_index]
+    return float(np.max(np.abs(f.coeffs - np.conj(rev)), initial=0.0))
+
+
 def direct_eval(f, pts):
     """Re sum_k u_hat(k) e^{i k.x} by direct summation: one exponential per mode and point.
 
@@ -371,7 +377,7 @@ def test_hermitian_symmetry_preserved():
     f = random_field(g, rng)
     ops = [f.derivative(1), f.translate([0.3, 0.4]), f.product(f)]
     for out in ops:
-        assert out.hermitian_defect() < 1e-12
+        assert hermitian_defect(out) < 1e-12
 
 
 # --- serialization -----------------------------------------------------------
@@ -418,7 +424,7 @@ def test_serialization_mirrors_one_sided_modes():
     doc = {"dim": 1, "K": 4, "coeffs": [{"k": [2], "re": 0.25, "im": -0.1}]}
     f = field_from_json(doc)
     assert abs(f.coeffs[f.grid.max_mode - 2] - np.conj(0.25 - 0.1j)) < 1e-15
-    assert f.hermitian_defect() == 0.0
+    assert hermitian_defect(f) == 0.0
 
 
 def test_matrix_transpose_involution():
