@@ -89,7 +89,7 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     f, alpha = problem.f, problem.alpha
     one_du = _one_plus_du(u)
     recip = _reciprocal(one_du)
-    H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
+    H_fwd = ParaOpHandle(one_du.translate([float(alpha)]), cut)
     H_recip = ParaOpHandle(recip, cut)
 
     # f and f' at the same warped points, sharing every phase exponential
@@ -196,8 +196,6 @@ def rotation_number(
     """
     if not isinstance(iterations, numbers.Integral) or iterations < 1:
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
-    if isinstance(alpha, RotationAngle):
-        alpha = alpha.alpha
     alpha, lam = float(alpha), float(lam)
     c = f.coeffs.ravel()
     cmax = float(np.max(np.abs(c)))

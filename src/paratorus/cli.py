@@ -187,8 +187,8 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
     rep = sol.report
     rep.extras["gamma"] = alpha.gamma
     if orbit_m:
-        rho = rotation_number(alpha.alpha, f, sol.lam, orbit_m)
-        rep.extras["rotation_defect"] = abs(rho - alpha.alpha)
+        rho = rotation_number(alpha, f, sol.lam, orbit_m)
+        rep.extras["rotation_defect"] = abs(rho - float(alpha))
     rep.write_csv(csv_path)
     _write_json(out / outputs.get("field_dump", "circle_solution.json"), field_to_json(sol.u))
     print(f"circle: converged in {rep.iterations} iterations, "
@@ -306,36 +306,34 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
 
-    rows = []
+    rows = []  # a row lists only the cells it has; write_rows_csv leaves the others empty
     part = validation.partition_probe(K)
-    rows.append({"probe": "partition", "r": "", "j": "", "value": part["partition_residual"],
-                 "slope": "", "bound": part["bound"], "passed": int(part["passed"])})
+    rows.append({"probe": "partition", "value": part["partition_residual"],
+                 "bound": part["bound"], "passed": int(part["passed"])})
     ident = validation.paraproduct_identity_probe(
         sizes["identity_K"], seed, sizes["identity_trials"]
     )
-    rows.append({"probe": "paraproduct_identities", "r": "", "j": "",
+    rows.append({"probe": "paraproduct_identities",
                  "value": max(ident["const_symbol_defect"], ident["const_operand_defect"]),
-                 "slope": "", "bound": ident["bound"], "passed": int(ident["passed"])})
+                 "bound": ident["bound"], "passed": int(ident["passed"])})
     for r in regs:
         cm = validation.cm_smoothing_probe(K, r, seed, j_lo, j_hi)
         pl = validation.pl_smoothing_probe(K, r, seed, j_lo, j_hi)
-        for name, probe, value in (("cm", cm, cm["const_defect"]), ("pl", pl, "")):
-            rows += [{"probe": f"{name}_ratio", "r": r, "j": rec["j"], "value": rec["ratio"],
-                      "slope": "", "bound": "", "passed": ""} for rec in probe["rows"]]
-            rows.append({"probe": f"{name}_slope", "r": r, "j": "", "value": value,
-                         "slope": probe["slope"], "bound": probe["slope_bound"],
-                         "passed": int(probe["passed"])})
+        for name, probe, value in (("cm", cm, {"value": cm["const_defect"]}), ("pl", pl, {})):
+            rows += [{"probe": f"{name}_ratio", "r": r, "j": rec["j"], "value": rec["ratio"]}
+                     for rec in probe["rows"]]
+            rows.append({"probe": f"{name}_slope", "r": r, **value, "slope": probe["slope"],
+                         "bound": probe["slope_bound"], "passed": int(probe["passed"])})
     bound = validation.boundedness_stability_probe(sizes["boundedness_K"])
-    rows.append({"probe": "boundedness_drift", "r": "", "j": "", "value": bound["drift"],
-                 "slope": "", "bound": bound["bound"], "passed": int(bound["passed"])})
-    all_passed = all(r["passed"] for r in rows if r["passed"] != "")
-    summary = [("all_passed", int(all_passed)), ("partition_residual", part["partition_residual"])]
+    rows.append({"probe": "boundedness_drift", "value": bound["drift"],
+                 "bound": bound["bound"], "passed": int(bound["passed"])})
+    verdicts = [r for r in rows if "passed" in r]
+    summary = [("all_passed", int(all(r["passed"] for r in verdicts))),
+               ("partition_residual", part["partition_residual"])]
     cols = ["probe", "r", "j", "value", "slope", "bound", "passed"]
     write_rows_csv(out / outputs.get("csv", "validate_ops.csv"), cols, rows, summary, "row")
-    for r in rows:
-        if r["passed"] != "":
-            status = "pass" if r["passed"] else "FAIL"
-            print(f"validate-ops {r['probe']}(r={r['r']}): {status}")
+    for r in verdicts:
+        print(f"validate-ops {r['probe']}(r={r.get('r', '')}): {'pass' if r['passed'] else 'FAIL'}")
     return EXIT_OK
 
 
@@ -362,9 +360,9 @@ def run_diophantine(cfg: dict, out: Path, seed: int) -> int:
     rows = []
     for K in K_values:
         try:
-            rows.append({"K": K, "gamma": certify(K), "status": "ok", "resonant_mode": ""})
+            rows.append({"K": K, "gamma": certify(K), "status": "ok"})
         except ResonantModeError as exc:
-            rows.append({"K": K, "gamma": "", "status": "resonant",
+            rows.append({"K": K, "status": "resonant",
                          "resonant_mode": "(" + " ".join(str(m) for m in exc.mode) + ")"})
         except ValueError as exc:
             raise ConfigError(f"frequency: {exc}") from exc

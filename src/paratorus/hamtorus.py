@@ -45,11 +45,6 @@ _CHECK_TOL = 1e-9  # relative defect allowed in the linear solve's self-check
 _ENERGY_TOL = 1e-6  # relative energy drift allowed along the flow oracle's orbit
 
 
-def _frequency(omega) -> np.ndarray:
-    """omega as a float array, from a FrequencyVector or a sequence."""
-    return omega.array if isinstance(omega, FrequencyVector) else np.asarray(omega, dtype=float)
-
-
 def _xi(xi, n: int) -> np.ndarray:
     """The counterterm xi as n floats; None is no counterterm."""
     out = np.zeros(n) if xi is None else np.asarray(xi, dtype=float)
@@ -136,11 +131,14 @@ def _stack(x: SpectralField, y: SpectralField) -> SpectralField:
 
 
 class TorusEmbedding:
-    """theta -> (theta + ux(theta), uy(theta)), held as one 2n-component displacement (ux; uy)."""
+    """theta -> (theta + ux(theta), uy(theta)), held as one 2n-component displacement (ux; uy).
+
+    ux and uy each need n = grid.dim components."""
 
     def __init__(self, ux: SpectralField, uy: SpectralField):
-        if ux.shape != uy.shape or len(ux.shape) != 1:
-            raise ValueError("ux and uy need equally many components")
+        if not ux.shape == uy.shape == (ux.grid.dim,):
+            raise ValueError(f"ux and uy need equally many components, {ux.grid.dim} on this "
+                             f"grid, got shapes {ux.shape} and {uy.shape}")
         self.w = _stack(ux, uy)
 
     @classmethod
@@ -269,7 +267,7 @@ def jacobian_A(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
 def error_fields(h: HamiltonianData, omega) -> tuple:
     """(e0, e1): invariance defect X_h(zeta0) - (omega; 0), integrability defect Q - Avg Q."""
     e0 = hamiltonian_vector_field(h, TorusEmbedding.flat(h.grid))
-    e0 = e0 - np.concatenate([_frequency(omega), np.zeros(h.n)])
+    e0 = e0 - np.concatenate([np.asarray(omega, dtype=float), np.zeros(h.n)])
     return e0, h.Q - h.Q.mean()
 
 
@@ -427,7 +425,7 @@ def linear_para_homological_solve(HM: ParaOpHandle, HMinv: ParaOpHandle, HS: Par
     v = para_invert_with_handle(HMinv, _stack(v1x, v1y), tol=_INNER_TOL)
 
     # self-check: substitute into the para-homological equation
-    lhs = _apply_L(HM, HMinv, HS, v, omega.array) + np.concatenate([xi, mu])
+    lhs = _apply_L(HM, HMinv, HS, v, np.asarray(omega, dtype=float)) + np.concatenate([xi, mu])
     fnorm = f.l2_norm()
     defect = (lhs - f).l2_norm()
     if fnorm > 0 and defect > _CHECK_TOL * fnorm:
@@ -488,7 +486,7 @@ class _IterationOps:
         [T_{M(0 S;0 0)M^-1} - T_{M(omega.d M^-1)} - (omega.d)] w - L w.
         """
         P, _, M_s, Minv_s = self.frame_s  # P = M[:, :n]
-        w, omega_arr = self.u.displacement(), self.omega.array
+        w, omega_arr = self.u.displacement(), np.asarray(self.omega, dtype=float)
         dMinv = self.HMinv.symbol.omega_derivative(omega_arr).samples()
         B = self.A - _mm(_mm(P, self.HS.symbol.samples()), Minv_s[self.u.n :]) + _mm(M_s, dMinv)
         TBw = ParaOpHandle(analyze(self.u.grid, B), self.cut).apply(w)
@@ -503,7 +501,7 @@ def assemble_rhs(ops: _IterationOps, e0: SpectralField, Xh_zeta: SpectralField) 
 
 def _residual(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
     """F(h_xi, u) = X_h(u) + (xi; 0) - (omega.d) u from Xh = X_h(u), with sup and L2 norms."""
-    omega_arr, zeros = _frequency(omega), np.zeros(u.n)
+    omega_arr, zeros = np.asarray(omega, dtype=float), np.zeros(u.n)
     field = Xh + np.concatenate([_xi(xi, u.n), zeros])
     field = field - np.concatenate([omega_arr, zeros]) - u.displacement().omega_derivative(omega_arr)
     return field, field.sup_norm(), field.l2_norm()
@@ -569,7 +567,7 @@ def solve_torus(
     # X_h at zeta0 from the flat iterate's ops; pop() hands them over: no local keeps them alive
     flat = [_IterationOps(h, TorusEmbedding.flat(h.grid), omega, cut)]
     Xh_zeta = flat[0].Xh_u
-    e0 = Xh_zeta - np.concatenate([omega.array, np.zeros(h.n)])  # invariance defect of zeta0
+    e0 = Xh_zeta - np.concatenate([np.asarray(omega, dtype=float), np.zeros(h.n)])  # zeta0's defect
 
     def step(state):
         ops, _, _ = state
@@ -677,7 +675,7 @@ def flow_oracle(
     the initial energy is not finite or the relative energy drift, checked
     every 200 steps and at the last step, exceeds _ENERGY_TOL.
     """
-    n, omega_arr, xi = u.n, _frequency(omega), _xi(xi, u.n)
+    n, omega_arr, xi = u.n, np.asarray(omega, dtype=float), _xi(xi, u.n)
     theta0 = np.asarray(theta0, dtype=float)
     if not (0 < dt < math.inf and T >= 0 and math.isfinite(T / dt)):  # NaN fails each test
         raise ValueError(f"need finite T >= 0 and dt > 0 and T / dt, got T={T!r}, dt={dt!r}")

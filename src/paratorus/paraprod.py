@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteError,
     SingularAverageError,
 )
-from .spectral import SpectralField, TorusGrid, analyze, warp_samples
+from .spectral import SpectralField, TorusGrid, analyze, compose_warped
 
 _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 
@@ -166,7 +166,7 @@ def para_compose(
     cut: DyadicCutoff,
     window: int = 2,
 ) -> SpectralField:
-    """Para-composition sum_j (S_{j+N} - S_{j-N}) ((Delta_j F) o chi).
+    """Para-composition sum_j (S_{j+N} - S_{j-N}) ((Delta_j F) o chi), one compose_warped of the blocks.
 
     chi = Id + displacement must be a diffeomorphism (sup |d displacement| < 1).
     For j - N < 0 the lower partial sum is the zero operator, which keeps
@@ -176,13 +176,11 @@ def para_compose(
     cut.grid.require_same(grid)
     if window < 1:
         raise ValueError("window must be >= 1")
-    jac = chi_displacement.jacobian()
-    if jac.sup_norm() >= 1.0:
+    if chi_displacement.jacobian().sup_norm() >= 1.0:
         raise DiffeomorphismLostError(
             "displacement gradient reaches 1: Id + displacement is not a diffeomorphism"
         )
-    wpts = np.stack(grid.point_mesh) + chi_displacement.samples()
-    composed = analyze(grid, warp_samples(cut.blocks(F), wpts))
+    composed = compose_warped(cut.blocks(F), chi_displacement)
     # the window multipliers S_{j+N} - S_{j-N} of every level j, S_{j-N} = 0 below j = N
     levels = np.arange(cut.j_max + 1)
     windows = cut.lowpass_mult[np.minimum(levels + window, cut.j_max)]

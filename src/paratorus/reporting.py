@@ -22,12 +22,13 @@ def fmt(x) -> str:
 def write_rows_csv(path, columns, rows, summary, row_kind: str) -> None:
     """Write a header, one `row_kind` line per row and one summary line.
 
-    rows are dicts keyed by the column names; summary is a sequence of
-    (key, value) pairs, written as key=value cells in the given order.
+    rows are dicts keyed by the column names; a column that a row lacks is an
+    empty cell. summary is a sequence of (key, value) pairs, written as
+    key=value cells in the given order.
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     lines = [["row_kind"] + list(columns)]
-    lines += [[row_kind] + [fmt(row[c]) for c in columns] for row in rows]
+    lines += [[row_kind] + [fmt(row.get(c, "")) for c in columns] for row in rows]
     lines.append(["summary"] + [f"{k}={fmt(v)}" for k, v in summary])
     with open(path, "w") as fh:
         fh.write("".join(",".join(cells) + "\n" for cells in lines))
@@ -47,10 +48,6 @@ class SolveReport:
     status: str = "pending"
     extras: dict = field(default_factory=dict)
     wall_time: float = 0.0
-
-    def add_row(self, **kwargs) -> None:
-        row = {c: kwargs.get(c, "") for c in self.columns}
-        self.rows.append(row)
 
     @property
     def iterations(self) -> int:
@@ -86,7 +83,7 @@ def picard(step, state, columns, max_iter: int):
     try:
         for it in range(1, max_iter + 1):
             state, row, done = step(state)
-            report.add_row(iter=it, **row)
+            report.rows.append({"iter": it, **row})
             for c in ("increment_hs", "residual_sup"):
                 if not math.isfinite(row[c]):
                     raise NonFiniteError(f"{c} is {row[c]} at iteration {it}")

@@ -70,7 +70,7 @@ def certify_rotation_angle(alpha: float, sigma: float, K: int) -> float:
 
 @dataclass(frozen=True)
 class FrequencyVector:
-    """A frequency vector with a gamma certified on the retained modes."""
+    """A frequency vector with a gamma certified on the retained modes; np.asarray reads omega."""
 
     omega: tuple
     sigma: float
@@ -82,14 +82,15 @@ class FrequencyVector:
         gamma = certify_diophantine(omega, sigma, K)
         return cls(tuple(float(w) for w in omega), sigma, gamma, K)
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.omega, dtype=float)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.omega, dtype=float if dtype is None else dtype)
+
+    array = property(__array__)  # omega as a float array
 
 
 @dataclass(frozen=True)
 class RotationAngle:
-    """A rotation angle alpha in (0, 2pi) with certified Diophantine data."""
+    """A rotation angle alpha in (0, 2pi) with certified Diophantine data; float() reads alpha."""
 
     alpha: float
     sigma: float
@@ -102,6 +103,9 @@ class RotationAngle:
             raise ValueError("alpha must lie in (0, 2*pi)")
         gamma = certify_rotation_angle(alpha, sigma, K)
         return cls(float(alpha), sigma, gamma, K)
+
+    def __float__(self) -> float:
+        return self.alpha
 
 
 def remove_mean(f: SpectralField) -> SpectralField:
@@ -123,15 +127,11 @@ def _check_mean(f: SpectralField, opname: str) -> SpectralField:
     return remove_mean(f)
 
 
-def _alpha_value(alpha) -> float:
-    return alpha.alpha if isinstance(alpha, RotationAngle) else float(alpha)
-
-
 def delta_alpha(u: SpectralField, alpha) -> SpectralField:
     """Forward difference operator u(x + alpha) - u(x) on the circle."""
     if u.grid.dim != 1:
         raise ValueError("delta_alpha acts on circle fields (dim 1)")
-    return u.translate([_alpha_value(alpha)]) - u
+    return u.translate([float(alpha)]) - u
 
 
 def _divide(f: SpectralField, divisor: np.ndarray, opname: str) -> SpectralField:
@@ -156,11 +156,11 @@ def delta_alpha_inverse(f: SpectralField, alpha) -> SpectralField:
     """Modewise division by e^{ik alpha} - 1 on mean-zero circle fields, on every component."""
     if f.grid.dim != 1:
         raise ValueError("delta_alpha_inverse acts on circle fields (dim 1)")
-    div = np.exp(1j * f.grid.mode_axis * _alpha_value(alpha)) - 1.0
+    div = np.exp(1j * f.grid.mode_axis * float(alpha)) - 1.0
     return _divide(f, div, "delta_alpha_inverse")
 
 
-def omega_directional_inverse(f: SpectralField, omega: FrequencyVector) -> SpectralField:
-    """(omega . d/dx)^{-1} by modewise division by i k.omega, on every component."""
-    kw = sum(k * w for k, w in zip(f.grid.mode_mesh, omega.array))
+def omega_directional_inverse(f: SpectralField, omega) -> SpectralField:
+    """(omega . d/dx)^{-1} by modewise division by i k.omega (a FrequencyVector or floats)."""
+    kw = sum(k * w for k, w in zip(f.grid.mode_mesh, np.asarray(omega, dtype=float)))
     return _divide(f, 1j * kw, "omega_directional_inverse")

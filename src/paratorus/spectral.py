@@ -209,10 +209,6 @@ class SpectralField:
     def __iter__(self):
         return (self[i] for i in range(self.shape[0]))
 
-    @property
-    def T(self) -> "SpectralField":
-        return SpectralField(self.grid, np.swapaxes(self.coeffs, 0, 1))
-
     # --- basics -------------------------------------------------------
 
     def copy(self) -> "SpectralField":
@@ -470,7 +466,9 @@ def compose_warped(f: SpectralField, w: SpectralField, return_tail: bool = False
 
 
 def field_to_json(f: SpectralField) -> dict:
-    """JSON document for a scalar field; only modes with |u_hat(k)| > 1e-16 are stored."""
+    """JSON document for a scalar field (else ValueError); stores the modes with |u_hat(k)| > 1e-16."""
+    if f.shape:
+        raise ValueError(f"field_to_json takes a scalar field, got component shape {f.shape}")
     g = f.grid
     entries = []
     cvec = f.coeffs.ravel()

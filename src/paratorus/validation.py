@@ -24,6 +24,16 @@ def slope_fit(js, logs) -> float:
     return float(np.polyfit(np.asarray(js, float), np.asarray(logs, float), 1)[0])
 
 
+def _decay_fit(ratio, j_lo: int, j_hi: int, r: float) -> dict:
+    """Rows {j, ratio(j)} for j_lo <= j <= j_hi, skipping a None ratio, and the log2 slope of
+    the positive ratios, which passes at slope <= -r + SLOPE_TOL."""
+    rows = [{"j": j, "ratio": q} for j in range(j_lo, j_hi + 1) if (q := ratio(j)) is not None]
+    fit = [(row["j"], np.log2(row["ratio"])) for row in rows if row["ratio"] > 0]
+    slope = slope_fit([j for j, _ in fit], [lg for _, lg in fit])
+    return {"rows": rows, "slope": slope, "slope_bound": -r + SLOPE_TOL,
+            "passed": slope <= -r + SLOPE_TOL}
+
+
 def seeded_field(grid: TorusGrid, rng, band=None, amp=1.0) -> SpectralField:
     band = band or grid.max_mode
     shape = grid.mode_shape
@@ -96,28 +106,19 @@ def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
     a = lacunary_field(grid, r, rng)
     b = lacunary_field(grid, r, rng)
     w = seeded_field(grid, rng)
-    rows, js, logs = [], [], []
-    for j in range(j_lo, j_hi + 1):
+
+    def ratio(j):
         u = cut.block(w, j)
-        if u.l2_norm() == 0.0:
-            continue
-        ratio = cm_remainder(a, b, u, cut).l2_norm() / u.l2_norm()
-        rows.append({"j": j, "ratio": ratio})
-        if ratio > 0:
-            js.append(j)
-            logs.append(np.log2(ratio))
-    slope = slope_fit(js, logs)
+        nrm = u.l2_norm()
+        return cm_remainder(a, b, u, cut).l2_norm() / nrm if nrm else None
+
+    fit = _decay_fit(ratio, j_lo, j_hi, r)
     # constant-factor degeneracy must vanish to roundoff
     c = SpectralField.constant(grid, 1.3)
     u = cut.block(w, (j_lo + j_hi) // 2)
     const_defect = cm_remainder(c, b, u, cut).l2_norm() / max(1e-30, u.l2_norm() * b.sup_norm())
-    return {
-        "rows": rows,
-        "slope": slope,
-        "slope_bound": -r + SLOPE_TOL,
-        "const_defect": const_defect,
-        "passed": slope <= -r + SLOPE_TOL and const_defect < IDENTITY_TOL,
-    }
+    return {**fit, "const_defect": const_defect,
+            "passed": fit["passed"] and const_defect < IDENTITY_TOL}
 
 
 def pl_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7) -> dict:
@@ -126,27 +127,18 @@ def pl_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
     cut = make_cutoff(grid)
     rng = np.random.default_rng(seed)
     w = seeded_field(grid, rng)
-    rows, js, logs = [], [], []
-    for j in range(j_lo, j_hi + 1):
+
+    def ratio(j):
         u = cut.block(w, j)
         nrm = zygmund_norm(u, r, cut)
         if nrm == 0.0:
-            continue
+            return None
         u = u * (1.0 / nrm)
         F_of_u = analyze(grid, u.samples() ** 2)
         rem = pl_remainder(F_of_u, SpectralField.zero(grid), 2.0 * u, u, cut)
-        ratio = rem.sobolev_norm(2.0) / u.sobolev_norm(2.0)
-        rows.append({"j": j, "ratio": ratio})
-        if ratio > 0:
-            js.append(j)
-            logs.append(np.log2(ratio))
-    slope = slope_fit(js, logs)
-    return {
-        "rows": rows,
-        "slope": slope,
-        "slope_bound": -r + SLOPE_TOL,
-        "passed": slope <= -r + SLOPE_TOL,
-    }
+        return rem.sobolev_norm(2.0) / u.sobolev_norm(2.0)
+
+    return _decay_fit(ratio, j_lo, j_hi, r)
 
 
 def boundedness_probe(K: int, s: float = 2.0) -> float:

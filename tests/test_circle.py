@@ -237,6 +237,18 @@ def test_rotation_number_oracle_examples():
     assert abs(rho_shift - (alpha - 0.1)) < 1e-12
 
 
+def test_a_plain_angle_gives_the_bits_of_the_certified_one():
+    """float() reads a RotationAngle as its alpha, so the angle and its float give bit-identical
+    differences, inverses and rotation numbers."""
+    prob = setup(K=64, amp=0.05)
+    alpha, plain = prob.alpha, prob.alpha.alpha
+    u = SpectralField.from_modes(prob.f.grid, {1: 0.01 - 0.02j, 3: 0.004j})
+    assert np.array_equal(delta_alpha(u, alpha).coeffs, delta_alpha(u, plain).coeffs)
+    inverse = lambda a: delta_alpha_inverse(prob.f, a).coeffs
+    assert np.array_equal(inverse(alpha), inverse(plain))
+    assert rotation_number(alpha, prob.f, 0.01, 500) == rotation_number(plain, prob.f, 0.01, 500)
+
+
 def rotation_number_per_step(alpha, f, lam, iterations, x0=0.1):
     """Reference orbit: f evaluated at each step by one NumPy sum over its complex modes."""
     cmax = float(np.max(np.abs(f.coeffs)))

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from paratorus import cli, field_from_json
+from paratorus import SpectralField, TorusGrid, cli, field_from_json, make_cutoff
 from paratorus.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_SOLVER, main
+from paratorus.paraprod import ParaOpHandle, low_pass_bytes
+from paratorus.reporting import write_rows_csv
 from paratorus.errors import (
     ConfigError,
     DegenerateEmbeddingError,
@@ -188,6 +190,12 @@ def test_validate_ops_report(tmp_path):
     out2 = tmp_path / "out2"
     main(["validate-ops", "--config", str(cfg), "--out", str(out2), "--seed", "7"])
     assert (out / "ops.csv").read_bytes() == (out2 / "ops.csv").read_bytes()
+
+
+def test_write_rows_csv_leaves_an_absent_column_empty(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, ["a", "b", "c"], [{"a": 1, "c": 0.5}, {"b": "x"}], [("n", 2)], "row")
+    assert path.read_text() == "row_kind,a,b,c\nrow,1,,0.5\nrow,,x,\nsummary,n=2\n"
 
 
 def test_diophantine_scan_and_resonance(tmp_path):
@@ -509,6 +517,16 @@ class SolveReached(Exception):
 
 def reach_solve(*args, **kwargs):
     raise SolveReached
+
+
+@pytest.mark.parametrize("dim, K", [(1, 64), (1, 4), (2, 16), (2, 4), (3, 8), (3, 2)])
+@pytest.mark.parametrize("torus", [False, True], ids=["scalar", "2n x 2n"])
+def test_memory_estimate_is_the_bytes_of_the_handle_low_passes(dim, K, torus):
+    """The guard's estimate equals what a handle keeps; K = 4 and K = 2 have no level above 3."""
+    grid = TorusGrid.create(dim, K)
+    shape = (2 * dim,) * 2 if torus else ()
+    symbol = SpectralField(grid, np.zeros(shape + grid.mode_shape, dtype=complex))
+    assert low_pass_bytes(grid, shape) == ParaOpHandle(symbol, make_cutoff(grid)).low.nbytes
 
 
 def test_torus_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch):

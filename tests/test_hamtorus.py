@@ -379,6 +379,15 @@ def test_frame_degenerate_embedding_rejected():
         frame(u)
 
 
+@pytest.mark.parametrize("m_x, m_y", [(3, 3), (1, 1), (2, 3)])
+def test_embedding_needs_one_component_per_grid_dimension(m_x, m_y):
+    """On T^2, 3 components would reach frame and fail there with an IndexError, and 1 with a
+    DegenerateEmbeddingError (a solver error); the constructor rejects both as invalid input."""
+    g = small_grid()
+    with pytest.raises(ValueError, match="ux and uy need equally many components, 2 on this grid"):
+        TorusEmbedding(ux=VectorField.zero(g, m_x), uy=VectorField.zero(g, m_y))
+
+
 def gram_guard_embedding(g, b):
     """ux = (-b sin theta_1, 0), uy = 0: min det(du^T du) = (1 - b)^2 at theta_1 = 0, |det M| = 1."""
     ux = VectorField([SpectralField.from_modes(g, {(1, 0): 0.5j * b}), SpectralField.zero(g)])
@@ -641,6 +650,30 @@ def test_linear_solve_thm1_rejects_singular_avg_S():
     f = VectorField([sparse_field(g, np.random.default_rng(1), 0.1) for _ in range(4)])
     with pytest.raises(SingularAverageError):
         linear_para_homological_solve(*frame_handles(u, S, cut), f, "thm1", om)
+
+
+def test_a_plain_frequency_gives_the_bits_of_the_certified_one():
+    """Every torus function reads omega with np.asarray, so [1, GOLDEN] and its certified
+    FrequencyVector give bit-identical results."""
+    from paratorus import omega_directional_inverse, remove_mean
+
+    g = small_grid()
+    om, plain = freq(), [1.0, GOLDEN]
+    cut = make_cutoff(g)
+    rng = np.random.default_rng(9)
+    u = random_embedding(g, rng, 0.015)
+    h = random_hamiltonian(g, om, rng, with_cubic=False)
+    f = VectorField([sparse_field(g, rng, 0.3) for _ in range(4)])
+    same = lambda a, b: np.array_equal(getattr(a, "coeffs", a), getattr(b, "coeffs", b))
+    assert same(omega_directional_inverse(remove_mean(f), plain),
+                omega_directional_inverse(remove_mean(f), om))
+    handles = frame_handles(u, torsion_S(h, u), cut)
+    for mode in hamtorus.MODES:
+        got = linear_para_homological_solve(*handles, f, mode, plain)
+        want = linear_para_homological_solve(*handles, f, mode, om)
+        assert all(same(a, b) for a, b in zip(got, want))
+    assert same(isotropy_from_residual(u, h, plain), isotropy_from_residual(u, h, om))
+    assert same(isotropic_correction(u, h, plain).w, isotropic_correction(u, h, om).w)
 
 
 # --- assemble_rhs ---------------------------------------------------------------

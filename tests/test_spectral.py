@@ -427,19 +427,13 @@ def test_serialization_mirrors_one_sided_modes():
     assert hermitian_defect(f) == 0.0
 
 
-def test_matrix_transpose_involution():
-    from paratorus import MatrixField
-
+def test_serialization_rejects_a_field_with_component_axes():
+    """A 2-component field would serialize as its component 0 and round-trip as a scalar."""
     rng = np.random.default_rng(59)
-    g = TorusGrid.create(1, 8)
-    M = MatrixField([[random_field(g, rng) for _ in range(3)] for _ in range(2)])
-    back = M.T.T
-    assert back.shape == M.shape
-    for i in range(2):
-        for j in range(3):
-            # entries are views of the same coefficients, not copies
-            assert np.shares_memory(back[i, j].coeffs, M.coeffs)
-            assert np.array_equal(back[i, j].coeffs, M[i, j].coeffs)
+    g = TorusGrid.create(2, 4)
+    f = VectorField([random_field(g, rng) for _ in range(2)])
+    with pytest.raises(ValueError, match=r"component shape \(2,\)"):
+        field_to_json(f)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
