@@ -22,7 +22,7 @@ from .errors import DiffeomorphismLostError, NonFiniteError
 from .paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
 from .reporting import SolveReport, picard
 from .smalldiv import RotationAngle, delta_alpha, delta_alpha_inverse, remove_mean
-from .spectral import SpectralField, VectorField, analyze, compose_warped
+from .spectral import SpectralField, VectorField, analyze, compose_warped, real_terms
 
 MODES = ("standard", "refined", "naive")  # the first is the CLI default
 
@@ -30,7 +30,6 @@ CIRCLE_COLUMNS = ["iter", "increment_hs", "residual_sup", "residual_hs", "lambda
 
 _INVERT_TOL = 1e-13  # relative residual of every Neumann para-inversion in g_map
 _INVERT_MAX_ITER = 300
-_COMPOSE_WINDOW = 2  # para-composition window N of the refined mode
 
 
 @dataclass
@@ -43,8 +42,8 @@ class CircleProblem:
     mode: str = "standard"
 
     def __post_init__(self):
-        if self.f.grid.dim != 1:
-            raise ValueError("circle problems live on T^1")
+        if self.f.grid.dim != 1 or self.f.shape:
+            raise ValueError("circle problems need a scalar f on T^1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):  # the driver checks max_iter
@@ -96,7 +95,7 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     comp, fprime_comp = compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]))
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
     if problem.mode == "refined":
-        base = para_compose(f, VectorField([u]), cut, window=_COMPOSE_WINDOW)
+        base = para_compose(f, VectorField([u]), cut)
     else:
         base = f
     recip_u = H_recip.apply(u)
@@ -190,24 +189,18 @@ def rotation_number(
     """Birkhoff-averaged rotation number of the lifted map x -> x + alpha + f(x) - lambda.
 
     Independent orbit oracle: averages the per-step displacement over the
-    orbit, which equals (T^m(x0) - x0)/m for the lift. The modes k and -k of
-    f are folded into one real pair, f(y) = a_0 + sum_k a_k cos(k y) + b_k sin(k y),
-    so each step runs on Python floats only.
+    orbit, which equals (T^m(x0) - x0)/m for the lift. spectral.real_terms folds the
+    modes k and -k of f into one real pair, f(y) = a_0 + sum_k a_k cos(k y) + b_k sin(k y)
+    in ascending k, so each step runs on Python floats only. f must be a scalar field on T^1.
     """
     if not isinstance(iterations, numbers.Integral) or iterations < 1:
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
+    if f.grid.dim != 1 or f.shape:
+        raise ValueError(f"rotation_number needs a scalar f on T^1, got {f.shape} on T^{f.grid.dim}")
     alpha, lam = float(alpha), float(lam)
-    c = f.coeffs.ravel()
-    cmax = float(np.max(np.abs(c)))
-    kept = np.where(np.abs(c) > 1e-15 * max(cmax, 1.0), c, 0.0)
-    K = f.grid.max_mode  # c[K + k] is the coefficient of mode k
-    a0 = float(kept[K].real)
-    terms = [
-        (float(k), float(kept[K + k].real + kept[K - k].real),
-         float(kept[K - k].imag - kept[K + k].imag))
-        for k in range(1, K + 1)
-        if kept[K + k] != 0 or kept[K - k] != 0
-    ]
+    modes, table = real_terms(f)
+    a0, m = float(table[-1]), modes.shape[1]
+    terms = list(zip(modes[0].tolist(), table[:m].tolist(), table[m:-1].tolist()))
     two_pi = 2.0 * math.pi
     cos, sin = math.cos, math.sin
     y = x0 % two_pi

@@ -86,18 +86,15 @@ def _field_from_modes_config(grid: TorusGrid, modes, path: str) -> SpectralField
         _require_keys(e, {"k": True, "re": True, "im": True}, path)
     doc = {"dim": grid.dim, "K": grid.max_mode, "coeffs": modes}
     try:
-        f = field_from_json(doc, points_per_dim=grid.points_per_dim)
+        return field_from_json(doc)
     except ParatorusError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return f
 
 
 def _parse_grid(cfg, kind: str) -> TorusGrid:
-    _require_keys(cfg, {"dim": True, "K": True, "points": False}, "grid")
-    points = cfg.get("points")
+    _require_keys(cfg, {"dim": True, "K": True}, "grid")
     try:
-        grid = TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1),
-                                None if points is None else _integer(points, "grid.points", 1))
+        grid = TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     # the largest live set: a handle's low-passes, for a (2n x 2n) frame symbol
@@ -285,8 +282,8 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
 def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
     _require_keys(cfg, {"kind": True, "grid": False, "probes": False, "outputs": False}, "config")
     grid = _parse_grid(cfg.get("grid") or {"dim": 1, "K": 256}, "validate-ops")
-    if grid != TorusGrid.create(1, grid.max_mode):
-        raise ConfigError("grid: the validate-ops probes run in dim 1 at the default padding 4K")
+    if grid.dim != 1:
+        raise ConfigError("grid: the validate-ops probes run in dim 1")
     K = grid.max_mode
     probes = cfg.get("probes") or {}
     _require_keys(

@@ -34,7 +34,8 @@ from .errors import (
 from .paraprod import ParaOpHandle, para_invert_with_handle
 from .reporting import SolveReport, picard
 from .smalldiv import FrequencyVector, omega_directional_inverse, remove_mean
-from .spectral import SpectralField, TorusGrid, VectorField, analyze, synthesize, warp_samples
+from .spectral import SpectralField, TorusGrid, VectorField, analyze, compress, real_terms
+from .spectral import synthesize, warp_samples
 
 TORUS_COLUMNS = ["iter", "increment_hs", "residual_sup", "residual_hs", "xi_norm", "mu_norm"]
 
@@ -116,12 +117,6 @@ class HamiltonianData:
             data = (self.a0, self.a1, self.Q, self.cubic)[m]
             self._gradients[(m, order)] = self.gradient(m, order - 1).jacobian() if order else data
         return self._gradients[(m, order)]
-
-    def value_at(self, x: np.ndarray, y: np.ndarray, xi=None) -> float:
-        """Pointwise h_xi(x, y) for the flow oracle's energy monitor; x and y are n floats each."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        T = lambda m, order: synthesize(self.gradient(m, order), x[None, :])  # one point, any dim
-        return float(_taylor(T, self.degree, 0, y[:, None], 0)[0] + np.dot(_xi(xi, self.n), y))
 
 
 def _stack(x: SpectralField, y: SpectralField) -> SpectralField:
@@ -604,62 +599,55 @@ def solve_torus(
 _COMPARE_BLOCK = 1000  # orbit points per block of the streamed comparison with u(theta0 + omega t)
 
 
-def _compress(f: SpectralField) -> SpectralField:
-    """Zero the coefficients below 1e-15 times the largest of the same component."""
-    out = f.copy()
-    cmax = np.max(np.abs(out.coeffs), axis=f.grid.axes, keepdims=True)
-    out.coeffs[np.abs(out.coeffs) < 1e-15 * cmax] = 0.0
-    return out
+def _point_terms(table: SpectralField, shift: list):
+    """Closure z = (x, y) -> shift + sum of table(x)[r, a, b[, c]] y1_a y1_b [y1_c], y1 = (1, y).
 
-
-def _point_rhs(h: HamiltonianData, xi: np.ndarray):
-    """Closure z -> X_{h_xi}(z) on the nonzero real terms of the precompressed Taylor gradients.
-
-    X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!) has degree d = h.degree in
-    y. With y1 = (1, y), the folded table's row (r, a, b[, c]) holds the coefficients of
-    y1_a y1_b [y1_c] in component r over the union of the nonzero modes; the Hermitian pairs
-    k, -k fold exactly into the half-space (first nonzero k_i > 0, weight 2; k = 0, weight 1).
-    Each nonzero row is a term: component r times the monomial of y at the indices a, b[, c] > 0.
-    Their x-dependent factors are one real product [Re T | -Im T | T_0] @ [cos | sin | 1] of the
-    phases x.k over the modes k != 0 that some row uses; the monomials and the shift (xi; 0) are
-    summed on Python floats. rhs takes any sequence of 2n floats and returns a list.
+    table's component axes are (output r, one slot per factor of y1). Each nonzero row of its
+    real_terms is a term: output r times the monomial of y at the slots > 0. A call makes one real
+    product with [cos(x.k) | sin(x.k) | 1] and sums the monomials on Python floats; it takes any
+    sequence of 2n floats and returns a list.
     """
-    n, d = h.n, h.degree
-    # mode_list is lexicographic and symmetric: k = 0 sits in the middle, the half-space after it
-    mid = h.grid.mode_list.shape[0] // 2
-    table = np.zeros((2 * n,) + (n + 1,) * d + (mid + 1,), dtype=complex)
-    for m in range(d + 1):
-        ys = (slice(1, None),) * m
-        dx = _compress(h.gradient(m, 1)).coeffs.reshape((n,) * (m + 1) + (-1,))[..., mid:]
-        table[(slice(n, None),) + (0,) * (d - m) + ys] = -np.moveaxis(dx, m, 0) / math.factorial(m)
-        if m > 0:
-            ay = _compress(h.gradient(m)).coeffs.reshape((n,) * m + (-1,))[..., mid:]
-            table[(slice(None, n),) + (0,) * (d + 1 - m) + ys[1:]] = ay / math.factorial(m - 1)
-    table = table.reshape((-1, mid + 1))
-    table[:, 1:] *= 2.0
-    rows = np.flatnonzero(np.any(table != 0, axis=1))
-    table = table[rows]
-    cols = 1 + np.flatnonzero(np.any(table[:, 1:] != 0, axis=0))
-    modes = h.grid.mode_list[mid:][cols].T.astype(float)
-    mat = np.concatenate([table[:, cols].real, -table[:, cols].imag, table[:, :1].real], axis=1)
-    index = np.array(np.unravel_index(rows, (2 * n,) + (n + 1,) * d)).T.tolist()
-    terms = [(r, [a - 1 for a in ab if a]) for r, *ab in index]
-    shift = xi.tolist() + [0.0] * n
-    phase, buf = np.empty(len(cols)), np.ones(2 * len(cols) + 1)  # buf: [cos | sin | 1]
-    cos_part, sin_part = buf[: len(cols)], buf[len(cols) : -1]
+    n = table.grid.dim
+    modes, mat = real_terms(table)
+    rows = np.flatnonzero(np.any(mat != 0, axis=-1))  # flat over the component axes
+    mat = mat.reshape(-1, mat.shape[-1])[rows]
+    terms = [(r, [a - 1 for a in ab if a]) for r, *ab in
+             np.array(np.unravel_index(rows, table.shape)).T.tolist()]
+    phase, buf = np.empty(modes.shape[1]), np.ones(mat.shape[1])  # buf: [cos | sin | 1]
+    cos_part, sin_part = np.split(buf[:-1], 2)
 
-    def rhs(z) -> list:
+    def evaluate(z) -> list:
         np.dot(z[:n], modes, out=phase)
         np.cos(phase, out=cos_part)
         np.sin(phase, out=sin_part)
-        out, y = shift.copy(), z[n:]
+        out, y = list(shift), z[n:]
         for (r, ys), v in zip(terms, (mat @ buf).tolist()):
             for a in ys:
                 v *= y[a]
             out[r] += v
         return out
 
-    return rhs
+    return evaluate
+
+
+def _flow_closures(h: HamiltonianData, xi) -> tuple:
+    """The flow oracle's point evaluators z -> X_{h_xi}(z) and z -> [h_xi(z)], h_xi = h + <xi, y>.
+
+    One loop over the Taylor order m fills both tables of _point_terms: X_h = (sum_m a_m[y^(m-1)]
+    / (m-1)!; -sum_m (d_x a_m)[y^m] / m!) shifted by (xi; 0), and h = sum_m a_m[y^m] / m! with xi
+    in the a1 slot at k = 0."""
+    g, n, d, xi = h.grid, h.n, h.degree, _xi(xi, h.n)
+    xh = np.zeros((2 * n,) + (n + 1,) * d + g.mode_shape, dtype=complex)
+    energy = np.zeros((1,) + (n + 1,) * d + g.mode_shape, dtype=complex)
+    for m in range(d + 1):
+        ys = (0,) * (d - m) + (slice(1, None),) * m  # the slots of y^m
+        energy[(0,) + ys] = h.gradient(m).coeffs / math.factorial(m)
+        xh[(slice(n, None),) + ys] = -np.moveaxis(h.gradient(m, 1).coeffs, m, 0) / math.factorial(m)
+        if m > 0:
+            xh[(slice(None, n), 0) + ys[:-1]] = h.gradient(m).coeffs / math.factorial(m - 1)
+    energy[(0,) * d + (slice(1, None),) + (g.max_mode,) * g.dim] += xi
+    return (_point_terms(SpectralField(g, xh), xi.tolist() + [0.0] * n),
+            _point_terms(SpectralField(g, energy), [0.0]))
 
 
 def flow_oracle(
@@ -668,21 +656,22 @@ def flow_oracle(
     """Max deviation of the RK4 orbit from z(0) = u(theta0) against u(theta0 + omega t).
 
     Independent invariance check: integrates the Hamiltonian ODE by RK4 with
-    fixed step dt through the real terms of _point_rhs, its stages on Python
+    fixed step dt through the real terms of _flow_closures, its stages on Python
     floats, and compares each block of _COMPARE_BLOCK orbit points with the
     rotated embedding as soon as it is integrated, so memory does not grow with
     T/dt. T/dt must be finite and xi of shape (n,). Raises EnergyDriftError if
     the initial energy is not finite or the relative energy drift, checked
     every 200 steps and at the last step, exceeds _ENERGY_TOL.
     """
-    n, omega_arr, xi = u.n, np.asarray(omega, dtype=float), _xi(xi, u.n)
+    n, omega_arr = u.n, np.asarray(omega, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     if not (0 < dt < math.inf and T >= 0 and math.isfinite(T / dt)):  # NaN fails each test
         raise ValueError(f"need finite T >= 0 and dt > 0 and T / dt, got T={T!r}, dt={dt!r}")
     if theta0.shape != (n,):
         raise ValueError(f"theta0 needs {n} entries, got shape {theta0.shape}")
+    rhs, energy = _flow_closures(h, xi)
     steps = int(round(T / dt))
-    w_c = _compress(u.displacement())
+    w_c = compress(u.displacement())
 
     def deviation(lo: int, pts: np.ndarray) -> float:
         """Max distance of the orbit points of steps lo, lo + 1, ... from u(theta0 + omega t)."""
@@ -693,14 +682,12 @@ def flow_oracle(
 
     z = synthesize(w_c, theta0[None, :])[:, 0]
     z[:n] += theta0
-    H0 = h.value_at(z[:n], z[n:], xi)
+    block = np.empty((_COMPARE_BLOCK, 2 * n))
+    block[0], z = z, z.tolist()
+    H0 = energy(z)[0]
     if not math.isfinite(H0):
         raise EnergyDriftError(f"initial energy {H0} at step 0 is not finite")
-    rhs = _point_rhs(h, xi)
-    block = np.empty((_COMPARE_BLOCK, 2 * n))
-    block[0] = z
     dev = 0.0  # np.maximum keeps a NaN deviation, where max() would drop it
-    z = z.tolist()
     for i in range(1, steps + 1):
         k1 = rhs(z)
         k2 = rhs([a + 0.5 * dt * b for a, b in zip(z, k1)])
@@ -708,7 +695,7 @@ def flow_oracle(
         k4 = rhs([a + dt * b for a, b in zip(z, k3)])
         z = [a + (dt / 6.0) * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
         if i % 200 == 0 or i == steps:
-            drift = abs(h.value_at(z[:n], z[n:], xi) - H0) / max(1.0, abs(H0))
+            drift = abs(energy(z)[0] - H0) / max(1.0, abs(H0))
             if not drift <= _ENERGY_TOL:  # NaN counts as drift
                 raise EnergyDriftError(
                     f"energy drift {drift:.3e} at step {i} exceeds {_ENERGY_TOL:.1e}; reduce dt"

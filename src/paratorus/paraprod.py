@@ -28,6 +28,7 @@ from .errors import (
 from .spectral import SpectralField, TorusGrid, analyze, compose_warped
 
 _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
+_COMPOSE_WINDOW = 2  # the window N of para_compose
 
 
 class ParaOpHandle:
@@ -160,31 +161,25 @@ def pl_remainder(
     return F_of_u - F_of_0 - para_product(Fz_at_u, u, cut)
 
 
-def para_compose(
-    F: SpectralField,
-    chi_displacement: SpectralField,
-    cut: DyadicCutoff,
-    window: int = 2,
-) -> SpectralField:
+def para_compose(F: SpectralField, chi_displacement: SpectralField,
+                 cut: DyadicCutoff) -> SpectralField:
     """Para-composition sum_j (S_{j+N} - S_{j-N}) ((Delta_j F) o chi), one compose_warped of the blocks.
 
-    chi = Id + displacement must be a diffeomorphism (sup |d displacement| < 1).
-    For j - N < 0 the lower partial sum is the zero operator, which keeps
-    constants intact (chi* c = c).
+    The window is N = _COMPOSE_WINDOW. chi = Id + displacement must be a diffeomorphism
+    (sup |d displacement| < 1). For j - N < 0 the lower partial sum is the zero operator, which
+    keeps constants intact (chi* c = c).
     """
     grid = F.grid
     cut.grid.require_same(grid)
-    if window < 1:
-        raise ValueError("window must be >= 1")
     if chi_displacement.jacobian().sup_norm() >= 1.0:
         raise DiffeomorphismLostError(
             "displacement gradient reaches 1: Id + displacement is not a diffeomorphism"
         )
     composed = compose_warped(cut.blocks(F), chi_displacement)
     # the window multipliers S_{j+N} - S_{j-N} of every level j, S_{j-N} = 0 below j = N
-    levels = np.arange(cut.j_max + 1)
-    windows = cut.lowpass_mult[np.minimum(levels + window, cut.j_max)]
-    windows[window:] -= cut.lowpass_mult[: max(0, cut.j_max + 1 - window)]
+    N = _COMPOSE_WINDOW
+    windows = cut.lowpass_mult[np.minimum(np.arange(cut.j_max + 1) + N, cut.j_max)]
+    windows[N:] -= cut.lowpass_mult[: max(0, cut.j_max + 1 - N)]
     return SpectralField(grid, np.einsum("l...,l...->...", windows, composed.coeffs))
 
 

@@ -3,8 +3,8 @@
 Fields are stored by their retained Fourier coefficients u_hat(k), |k_i| <= K,
 with the normalized convention u(x) = sum_k u_hat(k) exp(i k.x), so that
 u_hat(0) is the mean value. Nonlinear operations go through a padded
-collocation grid with points_per_dim >= 4K, which makes products of two
-retained fields alias-free on the retained band.
+collocation grid of points_per_dim = 4K points per axis, which makes products
+of two retained fields alias-free on the retained band.
 
 The fields are real, so their coefficients are Hermitian, u_hat(-k) =
 conj(u_hat(k)), and the transforms are real: samples() reads only the modes
@@ -41,34 +41,25 @@ class TorusGrid:
     """Mode/collocation bookkeeping shared by all fields of one resolution.
 
     dim: torus dimension n (1, 2 or 3 supported)
-    max_mode: K; retained modes are |k_i| <= K
-    points_per_dim: N >= 4K collocation points per dimension
+    max_mode: K; retained modes are |k_i| <= K, on N = 4K collocation points per dimension
     """
 
     dim: int
     max_mode: int
-    points_per_dim: int
 
     def __post_init__(self):
         if self.dim not in _SUPPORTED_DIMS:
             raise ValueError(f"dim must be one of {_SUPPORTED_DIMS}, got {self.dim}")
         if self.max_mode < 1:
             raise ValueError("max_mode must be >= 1")
-        if self.points_per_dim < 2 * self.modes_per_dim:
-            raise ValueError(
-                f"points_per_dim={self.points_per_dim} < 2*modes_per_dim="
-                f"{2 * self.modes_per_dim}; dealiasing needs N >= 4K"
-            )
 
     @classmethod
-    def create(cls, dim: int, max_mode: int, points_per_dim: int | None = None) -> "TorusGrid":
-        if points_per_dim is None:
-            points_per_dim = 4 * max_mode
-        return cls(dim, max_mode, points_per_dim)
+    def create(cls, dim: int, max_mode: int) -> "TorusGrid":
+        return cls(dim, max_mode)
 
     @property
-    def modes_per_dim(self) -> int:
-        return 2 * self.max_mode
+    def points_per_dim(self) -> int:
+        return 4 * self.max_mode
 
     @property
     def mode_shape(self) -> tuple:
@@ -443,6 +434,29 @@ def synthesize(f: SpectralField, points) -> np.ndarray:
     return float(vals) if vals.ndim == 0 else vals
 
 
+def compress(f: SpectralField) -> SpectralField:
+    """Zero the coefficients below 1e-15 times the largest of the same component; NaN and inf stay."""
+    out = f.copy()
+    cmax = np.max(np.abs(out.coeffs), axis=f.grid.axes, keepdims=True)
+    out.coeffs[np.abs(out.coeffs) < 1e-15 * cmax] = 0.0
+    return out
+
+
+def real_terms(f: SpectralField) -> tuple:
+    """(modes, table) with f(x) = table @ [cos(x.k) | sin(x.k) | 1] per component.
+
+    The compressed c_k + conj(c_{-k}) (2 c_k if Hermitian; a NaN at -k shows) over the half-space
+    after k = 0 in mode_list order, whose reverse is -k, on the m modes that some component uses:
+    modes (dim, m) as floats, table (*f.shape, 2m + 1) = [Re c | -Im c | Re c_0]."""
+    c = compress(f).coeffs.reshape(f.shape + (-1,))
+    mid = c.shape[-1] // 2
+    half = c[..., mid + 1 :] + np.conj(c[..., mid - 1 :: -1])
+    used = np.flatnonzero(np.any(half.reshape(-1, half.shape[-1]) != 0, axis=0))
+    half = half[..., used]
+    table = np.concatenate([half.real, -half.imag, c[..., mid : mid + 1].real], axis=-1)
+    return f.grid.mode_list[mid + 1 :][used].T.astype(float), table
+
+
 def warp_samples(f: SpectralField, warped_points: np.ndarray) -> np.ndarray:
     """Samples of f at warped collocation points (shape (dim, *point_shape))."""
     return _eval_at(f, warped_points)
@@ -478,7 +492,7 @@ def field_to_json(f: SpectralField) -> dict:
     return {"dim": g.dim, "K": g.max_mode, "coeffs": entries}
 
 
-def field_from_json(doc: dict, points_per_dim: int | None = None) -> SpectralField:
+def field_from_json(doc: dict) -> SpectralField:
     """Rebuild a field, restoring Hermitian symmetry; reject violations > 1e-10.
 
     Non-finite coefficients (JSON NaN / Infinity) are rejected.
@@ -489,7 +503,7 @@ def field_from_json(doc: dict, points_per_dim: int | None = None) -> SpectralFie
         entries = doc["coeffs"]
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed field document: {exc}") from exc
-    grid = TorusGrid.create(dim, K, points_per_dim)
+    grid = TorusGrid.create(dim, K)
     coeffs = np.zeros(grid.mode_shape, dtype=np.complex128)
     given = np.zeros(grid.mode_shape, dtype=bool)
     for e in entries:

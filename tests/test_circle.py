@@ -25,7 +25,9 @@ from paratorus import (
 )
 import paratorus.circle as circle
 from paratorus.paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
-from paratorus.spectral import VectorField, analyze, compose_warped, synthesize, warp_samples
+from paratorus.spectral import (
+    VectorField, analyze, compose_warped, real_terms, synthesize, warp_samples,
+)
 
 GOLDEN_ALPHA = math.pi * (math.sqrt(5.0) - 1.0)
 
@@ -140,7 +142,7 @@ def four_handle_g_map(u, problem, cut):
         - H_fwd.apply(delta_alpha(H_recip.apply(u), alpha))
     )
     if problem.mode == "refined":
-        chi_star = para_compose(f, VectorField([u]), cut, window=2)
+        chi_star = para_compose(f, VectorField([u]), cut)
         compose_rem = comp - chi_star - para_product(fprime_comp, u, cut)
         bracket = chi_star + compose_rem - r1
     else:
@@ -288,6 +290,68 @@ def test_rotation_number_rejects_bad_iterations(iterations):
     f = SpectralField.zero(TorusGrid.create(1, 8))
     with pytest.raises(ValueError, match="iterations"):
         rotation_number(GOLDEN_ALPHA, f, 0.0, iterations)
+
+
+def written_out_fold(f):
+    """The fold rotation_number wrote out before it read spectral.real_terms: (a0, [(k, a, b)])."""
+    c = f.coeffs.ravel()
+    cmax = float(np.max(np.abs(c)))
+    kept = np.where(np.abs(c) > 1e-15 * max(cmax, 1.0), c, 0.0)
+    K = f.grid.max_mode  # c[K + k] is the coefficient of mode k
+    terms = [
+        (float(k), float(kept[K + k].real + kept[K - k].real),
+         float(kept[K - k].imag - kept[K + k].imag))
+        for k in range(1, K + 1)
+        if kept[K + k] != 0 or kept[K - k] != 0
+    ]
+    return float(kept[K].real), terms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rotation_number_reads_the_bits_of_the_written_out_fold(seed):
+    # Hermitian f with no coefficient between the old threshold 1e-15 max(cmax, 1) and the new
+    # 1e-15 cmax: amplitudes below and above 1, and sine-only modes for odd seeds
+    K = 64
+    g = TorusGrid.create(1, K)
+    rng = np.random.default_rng(200 + seed)
+    amp = 0.05 if seed < 3 else 3.0
+    coeff = lambda: 1j if seed % 2 else rng.standard_normal() + 1j * rng.standard_normal()
+    modes = {int(k): amp / k * coeff() for k in rng.choice(np.arange(1, K + 1), 6, replace=False)}
+    f = SpectralField.from_modes(g, {0: 0.01 * rng.standard_normal(), **modes})
+    modes, table = real_terms(f)
+    m = modes.shape[1]
+    a0, terms = written_out_fold(f)
+    assert float(table[-1]) == a0 and len(terms) == 6
+    assert list(zip(modes[0].tolist(), table[:m].tolist(), table[m:-1].tolist())) == terms
+    total, y, lam = 0.0, 0.1, 0.002  # the orbit loop of rotation_number on the written-out terms
+    for _ in range(2000):
+        fval = a0
+        for k, a, b in terms:
+            fval += a * math.cos(k * y) + b * math.sin(k * y)
+        step = GOLDEN_ALPHA + fval - lam
+        total += step
+        y = (y + step) % (2.0 * math.pi)
+    assert rotation_number(GOLDEN_ALPHA, f, lam, 2000) == total / 2000
+
+
+@pytest.mark.parametrize("k, value", [(3, np.nan), (-1, np.inf)], ids=["nan-at-3", "inf-at-minus-1"])
+def test_rotation_number_carries_a_non_finite_coefficient(k, value):
+    # a NaN or infinite maximum used to make the threshold drop every term, giving alpha - lambda
+    f = SpectralField.from_modes(TorusGrid.create(1, 8), {1: 0.01j, 2: 0.003})
+    f.coeffs[8 + k] = value  # K = 8
+    assert not math.isfinite(rotation_number(2.0, f, 0.0, 1000))
+
+
+def test_rotation_number_and_circle_problems_need_a_scalar_field_on_the_circle():
+    g = TorusGrid.create(1, 8)
+    f = SpectralField.from_modes(g, {1: 0.01j})
+    flat = SpectralField.from_modes(TorusGrid.create(2, 8), {(1, 0): 0.01j})
+    for bad in (flat, VectorField([f, f])):
+        with pytest.raises(ValueError, match=r"scalar f on T\^1"):
+            rotation_number(2.0, bad, 0.0, 10)
+    alpha = RotationAngle.certify(GOLDEN_ALPHA, 1.0, 8)
+    with pytest.raises(ValueError, match=r"scalar f on T\^1"):
+        CircleProblem(alpha=alpha, f=VectorField([f]), s=3.0)
 
 
 def test_rotation_number_of_solved_map():

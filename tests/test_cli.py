@@ -267,6 +267,16 @@ def run_code(tmp_path, doc, kind="circle"):
     return code, out
 
 
+@pytest.mark.parametrize("kind", ["circle", "torus"])
+def test_grid_points_is_an_unknown_key(tmp_path, kind):
+    # the collocation grid is always N = 4K points per axis
+    doc = circle_config() if kind == "circle" else torus_config()
+    doc["grid"]["points"] = 4 * doc["grid"]["K"]
+    code, out = run_code(tmp_path, doc, kind=kind)
+    assert code == EXIT_CONFIG
+    assert "unknown keys ['points']" in json.loads((out / "error.json").read_text())["message"]
+
+
 def test_non_finite_mode_is_config_error(tmp_path):
     for value in (float("nan"), float("inf")):
         doc = circle_config(amp=0.04)

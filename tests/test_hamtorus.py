@@ -38,9 +38,9 @@ from paratorus import (
     torsion_S,
 )
 import paratorus.hamtorus as hamtorus
-from paratorus.hamtorus import _IterationOps, _point_rhs, _xh
+from paratorus.hamtorus import _flow_closures, _IterationOps, _taylor, _xh
 from paratorus.paraprod import ParaOpHandle
-from paratorus.spectral import analyze, synthesize, warp_samples
+from paratorus.spectral import analyze, compress, synthesize, warp_samples
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])  # J for n = 2
@@ -1182,7 +1182,7 @@ def test_stacked_point_rhs_matches_per_gradient_synthesis(dense, cubic):
         assert np.count_nonzero(a0.coeffs) > 200
         h = HamiltonianData(a0=a0, a1=h.a1, Q=h.Q)
     xi = rng.standard_normal(2) * 1e-3
-    rhs = _point_rhs(h, xi)
+    rhs = _flow_closures(h, xi)[0]
     for _ in range(20):
         x, y = rng.uniform(0.0, 2.0 * np.pi, 2), 0.1 * rng.standard_normal(2)
         ref = _xh(lambda m, order: synthesize(h.gradient(m, order), x), h.degree, y)
@@ -1223,7 +1223,7 @@ def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
     rng = np.random.default_rng(50 + dim)
     h = _random_taylor_data(g, rng, cubic, dense)
     xi = rng.standard_normal(dim) * 1e-3
-    rhs = _point_rhs(h, xi)
+    rhs = _flow_closures(h, xi)[0]
     for _ in range(10):
         x, y = rng.uniform(0.0, 2.0 * np.pi, dim), 0.1 * rng.standard_normal(dim)
         ref = _xh(lambda m, order: synthesize(h.gradient(m, order), x[None, :]), h.degree, y[:, None])
@@ -1236,15 +1236,22 @@ def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("cubic", [False, True], ids=["quadratic", "cubic"])
 def test_value_at_matches_the_written_out_h(dim, cubic):
+    # the flow oracle's energy closure, h_xi = h + <xi, y>, against h written out and against the
+    # slow path, _taylor's (0, 0) order on each gradient synthesized over all modes
     g = TorusGrid.create(dim, 4 if dim == 3 else 8)
     rng = np.random.default_rng(60 + dim)
     h = _random_taylor_data(g, rng, cubic, dense=False)
+    unshifted, zero_xi = _flow_closures(h, None)[1], _flow_closures(h, np.zeros(dim))[1]
     for _ in range(10):
         x, y = rng.uniform(0.0, 2.0 * np.pi, dim), 0.3 * rng.standard_normal(dim)
         xi = rng.standard_normal(dim) * 1e-3
-        ref = h_eval(h, x, y) + xi @ y
-        assert abs(h.value_at(x, y, xi) - ref) <= 1e-14 * abs(ref)
-        assert h.value_at(x, y) == h.value_at(x, y, np.zeros(dim))
+        z = np.concatenate([x, y]).tolist()
+        got = _flow_closures(h, xi)[1](z)
+        assert len(got) == 1 and abs(got[0] - (h_eval(h, x, y) + xi @ y)) <= 1e-14 * abs(got[0])
+        T = lambda m, order: synthesize(h.gradient(m, order), x[None, :])
+        slow = float(_taylor(T, h.degree, 0, y[:, None], 0)[0]) + xi @ y
+        assert abs(got[0] - slow) <= 1e-14 * abs(slow)
+        assert unshifted(z) == zero_xi(z)
 
 
 def test_flow_oracle_in_dim_1():
@@ -1264,7 +1271,7 @@ def test_flow_oracle_in_dim_1():
 def _whole_orbit_deviation(h, u, xi, omega, theta0, T, dt):
     """The comparison before it streamed: the whole RK4 orbit is stored, then compared in blocks."""
     n = u.n
-    w_c = hamtorus._compress(u.displacement())
+    w_c = compress(u.displacement())
 
     def embed(thetas):
         vals = synthesize(w_c, thetas)
@@ -1273,7 +1280,7 @@ def _whole_orbit_deviation(h, u, xi, omega, theta0, T, dt):
 
     steps = int(round(T / dt))
     z = embed(theta0[None, :])[:, 0]
-    rhs = _point_rhs(h, xi)
+    rhs = _flow_closures(h, xi)[0]
     orbit = np.empty((steps + 1, 2 * n))
     orbit[0] = z
     for i in range(1, steps + 1):
@@ -1352,7 +1359,7 @@ def test_counterterm_of_the_wrong_shape_is_rejected(caller, xi):
     call = {
         "flow_oracle": lambda: flow_oracle(h, u, xi, om, theta0=[0.3, 0.9], T=0.01, dt=1e-3),
         "residual_torus": lambda: residual_torus(h, u, xi, om),
-        "value_at": lambda: h.value_at(np.array([0.3, 0.9]), np.array([0.1, 0.2]), xi),
+        "value_at": lambda: _flow_closures(h, xi),
     }[caller]
     with pytest.raises(ValueError, match=r"xi needs shape \(2,\), got shape"):
         call()
@@ -1367,10 +1374,10 @@ def _complex_table_rhs(h, xi):
     table = np.zeros((2 * n,) + (n + 1,) * d + (mid + 1,), dtype=complex)
     for m in range(d + 1):
         ys = (slice(1, None),) * m
-        dx = hamtorus._compress(h.gradient(m, 1)).coeffs.reshape((n,) * (m + 1) + (-1,))[..., mid:]
+        dx = compress(h.gradient(m, 1)).coeffs.reshape((n,) * (m + 1) + (-1,))[..., mid:]
         table[(slice(n, None),) + (0,) * (d - m) + ys] = -np.moveaxis(dx, m, 0) / math.factorial(m)
         if m > 0:
-            ay = hamtorus._compress(h.gradient(m)).coeffs.reshape((n,) * m + (-1,))[..., mid:]
+            ay = compress(h.gradient(m)).coeffs.reshape((n,) * m + (-1,))[..., mid:]
             table[(slice(None, n),) + (0,) * (d + 1 - m) + ys[1:]] = ay / math.factorial(m - 1)
     table = table.reshape((-1, mid + 1))
     table[:, 1:] *= 2.0
@@ -1394,7 +1401,7 @@ def _complex_table_rhs(h, xi):
 def _complex_table_deviation(h, u, xi, omega, theta0, T, dt):
     """Max distance of the NumPy RK4 orbit through _complex_table_rhs from u(theta0 + omega t)."""
     n = u.n
-    w_c = hamtorus._compress(u.displacement())
+    w_c = compress(u.displacement())
     steps = int(round(T / dt))
     thetas = theta0[None, :] + (dt * np.arange(steps + 1))[:, None] * omega[None, :]
     ref = synthesize(w_c, thetas).T
@@ -1434,7 +1441,7 @@ def test_point_rhs_without_a_varying_mode_is_the_constant_polynomial():
     a1 = VectorField([SpectralField.constant(g, 1.0), SpectralField.constant(g, 0.5)])
     h = HamiltonianData(a0=SpectralField.zero(g), a1=a1,
                         Q=MatrixField.constant(g, np.array([[2.0, 0.25], [0.25, 1.0]])))
-    rhs = _point_rhs(h, np.array([0.125, -0.375]))
+    rhs = _flow_closures(h, np.array([0.125, -0.375]))[0]
     for x in ([0.3, 0.9], [5.1, -2.0]):
         assert rhs(x + [0.5, -1.5]) == [0.125 + 1.0 + 1.0 - 0.375, -0.375 + 0.5 + 0.125 - 1.5,
                                         0.0, 0.0]

@@ -37,7 +37,7 @@ from paratorus import (
 import paratorus.hamtorus as hamtorus
 from paratorus import cli
 from paratorus.paraprod import para_invert_with_handle
-from paratorus.spectral import warp_samples
+from paratorus.spectral import real_terms, warp_samples
 from test_cli import GOLDEN, GOLDEN_ALPHA, circle_config, no_solve, torus_config
 from test_spectral import direct_eval, hermitian_defect
 
@@ -177,6 +177,36 @@ def test_warp_samples_equals_the_direct_sum(dims, shape, kind, seed):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("dims", [(1, 8), (2, 4), (3, 2)], ids=["dim1", "dim2", "dim3"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=["scalar", "3", "2x2"])
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(seeds)
+def test_real_terms_evaluate_to_the_direct_sum(dims, shape, seed):
+    # table @ [cos(x.k) | sin(x.k) | 1] against Re sum_k c_k e^{i k.x} over every mode
+    g = TorusGrid.create(*dims)
+    rng = np.random.default_rng(seed)
+    for kind in ["Hermitian", "non-Hermitian", "sparse", "NaN at -k"]:
+        c = rng.standard_normal(shape + g.mode_shape) + 1j * rng.standard_normal(shape + g.mode_shape)
+        if kind == "sparse":
+            c = c * (rng.uniform(size=g.mode_shape) < 0.1)
+        if kind != "non-Hermitian":
+            c = 0.5 * (c + np.conj(c[g._reverse_index]))
+        if kind == "NaN at -k":  # mode_list is lexicographic: the modes before k = 0 are the -k
+            minus_k = g.mode_list[rng.integers(g.mode_list.shape[0] // 2)]
+            c[(0,) * len(shape) + tuple(minus_k + g.max_mode)] = np.nan
+        f = SpectralField(g, c)
+        modes, table = real_terms(f)
+        pts = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, (g.dim, 9))
+        phase = pts.T @ modes
+        got = table @ np.concatenate([np.cos(phase), np.sin(phase), np.ones((9, 1))], axis=1).T
+        ref = direct_eval(f, pts)
+        assert got.shape == ref.shape == shape + (9,)
+        nan = np.isnan(ref)
+        assert nan.any() == (kind == "NaN at -k")
+        scale = np.max(np.abs(ref), where=~nan, initial=0.0)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * scale)  # NaN where ref has NaN
+
+
 # --- stacked dyadic decomposition ------------------------------------------------
 
 
@@ -241,14 +271,15 @@ def stacked_apply(a, u, cut):
 
 # (dim, K, N): the circle_batch grid N = 2048, the sparse torus N = 128, and N = 48,
 # which is not a power of two; a 4x4 symbol acts on a 4-vector as on the T^2 frame
-ORACLE_GRIDS = [(1, 32, 128), (1, 512, 2048), (2, 32, 128), (1, 12, 48), (2, 12, 48)]
+ORACLE_GRIDS = [(1, 32, 128), (1, 512, 2048), (2, 32, 128), (1, 12, 48), (2, 12, 48)]  # dim, K, N
 
 
 @pytest.mark.parametrize("symbol_shape", [(), (4, 4)], ids=["scalar", "4x4"])
 @pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=lambda d: "dim%d-K%d-N%d" % d)
 def test_half_spectrum_apply_equals_the_stacked_apply(dims, symbol_shape):
     # multiplying by a power of two is exact, so at N = 2^m the change of scaling is too
-    g = TorusGrid(*dims)
+    g = TorusGrid(*dims[:2])
+    assert g.points_per_dim == dims[2]
     cut = make_cutoff(g)
     rng = np.random.default_rng(sum(dims))
     a = random_field(g, rng, symbol_shape)
@@ -316,8 +347,8 @@ def test_zygmund_norm_and_meyer_apply_equal_their_per_level_forms(dims, r, seed)
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
-@given(st.sampled_from([(1, 16), (1, 32), (2, 8)]), st.integers(1, 3), seeds)
-def test_para_compose_equals_its_per_level_form(dims, window, seed):
+@given(st.sampled_from([(1, 16), (1, 32), (2, 8)]), seeds)
+def test_para_compose_equals_its_per_level_form(dims, seed):
     g = TorusGrid.create(*dims)
     cut = make_cutoff(g)
     rng = np.random.default_rng(seed)
@@ -328,11 +359,11 @@ def test_para_compose_equals_its_per_level_form(dims, window, seed):
     ref = 0.0
     for j in range(cut.j_max + 1):
         composed = SpectralField(g, complex_analyze(g, warp_samples(cut.block(F, j), wpts)))
-        high = cut.partial_sum(composed, j + window)
-        if j - window >= 0:
-            high = high - cut.partial_sum(composed, j - window)
+        high = cut.partial_sum(composed, j + 2)  # the window N = 2
+        if j - 2 >= 0:
+            high = high - cut.partial_sum(composed, j - 2)
         ref = ref + high.coeffs
-    assert relative(para_compose(F, disp, cut, window=window).coeffs, ref) <= 1e-13
+    assert relative(para_compose(F, disp, cut).coeffs, ref) <= 1e-13
 
 
 # --- closed-form torus frame -------------------------------------------------------
@@ -401,7 +432,6 @@ def cli_configs():
     circle = circle_config(amp=0.04)
     circle["outputs"]["rotation_oracle_iterations"] = 10
     torus = torus_config()
-    torus["grid"]["points"] = 32
     torus["solver"].update(tol=1e-10, max_iter=40)
     torus["problem"]["a0_modes"] = [{"k": [1, 0], "re": 0.005, "im": 0.0}]
     torus["outputs"]["flow_oracle"] = {"theta0": [0.7, 1.9], "T": 1.0, "dt": 1e-3}

@@ -21,8 +21,8 @@ from paratorus import (
 from paratorus.spectral import warp_samples
 
 
-def grid1d(K=16, N=None):
-    return TorusGrid.create(1, K, N)
+def grid1d(K=16):
+    return TorusGrid.create(1, K)
 
 
 def random_field(grid, rng, band=None, amp=1.0):
@@ -79,17 +79,11 @@ def test_grid_rejects_bad_dim():
         TorusGrid.create(0, 8)
 
 
-def test_grid_rejects_insufficient_padding():
-    with pytest.raises(ValueError):
-        TorusGrid(1, 16, 63)
-    TorusGrid(1, 16, 64)  # exactly 4K is allowed
-
-
 # --- analyze ----------------------------------------------------------------
 
 
 def test_analyze_cosine_single_mode():
-    g = TorusGrid.create(1, 2, 8)
+    g = TorusGrid.create(1, 2)
     x = g.point_axis
     f = analyze(g, np.cos(x))
     assert abs(f.coeffs[g.max_mode + 1] - 0.5) < 1e-14
@@ -106,7 +100,7 @@ def test_analyze_constant():
 
 
 def test_analyze_cos_squared_against_dft_oracle():
-    g = TorusGrid.create(1, 4, 16)
+    g = TorusGrid.create(1, 4)
     x = g.point_axis
     samples = np.cos(x) ** 2
     f = analyze(g, samples)
