@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -182,6 +181,8 @@ class _Warp:
     prefetch(order) composes every T(m, o) that the order-th derivative of h in (x, y) reads,
     o <= order <= m + o, and the warp does not hold, in one warp_samples call of their flattened
     components that vary in x. warp(m, o) returns T(m, o), prefetching o on a miss; all are kept.
+    A T(m, o) whose components are all constant in x is kept as a read-only, zero-stride view of
+    its means.
     """
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding):
@@ -200,14 +201,20 @@ class _Warp:
         if not keys:
             return
         flat = np.concatenate([self.h.gradient(*k).coeffs.reshape(-1, *g.mode_shape) for k in keys])
-        mean = flat[(slice(None),) + g.mean_index]
+        mean = flat[(slice(None),) + g.mean_index].copy()  # no view keeps flat alive
         varies = np.count_nonzero(flat.reshape(len(flat), -1), axis=1) > (mean != 0)  # NaN is nonzero
-        vals = mean.real.reshape((-1,) + (1,) * g.dim) + np.zeros(g.point_shape)
         if varies.any():  # a component whose only nonzero coefficient is its mean is that mean
             moving = SpectralField(g, flat[varies])
-            vals[varies] = moving.samples() if self.pts is None else warp_samples(moving, self.pts)
-        parts = np.split(vals, np.cumsum([n ** sum(k) for k in keys])[:-1])  # n^(m + order)
-        for k, p in zip(keys, parts):
+            moving = moving.samples() if self.pts is None else warp_samples(moving, self.pts)
+        ends = np.cumsum([n ** sum(k) for k in keys])[:-1]  # n^(m + order) components each
+        for k, c, v in zip(keys, np.split(mean.real, ends), np.split(varies, ends)):
+            c = c.reshape((-1,) + (1,) * g.dim)
+            if v.any():
+                p = c + np.zeros(g.point_shape)
+                used = np.count_nonzero(v)
+                p[v], moving = moving[:used], moving[used:]
+            else:  # all constant: a read-only, zero-stride view of the means
+                p = np.broadcast_to(c, c.shape[:1] + g.point_shape)
             self._samples[k] = p.reshape((n,) * sum(k) + g.point_shape)
 
 
@@ -438,39 +445,20 @@ class _IterationOps:
     """X_h at one iterate u, and the operators of the Picard step taken from u.
 
     X_h is composed once, on construction: it gives the iterate's residual and
-    truncation tail and the next step's remainder. The frame, the Jacobian
-    samples (shared by the torsion S and the remainder symbol B) and the
-    handles of M, M^{-1} and S are each built once, on first use, i.e. only
-    when a step is taken from u. The step feeds back the sum of the
-    para-linearization and composition remainders as one literal difference.
+    truncation tail and the next step's remainder. remainder_term takes the
+    step: it samples the frame and the Jacobian, turns them into the symbols of
+    M, M^{-1} and S and the samples of the remainder symbol B, and drops every
+    sample, the warp's included, before the single-use T_B is built. Only then
+    does it build the handles of M, M^{-1} and S for the linear solve; the step
+    drops them as soon as that solve returns.
     """
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding, omega: FrequencyVector, cut: DyadicCutoff):
         self.h, self.u, self.omega, self.cut = h, u, omega, cut
-        self.warp = _Warp(h, u)
+        self.warp = _Warp(h, u)  # its order <= 1 samples are reused by the Jacobian
         self.Xh_u, tails = analyze(u.grid, _xh_samples(h, u, self.warp), return_tail=True)
         self.xh_tail_energy = float(np.max(tails))
-
-    @cached_property
-    def frame_s(self) -> tuple:
-        """Samples (P, N, M, M^{-1}) of the embedding Jacobian and the frame."""
-        return _frame_samples(self.u)
-
-    @cached_property
-    def A(self) -> np.ndarray:
-        return _jacobian_samples(self.h, self.u, self.warp)
-
-    @cached_property
-    def HM(self) -> ParaOpHandle:
-        return ParaOpHandle(analyze(self.u.grid, self.frame_s[2]), self.cut)
-
-    @cached_property
-    def HMinv(self) -> ParaOpHandle:
-        return ParaOpHandle(analyze(self.u.grid, self.frame_s[3]), self.cut)
-
-    @cached_property
-    def HS(self) -> ParaOpHandle:
-        return ParaOpHandle(analyze(self.u.grid, _torsion_samples(self.A, *self.frame_s[:2])), self.cut)
+        self.handles = None  # (HM, HMinv, HS), built by remainder_term
 
     def remainder_term(self, Xh_zeta: SpectralField) -> SpectralField:
         """Both smoothing remainders at w = u - zeta0, as one literal difference.
@@ -480,12 +468,19 @@ class _IterationOps:
         remainder X_h(u) - X_h(zeta0) - T_A w plus the composition remainder
         [T_{M(0 S;0 0)M^-1} - T_{M(omega.d M^-1)} - (omega.d)] w - L w.
         """
-        P, _, M_s, Minv_s = self.frame_s  # P = M[:, :n]
-        w, omega_arr = self.u.displacement(), np.asarray(self.omega, dtype=float)
-        dMinv = self.HMinv.symbol.omega_derivative(omega_arr).samples()
-        B = self.A - _mm(_mm(P, self.HS.symbol.samples()), Minv_s[self.u.n :]) + _mm(M_s, dMinv)
-        TBw = ParaOpHandle(analyze(self.u.grid, B), self.cut).apply(w)
-        Lw = _apply_L(self.HM, self.HMinv, self.HS, w, omega_arr)
+        g, n, w = self.u.grid, self.u.n, self.u.displacement()
+        omega_arr = np.asarray(self.omega, dtype=float)
+        P, Ninv, M_s, Minv_s = _frame_samples(self.u)  # P = M[:, :n]
+        B = _jacobian_samples(self.h, self.u, self.warp)  # A, made into B in place
+        self.warp = None
+        M, Minv, S = analyze(g, M_s), analyze(g, Minv_s), analyze(g, _torsion_samples(B, P, Ninv))
+        B -= _mm(_mm(P, S.samples()), Minv_s[n:])  # A itself is not needed again
+        B += _mm(M_s, Minv.omega_derivative(omega_arr).samples())
+        del P, Ninv, M_s, Minv_s
+        B = analyze(g, B)  # the samples go before the handle's low-passes are built
+        TBw = ParaOpHandle(B, self.cut).apply(w)
+        self.handles = tuple(ParaOpHandle(sym, self.cut) for sym in (M, Minv, S))
+        Lw = _apply_L(*self.handles, w, omega_arr)
         return self.Xh_u - Xh_zeta - w.omega_derivative(omega_arr) - TBw - Lw
 
 
@@ -567,7 +562,8 @@ def solve_torus(
     def step(state):
         ops, _, _ = state
         rhs = assemble_rhs(ops, e0, Xh_zeta)
-        v, xi, mu = linear_para_homological_solve(ops.HM, ops.HMinv, ops.HS, rhs, mode, omega)
+        v, xi, mu = linear_para_homological_solve(*ops.handles, rhs, mode, omega)
+        ops.handles = None  # released before the new iterate composes X_h
         u = TorusEmbedding.from_displacement(v)
         inc = (u.w - ops.u.w).sobolev_norm(s)
         # X_h at the new iterate; its frame and handles wait until the next step
@@ -599,20 +595,23 @@ def solve_torus(
 _COMPARE_BLOCK = 1000  # orbit points per block of the streamed comparison with u(theta0 + omega t)
 
 
-def _point_terms(table: SpectralField, shift: list):
+def _point_terms(rows: dict, shape: tuple, grid: TorusGrid, shift: list):
     """Closure z = (x, y) -> shift + sum of table(x)[r, a, b[, c]] y1_a y1_b [y1_c], y1 = (1, y).
 
-    table's component axes are (output r, one slot per factor of y1). Each nonzero row of its
-    real_terms is a term: output r times the monomial of y at the slots > 0. A call makes one real
-    product with [cos(x.k) | sin(x.k) | 1] and sums the monomials on Python floats; it takes any
-    sequence of 2n floats and returns a list.
+    The table's component axes, shape, are (output r, one slot per factor of y1); rows maps the
+    C-order flat index of each of its rows that may be nonzero to its coefficients, and the rows
+    it leaves out are zero. Each nonzero row of their real_terms, in C order, is a term: output r
+    times the monomial of y at the slots > 0. A call makes one real product with
+    [cos(x.k) | sin(x.k) | 1] and sums the monomials on Python floats; it takes any sequence of
+    2n floats and returns a list.
     """
-    n = table.grid.dim
-    modes, mat = real_terms(table)
-    rows = np.flatnonzero(np.any(mat != 0, axis=-1))  # flat over the component axes
-    mat = mat.reshape(-1, mat.shape[-1])[rows]
+    n, index = grid.dim, np.array(sorted(rows), dtype=int)
+    coeffs = np.array([rows[r] for r in index.tolist()], dtype=complex)
+    modes, mat = real_terms(SpectralField(grid, coeffs.reshape((len(index),) + grid.mode_shape)))
+    keep = np.flatnonzero(np.any(mat != 0, axis=-1))
+    mat = mat[keep]
     terms = [(r, [a - 1 for a in ab if a]) for r, *ab in
-             np.array(np.unravel_index(rows, table.shape)).T.tolist()]
+             np.array(np.unravel_index(index[keep], shape)).T.tolist()]
     phase, buf = np.empty(modes.shape[1]), np.ones(mat.shape[1])  # buf: [cos | sin | 1]
     cos_part, sin_part = np.split(buf[:-1], 2)
 
@@ -633,21 +632,31 @@ def _point_terms(table: SpectralField, shift: list):
 def _flow_closures(h: HamiltonianData, xi) -> tuple:
     """The flow oracle's point evaluators z -> X_{h_xi}(z) and z -> [h_xi(z)], h_xi = h + <xi, y>.
 
-    One loop over the Taylor order m fills both tables of _point_terms: X_h = (sum_m a_m[y^(m-1)]
-    / (m-1)!; -sum_m (d_x a_m)[y^m] / m!) shifted by (xi; 0), and h = sum_m a_m[y^m] / m! with xi
-    in the a1 slot at k = 0."""
+    One loop over the Taylor order m fills the rows of both tables of _point_terms that some term
+    writes and that are not zero: X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!)
+    shifted by (xi; 0), and h = sum_m a_m[y^m] / m! with xi in the a1 slot at k = 0."""
     g, n, d, xi = h.grid, h.n, h.degree, _xi(xi, h.n)
-    xh = np.zeros((2 * n,) + (n + 1,) * d + g.mode_shape, dtype=complex)
-    energy = np.zeros((1,) + (n + 1,) * d + g.mode_shape, dtype=complex)
+    shapes = ((2 * n,) + (n + 1,) * d, (1,) + (n + 1,) * d)  # X_h's table, h's table
+    rows = ({}, {})
+
+    def put(t: int, where: tuple, coeffs: np.ndarray) -> None:
+        """Write coeffs to the rows `where` of table t, keeping a copy of each nonzero row."""
+        index = np.arange(math.prod(shapes[t])).reshape(shapes[t])[where]
+        for r, c in zip(index.ravel().tolist(), coeffs.reshape(-1, *g.mode_shape)):
+            if np.any(c != 0):  # NaN is nonzero
+                rows[t][r] = c.copy()
+
     for m in range(d + 1):
         ys = (0,) * (d - m) + (slice(1, None),) * m  # the slots of y^m
-        energy[(0,) + ys] = h.gradient(m).coeffs / math.factorial(m)
-        xh[(slice(n, None),) + ys] = -np.moveaxis(h.gradient(m, 1).coeffs, m, 0) / math.factorial(m)
+        a_m = h.gradient(m).coeffs / math.factorial(m)
+        if m == 1:
+            a_m[g.mean_index] += xi
+        put(1, (0,) + ys, a_m)
+        put(0, (slice(n, None),) + ys, -np.moveaxis(h.gradient(m, 1).coeffs, m, 0) / math.factorial(m))
         if m > 0:
-            xh[(slice(None, n), 0) + ys[:-1]] = h.gradient(m).coeffs / math.factorial(m - 1)
-    energy[(0,) * d + (slice(1, None),) + (g.max_mode,) * g.dim] += xi
-    return (_point_terms(SpectralField(g, xh), xi.tolist() + [0.0] * n),
-            _point_terms(SpectralField(g, energy), [0.0]))
+            put(0, (slice(None, n), 0) + ys[:-1], h.gradient(m).coeffs / math.factorial(m - 1))
+    return (_point_terms(rows[0], shapes[0], g, xi.tolist() + [0.0] * n),
+            _point_terms(rows[1], shapes[1], g, [0.0]))
 
 
 def flow_oracle(

@@ -79,7 +79,9 @@ def low_pass_bytes(grid: TorusGrid, symbol_shape: tuple) -> int:
     """Bytes of a ParaOpHandle's sampled low-passes for a symbol with component shape symbol_shape.
 
     The handle keeps S_{j-3} a for j = 4..j_max, one real array of the symbol's
-    shape on the collocation grid per level: the largest live set of a solve.
+    shape on the collocation grid per level. This is one handle's stack: a torus
+    step holds either the three stacks of its linear solve (M, M^{-1} and S) or
+    the single-use remainder stack with the symbols of the other three.
     """
     levels = max(0, max_block_index(grid.max_mode) - 3)
     return levels * math.prod(symbol_shape) * math.prod(grid.point_shape) * 8

@@ -448,7 +448,7 @@ def real_terms(f: SpectralField) -> tuple:
     The compressed c_k + conj(c_{-k}) (2 c_k if Hermitian; a NaN at -k shows) over the half-space
     after k = 0 in mode_list order, whose reverse is -k, on the m modes that some component uses:
     modes (dim, m) as floats, table (*f.shape, 2m + 1) = [Re c | -Im c | Re c_0]."""
-    c = compress(f).coeffs.reshape(f.shape + (-1,))
+    c = compress(f).coeffs.reshape(f.shape + (len(f.grid.mode_list),))  # also with no components
     mid = c.shape[-1] // 2
     half = c[..., mid + 1 :] + np.conj(c[..., mid - 1 :: -1])
     used = np.flatnonzero(np.any(half.reshape(-1, half.shape[-1]) != 0, axis=0))

@@ -148,6 +148,56 @@ def test_warp_composes_xh_and_a_gradients_in_one_call_each(monkeypatch):
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
+def benchmark_like(g, om, phases=(0.4, 1.9, 4.2), amp=0.005):
+    """h of the torus benchmark: a three-mode sparse a0, a1 = omega and Q = I."""
+    a0 = SpectralField.from_modes(g, {k: 0.5 * amp * np.exp(1j * p)
+                                      for k, p in zip([(1, 0), (0, 1), (1, 1)], phases)})
+    a1 = VectorField([SpectralField.constant(g, w) for w in om.omega])
+    return HamiltonianData(a0=a0, a1=a1, Q=MatrixField.constant(g, np.eye(2)))
+
+
+def test_warp_keeps_constant_gradients_as_read_only_views():
+    g, om = small_grid(), freq()
+    h = benchmark_like(g, om)
+    warp = hamtorus._Warp(h, random_embedding(g, np.random.default_rng(3), 0.01, band=2))
+    warp.prefetch(1)
+    warp.prefetch(2)
+    views = {k for k, v in warp._samples.items() if v.strides[-g.dim :] == (0,) * g.dim}
+    # a1 and Q are constant, and every x-gradient of theirs is zero; a0's vary
+    assert views == {(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}
+    for k in views:
+        assert not warp._samples[k].flags.writeable
+        assert np.all(warp._samples[k] == h.gradient(*k).mean()[(...,) + (None,) * g.dim])
+    for k in set(warp._samples) - views:  # a gradient with a varying component stays whole
+        assert warp._samples[k].flags.writeable and warp._samples[k].flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", ["benchmark", "random-cubic"])
+@pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
+def test_constant_views_give_the_materialized_samples_bit_for_bit(kind, warped):
+    from paratorus.hamtorus import _jacobian_samples, _Warp, _xh_samples
+
+    g, om, rng = small_grid(), freq(), np.random.default_rng(17)
+    if kind == "benchmark":
+        h = benchmark_like(g, om)
+    else:  # a1[1] and the off-diagonal of Q constant: gradients mixing views and full rows
+        h = random_hamiltonian(g, om, rng, band=2)
+        h = HamiltonianData(a0=h.a0, a1=VectorField([h.a1[0], SpectralField.constant(g, GOLDEN)]),
+                            Q=MatrixField.constant(g, np.array([[1.0, 0.3], [0.3, 1.2]])),
+                            cubic=h.cubic)
+    u = random_embedding(g, rng, 0.01 * warped, band=2)
+    warp = _Warp(h, u)
+    warp.prefetch(1)
+    warp.prefetch(2)
+    # the reference: every gradient materialized as a full, writeable array of samples
+    full = _Warp(h, u)
+    full._samples = {k: np.array(v) for k, v in warp._samples.items()}
+    assert any(v.strides[-1] == 0 for v in warp._samples.values())
+    for fn in (_xh_samples, _jacobian_samples):
+        got, ref = fn(h, u, warp), fn(h, u, full)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_xh_pure_rotation_at_flat_torus():
     g = small_grid()
     om = freq()
@@ -989,6 +1039,80 @@ def test_flat_ops_are_released_before_the_second_step(monkeypatch):
     assert flat_alive == [True] + [False] * (sol.report.iterations - 1)
 
 
+def test_step_releases_its_samples_before_t_b_and_its_handles_before_the_next_iterate(
+        monkeypatch):
+    # the frame, Jacobian and warp samples of a step are gone when its single-use T_B is built;
+    # the step's T_M, T_{M^-1} and T_S are gone before the next iterate's ops are built
+    samples, in_rhs, built, tb_clean, solved, released = [], [], [], [], [], []
+    real_frame, real_jac = hamtorus._frame_samples, hamtorus._jacobian_samples
+    real_prefetch, real_rhs = hamtorus._Warp.prefetch, hamtorus.assemble_rhs
+    real_solve, real_ops = hamtorus.linear_para_homological_solve, hamtorus._IterationOps
+
+    def track(arrays):
+        samples.extend(weakref.ref(a) for a in arrays)
+        return arrays
+
+    def prefetch(warp, order):
+        real_prefetch(warp, order)
+        track(list(warp._samples.values()) + ([] if warp.pts is None else [warp.pts]))
+
+    def handle(symbol, cut):
+        out = ParaOpHandle(symbol, cut)
+        if in_rhs:
+            built.append((weakref.ref(out), all(r() is None for r in samples)))
+        return out
+
+    def rhs(ops, e0, Xh_zeta):
+        in_rhs.append(1)
+        try:
+            return real_rhs(ops, e0, Xh_zeta)
+        finally:
+            in_rhs.clear()
+
+    def solve(HM, HMinv, HS, f, mode, omega):
+        # T_B is the one handle of the step's right-hand side that the linear solve is not given
+        tb_clean.append([clean for ref, clean in built if ref() not in (HM, HMinv, HS)])
+        built.clear()
+        solved.extend(weakref.ref(a) for a in (HM, HMinv, HS))
+        return real_solve(HM, HMinv, HS, f, mode, omega)
+
+    def ops(*args):
+        released.append(all(r() is None for r in solved))
+        return real_ops(*args)
+
+    monkeypatch.setattr(hamtorus, "_frame_samples", lambda u: track(real_frame(u)))
+    monkeypatch.setattr(hamtorus, "_jacobian_samples", lambda *a: track([real_jac(*a)])[0])
+    monkeypatch.setattr(hamtorus._Warp, "prefetch", prefetch)
+    monkeypatch.setattr(hamtorus, "ParaOpHandle", handle)
+    monkeypatch.setattr(hamtorus, "assemble_rhs", rhs)
+    monkeypatch.setattr(hamtorus, "linear_para_homological_solve", solve)
+    monkeypatch.setattr(hamtorus, "_IterationOps", ops)
+    g, om = small_grid(), freq()
+    sol = solve_torus(benchmark_like(g, om), om, mode="thm1", s=3.0)
+    n = sol.report.iterations
+    assert n >= 2
+    assert tb_clean == [[True]] * n
+    assert released == [True] * (n + 1)  # the flat iterate's ops, then one per step
+
+
+def test_solve_peak_memory_stays_below_the_three_handles_and_their_samples():
+    # benchmark-sized sparse data at K = 16; the warm-up builds h's cached gradients and the
+    # grid tables. Keeping every sample of the step alive with all four handles peaked at
+    # 9.1 MiB here; dropping the samples before T_B and the handles before the next iterate's
+    # X_h leaves 4.7 MiB
+    g = TorusGrid.create(2, 16)
+    om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
+    h = benchmark_like(g, om)
+    solve_torus(h, om, mode="thm1", s=3.0)
+    tracemalloc.start()
+    try:
+        solve_torus(h, om, mode="thm1", s=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+
+
 def test_solve_thm1_requires_invertible_avg_Q():
     g = small_grid()
     om = freq()
@@ -1231,6 +1355,19 @@ def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
         got = np.asarray(rhs(np.concatenate([x, y])))
         assert got.shape == (2 * dim,)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_flow_closures_of_a_zero_hamiltonian_are_the_counterterm_alone():
+    # every row of both tables is zero: no table is left, and only the shift and xi remain
+    g = small_grid()
+    zero = SpectralField.zero(g)
+    h = HamiltonianData(a0=zero, a1=SpectralField.constant(g, np.zeros(2)),
+                        Q=SpectralField.constant(g, np.zeros((2, 2))))
+    z = [0.3, 0.9, 0.5, -0.25]
+    rhs, energy = _flow_closures(h, None)
+    assert rhs(z) == [0.0] * 4 and energy(z) == [0.0]
+    rhs, energy = _flow_closures(h, np.array([0.125, -0.375]))
+    assert rhs(z) == [0.125, -0.375, 0.0, 0.0] and energy(z) == [0.125 * 0.5 - 0.375 * -0.25]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

