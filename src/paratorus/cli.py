@@ -37,7 +37,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
-# a grid whose para-product low-pass stack would exceed this is a config error
+# a grid whose para-product low-pass stack (and, on the torus, step samples) would exceed
+# this is a config error
 MEMORY_BUDGET_BYTES = 512 * 2**20
 
 
@@ -97,12 +98,16 @@ def _parse_grid(cfg, kind: str) -> TorusGrid:
         grid = TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    # the largest live set: a handle's low-passes, for a (2n x 2n) frame symbol
-    # on the torus and a scalar symbol otherwise
-    need = low_pass_bytes(grid, (2 * grid.dim,) * 2 if kind == "torus" else ())
+    # a handle's low-passes, for a (2n x 2n) frame symbol on the torus and a scalar symbol
+    # otherwise, and on the torus the full-size samples of the step
+    if kind == "torus":
+        need = low_pass_bytes(grid, (2 * grid.dim,) * 2) + hamtorus.step_sample_bytes(grid)
+    else:
+        need = low_pass_bytes(grid, ())
     if need > MEMORY_BUDGET_BYTES:
-        raise ConfigError(f"grid: the para-product low-passes need about {need / 2**20:.0f} MiB, "
-                          f"more than the budget of {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB")
+        raise ConfigError(f"grid: the para-product low-passes and step samples need about "
+                          f"{need / 2**20:.0f} MiB, more than the budget of "
+                          f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB")
     return grid
 
 

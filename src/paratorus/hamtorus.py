@@ -17,6 +17,7 @@ in particular S = -Q0 at the flat torus of an integrable Hamiltonian.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,7 +93,6 @@ class HamiltonianData:
                       for a in range(m - 1))  # adjacent axis swaps
             if sym > 1e-12 * max(1.0, f.sup_norm()):
                 raise ValueError(f"{name} is not symmetric: defect {sym:.3e}")
-        self._gradients = {}
 
     @property
     def n(self) -> int:
@@ -110,12 +110,13 @@ class HamiltonianData:
     def gradient(self, m: int, order: int = 0) -> SpectralField:
         """order-th gradient of the m-th Taylor coefficient, one axis appended per derivative.
 
-        Built on first use and kept: the data is fixed for the life of h.
+        Computed on each call, one coefficient multiply per derivative: a kept gradient would
+        hold a mostly zero coefficient stack through every step.
         """
-        if (m, order) not in self._gradients:
-            data = (self.a0, self.a1, self.Q, self.cubic)[m]
-            self._gradients[(m, order)] = self.gradient(m, order - 1).jacobian() if order else data
-        return self._gradients[(m, order)]
+        f = (self.a0, self.a1, self.Q, self.cubic)[m]
+        for _ in range(order):
+            f = f.jacobian()
+        return f
 
 
 def _stack(x: SpectralField, y: SpectralField) -> SpectralField:
@@ -275,6 +276,34 @@ def error_fields(h: HamiltonianData, omega) -> tuple:
 
 # --- frame and torsion ------------------------------------------------------
 
+_CHUNK = 4096  # collocation points per chunk of the frame, torsion and B sample algebra
+
+
+def _point_chunks(dim: int, *arrays):
+    """Per chunk of collocation points, a view of each array on those points.
+
+    The last dim axes of every array are its point axes. A chunk is a slab of whole rows along
+    the first of them, _CHUNK points or one row if a row is longer, so a write to a chunk's view
+    reaches the array, and a grid of one chunk is seen whole. Each point's arithmetic is the same
+    as on the whole arrays, so chunked results are the same to the bit.
+    """
+    shape = arrays[0].shape[arrays[0].ndim - dim :]
+    rows = max(1, _CHUNK // math.prod(shape[1:]))
+    for lo in range(0, shape[0], rows):
+        index = (Ellipsis, slice(lo, lo + rows)) + (slice(None),) * (dim - 1)
+        yield [a[index] for a in arrays]
+
+
+def step_sample_bytes(grid: TorusGrid) -> int:
+    """Bytes of the full-size collocation samples a torus step holds at once.
+
+    P = du (2n x n), N^{-1} (n x n), M, M^{-1} and B (2n x 2n each), one real array of the
+    4K collocation grid per component. The algebra that forms them runs in chunks of _CHUNK
+    points, so these outputs are what grows with the grid.
+    """
+    n = grid.dim
+    return (2 * n * n + n * n + 3 * (2 * n) ** 2) * math.prod(grid.point_shape) * 8
+
 
 def _embedding_jacobian_samples(u: TorusEmbedding) -> np.ndarray:
     """d(embedding)/d(theta) with the identity included: shape (2n, n, *grid)."""
@@ -315,19 +344,31 @@ def _frame_samples(u: TorusEmbedding):
     M^T J M = K = [[L, -I], [I, G]], so M^{-1} = K^{-1} M^T J with K^{-1} = [[G X, Y],
     [-X, L Y]], X = (I + L G)^{-1} and Y = (I + G L)^{-1} = X^T. For skew L, G and n <= 3,
     det(I + L G) = s^2 and X = I - L G / s with s = 1 + tr(L G) / 2; the guard reads |s| = |det M|.
+    Only du and the four outputs are full-size: the rest runs over chunks of points, each point
+    guarded once by each guard before any division by its determinant.
     """
-    P = _embedding_jacobian_samples(u)
-    JP = _apply_J(P)
-    N = _inverse(np.einsum("am...,an...->mn...", P, P), "embedding Gram matrix")
-    L = np.einsum("am...,an...->mn...", P, JP)
-    G = _mm(_mm(N, L), N)
-    LG = _mm(L, G)
-    s = _guard(1 + np.einsum("aa...->...", LG) / 2, "frame matrix M")
-    X = np.eye(u.n)[(...,) + (None,) * u.grid.dim] - LG / s
-    Y = X.swapaxes(0, 1)  # (I + G L)^{-1}
-    Kinv = np.concatenate([np.concatenate([_mm(G, X), Y], 1), np.concatenate([-X, _mm(L, Y)], 1)])
-    M = np.concatenate([P, _mm(JP, N)], axis=1)
-    return P, N, M, _mm(Kinv, -_apply_J(M).swapaxes(0, 1))  # M^T J = -(J M)^T
+    n, P = u.n, _embedding_jacobian_samples(u)
+    Ninv, M, Minv = (np.empty((r, r) + P.shape[2:]) for r in (n, 2 * n, 2 * n))
+    for p, n_out, m_out, minv_out in _point_chunks(u.grid.dim, P, Ninv, M, Minv):
+        JP = _apply_J(p)
+        N = _inverse(np.einsum("am...,an...->mn...", p, p), "embedding Gram matrix")
+        L = np.einsum("am...,an...->mn...", p, JP)
+        G = _mm(_mm(N, L), N)
+        LG = _mm(L, G)
+        s = _guard(1 + np.einsum("aa...->...", LG) / 2, "frame matrix M")
+        X = np.eye(n)[(...,) + (None,) * u.grid.dim] - LG / s
+        Y = X.swapaxes(0, 1)  # (I + G L)^{-1}
+        Kinv = np.concatenate([np.concatenate([_mm(G, X), Y], 1), np.concatenate([-X, _mm(L, Y)], 1)])
+        n_out[...] = N
+        m_out[:, :n], m_out[:, n:] = p, _mm(JP, N)
+        minv_out[...] = _mm(Kinv, -_apply_J(m_out).swapaxes(0, 1))  # M^T J = -(J M)^T
+    return P, Ninv, M, Minv
+
+
+def _update(ufunc, B: np.ndarray, *factors) -> None:
+    """B = ufunc(B, pointwise matrix product of the factors) in place, over chunks of points."""
+    for b, *fs in _point_chunks(B.ndim - 2, B, *factors):
+        ufunc(b, functools.reduce(_mm, fs), out=b)
 
 
 def frame(u: TorusEmbedding) -> tuple:
@@ -337,10 +378,14 @@ def frame(u: TorusEmbedding) -> tuple:
 
 
 def _torsion_samples(A: np.ndarray, P: np.ndarray, Ninv: np.ndarray) -> np.ndarray:
-    """Samples of S = N P^T [A, J] P N = N (P^T A J P + (J P)^T A P) N from A, P = du and N."""
-    JP = _apply_J(P)
-    inner = np.einsum("am...,an...->mn...", P, _mm(A, JP))
-    return _mm(_mm(Ninv, inner + np.einsum("am...,an...->mn...", JP, _mm(A, P))), Ninv)
+    """Samples of S = N P^T [A, J] P N = N (P^T A J P + (J P)^T A P) N from A, P = du and N,
+    over chunks of points."""
+    S = np.empty(Ninv.shape)
+    for a, p, N, out in _point_chunks(A.ndim - 2, A, P, Ninv, S):
+        JP = _apply_J(p)
+        inner = np.einsum("am...,an...->mn...", p, _mm(a, JP))
+        out[...] = _mm(_mm(N, inner + np.einsum("am...,an...->mn...", JP, _mm(a, p))), N)
+    return S
 
 
 def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
@@ -447,10 +492,11 @@ class _IterationOps:
     X_h is composed once, on construction: it gives the iterate's residual and
     truncation tail and the next step's remainder. remainder_term takes the
     step: it samples the frame and the Jacobian, turns them into the symbols of
-    M, M^{-1} and S and the samples of the remainder symbol B, and drops every
-    sample, the warp's included, before the single-use T_B is built. Only then
-    does it build the handles of M, M^{-1} and S for the linear solve; the step
-    drops them as soon as that solve returns.
+    M, M^{-1} and S and the samples of the remainder symbol B, and drops each
+    sample array, and every view of it, as soon as its last use is done, the
+    warp's included, all before the single-use T_B is built. Only then does it
+    build the handles of M, M^{-1} and S for the linear solve; the step drops
+    them as soon as that solve returns.
     """
 
     def __init__(self, h: HamiltonianData, u: TorusEmbedding, omega: FrequencyVector, cut: DyadicCutoff):
@@ -470,13 +516,18 @@ class _IterationOps:
         """
         g, n, w = self.u.grid, self.u.n, self.u.displacement()
         omega_arr = np.asarray(self.omega, dtype=float)
-        P, Ninv, M_s, Minv_s = _frame_samples(self.u)  # P = M[:, :n]
+        P, Ninv, M_s, Minv_s = _frame_samples(self.u)
+        P = M_s[:, :n]  # the same samples, so du's own array goes
         B = _jacobian_samples(self.h, self.u, self.warp)  # A, made into B in place
         self.warp = None
-        M, Minv, S = analyze(g, M_s), analyze(g, Minv_s), analyze(g, _torsion_samples(B, P, Ninv))
-        B -= _mm(_mm(P, S.samples()), Minv_s[n:])  # A itself is not needed again
-        B += _mm(M_s, Minv.omega_derivative(omega_arr).samples())
-        del P, Ninv, M_s, Minv_s
+        S = analyze(g, _torsion_samples(B, P, Ninv))
+        del Ninv
+        Minv = analyze(g, Minv_s)
+        _update(np.subtract, B, P, S.samples(), Minv_s[n:])  # A itself is not needed again
+        del Minv_s
+        M = analyze(g, M_s)
+        _update(np.add, B, M_s, Minv.omega_derivative(omega_arr).samples())
+        del P, M_s
         B = analyze(g, B)  # the samples go before the handle's low-passes are built
         TBw = ParaOpHandle(B, self.cut).apply(w)
         self.handles = tuple(ParaOpHandle(sym, self.cut) for sym in (M, Minv, S))
@@ -525,9 +576,12 @@ def neumann_certificate(E: SpectralField, u: TorusEmbedding, cut: DyadicCutoff, 
     denom = E.sobolev_norm(s)
     if denom == 0.0:
         return 0.0
-    P, Ninv, _, Minv = _frame_samples(u)  # taken once for B[E] and M^{-1}
-    symbol = analyze(u.grid, _b_samples(E, P, Ninv)).matmul(analyze(u.grid, Minv))
-    return ParaOpHandle(symbol, cut).apply(u.displacement()).sobolev_norm(s) / denom
+    P, Ninv, M, Minv = _frame_samples(u)  # taken once for B[E] and M^{-1}
+    del M
+    Minv = analyze(u.grid, Minv)
+    B = analyze(u.grid, _b_samples(E, P, Ninv))
+    del P, Ninv
+    return ParaOpHandle(B.matmul(Minv), cut).apply(u.displacement()).sobolev_norm(s) / denom
 
 
 def solve_torus(

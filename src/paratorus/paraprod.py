@@ -6,9 +6,11 @@ so each summand pairs a low-pass of the symbol with one dyadic block of the
 operand. Everything here reduces to dealiased products of retained fields.
 The levels are array work: DyadicCutoff.block_samples synthesizes the blocks
 of an operand along a leading level axis in one real transform, and one einsum
-sums the level products. The low band j <= 3 acts on coefficients. A Meyer
-multiplier family m_0 .. m_{j_max} is one SpectralField on the same leading
-level axis.
+sums the level products. They run on the para-product grid of
+DyadicCutoff.para_points, which is smaller than the 4K collocation grid and on
+which every level's product is exact on the retained band. The low band j <= 3
+acts on coefficients. A Meyer multiplier family m_0 .. m_{j_max} is one
+SpectralField on the same leading level axis.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicCutoff, max_block_index
+from .dyadic import DyadicCutoff, max_block_index, para_points
 from .errors import (
     DiffeomorphismLostError,
     NonContractiveError,
     NonFiniteError,
     SingularAverageError,
 )
-from .spectral import SpectralField, TorusGrid, analyze, compose_warped
+from .spectral import SpectralField, TorusGrid, _synthesize_half, analyze, compose_warped
 
 _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 _COMPOSE_WINDOW = 2  # the window N of para_compose
@@ -40,7 +42,11 @@ class ParaOpHandle:
     (levels, *symbol.shape, *points) array, one transform per level. An apply
     makes one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u
     from the k_last >= 0 half of u (DyadicCutoff.block_samples), one einsum
-    against the low-passes and one analysis.
+    against the low-passes and one analysis. All of it runs on the N_pp points
+    per axis of cut.para_points, not on the 4K collocation grid: a level's
+    product S_{j-3} a . Delta_j u has its spectrum in |k_i| <= K + 2^{j_max-2},
+    so on N_pp > 2K + 2^{j_max-2} points none of its aliases lands on a
+    retained mode and the analysis returns its retained coefficients exactly.
     A matrix symbol is contracted against the operand's components,
     (T_A v)_p = sum_q T_{A_pq} v_q; a scalar one acts on every component. The
     handle keeps its symbol, against which para_invert_with_handle checks that
@@ -60,15 +66,16 @@ class ParaOpHandle:
         self.sum_levels = "lpq...,lq...->p..." if symbol.shape else "l...,l...->..."
         # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3]
         mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2)]
-        self.low = np.empty((len(mults),) + symbol.shape + self.grid.point_shape)
+        K, points = self.grid.max_mode, cut.para_points
+        self.low = np.empty((len(mults),) + symbol.shape + (points,) * self.grid.dim)
         for low, m in zip(self.low, mults):
-            low[...] = SpectralField(self.grid, m * symbol.coeffs).samples()
+            low[...] = _synthesize_half(self.grid, m[..., K:] * symbol.coeffs[..., K:], points)
 
     def apply(self, u: SpectralField) -> SpectralField:
         cut = self.cut
         out = self.contract(self.avg, cut.partial_sum(u, 3).coeffs)
         if len(self.low):
-            high = np.einsum(self.sum_levels, self.low, cut.block_samples(u, 4))
+            high = np.einsum(self.sum_levels, self.low, cut.block_samples(u, 4, cut.para_points))
             out = out + analyze(self.grid, high).coeffs
         return SpectralField(self.grid, out)
 
@@ -79,12 +86,14 @@ def low_pass_bytes(grid: TorusGrid, symbol_shape: tuple) -> int:
     """Bytes of a ParaOpHandle's sampled low-passes for a symbol with component shape symbol_shape.
 
     The handle keeps S_{j-3} a for j = 4..j_max, one real array of the symbol's
-    shape on the collocation grid per level. This is one handle's stack: a torus
-    step holds either the three stacks of its linear solve (M, M^{-1} and S) or
-    the single-use remainder stack with the symbols of the other three.
+    shape per level on the para-product grid of N_pp = dyadic.para_points(K)
+    points per axis, smaller than the 4K collocation grid because each level's
+    product is exact there. This is one handle's stack: a torus step holds
+    either the three stacks of its linear solve (M, M^{-1} and S) or the
+    single-use remainder stack with the symbols of the other three.
     """
     levels = max(0, max_block_index(grid.max_mode) - 3)
-    return levels * math.prod(symbol_shape) * math.prod(grid.point_shape) * 8
+    return levels * math.prod(symbol_shape) * para_points(grid.max_mode) ** grid.dim * 8
 
 
 def para_product(a: SpectralField, u: SpectralField, cut: DyadicCutoff) -> SpectralField:

@@ -6,10 +6,18 @@ u_hat(0) is the mean value. Nonlinear operations go through a padded
 collocation grid of points_per_dim = 4K points per axis, which makes products
 of two retained fields alias-free on the retained band.
 
+A product whose spectrum is known to be narrower may use a smaller grid: a
+product supported in |k_i| <= s is exact on the retained band on any grid of
+N > s + K points per axis, since no alias of it lands on a retained mode. The
+para-product levels run on such a second grid (DyadicCutoff.para_points), so
+analyze() reads the point count N from the samples' trailing shape and takes
+any 2K < N <= 4K.
+
 The fields are real, so their coefficients are Hermitian, u_hat(-k) =
 conj(u_hat(k)), and the transforms are real: samples() reads only the modes
-with k_last >= 0 and calls irfftn; analyze() calls rfftn and fills the rest
-by conjugation, both with norm="forward". Point evaluation factors e^{i k.x} =
+with k_last >= 0 and calls irfftn; analyze() makes rfftn's passes one axis at
+a time, keeping only the retained bins after each, and fills the rest by
+conjugation, both with norm="forward". Point evaluation factors e^{i k.x} =
 prod_a e^{i k_a x_a}.
 
 A field may carry leading component axes: its coefficients have shape
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,16 +117,6 @@ class TorusGrid:
     @cached_property
     def point_mesh(self) -> tuple:
         return tuple(np.meshgrid(*([self.point_axis] * self.dim), indexing="ij"))
-
-    @cached_property
-    def _half_index(self) -> tuple:
-        """Index of the retained k_last >= 0 modes on the real-FFT grid of a scalar field.
-
-        Arrays with component axes prefix it with one slice per axis, not with
-        an Ellipsis, which would slow every scalar transform.
-        """
-        bins = self.mode_axis % self.points_per_dim
-        return np.ix_(*[bins] * (self.dim - 1)) + (slice(self.max_mode + 1),)
 
     @cached_property
     def _reverse_index(self) -> tuple:
@@ -338,34 +336,56 @@ class MatrixField(VectorField):
     """Rows of scalar fields stacked along two leading component axes (a constructor only)."""
 
 
-def _synthesize_half(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
-    """Real samples from the k_last >= 0 half (*lead, *mode_shape[:-1], K + 1) by one irfftn."""
+@lru_cache(maxsize=64)  # two grids per resolution in use
+def _half_index(grid: TorusGrid, points: int) -> tuple:
+    """Index of the retained k_last >= 0 modes on the real-FFT grid of `points` per axis.
+
+    Arrays with component axes prefix it with one slice per axis, not with
+    an Ellipsis, which would slow every scalar transform.
+    """
+    bins = grid.mode_axis % points
+    return np.ix_(*[bins] * (grid.dim - 1)) + (slice(grid.max_mode + 1),)
+
+
+def _synthesize_half(grid: TorusGrid, half: np.ndarray, points: int | None = None) -> np.ndarray:
+    """Real samples on `points` (default grid.points_per_dim) per axis from the k_last >= 0 half
+    (*lead, *mode_shape[:-1], K + 1) by one irfftn."""
+    shape = grid.point_shape if points is None else (points,) * grid.dim
     if grid.dim > 1:
         lead = half.shape[: half.ndim - grid.dim]
-        buf = np.zeros(lead + grid.point_shape[:-1] + half.shape[-1:], dtype=complex)
-        buf[(slice(None),) * len(lead) + grid._half_index] = half
+        buf = np.zeros(lead + shape[:-1] + half.shape[-1:], dtype=complex)
+        buf[(slice(None),) * len(lead) + _half_index(grid, shape[0])] = half
         half = buf
     # s= zero-pads the last axis to its N // 2 + 1 bins
-    return np.fft.irfftn(half, s=grid.point_shape, axes=grid.axes, norm="forward")
+    return np.fft.irfftn(half, s=shape, axes=grid.axes, norm="forward")
 
 
 def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
     """Forward transform of real collocation samples, truncated to |k_i| <= K.
 
-    samples has shape (*component_shape, *grid.point_shape); all components go
-    through one transform. With return_tail=True also reports the discarded
-    high-mode energy fraction per component (a float for a scalar field), the
-    truncation monitor used by the solvers' diagnostics.
+    samples has shape (*component_shape, N, ..., N), one N per axis, with
+    2K < N <= grid.points_per_dim; all components go through one transform.
+    The passes of rfftn run one axis at a time, last axis first as rfftn does,
+    and keep only the retained bins (K + 1 on the last axis, 2K + 1 on the
+    others) before the next pass: every kept fiber goes through the same 1-D
+    transform as in rfftn, so the result is the same to the bit. With
+    return_tail=True also reports the discarded high-mode energy fraction per
+    component (a float for a scalar field), the truncation monitor used by the
+    solvers' diagnostics.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape[samples.ndim - grid.dim :] != grid.point_shape:
-        raise ValueError(f"expected samples ending in {grid.point_shape}, got {samples.shape}")
-    K = grid.max_mode
-    c = np.fft.rfftn(samples, s=grid.point_shape, axes=grid.axes, norm="forward")
+    K, lead = grid.max_mode, samples.shape[: max(0, samples.ndim - grid.dim)]
+    N = samples.shape[-1] if samples.ndim else 0
+    if samples.shape[len(lead) :] != (N,) * grid.dim or not 2 * K < N <= grid.points_per_dim:
+        raise ValueError(f"expected samples ending in {grid.dim} axes of N points, "
+                         f"{2 * K} < N <= {grid.points_per_dim}, got {samples.shape}")
+    c = np.fft.rfft(samples, axis=-1, norm="forward")[..., : K + 1]
+    for ax in grid.axes[-2::-1]:
+        c = np.fft.fft(c, axis=ax, norm="forward").take(grid.mode_axis % N, axis=ax)
     # a fresh C-order array keeps every later reduction summing in the same
     # order as for a scalar field
-    coeffs = np.empty(samples.shape[: samples.ndim - grid.dim] + grid.mode_shape, dtype=complex)
-    coeffs[..., K:] = c[(slice(None),) * (c.ndim - grid.dim) + grid._half_index]
+    coeffs = np.empty(lead + grid.mode_shape, dtype=complex)
+    coeffs[..., K:] = c
     # the rest by symmetry: k_last < 0, then k_{n-1} < 0 on the plane k_last = 0, ...
     for ax in range(grid.dim):
         half = (Ellipsis, slice(None, K)) + (K,) * ax

@@ -8,6 +8,7 @@ import pytest
 
 from paratorus import SpectralField, TorusGrid, cli, field_from_json, make_cutoff
 from paratorus.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_SOLVER, main
+from paratorus.dyadic import max_block_index
 from paratorus.paraprod import ParaOpHandle, low_pass_bytes
 from paratorus.reporting import write_rows_csv
 from paratorus.errors import (
@@ -521,6 +522,22 @@ def dim3_torus_config(K):
     return doc
 
 
+@pytest.mark.parametrize("dim, Ks", [(1, range(262_000, 262_300)), (2, range(190, 280)),
+                                     (3, range(16, 32))])
+def test_the_guard_admits_no_torus_grid_that_the_full_grid_stack_rejects(dim, Ks):
+    # the guard once sized a torus by one (2n)^2 low-pass stack on the 4K grid; the para-product
+    # grid shrinks the stack, and the step's samples keep out every grid that it rejected. The
+    # windows hold both thresholds; above them the step's samples alone exceed the budget at
+    # dim 2 and 3
+    for K in Ks:
+        full_grid_stack = max(0, max_block_index(K) - 3) * (2 * dim) ** 2 * (4 * K) ** dim * 8
+        try:
+            cli._parse_grid({"dim": dim, "K": K}, "torus")
+        except ConfigError:
+            continue
+        assert full_grid_stack <= cli.MEMORY_BUDGET_BYTES, K
+
+
 class SolveReached(Exception):
     pass
 
@@ -540,7 +557,8 @@ def test_memory_estimate_is_the_bytes_of_the_handle_low_passes(dim, K, torus):
 
 
 def test_torus_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch):
-    # dim 3 at K = 32: 3 levels of 6 x 6 low-passes on 128^3 points, about 1.7 GiB
+    # dim 3 at K = 32: 3 levels of 6 x 6 low-passes on 81^3 points, about 438 MiB, and the
+    # step's samples on 128^3 points, about 2.1 GiB
     monkeypatch.setattr(cli, "solve_torus", no_solve)
     code, out = run_code(tmp_path, dim3_torus_config(32), kind="torus")
     assert code == EXIT_CONFIG
@@ -548,7 +566,8 @@ def test_torus_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch
 
 
 def test_torus_grid_within_the_memory_budget_reaches_the_solve(tmp_path, monkeypatch):
-    # dim 3 at K = 16: 2 levels on 64^3 points, about 144 MiB
+    # dim 3 at K = 16: 2 levels on 45^3 points, about 50 MiB, and the step's samples on 64^3
+    # points, about 270 MiB
     monkeypatch.setattr(cli, "solve_torus", reach_solve)
     with pytest.raises(SolveReached):
         run_code(tmp_path, dim3_torus_config(16), kind="torus")

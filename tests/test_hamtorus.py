@@ -1096,10 +1096,9 @@ def test_step_releases_its_samples_before_t_b_and_its_handles_before_the_next_it
 
 
 def test_solve_peak_memory_stays_below_the_three_handles_and_their_samples():
-    # benchmark-sized sparse data at K = 16; the warm-up builds h's cached gradients and the
-    # grid tables. Keeping every sample of the step alive with all four handles peaked at
-    # 9.1 MiB here; dropping the samples before T_B and the handles before the next iterate's
-    # X_h leaves 4.7 MiB
+    # benchmark-sized sparse data at K = 16; the warm-up builds the grid tables. Keeping every
+    # sample of the step alive with all four handles peaked at 9.1 MiB here; dropping the
+    # samples before T_B and the handles before the next iterate's X_h left 4.7 MiB
     g = TorusGrid.create(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = benchmark_like(g, om)
@@ -1111,6 +1110,71 @@ def test_solve_peak_memory_stays_below_the_three_handles_and_their_samples():
     finally:
         tracemalloc.stop()
     assert peak < 7 * 2**20
+
+
+def test_warm_solve_at_the_benchmark_grid_peaks_below_20_mib():
+    # the sparse benchmark torus at K = 32: para-products on the 81-point grid and the frame,
+    # torsion and B algebra in chunks; with full-grid levels, whole-grid sample algebra and
+    # cached gradients the warm solve peaked at 22.7 MiB, now at 14.7 MiB
+    g = TorusGrid.create(2, 32)
+    om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 32)
+    h = benchmark_like(g, om)
+    solve_torus(h, om, mode="thm1", s=3.0)
+    tracemalloc.start()
+    try:
+        solve_torus(h, om, mode="thm1", s=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
+@pytest.mark.parametrize("dim, K", [(1, 16), (2, 8), (3, 4)])
+def test_chunked_frame_torsion_and_b_equal_one_chunk_bit_for_bit(dim, K, monkeypatch):
+    g = TorusGrid.create(dim, K)
+    om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0][:dim], 1.0, K)
+    rng = np.random.default_rng(20 + dim)
+    h = _random_taylor_data(g, rng, dim < 3, dense=False)  # a cubic term at dim 3 is slow to warp
+    u = random_embedding(g, rng, 0.01, band=2)
+    cut = make_cutoff(g)
+
+    def evaluate(chunk):
+        monkeypatch.setattr(hamtorus, "_CHUNK", chunk)
+        symbols = []  # the symbols of T_B, T_M, T_{M^-1} and T_S, in build order
+        monkeypatch.setattr(hamtorus, "ParaOpHandle",
+                            lambda a, c: symbols.append(a.coeffs) or ParaOpHandle(a, c))
+        frame_samples = hamtorus._frame_samples(u)
+        A = hamtorus._jacobian_samples(h, u, hamtorus._Warp(h, u))
+        torsion = hamtorus._torsion_samples(A, *frame_samples[:2])
+        ops = _IterationOps(h, u, om, cut)
+        rhs = ops.remainder_term(hamiltonian_vector_field(h, TorusEmbedding.flat(g)))
+        return list(frame_samples) + [torsion] + symbols + [rhs.coeffs]
+
+    whole = evaluate(10**9)
+    assert len(whole) == 10
+    row = g.points_per_dim ** (dim - 1)
+    for chunk in (1, 3 * row + 1):  # one row per chunk, and slabs of three rows, the last shorter
+        got = evaluate(chunk)
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole))
+
+
+def test_solve_thm1_dim3_runs_a_para_product_level():
+    # at K = 8 every para-product has the level j = 4 on the N_pp = 24 point grid, checked
+    # end to end by the flow oracle (measured deviation 2.4e-15 at T = 2)
+    g = TorusGrid.create(3, 8)
+    cut = make_cutoff(g)
+    assert (cut.j_max, cut.para_points) == (4, 24)
+    om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0], 1.0, 8)
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j}),
+        a1=VectorField([SpectralField.constant(g, w) for w in om.omega]),
+        Q=MatrixField.constant(g, np.eye(3)),
+    )
+    sol = solve_torus(h, om, mode="thm1", s=3.0, tol=1e-10)
+    assert sol.report.iterations == 5
+    assert sol.report.extras["residual_sup"] < 1e-13
+    assert sol.report.extras["kappa"] < 1.0
+    assert flow_oracle(h, sol.u, sol.xi, om, theta0=[0.1, 0.2, 0.3], T=2.0, dt=1e-3) < 1e-12
 
 
 def test_solve_thm1_requires_invertible_avg_Q():
@@ -1372,7 +1436,7 @@ def test_flow_closures_of_a_zero_hamiltonian_are_the_counterterm_alone():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("cubic", [False, True], ids=["quadratic", "cubic"])
-def test_value_at_matches_the_written_out_h(dim, cubic):
+def test_flow_closures_energy_matches_the_written_out_h(dim, cubic):
     # the flow oracle's energy closure, h_xi = h + <xi, y>, against h written out and against the
     # slow path, _taylor's (0, 0) order on each gradient synthesized over all modes
     g = TorusGrid.create(dim, 4 if dim == 3 else 8)
@@ -1470,7 +1534,7 @@ def test_flow_oracle_memory_does_not_grow_with_T():
         finally:
             tracemalloc.stop()
 
-    peak(0.02)  # builds the cached gradients and grid tables
+    peak(0.02)  # builds the grid tables
     # both runs fill whole comparison blocks; a stored orbit of 10,001 points of
     # 6 floats would take 422 KiB more than one of 1,001
     assert peak(20.0) - peak(2.0) < 100 * 1024
@@ -1487,7 +1551,7 @@ def test_flow_oracle_rejects_a_step_count_that_overflows():
 
 @pytest.mark.parametrize("xi", [[1e-3, 0.0, 0.0], 1e-3, [[1e-3, 0.0]]],
                          ids=["three-entries", "scalar", "two-dimensional"])
-@pytest.mark.parametrize("caller", ["flow_oracle", "residual_torus", "value_at"])
+@pytest.mark.parametrize("caller", ["flow_oracle", "residual_torus", "_flow_closures"])
 def test_counterterm_of_the_wrong_shape_is_rejected(caller, xi):
     g = small_grid()
     om = freq()
@@ -1496,7 +1560,7 @@ def test_counterterm_of_the_wrong_shape_is_rejected(caller, xi):
     call = {
         "flow_oracle": lambda: flow_oracle(h, u, xi, om, theta0=[0.3, 0.9], T=0.01, dt=1e-3),
         "residual_torus": lambda: residual_torus(h, u, xi, om),
-        "value_at": lambda: _flow_closures(h, xi),
+        "_flow_closures": lambda: _flow_closures(h, xi),
     }[caller]
     with pytest.raises(ValueError, match=r"xi needs shape \(2,\), got shape"):
         call()

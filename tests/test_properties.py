@@ -270,15 +270,18 @@ def stacked_apply(a, u, cut):
     return H.contract(H.avg, cut.partial_sum(u, 3).coeffs) + stacked_analyze(cut.grid, high)
 
 
-# (dim, K, N): the circle_batch grid N = 2048, the sparse torus N = 128, and N = 48,
-# which is not a power of two; a 4x4 symbol acts on a 4-vector as on the T^2 frame
-ORACLE_GRIDS = [(1, 32, 128), (1, 512, 2048), (2, 32, 128), (1, 12, 48), (2, 12, 48)]  # dim, K, N
+# (dim, K, N): the circle_batch grid N = 2048, the sparse torus N = 128, N = 48, which is not a
+# power of two, and two dim-3 grids; a 4x4 symbol acts on a 4-vector as on the T^2 frame
+ORACLE_GRIDS = [(1, 32, 128), (1, 512, 2048), (2, 32, 128), (1, 12, 48), (2, 12, 48),
+                (3, 8, 32), (3, 16, 64)]  # dim, K, N
 
 
 @pytest.mark.parametrize("symbol_shape", [(), (4, 4)], ids=["scalar", "4x4"])
 @pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=lambda d: "dim%d-K%d-N%d" % d)
 def test_half_spectrum_apply_equals_the_stacked_apply(dims, symbol_shape):
-    # multiplying by a power of two is exact, so at N = 2^m the change of scaling is too
+    # the apply runs on the para-product grid, whose N_pp is not a power of two, so it agrees
+    # with the full-grid stacked apply to rounding; multiplying by a power of two is exact, so
+    # at N = 2^m the full-grid block samples keep the old scaling's bits
     g = TorusGrid(*dims[:2])
     assert g.points_per_dim == dims[2]
     cut = make_cutoff(g)
@@ -288,7 +291,7 @@ def test_half_spectrum_apply_equals_the_stacked_apply(dims, symbol_shape):
     got = ParaOpHandle(a, cut).apply(u).coeffs
     ref = stacked_apply(a, u, cut)
     power_of_two = g.points_per_dim & (g.points_per_dim - 1) == 0
-    assert np.array_equal(got, ref) if power_of_two else relative(got, ref) <= 1e-15
+    assert relative(got, ref) <= 1e-15
     for first in (0, 4):
         blocks = cut.block_samples(u, first)
         assert np.array_equal(blocks, cut.blocks(u)[first:].samples())

@@ -18,6 +18,7 @@ from paratorus import (
     field_to_json,
     synthesize,
 )
+from paratorus.dyadic import para_points
 from paratorus.spectral import warp_samples
 
 
@@ -118,6 +119,43 @@ def test_analyze_shape_mismatch():
     g = grid1d()
     with pytest.raises(ValueError):
         analyze(g, np.zeros(g.points_per_dim + 1))
+
+
+def rfftn_analyze(grid, samples, points):
+    """analyze() as it was before its pruned passes: one rfftn of every bin, the retained
+    k_last >= 0 modes picked out, the rest filled by conjugation."""
+    K = grid.max_mode
+    c = np.fft.rfftn(samples, axes=grid.axes, norm="forward")
+    bins = grid.mode_axis % points
+    index = np.ix_(*[bins] * (grid.dim - 1)) + (slice(K + 1),)
+    coeffs = np.empty(samples.shape[: samples.ndim - grid.dim] + grid.mode_shape, dtype=complex)
+    coeffs[..., K:] = c[(slice(None),) * (c.ndim - grid.dim) + index]
+    for ax in range(grid.dim):
+        half = (Ellipsis, slice(None, K)) + (K,) * ax
+        coeffs[half] = np.conj(coeffs[grid._reverse_index][half])
+    return coeffs
+
+
+@pytest.mark.parametrize("dim, K", [(1, 8), (1, 512), (2, 12), (2, 32), (3, 8)])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("para", [False, True], ids=["4K", "N_pp"])
+def test_pruned_analyze_equals_rfftn_bit_for_bit(dim, K, shape, para):
+    # on the 4K collocation grid and on the para-product grid
+    g = TorusGrid.create(dim, K)
+    points = para_points(K) if para else g.points_per_dim
+    samples = np.random.default_rng(dim * K).standard_normal(shape + (points,) * dim)
+    assert np.array_equal(analyze(g, samples).coeffs, rfftn_analyze(g, samples, points))
+
+
+def test_analyze_reads_the_point_count_from_the_samples():
+    g = TorusGrid.create(2, 8)
+    for points in (2 * 8, 4 * 8 + 1):
+        with pytest.raises(ValueError):
+            analyze(g, np.zeros((points, points)))
+    with pytest.raises(ValueError):
+        analyze(g, np.zeros((24, 32)))  # unequal axes
+    f = analyze(g, np.full((17, 17), 2.75))  # any 2K < N <= 4K
+    assert abs(f.mean() - 2.75) < 1e-14
 
 
 def test_round_trip_band_limited():
