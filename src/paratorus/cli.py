@@ -29,6 +29,7 @@ from .smalldiv import (
     RotationAngle,
     certify_diophantine,
     certify_rotation_angle,
+    scan_bytes,
 )
 from .spectral import SpectralField, TorusGrid, VectorField, field_from_json, field_to_json
 
@@ -38,7 +39,7 @@ EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
 # a grid whose para-product low-pass stack (and, on the torus, step samples) would exceed
-# this is a config error
+# this is a config error, and so is a Diophantine scan that would
 MEMORY_BUDGET_BYTES = 512 * 2**20
 
 
@@ -54,11 +55,13 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
 
 
 def _finite(value, path: str) -> float:
-    """A finite float from a config value; NaN, Infinity and non-numbers are config errors."""
+    """A finite float from a JSON number; NaN, Infinity, booleans and strings are config errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{path}: {x} is not finite")
     return x
@@ -180,9 +183,8 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
         "outputs",
     )
     # absent or 0: no orbit oracle
-    orbit_m = outputs.get("rotation_oracle_iterations", 0)
-    if orbit_m != 0:
-        orbit_m = _integer(orbit_m, "outputs.rotation_oracle_iterations", 1)
+    orbit_m = _integer(outputs.get("rotation_oracle_iterations", 0),
+                       "outputs.rotation_oracle_iterations", 0)
     problem = CircleProblem(alpha=alpha, f=f, **sv)
     csv_path = out / outputs.get("csv", "circle.csv")
     sol = _solve_saving_trajectory(lambda: solve(problem), csv_path)
@@ -357,6 +359,12 @@ def run_diophantine(cfg: dict, out: Path, seed: int) -> int:
         certify = lambda K: certify_rotation_angle(alpha, sigma, K)
     _require_keys(cfg["scan"], {"K_values": True}, "scan")
     K_values = _list(cfg["scan"]["K_values"], "scan.K_values", lambda v, p: _integer(v, p, 1))
+    n = len(omega) if "omega" in freq else 1  # an angle scans q <= K, fewer than a 1-D box
+    for i, K in enumerate(K_values):  # every K, before any scan
+        if (need := scan_bytes(n, K)) > MEMORY_BUDGET_BYTES:
+            raise ConfigError(f"scan.K_values[{i}]: the scan of K={K} needs about "
+                              f"{need / 2**20:.0f} MiB, more than the budget of "
+                              f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB")
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
     rows = []

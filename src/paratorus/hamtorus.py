@@ -176,47 +176,44 @@ class KamSolution:
 # --- pointwise evaluation tables -------------------------------------------
 
 
-class _Warp:
-    """The Taylor gradients T(m, o) = h.gradient(m, o) composed with one fixed x-warp theta + ux.
+def _warped(h: HamiltonianData, u: TorusEmbedding, order: int) -> dict:
+    """{(m, o): T(m, o)}: the Taylor gradients T(m, o) = h.gradient(m, o) that the order-th
+    derivative of h in (x, y) reads, o <= order <= m + o, composed with the x-warp theta + ux.
 
-    prefetch(order) composes every T(m, o) that the order-th derivative of h in (x, y) reads,
-    o <= order <= m + o, and the warp does not hold, in one warp_samples call of their flattened
-    components that vary in x. warp(m, o) returns T(m, o), prefetching o on a miss; all are kept.
-    A T(m, o) whose components are all constant in x is kept as a read-only, zero-stride view of
-    its means.
+    Their components that vary in x go through one warp_samples call; a T(m, o) whose components
+    are all constant in x is a read-only, zero-stride view of its means. Each gradient's
+    coefficients are read one at a time, so no stack of every key's coefficients is held.
     """
-
-    def __init__(self, h: HamiltonianData, u: TorusEmbedding):
-        self.h, self._samples = h, {}
-        self.pts = np.stack(u.grid.point_mesh) + u.ux.samples() if np.any(u.ux.coeffs) else None
-
-    def __call__(self, m: int, order: int) -> np.ndarray:
-        if (m, order) not in self._samples:
-            self.prefetch(order)
-        return self._samples[(m, order)]
-
-    def prefetch(self, order: int) -> None:
-        g, n, top = self.h.grid, self.h.n, self.h.degree
-        keys = [(m, o) for m in range(top + 1) for o in range(order + 1)
-                if m + o >= order and (m, o) not in self._samples]
-        if not keys:
-            return
-        flat = np.concatenate([self.h.gradient(*k).coeffs.reshape(-1, *g.mode_shape) for k in keys])
-        mean = flat[(slice(None),) + g.mean_index].copy()  # no view keeps flat alive
-        varies = np.count_nonzero(flat.reshape(len(flat), -1), axis=1) > (mean != 0)  # NaN is nonzero
-        if varies.any():  # a component whose only nonzero coefficient is its mean is that mean
-            moving = SpectralField(g, flat[varies])
-            moving = moving.samples() if self.pts is None else warp_samples(moving, self.pts)
-        ends = np.cumsum([n ** sum(k) for k in keys])[:-1]  # n^(m + order) components each
-        for k, c, v in zip(keys, np.split(mean.real, ends), np.split(varies, ends)):
-            c = c.reshape((-1,) + (1,) * g.dim)
-            if v.any():
-                p = c + np.zeros(g.point_shape)
-                used = np.count_nonzero(v)
-                p[v], moving = moving[:used], moving[used:]
-            else:  # all constant: a read-only, zero-stride view of the means
-                p = np.broadcast_to(c, c.shape[:1] + g.point_shape)
-            self._samples[k] = p.reshape((n,) * sum(k) + g.point_shape)
+    g, n = h.grid, h.n
+    keys = [(m, o) for m in range(h.degree + 1) for o in range(order + 1) if m + o >= order]
+    means, varies, rows = [], [], []
+    for k in keys:
+        c = h.gradient(*k).coeffs.reshape(-1, *g.mode_shape)
+        mean = c[(slice(None),) + g.mean_index]  # its != 0 counts NaN, as count_nonzero does
+        varies.append(np.count_nonzero(c.reshape(len(c), -1), axis=1) > (mean != 0))
+        means.append(mean.real.copy())  # no view keeps c alive
+        rows.append(c[varies[-1]])  # a component whose only nonzero coefficient is its mean
+    moving = np.concatenate(rows)
+    del rows
+    if len(moving) and np.any(u.ux.coeffs):  # theta + ux: the mesh added into ux's samples
+        pts = u.ux.samples()
+        for p, axis in zip(pts, g.point_mesh):
+            p += axis
+        moving = warp_samples(SpectralField(g, moving), pts)
+        del pts
+    elif len(moving):
+        moving = SpectralField(g, moving).samples()
+    out = {}
+    for k, c, v in zip(keys, means, varies):
+        c = c.reshape((-1,) + (1,) * g.dim)
+        if v.any():
+            p = c + np.zeros(g.point_shape)
+            used = np.count_nonzero(v)
+            p[v], moving = moving[:used], moving[used:]
+        else:  # all constant: a read-only, zero-stride view of the means
+            p = np.broadcast_to(c, c.shape[:1] + g.point_shape)
+        out[k] = p.reshape((n,) * sum(k) + g.point_shape)
+    return out
 
 
 def _taylor(T, degree: int, order: int, y: np.ndarray, keep: int) -> np.ndarray:
@@ -241,21 +238,21 @@ def _xh(T, degree: int, y: np.ndarray) -> np.ndarray:
     return np.concatenate([_taylor(T, degree, 0, y, 1), -_taylor(T, degree, 1, y, 0)])
 
 
-def _xh_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
+def _xh_samples(h: HamiltonianData, u: TorusEmbedding) -> np.ndarray:
     """Samples of X_h along u: (grad_y h; -grad_x h) at (theta + ux, uy)."""
-    warp.prefetch(1)
-    return _xh(warp, h.degree, u.uy.samples())
+    warped = _warped(h, u, 1)
+    return _xh(lambda m, o: warped[(m, o)], h.degree, u.uy.samples())
 
 
 def hamiltonian_vector_field(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
     """X_h evaluated along the embedding u (2n components)."""
-    return analyze(u.grid, _xh_samples(h, u, _Warp(h, u)))
+    return analyze(u.grid, _xh_samples(h, u))
 
 
-def _jacobian_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.ndarray:
+def _jacobian_samples(h: HamiltonianData, u: TorusEmbedding) -> np.ndarray:
     """Samples of A[u] = (DX_h)(u), shape (2n, 2n, *grid)."""
-    warp.prefetch(2)
-    T, d, uy = warp, h.degree, u.uy.samples()
+    warped = _warped(h, u, 2)
+    T, d, uy = (lambda m, o: warped[(m, o)]), h.degree, u.uy.samples()
     A11 = _taylor(T, d, 1, uy, 1)  # D_x grad_y h
     top = np.concatenate([A11, _taylor(T, d, 0, uy, 2)], axis=1)  # D_y grad_y h
     # the lower row is -D(grad_x h), whose y-block is the transpose of A11
@@ -264,7 +261,7 @@ def _jacobian_samples(h: HamiltonianData, u: TorusEmbedding, warp: _Warp) -> np.
 
 
 def jacobian_A(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
-    return analyze(u.grid, _jacobian_samples(h, u, _Warp(h, u)))
+    return analyze(u.grid, _jacobian_samples(h, u))
 
 
 def error_fields(h: HamiltonianData, omega) -> tuple:
@@ -394,7 +391,7 @@ def torsion_S(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
     The orientation is pinned by the exact linearization identity; it gives
     S = -Q0 at the flat torus of an integrable Hamiltonian.
     """
-    A = _jacobian_samples(h, u, _Warp(h, u))
+    A = _jacobian_samples(h, u)
     return analyze(u.grid, _torsion_samples(A, *_frame_samples(u)[:2]))
 
 
@@ -486,58 +483,35 @@ def linear_para_homological_solve(HM: ParaOpHandle, HMinv: ParaOpHandle, HS: Par
 # --- nonlinear assembly ------------------------------------------------------
 
 
-class _IterationOps:
-    """X_h at one iterate u, and the operators of the Picard step taken from u.
+def assemble_rhs(h: HamiltonianData, u: TorusEmbedding, Xh_u: SpectralField, e0: SpectralField,
+                 Xh_zeta: SpectralField, omega: FrequencyVector, cut: DyadicCutoff) -> tuple:
+    """(-e0 - R(w), (T_M, T_{M^-1}, T_S)): the Picard step's right-hand side at w = u - zeta0,
+    Xh_u = X_h(u), and the handles its linear solve takes.
 
-    X_h is composed once, on construction: it gives the iterate's residual and
-    truncation tail and the next step's remainder. remainder_term takes the
-    step: it samples the frame and the Jacobian, turns them into the symbols of
-    M, M^{-1} and S and the samples of the remainder symbol B, and drops each
-    sample array, and every view of it, as soon as its last use is done, the
-    warp's included, all before the single-use T_B is built. Only then does it
-    build the handles of M, M^{-1} and S for the linear solve; the step drops
-    them as soon as that solve returns.
+    R(w) = X_h(u) - X_h(zeta0) - (omega.d) w - T_B w - L w, B = A - M (0 S; 0 0) M^{-1} +
+    M (omega.d M^{-1}), is the para-linearization remainder X_h(u) - X_h(zeta0) - T_A w plus the
+    composition remainder [T_{M(0 S;0 0)M^-1} - T_{M(omega.d M^-1)} - (omega.d)] w - L w, as one
+    literal difference. Each frame and Jacobian sample array, and every view of it, goes after
+    its last use, all before the single-use T_B; the handles of M, M^{-1} and S come after T_B.
     """
-
-    def __init__(self, h: HamiltonianData, u: TorusEmbedding, omega: FrequencyVector, cut: DyadicCutoff):
-        self.h, self.u, self.omega, self.cut = h, u, omega, cut
-        self.warp = _Warp(h, u)  # its order <= 1 samples are reused by the Jacobian
-        self.Xh_u, tails = analyze(u.grid, _xh_samples(h, u, self.warp), return_tail=True)
-        self.xh_tail_energy = float(np.max(tails))
-        self.handles = None  # (HM, HMinv, HS), built by remainder_term
-
-    def remainder_term(self, Xh_zeta: SpectralField) -> SpectralField:
-        """Both smoothing remainders at w = u - zeta0, as one literal difference.
-
-        R(w) = X_h(u) - X_h(zeta0) - (omega.d) w - T_B w - L w with
-        B = A - M (0 S; 0 0) M^{-1} + M (omega.d M^{-1}): the para-linearization
-        remainder X_h(u) - X_h(zeta0) - T_A w plus the composition remainder
-        [T_{M(0 S;0 0)M^-1} - T_{M(omega.d M^-1)} - (omega.d)] w - L w.
-        """
-        g, n, w = self.u.grid, self.u.n, self.u.displacement()
-        omega_arr = np.asarray(self.omega, dtype=float)
-        P, Ninv, M_s, Minv_s = _frame_samples(self.u)
-        P = M_s[:, :n]  # the same samples, so du's own array goes
-        B = _jacobian_samples(self.h, self.u, self.warp)  # A, made into B in place
-        self.warp = None
-        S = analyze(g, _torsion_samples(B, P, Ninv))
-        del Ninv
-        Minv = analyze(g, Minv_s)
-        _update(np.subtract, B, P, S.samples(), Minv_s[n:])  # A itself is not needed again
-        del Minv_s
-        M = analyze(g, M_s)
-        _update(np.add, B, M_s, Minv.omega_derivative(omega_arr).samples())
-        del P, M_s
-        B = analyze(g, B)  # the samples go before the handle's low-passes are built
-        TBw = ParaOpHandle(B, self.cut).apply(w)
-        self.handles = tuple(ParaOpHandle(sym, self.cut) for sym in (M, Minv, S))
-        Lw = _apply_L(*self.handles, w, omega_arr)
-        return self.Xh_u - Xh_zeta - w.omega_derivative(omega_arr) - TBw - Lw
-
-
-def assemble_rhs(ops: _IterationOps, e0: SpectralField, Xh_zeta: SpectralField) -> SpectralField:
-    """-e0 - R(u - zeta0) at u = ops.u, R the summed remainders of ops.remainder_term."""
-    return -1.0 * e0 - ops.remainder_term(Xh_zeta)
+    g, n, w = u.grid, u.n, u.displacement()
+    omega_arr = np.asarray(omega, dtype=float)
+    P, Ninv, M_s, Minv_s = _frame_samples(u)
+    P = M_s[:, :n]  # the same samples, so du's own array goes
+    B = _jacobian_samples(h, u)  # A, made into B in place
+    S = analyze(g, _torsion_samples(B, P, Ninv))
+    del Ninv
+    Minv = analyze(g, Minv_s)
+    _update(np.subtract, B, P, S.samples(), Minv_s[n:])  # A itself is not needed again
+    del Minv_s
+    M = analyze(g, M_s)
+    _update(np.add, B, M_s, Minv.omega_derivative(omega_arr).samples())
+    del P, M_s
+    B = analyze(g, B)  # the samples go before the handle's low-passes are built
+    TBw = ParaOpHandle(B, cut).apply(w)
+    handles = tuple(ParaOpHandle(sym, cut) for sym in (M, Minv, S))
+    Lw = _apply_L(*handles, w, omega_arr)
+    return -1.0 * e0 - (Xh_u - Xh_zeta - w.omega_derivative(omega_arr) - TBw - Lw), handles
 
 
 def _residual(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
@@ -595,7 +569,9 @@ def solve_torus(
     """Picard iteration of the para-inverse equation from zeta0, run by reporting.picard.
 
     Each step feeds assemble_rhs through the linear para-homological solve and
-    replaces u by zeta0 + v; (xi, mu) come from the latest linear solve. The
+    replaces u by zeta0 + v; (xi, mu) come from the latest linear solve. Between
+    steps the driver holds only (u, X_h(u), its truncation tail, xi, mu): a step's
+    samples and handles are locals of the calls that made them. The
     iteration stops when the H^s increment of the embedding drops below tol;
     integrable data stop in the first step with u = zeta0 and xi = mu = 0.
     The driver raises MaxIterExceededError or NonFiniteError with the partial
@@ -608,39 +584,39 @@ def solve_torus(
     if mode == "thm1" and np.linalg.cond(h.Q.mean()) > 1e12:
         raise SingularAverageError("thm1 requires invertible Avg Q")
     cut = make_cutoff(h.grid)
-    # X_h at zeta0 from the flat iterate's ops; pop() hands them over: no local keeps them alive
-    flat = [_IterationOps(h, TorusEmbedding.flat(h.grid), omega, cut)]
-    Xh_zeta = flat[0].Xh_u
+    # zeta0 is built twice, so that no local keeps it once the first step is taken
+    Xh_zeta, tails = analyze(h.grid, _xh_samples(h, TorusEmbedding.flat(h.grid)), return_tail=True)
     e0 = Xh_zeta - np.concatenate([np.asarray(omega, dtype=float), np.zeros(h.n)])  # zeta0's defect
 
     def step(state):
-        ops, _, _ = state
-        rhs = assemble_rhs(ops, e0, Xh_zeta)
-        v, xi, mu = linear_para_homological_solve(*ops.handles, rhs, mode, omega)
-        ops.handles = None  # released before the new iterate composes X_h
-        u = TorusEmbedding.from_displacement(v)
-        inc = (u.w - ops.u.w).sobolev_norm(s)
-        # X_h at the new iterate; its frame and handles wait until the next step
-        ops = _IterationOps(h, u, omega, cut)
-        _, res_sup, res_hs = _residual(ops.Xh_u, u, xi, omega)
+        u, Xh_u, _, _, _ = state
+        rhs, handles = assemble_rhs(h, u, Xh_u, e0, Xh_zeta, omega, cut)
+        v, xi, mu = linear_para_homological_solve(*handles, rhs, mode, omega)
+        del handles  # released before the new iterate composes X_h
+        new = TorusEmbedding.from_displacement(v)
+        inc = (new.w - u.w).sobolev_norm(s)
+        Xh_new, tails = analyze(new.grid, _xh_samples(h, new), return_tail=True)
+        _, res_sup, res_hs = _residual(Xh_new, new, xi, omega)
         row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs,
                "xi_norm": float(np.linalg.norm(xi)), "mu_norm": float(np.linalg.norm(mu))}
-        return (ops, xi, mu), row, inc < tol
+        return (new, Xh_new, float(np.max(tails)), xi, mu), row, inc < tol
 
-    (ops, xi, mu), report = picard(step, (flat.pop(), None, None), TORUS_COLUMNS, max_iter)
-    u, disp = ops.u, ops.u.displacement()
+    (u, Xh_u, tail, xi, mu), report = picard(
+        step, (TorusEmbedding.flat(h.grid), Xh_zeta, float(np.max(tails)), None, None),
+        TORUS_COLUMNS, max_iter)
+    disp = u.displacement()
     report.extras["u_minus_flat_hs"] = disp.sobolev_norm(s)
     report.extras["gamma"] = omega.gamma
     e0_strong = e0.sobolev_norm(s + 2 * omega.sigma + 0.1)  # strong norm, loss eps = 0.1
     report.extras["e0_strong_norm"] = float(e0_strong)
     if e0_strong > 0:
         report.extras["c2_empirical"] = disp.sobolev_norm(s) / (omega.gamma**2 * e0_strong)
-    # the measured residual from the final iterate's X_h, composed once by its ops
-    F = _residual(ops.Xh_u, u, xi, omega)[0]
+    # the measured residual from the final iterate's X_h, composed once by its step
+    F = _residual(Xh_u, u, xi, omega)[0]
     report.extras["kappa"] = neumann_certificate(F + np.concatenate([np.zeros(h.n), mu]), u, cut, s)
     report.extras["counterterm_defect"] = _counterterm_defect(F, u, mu)
     # truncation monitor: discarded tail energy of the composed vector field
-    report.extras["xh_tail_energy"] = ops.xh_tail_energy
+    report.extras["xh_tail_energy"] = tail
     return KamSolution(u=u, xi=xi, mu=mu, report=report)
 
 

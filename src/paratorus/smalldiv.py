@@ -55,6 +55,13 @@ def certify_diophantine(omega, sigma: float, K: int) -> float:
     return float(np.max(gammas))
 
 
+def scan_bytes(n: int, K: int) -> int:
+    """Peak bytes of certify_diophantine's scan of the (2K + 1)^n modes of an n-vector, at most
+    24 n + 40 a mode (tracemalloc: 58, 66, 89, 113, 137 and 161 for n = 1..6); with n = 1 it also
+    bounds certify_rotation_angle's scan of q <= K (40 bytes a q)."""
+    return (2 * K + 1) ** n * (24 * n + 40)
+
+
 def certify_rotation_angle(alpha: float, sigma: float, K: int) -> float:
     """Smallest gamma with |q alpha/pi - p| >= 1/(gamma q^sigma) for 1 <= q <= K."""
     if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(alpha)):
@@ -84,8 +91,6 @@ class FrequencyVector:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.omega, dtype=float if dtype is None else dtype)
-
-    array = property(__array__)  # omega as a float array
 
 
 @dataclass(frozen=True)

@@ -512,25 +512,34 @@ def field_to_json(f: SpectralField) -> dict:
     return {"dim": g.dim, "K": g.max_mode, "coeffs": entries}
 
 
+def _json_number(value, what: str, integral: bool = False):
+    """value as a float, or as an int if integral (8.0 included), if it is a JSON number: a bool
+    or a string is not one (TypeError), and a fraction is not integral (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    if integral and not float(value).is_integer():
+        raise ValueError(f"non-integral {what} {value!r}")
+    return int(value) if integral else float(value)
+
+
 def field_from_json(doc: dict) -> SpectralField:
     """Rebuild a field, restoring Hermitian symmetry; reject violations > 1e-10.
 
-    Non-finite coefficients (JSON NaN / Infinity) are rejected.
+    dim, K, each k and each re and im must be JSON numbers, integral for dim, K and k;
+    non-finite coefficients (JSON NaN / Infinity) are rejected.
     """
     try:
-        dim = int(doc["dim"])
-        K = int(doc["K"])
+        dim, K = (_json_number(doc[key], key, integral=True) for key in ("dim", "K"))
         entries = doc["coeffs"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed field document: {exc}") from exc
     grid = TorusGrid.create(dim, K)
     coeffs = np.zeros(grid.mode_shape, dtype=np.complex128)
     given = np.zeros(grid.mode_shape, dtype=bool)
     for e in entries:
-        try:  # a NaN, infinite or non-integral k is malformed, not an exception of int()
-            k, val = tuple(int(x) for x in e["k"]), complex(float(e["re"]), float(e["im"]))
-            if list(k) != list(e["k"]):
-                raise ValueError(f"non-integral mode index {e['k']!r}")
+        try:
+            k = tuple(_json_number(x, "mode index", integral=True) for x in e["k"])
+            val = complex(_json_number(e["re"], "re"), _json_number(e["im"], "im"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SerializationError(f"malformed mode entry {e!r}: {exc}") from exc
         if len(k) != dim or any(abs(c) > K for c in k):

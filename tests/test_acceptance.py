@@ -172,7 +172,7 @@ def test_criterion_05_small_divisor_inverses():
         v2 = pt.omega_directional_inverse(f2, omega)
         worst_rt = max(
             worst_rt,
-            (v2.omega_derivative(omega.array) - f2).l2_norm() / f2.l2_norm(),
+            (v2.omega_derivative(np.asarray(omega, dtype=float)) - f2).l2_norm() / f2.l2_norm(),
         )
         worst_bound = max(
             worst_bound,
@@ -316,7 +316,7 @@ def test_criterion_09_torus_thm2():
 
 
 def test_criterion_10_quadratic_smallness():
-    from test_hamtorus import remainder_amplitude_sweep
+    from torus_helpers import remainder_amplitude_sweep
 
     amps = (0.002, 0.004, 0.008, 0.016)
     sizes = remainder_amplitude_sweep(amps)

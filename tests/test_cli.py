@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from paratorus.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_SOLVER, main
 from paratorus.dyadic import max_block_index
 from paratorus.paraprod import ParaOpHandle, low_pass_bytes
 from paratorus.reporting import write_rows_csv
+from paratorus.smalldiv import scan_bytes
 from paratorus.errors import (
     ConfigError,
     DegenerateEmbeddingError,
@@ -392,6 +394,68 @@ def test_bad_diophantine_config_is_config_error(tmp_path, frequency, K_values):
     code, out = run_code(tmp_path, doc, kind="diophantine")
     assert code == EXIT_CONFIG
     assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "frequency, K_values, path",
+    [({"omega": [1.0, GOLDEN], "sigma": True}, [8], "frequency.sigma"),
+     ({"omega": [1.0, GOLDEN], "sigma": 1.0}, [True], "scan.K_values[0]"),
+     ({"omega": [1.0, GOLDEN], "sigma": 1.0}, [8, "4"], "scan.K_values[1]"),
+     ({"omega": ["1.0", GOLDEN], "sigma": 1.0}, [8], "frequency.omega[0]")],
+    ids=["bool-sigma", "bool-K", "string-K", "string-omega"],
+)
+def test_a_config_value_that_is_not_a_json_number_is_config_error(tmp_path, frequency, K_values,
+                                                                   path):
+    # float() reads true as 1.0 and "4" as 4.0: without the check such a scan runs and exits 0
+    doc = {"kind": "diophantine", "frequency": frequency, "scan": {"K_values": K_values}}
+    code, out = run_code(tmp_path, doc, kind="diophantine")
+    assert code == EXIT_CONFIG and not (out / "diophantine.csv").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["message"].startswith(f"{path}: expected a number")
+
+
+def test_an_integral_float_is_a_config_integer(tmp_path):
+    doc = {"kind": "diophantine", "frequency": {"omega": [1.0, GOLDEN], "sigma": 1.0},
+           "scan": {"K_values": [8.0]}}
+    code, out = run_code(tmp_path, doc, kind="diophantine")
+    assert code == EXIT_OK
+    assert (out / "diophantine.csv").read_text().splitlines()[1].startswith("row,8,")
+
+
+def no_scan(*args):
+    raise AssertionError("a scan ran before every K was checked against the budget")
+
+
+@pytest.mark.parametrize(
+    "frequency, K_values",
+    [({"omega": [1.0, GOLDEN], "sigma": 1.0}, [8, 20000]),
+     ({"omega": [1.0, GOLDEN, 2.0**0.5 - 1.0], "sigma": 1.0}, [8, 200]),
+     ({"alpha": GOLDEN_ALPHA, "sigma": 1.0}, [8, 10**10])],
+    ids=["omega-2d", "omega-3d", "alpha"],
+)
+def test_a_diophantine_scan_over_the_memory_budget_is_config_error(tmp_path, monkeypatch,
+                                                                   frequency, K_values):
+    # K = 20000 in 2-D is 1.6e9 modes, about 106 GB at 66 bytes a mode; no scan may start
+    monkeypatch.setattr(cli, "certify_diophantine", no_scan)
+    monkeypatch.setattr(cli, "certify_rotation_angle", no_scan)
+    doc = {"kind": "diophantine", "frequency": frequency, "scan": {"K_values": K_values}}
+    code, out = run_code(tmp_path, doc, kind="diophantine")
+    assert code == EXIT_CONFIG
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert message.startswith(f"scan.K_values[1]: the scan of K={K_values[1]} needs about")
+
+
+@pytest.mark.parametrize("n, K", [(1, 50000), (2, 150), (3, 22), (4, 8)])
+def test_scan_bytes_bounds_the_scan_peak(n, K):
+    # 8e4 to 1e5 modes each: the scan's fixed overhead, some 50 kB, is then below the margin
+    omega = [1.0, GOLDEN, 2.0**0.5 - 1.0, 3.0**0.5 - 1.0][:n]
+    tracemalloc.start()
+    try:
+        cli.certify_diophantine(omega, 1.0, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= scan_bytes(n, K)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from paratorus import (
     TorusEmbedding,
     TorusGrid,
     VectorField,
-    assemble_rhs,
     b_matrices,
     counterterm_check,
     error_fields,
@@ -38,11 +37,17 @@ from paratorus import (
     torsion_S,
 )
 import paratorus.hamtorus as hamtorus
-from paratorus.hamtorus import _flow_closures, _IterationOps, _taylor, _xh
+from paratorus.hamtorus import _flow_closures, _taylor, _xh
 from paratorus.paraprod import ParaOpHandle
 from paratorus.spectral import analyze, compress, synthesize, warp_samples
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from torus_helpers import (
+    GOLDEN,
+    flat_xh,
+    random_embedding,
+    remainder_amplitude_sweep,
+    sparse_field,
+    step_rhs,
+)
 J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])  # J for n = 2
 
 
@@ -52,19 +57,6 @@ def small_grid(K=8):
 
 def freq(K=8):
     return FrequencyVector.certify([1.0, GOLDEN], 1.0, K)
-
-
-def sparse_field(grid, rng, amp, band=3):
-    f = SpectralField.zero(grid)
-    K = grid.max_mode
-    for _ in range(5):
-        k = tuple(int(rng.integers(-band, band + 1)) for _ in range(grid.dim))
-        v = amp * (rng.standard_normal() + 1j * rng.standard_normal())
-        idx = tuple(c + K for c in k)
-        ridx = tuple(-c + K for c in k)
-        f.coeffs[idx] += v
-        f.coeffs[ridx] += np.conj(v)
-    return f
 
 
 def integrable(grid, omega, Q0):
@@ -100,14 +92,6 @@ def random_hamiltonian(grid, omega, rng, amp=0.02, with_cubic=True, band=3):
     return HamiltonianData(a0=a0, a1=a1, Q=Q, cubic=cubic)
 
 
-def random_embedding(grid, rng, amp, band=3):
-    n = grid.dim
-    return TorusEmbedding(
-        ux=VectorField([sparse_field(grid, rng, amp, band) for _ in range(n)]),
-        uy=VectorField([sparse_field(grid, rng, amp, band) for _ in range(n)]),
-    )
-
-
 def h_eval(h, x, y):
     """h(x, y) = a0 + <a1, y> + <Q y, y> / 2 [+ C[y, y, y] / 6], written out independently of
     the solver's Taylor rule."""
@@ -123,9 +107,9 @@ def h_eval(h, x, y):
 
 
 def test_warp_composes_xh_and_a_gradients_in_one_call_each(monkeypatch):
-    """X_h's gradients take one warp_samples call and A's second derivatives another; each
-    gradient, constant (a1[1], Q), zero (their x-gradients) or varying, equals its own call."""
-    from paratorus.hamtorus import _jacobian_samples, _Warp, _xh_samples
+    """X_h's gradients take one warp_samples call and A's another; each gradient, constant
+    (a1[1], Q), zero (their x-gradients) or varying, equals its own call."""
+    from paratorus.hamtorus import _jacobian_samples, _warped, _xh_samples
 
     g = small_grid()
     rng = np.random.default_rng(12)
@@ -137,15 +121,16 @@ def test_warp_composes_xh_and_a_gradients_in_one_call_each(monkeypatch):
     real = hamtorus.warp_samples
     calls = []
     monkeypatch.setattr(hamtorus, "warp_samples", lambda f, pts: calls.append(f.shape) or real(f, pts))
-    warp = _Warp(h, u)
-    _xh_samples(h, u, warp)
+    _xh_samples(h, u)
     assert len(calls) == 1
-    _jacobian_samples(h, u, warp)
+    _jacobian_samples(h, u)
     assert len(calls) == 2
-    for (m, order), got in warp._samples.items():
-        ref = real(h.gradient(m, order), warp.pts)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    pts = np.stack(g.point_mesh) + u.ux.samples()
+    for order in (1, 2):
+        for (m, o), got in _warped(h, u, order).items():
+            ref = real(h.gradient(m, o), pts)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
 def benchmark_like(g, om, phases=(0.4, 1.9, 4.2), amp=0.005):
@@ -159,23 +144,22 @@ def benchmark_like(g, om, phases=(0.4, 1.9, 4.2), amp=0.005):
 def test_warp_keeps_constant_gradients_as_read_only_views():
     g, om = small_grid(), freq()
     h = benchmark_like(g, om)
-    warp = hamtorus._Warp(h, random_embedding(g, np.random.default_rng(3), 0.01, band=2))
-    warp.prefetch(1)
-    warp.prefetch(2)
-    views = {k for k, v in warp._samples.items() if v.strides[-g.dim :] == (0,) * g.dim}
+    u = random_embedding(g, np.random.default_rng(3), 0.01, band=2)
+    samples = {**hamtorus._warped(h, u, 1), **hamtorus._warped(h, u, 2)}
+    views = {k for k, v in samples.items() if v.strides[-g.dim :] == (0,) * g.dim}
     # a1 and Q are constant, and every x-gradient of theirs is zero; a0's vary
     assert views == {(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}
     for k in views:
-        assert not warp._samples[k].flags.writeable
-        assert np.all(warp._samples[k] == h.gradient(*k).mean()[(...,) + (None,) * g.dim])
-    for k in set(warp._samples) - views:  # a gradient with a varying component stays whole
-        assert warp._samples[k].flags.writeable and warp._samples[k].flags.c_contiguous
+        assert not samples[k].flags.writeable
+        assert np.all(samples[k] == h.gradient(*k).mean()[(...,) + (None,) * g.dim])
+    for k in set(samples) - views:  # a gradient with a varying component stays whole
+        assert samples[k].flags.writeable and samples[k].flags.c_contiguous
 
 
 @pytest.mark.parametrize("kind", ["benchmark", "random-cubic"])
 @pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
-def test_constant_views_give_the_materialized_samples_bit_for_bit(kind, warped):
-    from paratorus.hamtorus import _jacobian_samples, _Warp, _xh_samples
+def test_constant_views_give_the_materialized_samples_bit_for_bit(kind, warped, monkeypatch):
+    from paratorus.hamtorus import _jacobian_samples, _xh_samples
 
     g, om, rng = small_grid(), freq(), np.random.default_rng(17)
     if kind == "benchmark":
@@ -186,16 +170,14 @@ def test_constant_views_give_the_materialized_samples_bit_for_bit(kind, warped):
                             Q=MatrixField.constant(g, np.array([[1.0, 0.3], [0.3, 1.2]])),
                             cubic=h.cubic)
     u = random_embedding(g, rng, 0.01 * warped, band=2)
-    warp = _Warp(h, u)
-    warp.prefetch(1)
-    warp.prefetch(2)
+    assert any(v.strides[-1] == 0 for v in hamtorus._warped(h, u, 2).values())
+    got = [_xh_samples(h, u), _jacobian_samples(h, u)]
     # the reference: every gradient materialized as a full, writeable array of samples
-    full = _Warp(h, u)
-    full._samples = {k: np.array(v) for k, v in warp._samples.items()}
-    assert any(v.strides[-1] == 0 for v in warp._samples.values())
-    for fn in (_xh_samples, _jacobian_samples):
-        got, ref = fn(h, u, warp), fn(h, u, full)
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    real = hamtorus._warped
+    monkeypatch.setattr(hamtorus, "_warped",
+                        lambda *a: {k: np.array(v) for k, v in real(*a).items()})
+    for a, ref in zip(got, [_xh_samples(h, u), _jacobian_samples(h, u)]):
+        assert a.shape == ref.shape and a.tobytes() == ref.tobytes()
 
 
 def test_xh_pure_rotation_at_flat_torus():
@@ -556,22 +538,23 @@ def test_linearization_identity_on_manufactured_torus():
     for _ in range(80):
         vals = np.stack([warp_samples(f, theta) for f in ux])
         theta = base - vals
-    targets = [ux[i].omega_derivative(om.array) + om.omega[i] for i in range(2)]
+    targets = [ux[i].omega_derivative(np.asarray(om, dtype=float)) + om.omega[i]
+               for i in range(2)]
     a1 = VectorField([analyze(g, warp_samples(t, theta)) for t in targets])
     Q0 = np.array([[1.3, 0.2], [0.2, 0.8]])
     h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=MatrixField.constant(g, Q0))
     F, fsup, _ = residual_torus(h, u, None, om)
     assert fsup < 1e-12
-    from paratorus.hamtorus import _Warp, _frame_samples, _jacobian_samples, _torsion_samples
+    from paratorus.hamtorus import _frame_samples, _jacobian_samples, _torsion_samples
 
-    warp = _Warp(h, u)
-    A = _jacobian_samples(h, u, warp)
+    A = _jacobian_samples(h, u)
     P, Ninv, M, Minv = _frame_samples(u)
     S = _torsion_samples(A, P, Ninv)
     Mfield = analyze(g, M)
     dM = np.stack(
         [
-            np.stack([Mfield[a, b].omega_derivative(om.array).samples() for b in range(4)])
+            np.stack([Mfield[a, b].omega_derivative(np.asarray(om, dtype=float)).samples()
+                      for b in range(4)])
             for a in range(4)
         ]
     )
@@ -683,7 +666,8 @@ def test_linear_solve_self_check_random_symbols():
 
         HM, HMinv, HS = frame_handles(u, S, cut)
         w1 = HMinv.apply_vector(v)
-        lhs = HM.apply_vector(_apply_torsion_block(HS, w1) - w1.omega_derivative(om.array))
+        lhs = HM.apply_vector(_apply_torsion_block(HS, w1)
+                              - w1.omega_derivative(np.asarray(om, dtype=float)))
         cv = np.concatenate([xi, mu])
         lhs = VectorField([lhs[a] + cv[a] for a in range(4)])
         assert (lhs - f).l2_norm() < 1e-9 * f.l2_norm()
@@ -729,11 +713,6 @@ def test_a_plain_frequency_gives_the_bits_of_the_certified_one():
 # --- assemble_rhs ---------------------------------------------------------------
 
 
-def flat_xh(h):
-    """X_h at the flat torus, the base point of the para-linearization remainder."""
-    return hamiltonian_vector_field(h, TorusEmbedding.flat(h.grid))
-
-
 def test_assemble_rhs_at_flat_torus_is_minus_e0():
     g = small_grid()
     om = freq()
@@ -741,7 +720,7 @@ def test_assemble_rhs_at_flat_torus_is_minus_e0():
     h = random_hamiltonian(g, om, rng)
     e0, _ = error_fields(h, om)
     cut = make_cutoff(g)
-    rhs = assemble_rhs(_IterationOps(h, TorusEmbedding.flat(g), om, cut), e0, flat_xh(h))
+    rhs = step_rhs(h, TorusEmbedding.flat(g), om, cut, e0)
     assert (rhs + e0).l2_norm() < 1e-12 * max(1.0, e0.l2_norm())
 
 
@@ -751,7 +730,7 @@ def test_assemble_rhs_integrable_zero():
     h = integrable(g, om, np.eye(2))
     e0, _ = error_fields(h, om)
     cut = make_cutoff(g)
-    rhs = assemble_rhs(_IterationOps(h, TorusEmbedding.flat(g), om, cut), e0, flat_xh(h))
+    rhs = step_rhs(h, TorusEmbedding.flat(g), om, cut, e0)
     assert rhs.l2_norm() < 1e-13
 
 
@@ -762,11 +741,10 @@ def three_handle_rhs(h, u, om, cut, e0):
         _frame_samples,
         _jacobian_samples,
         _torsion_samples,
-        _Warp,
     )
 
-    g, w, o = u.grid, u.displacement(), om.array
-    A = _jacobian_samples(h, u, _Warp(h, u))
+    g, w, o = u.grid, u.displacement(), np.asarray(om, dtype=float)
+    A = _jacobian_samples(h, u)
     P, Ninv, M, Minv = _frame_samples(u)
     HM, HMinv = ParaOpHandle(analyze(g, M), cut), ParaOpHandle(analyze(g, Minv), cut)
     HS = ParaOpHandle(analyze(g, _torsion_samples(A, P, Ninv)), cut)
@@ -793,44 +771,9 @@ def test_assemble_rhs_matches_three_handle_remainders(cubic):
         h = random_hamiltonian(g, om, rng, with_cubic=cubic)
         u = random_embedding(g, rng, 0.015)
         e0, _ = error_fields(h, om)
-        got = assemble_rhs(_IterationOps(h, u, om, cut), e0, flat_xh(h))
+        got = step_rhs(h, u, om, cut, e0)
         ref = three_handle_rhs(h, u, om, cut, e0)
         assert (got - ref).l2_norm() <= 1e-13 * ref.l2_norm()
-
-
-def remainder_amplitude_sweep(amps, K=8, seed=11):
-    """Joint sweep: Hamiltonian perturbation and displacement both scale with amp.
-
-    This is the regime of the quadratic smallness structure (the displacement
-    of a true solution scales with the perturbation); the two remainder terms
-    then shrink like amp^2.
-    """
-    g = TorusGrid.create(2, K)
-    om = FrequencyVector.certify([1.0, GOLDEN], 1.0, K)
-    cut = make_cutoff(g)
-    rng = np.random.default_rng(seed)
-    p0 = sparse_field(g, rng, 1.0)
-    p1 = [sparse_field(g, rng, 1.0) for _ in range(2)]
-    pq = sparse_field(g, rng, 1.0)
-    u1 = random_embedding(g, rng, 1.0)
-    sizes = []
-    for amp in amps:
-        a1 = VectorField([p1[i] * amp + om.omega[i] for i in range(2)])
-        Q = MatrixField(
-            [
-                [pq * amp + 1.0, SpectralField.zero(g)],
-                [SpectralField.zero(g), pq * amp + 1.2],
-            ]
-        )
-        h = HamiltonianData(a0=p0 * amp, a1=a1, Q=Q)
-        e0, _ = error_fields(h, om)
-        u = TorusEmbedding(
-            ux=VectorField([f * amp for f in u1.ux]),
-            uy=VectorField([f * amp for f in u1.uy]),
-        )
-        rhs = assemble_rhs(_IterationOps(h, u, om, cut), e0, flat_xh(h))
-        sizes.append((rhs + e0).l2_norm())  # remainder part only
-    return sizes
 
 
 def test_remainders_vanish_quadratically():
@@ -909,10 +852,10 @@ def test_non_finite_step_attaches_the_partial_report(monkeypatch):
     # a NaN right-hand side in step 2 stops the linear solve's first para-inversion
     real, calls = hamtorus.assemble_rhs, []
 
-    def nan_second_rhs(ops, e0, Xh_zeta):
+    def nan_second_rhs(*args):
         calls.append(1)
-        rhs = real(ops, e0, Xh_zeta)
-        return np.nan * rhs if len(calls) == 2 else rhs
+        rhs, handles = real(*args)
+        return (np.nan * rhs if len(calls) == 2 else rhs), handles
 
     monkeypatch.setattr(hamtorus, "assemble_rhs", nan_second_rhs)
     g = small_grid()
@@ -1011,21 +954,21 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
     assert counts["_xh_samples"] == n + 1
 
 
-def test_flat_ops_are_released_before_the_second_step(monkeypatch):
-    # the flat iterate's ops give X_h(zeta0), then only the driver holds them: once the second
-    # step starts, its frame and handles are gone
-    refs, flat_alive = [], []
-    real_ops, real_rhs = hamtorus._IterationOps, hamtorus.assemble_rhs
+def test_no_handle_of_a_step_is_alive_when_the_next_step_starts(monkeypatch):
+    # between Picard steps the driver holds only fields: once a step's assemble_rhs starts,
+    # every handle that an earlier step built is gone
+    built, alive = [], []
+    real_rhs = hamtorus.assemble_rhs
 
-    def recording_ops(*args):
-        refs.append(weakref.ref(ops := real_ops(*args)))
-        return ops
+    def handle(symbol, cut):
+        built.append(weakref.ref(out := ParaOpHandle(symbol, cut)))
+        return out
 
-    def checking_rhs(ops, e0, Xh_zeta):
-        flat_alive.append(refs[0]() is not None)
-        return real_rhs(ops, e0, Xh_zeta)
+    def checking_rhs(*args):
+        alive.append(sum(r() is not None for r in built))
+        return real_rhs(*args)
 
-    monkeypatch.setattr(hamtorus, "_IterationOps", recording_ops)
+    monkeypatch.setattr(hamtorus, "ParaOpHandle", handle)
     monkeypatch.setattr(hamtorus, "assemble_rhs", checking_rhs)
     g = small_grid()
     om = freq()
@@ -1036,25 +979,27 @@ def test_flat_ops_are_released_before_the_second_step(monkeypatch):
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     assert sol.report.iterations >= 2
-    assert flat_alive == [True] + [False] * (sol.report.iterations - 1)
+    assert alive == [0] * sol.report.iterations
+    assert len(built) >= 4 * sol.report.iterations
 
 
 def test_step_releases_its_samples_before_t_b_and_its_handles_before_the_next_iterate(
         monkeypatch):
-    # the frame, Jacobian and warp samples of a step are gone when its single-use T_B is built;
-    # the step's T_M, T_{M^-1} and T_S are gone before the next iterate's ops are built
+    # the frame, Jacobian and warped samples of a step are gone when its single-use T_B is
+    # built; the step's T_M, T_{M^-1} and T_S are gone before the next iterate's X_h is composed
     samples, in_rhs, built, tb_clean, solved, released = [], [], [], [], [], []
     real_frame, real_jac = hamtorus._frame_samples, hamtorus._jacobian_samples
-    real_prefetch, real_rhs = hamtorus._Warp.prefetch, hamtorus.assemble_rhs
-    real_solve, real_ops = hamtorus.linear_para_homological_solve, hamtorus._IterationOps
+    real_warped, real_rhs = hamtorus._warped, hamtorus.assemble_rhs
+    real_solve, real_xh = hamtorus.linear_para_homological_solve, hamtorus._xh_samples
 
     def track(arrays):
         samples.extend(weakref.ref(a) for a in arrays)
         return arrays
 
-    def prefetch(warp, order):
-        real_prefetch(warp, order)
-        track(list(warp._samples.values()) + ([] if warp.pts is None else [warp.pts]))
+    def warped(*args):
+        out = real_warped(*args)
+        track(list(out.values()))
+        return out
 
     def handle(symbol, cut):
         out = ParaOpHandle(symbol, cut)
@@ -1062,10 +1007,10 @@ def test_step_releases_its_samples_before_t_b_and_its_handles_before_the_next_it
             built.append((weakref.ref(out), all(r() is None for r in samples)))
         return out
 
-    def rhs(ops, e0, Xh_zeta):
+    def rhs(*args):
         in_rhs.append(1)
         try:
-            return real_rhs(ops, e0, Xh_zeta)
+            return real_rhs(*args)
         finally:
             in_rhs.clear()
 
@@ -1076,23 +1021,23 @@ def test_step_releases_its_samples_before_t_b_and_its_handles_before_the_next_it
         solved.extend(weakref.ref(a) for a in (HM, HMinv, HS))
         return real_solve(HM, HMinv, HS, f, mode, omega)
 
-    def ops(*args):
+    def xh(*args):
         released.append(all(r() is None for r in solved))
-        return real_ops(*args)
+        return real_xh(*args)
 
     monkeypatch.setattr(hamtorus, "_frame_samples", lambda u: track(real_frame(u)))
     monkeypatch.setattr(hamtorus, "_jacobian_samples", lambda *a: track([real_jac(*a)])[0])
-    monkeypatch.setattr(hamtorus._Warp, "prefetch", prefetch)
+    monkeypatch.setattr(hamtorus, "_warped", warped)
     monkeypatch.setattr(hamtorus, "ParaOpHandle", handle)
     monkeypatch.setattr(hamtorus, "assemble_rhs", rhs)
     monkeypatch.setattr(hamtorus, "linear_para_homological_solve", solve)
-    monkeypatch.setattr(hamtorus, "_IterationOps", ops)
+    monkeypatch.setattr(hamtorus, "_xh_samples", xh)
     g, om = small_grid(), freq()
     sol = solve_torus(benchmark_like(g, om), om, mode="thm1", s=3.0)
     n = sol.report.iterations
     assert n >= 2
     assert tb_clean == [[True]] * n
-    assert released == [True] * (n + 1)  # the flat iterate's ops, then one per step
+    assert released == [True] * (n + 1)  # the flat iterate's X_h, then one per step
 
 
 def test_solve_peak_memory_stays_below_the_three_handles_and_their_samples():
@@ -1144,10 +1089,9 @@ def test_chunked_frame_torsion_and_b_equal_one_chunk_bit_for_bit(dim, K, monkeyp
         monkeypatch.setattr(hamtorus, "ParaOpHandle",
                             lambda a, c: symbols.append(a.coeffs) or ParaOpHandle(a, c))
         frame_samples = hamtorus._frame_samples(u)
-        A = hamtorus._jacobian_samples(h, u, hamtorus._Warp(h, u))
+        A = hamtorus._jacobian_samples(h, u)
         torsion = hamtorus._torsion_samples(A, *frame_samples[:2])
-        ops = _IterationOps(h, u, om, cut)
-        rhs = ops.remainder_term(hamiltonian_vector_field(h, TorusEmbedding.flat(g)))
+        rhs = step_rhs(h, u, om, cut, error_fields(h, om)[0])
         return list(frame_samples) + [torsion] + symbols + [rhs.coeffs]
 
     whole = evaluate(10**9)
@@ -1207,7 +1151,8 @@ def test_residual_manufactured_solution():
     theta = base.copy()
     for _ in range(80):
         theta = base - np.stack([warp_samples(f, theta) for f in ux])
-    targets = [ux[i].omega_derivative(om.array) + om.omega[i] for i in range(2)]
+    targets = [ux[i].omega_derivative(np.asarray(om, dtype=float)) + om.omega[i]
+               for i in range(2)]
     a1 = VectorField([analyze(g, warp_samples(t, theta)) for t in targets])
     h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=MatrixField.constant(g, np.eye(2)))
     _, sup, _ = residual_torus(h, u, None, om)
@@ -1514,7 +1459,7 @@ def test_streamed_flow_comparison_matches_the_whole_orbit(monkeypatch, block, T)
     xi = rng.standard_normal(2) * 1e-3
     theta0 = np.array([0.3, 0.9])
     dev = flow_oracle(h, u, xi, om, theta0=theta0, T=T, dt=1e-3)
-    assert dev == _whole_orbit_deviation(h, u, xi, om.array, theta0, T, 1e-3)
+    assert dev == _whole_orbit_deviation(h, u, xi, np.asarray(om, dtype=float), theta0, T, 1e-3)
     assert dev > 1e-4 or T == 0.0  # u is not invariant: the comparison sees it
 
 

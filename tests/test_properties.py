@@ -33,6 +33,7 @@ from paratorus import (
     make_cutoff,
     meyer_apply,
     para_compose,
+    solve,
     zygmund_norm,
 )
 import paratorus.hamtorus as hamtorus
@@ -398,7 +399,31 @@ def test_closed_form_frame_equals_lapack(dims, slope, seed):
     assert relative(np.abs(guarded["frame matrix M"]), np.abs(M_det)) <= 1e-13
 
 
-# --- translation equivariance of the torus solve -----------------------------------------
+# --- translation equivariance of the circle and torus solves ------------------------------
+
+
+@settings(PROPERTY, max_examples=12)
+@given(st.booleans(), st.sampled_from(["standard", "refined"]), seeds)
+def test_circle_solve_commutes_with_translation(on_grid, mode, seed):
+    """If eta = Id + u conjugates x -> x + alpha + f(x) - lambda, Id + u(. + c) conjugates its
+    translate by c, with the same lambda: the K = 32 solve of a four-mode f against the solve of
+    f(. + c), over grid shifts j * 2 pi / N and off-grid ones. Both u and lambda must agree
+    within the larger final increment_hs of the two solves, the solver's own accuracy: over 200
+    measured cases (50 seeds, each mode and shift kind) the H^3 defect of u was at most 0.051 of
+    it, when the two solves stopped one step apart, and 1.2e-4 of it otherwise; lambda differed
+    by at most 2.1e-13, and by at most 5e-18 when the step counts agreed."""
+    rng = np.random.default_rng(seed)
+    g = TorusGrid.create(1, 32)
+    alpha = RotationAngle.certify(GOLDEN_ALPHA, 1.0, 32)
+    f = SpectralField.from_modes(g, {k: rng.uniform(0.002, 0.01) * np.exp(1j * p)
+                                     for k, p in zip([1, 2, 3, 4], rng.uniform(0.0, 2 * np.pi, 4))})
+    N = g.points_per_dim
+    c = rng.integers(0, N) * 2 * np.pi / N if on_grid else rng.uniform(0.0, 2 * np.pi)
+    problem = lambda f: CircleProblem(alpha=alpha, f=f, s=3.0, mode=mode)
+    sol, moved = solve(problem(f)), solve(problem(f.translate([c])))
+    tol = max(sol.report.last("increment_hs"), moved.report.last("increment_hs"))
+    assert (moved.u - sol.u.translate([c])).sobolev_norm(3.0) <= tol
+    assert abs(moved.lam - sol.lam) <= tol
 
 
 @settings(PROPERTY, max_examples=12)

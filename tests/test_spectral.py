@@ -483,6 +483,28 @@ def test_serialization_rejects_a_non_integral_mode_index():
     assert field_from_json(doc).coeffs[5] == 0.1
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("dim", 2.7, "non-integral dim 2.7"), ("dim", True, "dim must be a number, got True"),
+     ("re", "0.1", "re must be a number, got '0.1'"), ("re", True, "re must be a number"),
+     ("k", [True, 0], "mode index must be a number, got True")],
+    ids=["fractional-dim", "bool-dim", "string-re", "bool-re", "bool-k"],
+)
+def test_serialization_rejects_a_value_that_is_not_a_json_number(key, value, message):
+    """int() and float() would read 2.7 as 2, True as 1 and "0.1" as 0.1; each is rejected."""
+    doc = {"dim": 2, "K": 4, "coeffs": [{"k": [1, 0], "re": 0.1, "im": 0.0}]}
+    target = doc if key == "dim" else doc["coeffs"][0]
+    target[key] = value
+    with pytest.raises(SerializationError, match=message):
+        field_from_json(doc)
+
+
+def test_serialization_reads_integral_floats_as_integers():
+    doc = {"dim": 2.0, "K": 4.0, "coeffs": [{"k": [1.0, 0], "re": 1, "im": 0}]}
+    f = field_from_json(doc)
+    assert (f.grid.dim, f.grid.max_mode, f.coeffs[5, 4]) == (2, 4, 1.0)
+
+
 # --- component axes ----------------------------------------------------------
 
 
