@@ -31,7 +31,8 @@ from .smalldiv import (
     certify_rotation_angle,
     scan_bytes,
 )
-from .spectral import SpectralField, TorusGrid, VectorField, field_from_json, field_to_json
+from .spectral import SpectralField, TorusGrid, VectorField, _json_number, field_from_json
+from .spectral import field_to_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,10 +57,10 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
 
 def _finite(value, path: str) -> float:
     """A finite float from a JSON number; NaN, Infinity, booleans and strings are config errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
-        x = float(value)
+        x = _json_number(value, path)
+    except TypeError:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     if not math.isfinite(x):
@@ -68,11 +69,14 @@ def _finite(value, path: str) -> float:
 
 
 def _integer(value, path: str, minimum: int) -> int:
-    """An integer config value >= minimum; anything else is a config error."""
-    x = _finite(value, path)
-    if x != int(x) or x < minimum:
-        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
-    return int(x)
+    """An integer config value >= minimum (8.0 is one); anything else is a config error."""
+    _finite(value, path)
+    try:
+        if (x := _json_number(value, path, integral=True)) >= minimum:
+            return x
+    except ValueError:  # a fraction
+        pass
+    raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
 
 
 def _list(value, path: str, item) -> list:

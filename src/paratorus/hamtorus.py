@@ -250,14 +250,16 @@ def hamiltonian_vector_field(h: HamiltonianData, u: TorusEmbedding) -> SpectralF
 
 
 def _jacobian_samples(h: HamiltonianData, u: TorusEmbedding) -> np.ndarray:
-    """Samples of A[u] = (DX_h)(u), shape (2n, 2n, *grid)."""
+    """Samples of A[u] = (DX_h)(u), shape (2n, 2n, *grid), written block by block into one array."""
     warped = _warped(h, u, 2)
-    T, d, uy = (lambda m, o: warped[(m, o)]), h.degree, u.uy.samples()
-    A11 = _taylor(T, d, 1, uy, 1)  # D_x grad_y h
-    top = np.concatenate([A11, _taylor(T, d, 0, uy, 2)], axis=1)  # D_y grad_y h
-    # the lower row is -D(grad_x h), whose y-block is the transpose of A11
-    bottom = np.concatenate([_taylor(T, d, 2, uy, 0), np.swapaxes(A11, 0, 1)], axis=1)
-    return np.concatenate([top, -bottom])
+    T, d, n, uy = (lambda m, o: warped[(m, o)]), h.degree, h.n, u.uy.samples()
+    A = np.empty((2 * n, 2 * n) + u.grid.point_shape)
+    A[:n, :n] = _taylor(T, d, 1, uy, 1)  # D_x grad_y h
+    A[:n, n:] = _taylor(T, d, 0, uy, 2)  # D_y grad_y h
+    # the lower row is -D(grad_x h), whose y-block is the transpose of the upper x-block
+    np.negative(_taylor(T, d, 2, uy, 0), out=A[n:, :n])
+    np.negative(A[:n, :n].swapaxes(0, 1), out=A[n:, n:])
+    return A
 
 
 def jacobian_A(h: HamiltonianData, u: TorusEmbedding) -> SpectralField:
@@ -579,6 +581,8 @@ def solve_torus(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not isinstance(omega, FrequencyVector):  # the summary reads its gamma and sigma
+        raise TypeError(f"omega must be a FrequencyVector, got {type(omega).__name__}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if mode == "thm1" and np.linalg.cond(h.Q.mean()) > 1e12:
@@ -625,23 +629,18 @@ def solve_torus(
 _COMPARE_BLOCK = 1000  # orbit points per block of the streamed comparison with u(theta0 + omega t)
 
 
-def _point_terms(rows: dict, shape: tuple, grid: TorusGrid, shift: list):
-    """Closure z = (x, y) -> shift + sum of table(x)[r, a, b[, c]] y1_a y1_b [y1_c], y1 = (1, y).
+def _point_terms(terms: list, grid: TorusGrid, shift: list):
+    """Closure z = (x, y) -> shift + sum of c(x) prod_{a in ys} y_a in output r over the terms
+    (output r, y indices ys of the monomial, Fourier coefficients c of its factor).
 
-    The table's component axes, shape, are (output r, one slot per factor of y1); rows maps the
-    C-order flat index of each of its rows that may be nonzero to its coefficients, and the rows
-    it leaves out are zero. Each nonzero row of their real_terms, in C order, is a term: output r
-    times the monomial of y at the slots > 0. A call makes one real product with
-    [cos(x.k) | sin(x.k) | 1] and sums the monomials on Python floats; it takes any sequence of
-    2n floats and returns a list.
+    The nonzero rows of the terms' stacked real_terms are kept, in list order. A call makes one
+    real product with [cos(x.k) | sin(x.k) | 1] and sums the monomials on Python floats; it takes
+    any sequence of 2n floats and returns a list.
     """
-    n, index = grid.dim, np.array(sorted(rows), dtype=int)
-    coeffs = np.array([rows[r] for r in index.tolist()], dtype=complex)
-    modes, mat = real_terms(SpectralField(grid, coeffs.reshape((len(index),) + grid.mode_shape)))
+    n = grid.dim
+    modes, mat = real_terms(SpectralField(grid, np.array([c for _, _, c in terms], dtype=complex)))
     keep = np.flatnonzero(np.any(mat != 0, axis=-1))
-    mat = mat[keep]
-    terms = [(r, [a - 1 for a in ab if a]) for r, *ab in
-             np.array(np.unravel_index(index[keep], shape)).T.tolist()]
+    mat, terms = mat[keep], [terms[i][:2] for i in keep.tolist()]
     phase, buf = np.empty(modes.shape[1]), np.ones(mat.shape[1])  # buf: [cos | sin | 1]
     cos_part, sin_part = np.split(buf[:-1], 2)
 
@@ -662,31 +661,26 @@ def _point_terms(rows: dict, shape: tuple, grid: TorusGrid, shift: list):
 def _flow_closures(h: HamiltonianData, xi) -> tuple:
     """The flow oracle's point evaluators z -> X_{h_xi}(z) and z -> [h_xi(z)], h_xi = h + <xi, y>.
 
-    One loop over the Taylor order m fills the rows of both tables of _point_terms that some term
-    writes and that are not zero: X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!)
-    shifted by (xi; 0), and h = sum_m a_m[y^m] / m! with xi in the a1 slot at k = 0."""
+    One loop over the Taylor order m lists the terms of _point_terms: h = sum_m a_m[y^m] / m! with
+    xi added to a_1 at k = 0, and X_h = (sum_m a_m[y^(m-1)] / (m-1)!; -sum_m (d_x a_m)[y^m] / m!)
+    shifted by (xi; 0). Each output's terms run by Taylor order, then by the C order of their
+    y indices."""
     g, n, d, xi = h.grid, h.n, h.degree, _xi(xi, h.n)
-    shapes = ((2 * n,) + (n + 1,) * d, (1,) + (n + 1,) * d)  # X_h's table, h's table
-    rows = ({}, {})
-
-    def put(t: int, where: tuple, coeffs: np.ndarray) -> None:
-        """Write coeffs to the rows `where` of table t, keeping a copy of each nonzero row."""
-        index = np.arange(math.prod(shapes[t])).reshape(shapes[t])[where]
-        for r, c in zip(index.ravel().tolist(), coeffs.reshape(-1, *g.mode_shape)):
-            if np.any(c != 0):  # NaN is nonzero
-                rows[t][r] = c.copy()
-
+    energy, xh = [], []  # the terms of h and of X_h
     for m in range(d + 1):
-        ys = (0,) * (d - m) + (slice(1, None),) * m  # the slots of y^m
-        a_m = h.gradient(m).coeffs / math.factorial(m)
+        a_m = h.gradient(m).coeffs
+        e = a_m / math.factorial(m)
         if m == 1:
-            a_m[g.mean_index] += xi
-        put(1, (0,) + ys, a_m)
-        put(0, (slice(n, None),) + ys, -np.moveaxis(h.gradient(m, 1).coeffs, m, 0) / math.factorial(m))
-        if m > 0:
-            put(0, (slice(None, n), 0) + ys[:-1], h.gradient(m).coeffs / math.factorial(m - 1))
-    return (_point_terms(rows[0], shapes[0], g, xi.tolist() + [0.0] * n),
-            _point_terms(rows[1], shapes[1], g, [0.0]))
+            e[g.mean_index] += xi
+        dx = -h.gradient(m, 1).coeffs / math.factorial(m)  # the x-derivative axis last
+        for ys in np.ndindex((n,) * m):
+            energy.append((0, ys, e[ys]))
+            xh += [(n + i, ys, dx[ys + (i,)]) for i in range(n)]
+            if m > 0:
+                xh.append((ys[0], ys[1:], a_m[ys] / math.factorial(m - 1)))
+    xh.sort(key=lambda term: term[0])  # stable: by output, then in the order listed
+    return (_point_terms(xh, g, xi.tolist() + [0.0] * n),
+            _point_terms(energy, g, [0.0]))
 
 
 def flow_oracle(

@@ -414,6 +414,21 @@ def test_a_config_value_that_is_not_a_json_number_is_config_error(tmp_path, freq
     assert err["error"] == "ConfigError" and err["message"].startswith(f"{path}: expected a number")
 
 
+@pytest.mark.parametrize(
+    "frequency, K_values, path",
+    [({"omega": [1.0, GOLDEN], "sigma": 10**400}, [8], "frequency.sigma"),
+     ({"omega": [1.0, GOLDEN], "sigma": 1.0}, [8, 10**400], "scan.K_values[1]")],
+    ids=["huge-sigma", "huge-K"],
+)
+def test_an_integer_beyond_the_float_range_is_not_finite(tmp_path, frequency, K_values, path):
+    # float() of such an integer raises OverflowError; the config reads it as Infinity
+    doc = {"kind": "diophantine", "frequency": frequency, "scan": {"K_values": K_values}}
+    code, out = run_code(tmp_path, doc, kind="diophantine")
+    assert code == EXIT_CONFIG and not (out / "diophantine.csv").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["message"] == f"{path}: inf is not finite"
+
+
 def test_an_integral_float_is_a_config_integer(tmp_path):
     doc = {"kind": "diophantine", "frequency": {"omega": [1.0, GOLDEN], "sigma": 1.0},
            "scan": {"K_values": [8.0]}}

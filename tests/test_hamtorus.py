@@ -885,6 +885,17 @@ def test_solve_torus_rejects_max_iter_below_one_before_the_first_step(monkeypatc
     assert calls == []
 
 
+def test_solve_torus_rejects_a_plain_frequency_before_the_first_step(monkeypatch):
+    # the summary reads the certified gamma; unchecked, a list of floats ran every step first
+    def no_step(*args):
+        raise AssertionError("a step ran before omega was checked")
+
+    monkeypatch.setattr(hamtorus, "assemble_rhs", no_step)
+    g, om = small_grid(), freq()
+    with pytest.raises(TypeError, match="omega must be a FrequencyVector, got list"):
+        solve_torus(thm2_shift_data(g, om), list(om.omega), mode="thm2", s=3.0)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_solve_torus_rejects_a_tol_not_finite_and_positive(tol):
     g, om = small_grid(), freq()
@@ -1072,6 +1083,28 @@ def test_warm_solve_at_the_benchmark_grid_peaks_below_20_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def test_jacobian_is_written_into_one_array():
+    # dim 3, K = 8, ux = 0 so that no warp runs and the peak is the assembly of A itself: A,
+    # one n x n block in the making, the warped gradients and uy measured 2.08 A; assembling two
+    # block rows and concatenating them measured 3.08 A
+    g = TorusGrid.create(3, 8)
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j}),
+        a1=SpectralField.constant(g, [1.0, GOLDEN, math.sqrt(2.0) - 1.0]),
+        Q=MatrixField.constant(g, np.eye(3)),
+    )
+    u = TorusEmbedding(VectorField.zero(g, 3), random_embedding(g, np.random.default_rng(5), 0.01).uy)
+    hamtorus._jacobian_samples(h, u)
+    tracemalloc.start()
+    try:
+        A = hamtorus._jacobian_samples(h, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (6, 6) + g.point_shape
+    assert peak <= 2.25 * A.nbytes
 
 
 @pytest.mark.parametrize("dim, K", [(1, 16), (2, 8), (3, 4)])
