@@ -44,6 +44,11 @@ class CircleProblem:
     def __post_init__(self):
         if self.f.grid.dim != 1 or self.f.shape:
             raise ValueError("circle problems need a scalar f on T^1")
+        if not isinstance(self.alpha, RotationAngle):  # the summary reads its gamma
+            raise TypeError(f"alpha must be a RotationAngle, got {type(self.alpha).__name__}")
+        if self.alpha.certified_modes < self.f.grid.max_mode:
+            raise ValueError(f"alpha is certified on K = {self.alpha.certified_modes}, "
+                             f"below the grid's K = {self.f.grid.max_mode}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):  # the driver checks max_iter
@@ -170,6 +175,7 @@ def solve(problem: CircleProblem) -> CircleSolution:
     _, tail = compose_warped(problem.f, VectorField([u]), return_tail=True)
     report.extras["compose_tail_energy"] = tail
     report.extras["lambda"] = lam
+    report.extras["gamma"] = problem.alpha.gamma
     report.extras["u_hs"] = u.sobolev_norm(problem.s)
     if problem.mode != "naive":
         report.extras["kappa"] = certify(u, lam, problem, cut)

@@ -4,9 +4,9 @@ Configs are strict JSON (unknown keys rejected). Every run writes a config
 echo next to its outputs; CSV rows carry no wall-clock so identical configs
 produce bit-identical files. Exit codes: 0 success, 2 config error, 3 any
 errors.SolverError (no convergence, a non-finite value, ...), 4 internal
-invariant violation. This module only parses and reports: the solver modes,
-the probe bounds and the handle memory estimate come from the modules that
-own them.
+invariant violation. This module only parses and reports: the solver modes
+and defaults, the probe bounds, the memory estimates and the summaries' gamma
+come from the modules that own them.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
-# a grid whose para-product low-pass stack (and, on the torus, step samples) would exceed
-# this is a config error, and so is a Diophantine scan that would
+# a grid whose solve would need more than this (the torus solver's estimate, or one scalar
+# handle's low-passes) is a config error, and so is a Diophantine scan that would
 MEMORY_BUDGET_BYTES = 512 * 2**20
 
 
@@ -105,12 +105,7 @@ def _parse_grid(cfg, kind: str) -> TorusGrid:
         grid = TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    # a handle's low-passes, for a (2n x 2n) frame symbol on the torus and a scalar symbol
-    # otherwise, and on the torus the full-size samples of the step
-    if kind == "torus":
-        need = low_pass_bytes(grid, (2 * grid.dim,) * 2) + hamtorus.step_sample_bytes(grid)
-    else:
-        need = low_pass_bytes(grid, ())
+    need = hamtorus.solve_bytes(grid) if kind == "torus" else low_pass_bytes(grid, ())
     if need > MEMORY_BUDGET_BYTES:
         raise ConfigError(f"grid: the para-product low-passes and step samples need about "
                           f"{need / 2**20:.0f} MiB, more than the budget of "
@@ -118,24 +113,24 @@ def _parse_grid(cfg, kind: str) -> TorusGrid:
     return grid
 
 
-def _parse_solver(cfg, modes, path="solver"):
-    """Solver settings; the mode is one of the solver module's modes, by default its first."""
+def _parse_solver(cfg, modes) -> dict:
+    """Solver settings; the mode is one of the solver module's modes, by default its first.
+
+    tol and max_iter are passed only when the config gives them, so the solver's defaults apply.
+    """
     cfg = cfg or {}
-    _require_keys(
-        cfg, {"s": False, "tol": False, "max_iter": False, "mode": False}, path
-    )
-    mode = cfg.get("mode", modes[0])
-    if mode not in modes:
-        raise ConfigError(f"{path}.mode: {mode!r} not in {modes}")
-    tol = _finite(cfg.get("tol", 1e-10), f"{path}.tol")
-    if tol <= 0.0:
-        raise ConfigError(f"{path}.tol: expected a number > 0, got {tol}")
-    return {
-        "s": _finite(cfg.get("s", 3.0), f"{path}.s"),
-        "tol": tol,
-        "max_iter": _integer(cfg.get("max_iter", 40), f"{path}.max_iter", 1),
-        "mode": mode,
-    }
+    _require_keys(cfg, {"s": False, "tol": False, "max_iter": False, "mode": False}, "solver")
+    sv = {"mode": cfg.get("mode", modes[0])}
+    if sv["mode"] not in modes:
+        raise ConfigError(f"solver.mode: {sv['mode']!r} not in {modes}")
+    if "tol" in cfg:
+        sv["tol"] = _finite(cfg["tol"], "solver.tol")
+        if sv["tol"] <= 0.0:
+            raise ConfigError(f"solver.tol: expected a number > 0, got {sv['tol']}")
+    sv["s"] = _finite(cfg.get("s", 3.0), "solver.s")
+    if "max_iter" in cfg:
+        sv["max_iter"] = _integer(cfg["max_iter"], "solver.max_iter", 1)
+    return sv
 
 
 def _write_json(path: Path, doc) -> None:
@@ -193,7 +188,6 @@ def run_circle(cfg: dict, out: Path, seed: int) -> int:
     csv_path = out / outputs.get("csv", "circle.csv")
     sol = _solve_saving_trajectory(lambda: solve(problem), csv_path)
     rep = sol.report
-    rep.extras["gamma"] = alpha.gamma
     if orbit_m:
         rho = rotation_number(alpha, f, sol.lam, orbit_m)
         rep.extras["rotation_defect"] = abs(rho - float(alpha))
@@ -263,12 +257,7 @@ def run_torus(cfg: dict, out: Path, seed: int) -> int:
         if T < 0 or dt <= 0 or not math.isfinite(T / dt):
             raise ConfigError(f"{path}: need T >= 0, dt > 0 and T / dt finite, got T={T}, dt={dt}")
     csv_path = out / outputs.get("csv", "torus.csv")
-    sol = _solve_saving_trajectory(
-        lambda: solve_torus(
-            h, omega, mode=sv["mode"], s=sv["s"], tol=sv["tol"], max_iter=sv["max_iter"]
-        ),
-        csv_path,
-    )
+    sol = _solve_saving_trajectory(lambda: solve_torus(h, omega, **sv), csv_path)
     rep = sol.report
     if oracle:
         rep.extras["flow_deviation"] = flow_oracle(
@@ -400,36 +389,35 @@ _RUNNERS = {
 }
 
 
-def _run_one(config_path: Path, out: Path, seed: int, expected_kind: str | None) -> int:
+# the stderr prefix and exit code of each error class a run reports, most specific first
+_FAILURES = ((ConfigError, "config error", EXIT_CONFIG),
+             (SolverError, "solver error", EXIT_SOLVER),
+             (ParatorusError, "internal invariant violation", EXIT_INTERNAL))
+
+
+def _run_one(config_path: Path, out: Path, seed: int, expected_kind: str) -> int:
     try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        try:
+            with open(config_path) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            # unreadable, not UTF-8, not JSON, or an integer too long or nesting too deep to parse
+            raise ConfigError(str(exc)) from exc
         if not isinstance(cfg, dict) or "kind" not in cfg:
             raise ConfigError("config must be an object with a 'kind'")
         kind = cfg["kind"]
         if kind not in _RUNNERS:
             raise ConfigError(f"unknown kind {kind!r}")
-        if expected_kind is not None and kind != expected_kind:
+        if kind != expected_kind:
             raise ConfigError(f"subcommand {expected_kind!r} got config of kind {kind!r}")
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config_echo.json", cfg)
         return _RUNNERS[kind](cfg, out, seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _write_json(out / "error.json", {"error": "ConfigError", "message": str(exc)})
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_SOLVER
     except ParatorusError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        prefix, code = next((p, c) for cls, p, c in _FAILURES if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INTERNAL
+        return code
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteError,
     SingularAverageError,
 )
-from .paraprod import ParaOpHandle, para_invert_with_handle
+from .paraprod import ParaOpHandle, low_pass_bytes, para_invert_with_handle
 from .reporting import SolveReport, picard
 from .smalldiv import FrequencyVector, omega_directional_inverse, remove_mean
 from .spectral import SpectralField, TorusGrid, VectorField, analyze, compress, real_terms
@@ -293,15 +293,17 @@ def _point_chunks(dim: int, *arrays):
         yield [a[index] for a in arrays]
 
 
-def step_sample_bytes(grid: TorusGrid) -> int:
-    """Bytes of the full-size collocation samples a torus step holds at once.
+def solve_bytes(grid: TorusGrid) -> int:
+    """Bytes a torus solve on grid is estimated to hold at once.
 
-    P = du (2n x n), N^{-1} (n x n), M, M^{-1} and B (2n x 2n each), one real array of the
-    4K collocation grid per component. The algebra that forms them runs in chunks of _CHUNK
-    points, so these outputs are what grows with the grid.
+    One (2n x 2n) handle's low-pass stack (paraprod.low_pass_bytes), plus the full-size
+    collocation samples of a step: P = du (2n x n), N^{-1} (n x n), M, M^{-1} and B (2n x 2n
+    each), one real array of the 4K collocation grid per component. The algebra that forms the
+    samples runs in chunks of _CHUNK points, so these outputs are what grows with the grid.
     """
     n = grid.dim
-    return (2 * n * n + n * n + 3 * (2 * n) ** 2) * math.prod(grid.point_shape) * 8
+    samples = (2 * n * n + n * n + 3 * (2 * n) ** 2) * math.prod(grid.point_shape) * 8
+    return low_pass_bytes(grid, (2 * n,) * 2) + samples
 
 
 def _embedding_jacobian_samples(u: TorusEmbedding) -> np.ndarray:
@@ -583,6 +585,9 @@ def solve_torus(
         raise ValueError(f"mode must be one of {MODES}")
     if not isinstance(omega, FrequencyVector):  # the summary reads its gamma and sigma
         raise TypeError(f"omega must be a FrequencyVector, got {type(omega).__name__}")
+    if omega.certified_modes < h.grid.max_mode:
+        raise ValueError(f"omega is certified on K = {omega.certified_modes}, "
+                         f"below the grid's K = {h.grid.max_mode}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if mode == "thm1" and np.linalg.cond(h.Q.mean()) > 1e12:

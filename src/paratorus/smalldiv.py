@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,20 @@ MEAN_TOLERANCE = 1e-12
 _RESONANCE_EPS = 1e-14
 
 
+def _check_modes(K) -> None:
+    """The mode count of a scan must be an integer >= 1 (a bool is not one)."""
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+
+
 def certify_diophantine(omega, sigma: float, K: int) -> float:
     """Smallest gamma with |k.omega| >= 1/(gamma |k|^sigma) for all 0 < |k_i| <= K.
 
     Scans the full retained mode box; raises ResonantModeError if some k.omega
     vanishes to machine precision, ValueError unless sigma > 0 and sigma and
-    omega are finite.
+    omega are finite and K is an integer >= 1.
     """
+    _check_modes(K)
     omega = np.asarray(omega, dtype=float)
     if not (math.isfinite(sigma) and sigma > 0 and np.all(np.isfinite(omega))):
         raise ValueError(f"need a finite sigma > 0 and a finite omega, got {sigma}, {omega}")
@@ -64,6 +72,7 @@ def scan_bytes(n: int, K: int) -> int:
 
 def certify_rotation_angle(alpha: float, sigma: float, K: int) -> float:
     """Smallest gamma with |q alpha/pi - p| >= 1/(gamma q^sigma) for 1 <= q <= K."""
+    _check_modes(K)
     if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(alpha)):
         raise ValueError(f"need a finite sigma > 0 and a finite alpha, got {sigma}, {alpha}")
     q = np.arange(1, K + 1, dtype=float)

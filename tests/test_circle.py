@@ -449,6 +449,29 @@ def test_problem_rejects_a_non_finite_coefficient(value):
         CircleProblem(alpha=prob.alpha, f=prob.f, s=prob.s)
 
 
+def test_problem_rejects_an_angle_certified_below_the_grid_before_the_first_step(monkeypatch):
+    # gamma certified on fewer modes than the grid keeps is not the gamma of the solve
+    def no_step(*args):
+        raise AssertionError("a step ran before alpha's certified modes were checked")
+
+    monkeypatch.setattr(circle, "g_map", no_step)
+    prob = setup(K=16)
+    alpha = RotationAngle.certify(GOLDEN_ALPHA, 1.0, 2)
+    with pytest.raises(ValueError, match="alpha is certified on K = 2, below the grid's K = 16"):
+        solve(CircleProblem(alpha=alpha, f=prob.f, s=prob.s))
+
+
+def test_problem_rejects_an_uncertified_angle():
+    prob = setup(K=16)
+    with pytest.raises(TypeError, match="alpha must be a RotationAngle, got float"):
+        CircleProblem(alpha=GOLDEN_ALPHA, f=prob.f, s=prob.s)
+
+
+def test_summary_reports_the_certified_gamma():
+    prob = setup(K=16, amp=0.02)
+    assert solve(prob).report.extras["gamma"] == prob.alpha.gamma
+
+
 # --- certification -------------------------------------------------------------
 
 

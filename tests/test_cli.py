@@ -569,6 +569,20 @@ EXIT_3_ERRORS = (
 )
 
 
+@pytest.mark.parametrize(
+    "data", [None, b"{", b"[1, 2", b"\xff\xfe{", b"9" * 5000, b"[" * 100_000 + b"]" * 100_000],
+    ids=["missing", "brace", "truncated", "not-utf-8", "long-integer", "deep"])
+def test_an_unreadable_config_writes_error_json(tmp_path, capsys, data):
+    cfg = tmp_path / "c.json"
+    if data is not None:
+        cfg.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["circle", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConfigError"
+    assert capsys.readouterr().err == f"config error: {error['message']}\n"
+
+
 def test_exit_3_is_exactly_the_solver_errors():
     assert all(issubclass(e, SolverError) for e in EXIT_3_ERRORS + (SingularAverageError,))
     assert not any(issubclass(e, SolverError)
@@ -650,3 +664,17 @@ def test_torus_grid_within_the_memory_budget_reaches_the_solve(tmp_path, monkeyp
     monkeypatch.setattr(cli, "solve_torus", reach_solve)
     with pytest.raises(SolveReached):
         run_code(tmp_path, dim3_torus_config(16), kind="torus")
+
+
+def test_a_torus_config_without_tol_or_max_iter_gets_the_solver_defaults(tmp_path, monkeypatch):
+    # the solver owns its defaults: max_iter is solve_torus's 50, not a CLI constant
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append(kwargs)
+        raise SolveReached
+
+    monkeypatch.setattr(cli, "solve_torus", capture)
+    with pytest.raises(SolveReached):
+        run_code(tmp_path, torus_config(), kind="torus")
+    assert calls == [{"mode": "thm2", "s": 3.0}]

@@ -896,6 +896,18 @@ def test_solve_torus_rejects_a_plain_frequency_before_the_first_step(monkeypatch
         solve_torus(thm2_shift_data(g, om), list(om.omega), mode="thm2", s=3.0)
 
 
+def test_solve_torus_rejects_a_frequency_certified_below_the_grid_before_the_first_step(
+        monkeypatch):
+    # gamma certified on fewer modes than the grid keeps is not the gamma of the solve
+    def no_step(*args):
+        raise AssertionError("a step ran before omega's certified modes were checked")
+
+    monkeypatch.setattr(hamtorus, "assemble_rhs", no_step)
+    g, om = small_grid(16), freq(2)
+    with pytest.raises(ValueError, match="omega is certified on K = 2, below the grid's K = 16"):
+        solve_torus(thm2_shift_data(g, om), om, mode="thm2", s=3.0)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_solve_torus_rejects_a_tol_not_finite_and_positive(tol):
     g, om = small_grid(), freq()

@@ -96,6 +96,18 @@ def test_certify_rotation_angle_rejects_non_finite_input(alpha, sigma):
         certify_rotation_angle(alpha, sigma, 4)
 
 
+@pytest.mark.parametrize("K", [0, -3, 2.5, True])
+def test_certification_rejects_a_mode_count_that_is_not_an_integer_of_at_least_one(K):
+    # unchecked, 2.5 scans the non-integer "modes" arange(-2.5, 3.5), True scans K = 1 and
+    # K <= 0 leaves no mode to scan
+    for certify in (lambda: certify_diophantine([1.0, GOLDEN], 1.0, K),
+                    lambda: certify_rotation_angle(2.0, 1.0, K),
+                    lambda: FrequencyVector.certify([1.0, GOLDEN], 1.0, K),
+                    lambda: RotationAngle.certify(2.0, 1.0, K)):
+        with pytest.raises(ValueError, match=rf"K must be an integer >= 1, got {K!r}"):
+            certify()
+
+
 # --- delta_alpha and its inverse ----------------------------------------------
 
 
