@@ -58,6 +58,7 @@ from .circle import (
     CircleProblem,
     CircleSolution,
     certify,
+    compose_f,
     g_map,
     residual,
     rotation_number,

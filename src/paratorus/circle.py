@@ -76,8 +76,21 @@ def _reciprocal(field: SpectralField) -> SpectralField:
     return analyze(field.grid, 1.0 / vals)
 
 
-def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
+def compose_f(u: SpectralField, problem: CircleProblem):
+    """([f o (Id + u), f' o (Id + u)] as one two-component field, their truncation tails).
+
+    f and f' are composed at the same warped points, sharing every phase table. The solve
+    composes once per iterate and hands the result to that iterate's residual row, the
+    g_map step taken from it and, for the last iterate, to the tail and kappa.
+    """
+    f = problem.f
+    return compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]), return_tail=True)
+
+
+def g_map(u: SpectralField, comp: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     """One application of the para-inverse right-hand side; returns (u_next, lambda).
+
+    comp is [f o (Id + u), f' o (Id + u)], the field compose_f returns for u.
 
     With base = f (or chi* f in refined mode), both smoothing remainders are one
     literal difference, T_a being linear in its symbol a:
@@ -96,8 +109,7 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     H_fwd = ParaOpHandle(one_du.translate([float(alpha)]), cut)
     H_recip = ParaOpHandle(recip, cut)
 
-    # f and f' at the same warped points, sharing every phase exponential
-    comp, fprime_comp = compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]))
+    comp, fprime_comp = comp
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
     if problem.mode == "refined":
         base = para_compose(f, VectorField([u]), cut)
@@ -117,27 +129,33 @@ def g_map(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     return u_next, lam
 
 
-def _naive_step(u: SpectralField, problem: CircleProblem):
-    comp = compose_warped(problem.f, VectorField([u]))
+def _naive_step(comp: SpectralField, problem: CircleProblem):
+    comp = comp[0]
     lam = comp.mean()
     u_next = delta_alpha_inverse(remove_mean(comp), problem.alpha)
     return u_next, lam
 
 
-def residual(u: SpectralField, lam: float, problem: CircleProblem):
-    """Conjugacy defect Delta_alpha u - f o (Id + u) + lambda and its norms."""
-    field = delta_alpha(u, problem.alpha) - compose_warped(problem.f, VectorField([u])) + lam
+def residual(u: SpectralField, lam: float, problem: CircleProblem, comp=None):
+    """Conjugacy defect Delta_alpha u - f o (Id + u) + lambda and its norms.
+
+    comp is f o (Id + u) if it is already composed; otherwise residual composes it.
+    """
+    if comp is None:
+        comp = compose_warped(problem.f, VectorField([u]))
+    field = delta_alpha(u, problem.alpha) - comp + lam
     return field, field.sup_norm(), field.sobolev_norm(problem.s)
 
 
-def certify(u: SpectralField, lam: float, problem: CircleProblem, cut: DyadicCutoff) -> float:
+def certify(u: SpectralField, lam: float, problem: CircleProblem, cut: DyadicCutoff,
+            comp=None) -> float:
     """Neumann certificate kappa = |T_{E'/(1+u')} u|_{H^s} / |E|_{H^s}.
 
     kappa < 1 certifies that the para-homological solution annihilates the
     residual up to discretization; the operator is applied to the measured
-    residual E itself.
+    residual E itself. comp is f o (Id + u) if it is already composed (see residual).
     """
-    E, _, _ = residual(u, lam, problem)
+    E, _, _ = residual(u, lam, problem, comp)
     denom = E.sobolev_norm(problem.s)
     if denom == 0.0:
         return 0.0
@@ -152,33 +170,38 @@ def solve(problem: CircleProblem) -> CircleSolution:
     residual. It stops when the increment drops below tol, with a secondary
     stop on residual sup-norm below tol/10; the driver raises
     MaxIterExceededError or NonFiniteError with the partial report attached.
+    Between steps the driver holds (u, lambda, compose_f(u)): each iterate is
+    composed once, when it is produced, and that composition serves its
+    residual row, the next step and, for the last iterate, the truncation tail
+    and kappa.
     """
     grid = problem.f.grid
     cut = make_cutoff(grid)
 
     def step(state):
-        u, _ = state
+        u, _, (comp, _) = state
         if problem.mode == "naive":
-            u_next, lam = _naive_step(u, problem)
+            u_next, lam = _naive_step(comp, problem)
         else:
-            u_next, lam = g_map(u, problem, cut)
+            u_next, lam = g_map(u, comp, problem, cut)
         inc = (u_next - u).sobolev_norm(problem.s)
-        _, res_sup, res_hs = residual(u_next, lam, problem)
+        composed = compose_f(u_next, problem)
+        _, res_sup, res_hs = residual(u_next, lam, problem, composed[0][0])
         row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs, "lambda": lam}
-        return (u_next, lam), row, inc < problem.tol or res_sup < problem.tol / 10.0
+        return (u_next, lam, composed), row, inc < problem.tol or res_sup < problem.tol / 10.0
 
-    start = (SpectralField.zero(grid), 0.0)
-    (u, lam), report = picard(step, start, CIRCLE_COLUMNS, problem.max_iter)
+    u0 = SpectralField.zero(grid)
+    start = (u0, 0.0, compose_f(u0, problem))
+    (u, lam, (comp, tails)), report = picard(step, start, CIRCLE_COLUMNS, problem.max_iter)
     # terminal diagnostics
     slope = _one_plus_du(u).samples()
     report.extras["min_one_plus_du"] = float(np.min(slope))
-    _, tail = compose_warped(problem.f, VectorField([u]), return_tail=True)
-    report.extras["compose_tail_energy"] = tail
+    report.extras["compose_tail_energy"] = float(tails[0])
     report.extras["lambda"] = lam
     report.extras["gamma"] = problem.alpha.gamma
     report.extras["u_hs"] = u.sobolev_norm(problem.s)
     if problem.mode != "naive":
-        report.extras["kappa"] = certify(u, lam, problem, cut)
+        report.extras["kappa"] = certify(u, lam, problem, cut, comp[0])
     if len(report.rows) >= 2:
         incs = [r["increment_hs"] for r in report.rows[-5:]]
         ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]

@@ -38,8 +38,10 @@ class ParaOpHandle:
 
     The levels j <= 3, whose low-pass S_{j-3} a is the mean, collapse to
     mean(a) * S_3 u, applied exactly on coefficients with no transform. The
-    build samples S_{j-3} a for j = 4..j_max into one preallocated
-    (levels, *symbol.shape, *points) array, one transform per level. An apply
+    build samples S_{j-3} a for j = 4..j_max into one (levels, *symbol.shape,
+    *points) array: a scalar symbol's levels in one stacked transform, a matrix
+    symbol's into a preallocated array one level at a time, so that the
+    transform's temporaries hold one level of the matrix, not all of them. An apply
     makes one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u
     from the k_last >= 0 half of u (DyadicCutoff.block_samples), one einsum
     against the low-passes and one analysis. All of it runs on the N_pp points
@@ -65,11 +67,14 @@ class ParaOpHandle:
         )
         self.sum_levels = "lpq...,lq...->p..." if symbol.shape else "l...,l...->..."
         # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3]
-        mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2)]
-        K, points = self.grid.max_mode, cut.para_points
-        self.low = np.empty((len(mults),) + symbol.shape + (points,) * self.grid.dim)
-        for low, m in zip(self.low, mults):
-            low[...] = _synthesize_half(self.grid, m[..., K:] * symbol.coeffs[..., K:], points)
+        mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2), ..., self.grid.max_mode :]
+        half, points = symbol.coeffs[..., self.grid.max_mode :], cut.para_points
+        if symbol.shape:
+            self.low = np.empty((len(mults),) + symbol.shape + (points,) * self.grid.dim)
+            for low, m in zip(self.low, mults):
+                low[...] = _synthesize_half(self.grid, m * half, points)
+        else:
+            self.low = _synthesize_half(self.grid, mults * half, points)
 
     def apply(self, u: SpectralField) -> SpectralField:
         cut = self.cut

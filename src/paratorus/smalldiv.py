@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonzeroMeanError, ResonantModeError
-from .spectral import SpectralField
+from .spectral import SpectralField, _shift_symbol
 
 log = logging.getLogger(__name__)
 
@@ -170,7 +170,7 @@ def delta_alpha_inverse(f: SpectralField, alpha) -> SpectralField:
     """Modewise division by e^{ik alpha} - 1 on mean-zero circle fields, on every component."""
     if f.grid.dim != 1:
         raise ValueError("delta_alpha_inverse acts on circle fields (dim 1)")
-    div = np.exp(1j * f.grid.mode_axis * float(alpha)) - 1.0
+    div = _shift_symbol(f.grid, (float(alpha),)) - 1.0
     return _divide(f, div, "delta_alpha_inverse")
 
 

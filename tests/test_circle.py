@@ -15,6 +15,7 @@ from paratorus import (
     SpectralField,
     TorusGrid,
     certify,
+    compose_f,
     delta_alpha,
     delta_alpha_inverse,
     g_map,
@@ -24,9 +25,10 @@ from paratorus import (
     solve,
 )
 import paratorus.circle as circle
+import paratorus.paraprod as paraprod
 from paratorus.paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
 from paratorus.spectral import (
-    VectorField, analyze, compose_warped, real_terms, synthesize, warp_samples,
+    VectorField, analyze, real_terms, synthesize, warp_samples,
 )
 
 GOLDEN_ALPHA = math.pi * (math.sqrt(5.0) - 1.0)
@@ -51,9 +53,9 @@ def patch_g_map(monkeypatch, call, outcome):
     """Let circle.g_map hand its call-th result (u_next, lambda) to outcome instead."""
     real, calls = circle.g_map, []
 
-    def patched(u, problem, cut):
+    def patched(u, comp, problem, cut):
         calls.append(u)
-        result = real(u, problem, cut)
+        result = real(u, comp, problem, cut)
         return outcome(*result) if len(calls) == call else result
 
     monkeypatch.setattr(circle, "g_map", patched)
@@ -63,10 +65,15 @@ def patch_g_map(monkeypatch, call, outcome):
 # --- g_map ------------------------------------------------------------------
 
 
+def step(u, problem, cut):
+    """g_map from u, on the composition the solve carries for u."""
+    return g_map(u, compose_f(u, problem)[0], problem, cut)
+
+
 def test_g_map_zero_problem():
     prob = setup(amp=0.0)
     g = prob.f.grid
-    u1, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
+    u1, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
     assert u1.l2_norm() == 0.0 and lam == 0.0
 
 
@@ -75,7 +82,7 @@ def test_g_map_first_iterate_single_mode_formula():
     g = prob.f.grid
     eps = 0.01
     prob.f = SpectralField.from_modes(g, {1: eps / 2})  # eps cos x
-    u1, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
+    u1, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
     assert abs(lam) < 1e-14
     expect = SpectralField.from_modes(
         g, {1: (eps / 2) / (np.exp(1j * prob.alpha.alpha) - 1.0)}
@@ -88,14 +95,14 @@ def test_g_map_with_mean_balances_lambda():
     g = prob.f.grid
     m = 0.37
     prob.f = SpectralField.from_modes(g, {1: 0.005}) + m
-    _, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
+    _, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
     assert abs(lam - m) < 1e-13
 
 
 def test_g_map_equals_small_divisor_inverse_at_zero():
     prob = setup(amp=0.03)
     g = prob.f.grid
-    u1, lam = g_map(SpectralField.zero(g), prob, make_cutoff(g))
+    u1, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
     direct = delta_alpha_inverse(prob.f, prob.alpha)
     assert (u1 - direct).l2_norm() < 1e-13
     assert abs(lam) < 1e-14
@@ -107,7 +114,8 @@ def test_g_map_builds_three_handles(monkeypatch, mode):
     # inversions; the remainder's symbol slope - f'(Id + u) makes the third
     prob = setup(amp=0.1, mode=mode)
     cut = make_cutoff(prob.f.grid)
-    u, _ = g_map(SpectralField.zero(prob.f.grid), prob, cut)
+    u, _ = step(SpectralField.zero(prob.f.grid), prob, cut)
+    comp, _ = compose_f(u, prob)
     builds, inversions = [], []
     init, invert = ParaOpHandle.__init__, circle.para_invert_with_handle
 
@@ -121,18 +129,18 @@ def test_g_map_builds_three_handles(monkeypatch, mode):
 
     monkeypatch.setattr(ParaOpHandle, "__init__", counting_init)
     monkeypatch.setattr(circle, "para_invert_with_handle", counting_invert)
-    g_map(u, prob, cut)
+    g_map(u, comp, prob, cut)
     assert len(builds) == 3 and len(inversions) == 2
 
 
-def four_handle_g_map(u, problem, cut):
+def four_handle_g_map(u, comp, problem, cut):
     """The step as four handles and three inversions: separate remainders, lambda by inversion."""
     f, alpha = problem.f, problem.alpha
     one_du = u.derivative(0) + 1.0
     recip = analyze(u.grid, 1.0 / one_du.samples())
     H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
     H_recip = ParaOpHandle(recip, cut)
-    comp, fprime_comp = compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]))
+    comp, fprime_comp = comp
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
     # R_1(u) = [Delta_alpha u - T_{Delta_alpha u'/(1+u')} u]
     #          - T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u
@@ -162,9 +170,10 @@ def test_g_map_matches_the_four_handle_step(mode):
     cut = make_cutoff(prob.f.grid)
     u = SpectralField.zero(prob.f.grid)
     for _ in range(3):  # a nonzero iterate
-        u, _ = g_map(u, prob, cut)
-    u_next, lam = g_map(u, prob, cut)
-    ref_u, ref_lam = four_handle_g_map(u, prob, cut)
+        u, _ = step(u, prob, cut)
+    comp, _ = compose_f(u, prob)
+    u_next, lam = g_map(u, comp, prob, cut)
+    ref_u, ref_lam = four_handle_g_map(u, comp, prob, cut)
     assert lam == ref_lam
     assert (u_next - ref_u).l2_norm() <= 1e-13 * ref_u.l2_norm()
 
@@ -196,7 +205,7 @@ def test_g_map_rejects_lost_diffeomorphism():
     g = prob.f.grid
     steep = SpectralField.from_modes(g, {1: -0.6j})  # slope 1.2
     with pytest.raises(DiffeomorphismLostError):
-        g_map(steep, prob, make_cutoff(g))
+        step(steep, prob, make_cutoff(g))
 
 
 # --- solve -------------------------------------------------------------------
@@ -207,6 +216,24 @@ def test_solve_zero_perturbation_single_iteration():
     assert sol.u.l2_norm() == 0.0
     assert sol.lam == 0.0
     assert sol.report.iterations == 1
+
+
+@pytest.mark.parametrize("mode", ["standard", "refined", "naive"])
+def test_solve_composes_f_once_per_iterate(monkeypatch, mode):
+    # f o (Id + u) is composed when an iterate is produced and then read by its residual row,
+    # the step from it and, for the last iterate, the tail and kappa: n + 1 compositions for
+    # n steps, u = 0 included; refined mode adds one para_compose of chi* f per step
+    calls = {"circle": 0, "paraprod": 0}
+    for module in (circle, paraprod):
+        def counting(*args, _real=module.compose_warped, _name=module.__name__, **kwargs):
+            calls[_name.split(".")[-1]] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "compose_warped", counting)
+    sol = solve(setup(K=128, amp=0.2, mode=mode))
+    n = sol.report.iterations
+    assert n >= 5
+    assert calls == {"circle": n + 1, "paraprod": n if mode == "refined" else 0}
 
 
 def test_solve_golden_mean_acceptance_problem():

@@ -1119,6 +1119,28 @@ def test_jacobian_is_written_into_one_array():
     assert peak <= 2.25 * A.nbytes
 
 
+def test_warped_gradients_hold_bounded_temporaries():
+    # dim 3, K = 8, a three-mode a0 and a random embedding: the one warp_samples call returns
+    # 2.25 MiB (9 rows); with chunks of 4,000,000 complex entries the call peaked at 68.6 MiB,
+    # with every temporary capped at 262,144 entries (4 MiB) at 15.9 MiB
+    g = TorusGrid.create(3, 8)
+    h = HamiltonianData(
+        a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j, (1, -1, 2): 0.001}),
+        a1=SpectralField.constant(g, [1.0, GOLDEN, math.sqrt(2.0) - 1.0]),
+        Q=MatrixField.constant(g, np.eye(3)),
+    )
+    u = random_embedding(g, np.random.default_rng(5), 0.01)
+    hamtorus._warped(h, u, 2)
+    tracemalloc.start()
+    try:
+        warped = hamtorus._warped(h, u, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert warped[(0, 2)].nbytes == 9 * 32**3 * 8
+    assert peak < 24 * 2**20
+
+
 @pytest.mark.parametrize("dim, K", [(1, 16), (2, 8), (3, 4)])
 def test_chunked_frame_torsion_and_b_equal_one_chunk_bit_for_bit(dim, K, monkeypatch):
     g = TorusGrid.create(dim, K)

@@ -24,6 +24,7 @@ from paratorus import (
     zygmund_norm,
 )
 from paratorus.paraprod import ParaOpHandle, para_invert_with_handle
+from paratorus.spectral import _synthesize_half
 
 from test_spectral import hermitian_defect, random_field
 
@@ -605,6 +606,22 @@ def test_handle_reuse_matches_function():
     h = ParaOpHandle(a, cut)
     for u in (u1, u2):
         assert np.max(np.abs(h.apply(u).coeffs - para_product(a, u, cut).coeffs)) == 0.0
+
+
+@pytest.mark.parametrize("dim, K, shape", [(1, 512, ()), (2, 32, ()), (3, 16, ()), (2, 32, (2, 2))])
+def test_handle_low_passes_equal_each_level_synthesized_alone(dim, K, shape):
+    # a scalar symbol's levels come from one stacked transform, a matrix symbol's one level
+    # at a time; either way each level is the bits of its own synthesis
+    g = TorusGrid.create(dim, K)
+    cut = make_cutoff(g)
+    rng = np.random.default_rng(31)
+    fields = [random_field(g, rng, band=K) for _ in range(int(np.prod(shape)))]
+    a = SpectralField(g, np.stack([f.coeffs for f in fields]).reshape(shape + g.mode_shape))
+    h = ParaOpHandle(a, cut)
+    assert len(h.low) == cut.j_max - 3 >= 1
+    for j, low in zip(range(4, cut.j_max + 1), h.low):
+        half = (cut.lowpass_mult[j - 3] * a.coeffs)[..., K:]
+        assert np.array_equal(low, _synthesize_half(g, half, cut.para_points))
 
 
 def test_cm_remainder_bilinear_in_second_slot():

@@ -23,6 +23,7 @@ from paratorus import (
     remove_mean,
 )
 
+import paratorus.spectral as spectral
 from test_spectral import random_field
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -192,6 +193,23 @@ def test_inverses_commute_with_translate():
     lhs = delta_alpha_inverse(f, alpha).translate(shift)
     rhs = delta_alpha_inverse(f.translate(shift), alpha)
     assert (lhs - rhs).l2_norm() < 1e-13
+
+
+def test_translation_symbol_is_computed_once_per_shift_and_read_only():
+    # translate, delta_alpha and delta_alpha_inverse read one cached e^{ik alpha}
+    g, alpha = circle_setup()
+    f = mean_zero_random(g, np.random.default_rng(5))
+    spectral._shift_symbol.cache_clear()
+    moved, diff, inv = f.translate([alpha.alpha]), delta_alpha(f, alpha), delta_alpha_inverse(f, alpha)
+    info = spectral._shift_symbol.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    symbol = spectral._shift_symbol(g, (alpha.alpha,))
+    assert not symbol.flags.writeable
+    assert np.array_equal(symbol, np.exp(1j * g.mode_axis * alpha.alpha))
+    assert np.array_equal(moved.coeffs, f.coeffs * symbol)
+    assert np.array_equal(diff.coeffs, (f.coeffs * symbol) - f.coeffs)
+    nz = g.mode_axis != 0
+    assert np.array_equal(inv.coeffs[nz], f.coeffs[nz] / (symbol[nz] - 1.0))
 
 
 # --- directional inverse -------------------------------------------------------
