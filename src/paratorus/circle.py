@@ -168,12 +168,12 @@ def solve(problem: CircleProblem) -> CircleSolution:
 
     A step is one g_map (or one naive step) with its H^s increment and
     residual. It stops when the increment drops below tol, with a secondary
-    stop on residual sup-norm below tol/10; the driver raises
-    MaxIterExceededError or NonFiniteError with the partial report attached.
-    Between steps the driver holds (u, lambda, compose_f(u)): each iterate is
-    composed once, when it is produced, and that composition serves its
-    residual row, the next step and, for the last iterate, the truncation tail
-    and kappa.
+    stop on residual sup-norm below tol/10 (stop_rule increment or residual);
+    the driver raises MaxIterExceededError or NonFiniteError with the partial
+    report attached. Between steps the driver holds (u, lambda, compose_f(u)):
+    each iterate is composed once, when it is produced, and that composition
+    serves its residual row, the next step and, for the last iterate, the
+    truncation tail and kappa.
     """
     grid = problem.f.grid
     cut = make_cutoff(grid)
@@ -188,7 +188,9 @@ def solve(problem: CircleProblem) -> CircleSolution:
         composed = compose_f(u_next, problem)
         _, res_sup, res_hs = residual(u_next, lam, problem, composed[0][0])
         row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs, "lambda": lam}
-        return (u_next, lam, composed), row, inc < problem.tol or res_sup < problem.tol / 10.0
+        tol = problem.tol
+        return (u_next, lam, composed), row, (
+            "increment" if inc < tol else "residual" if res_sup < tol / 10.0 else None)
 
     u0 = SpectralField.zero(grid)
     start = (u0, 0.0, compose_f(u0, problem))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import circle, hamtorus, validation
 from .circle import CircleProblem, rotation_number, solve
-from .dyadic import max_block_index
+from .dyadic import top_level
 from .errors import ConfigError, ParatorusError, ResonantModeError, SolverError
 from .hamtorus import HamiltonianData, flow_oracle, solve_torus
 from .paraprod import low_pass_bytes
@@ -294,9 +294,9 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
     )
     regs = _list(probes.get("regularities", [1.0, 2.0]), "probes.regularities", _finite)
     j_range = _list(probes.get("j_range", [3, 7]), "probes.j_range", _finite)
-    if len(j_range) != 2 or not 0 <= j_range[0] < j_range[1] <= max_block_index(K):
+    if len(j_range) != 2 or not 0 <= j_range[0] < j_range[1] <= top_level(1, K):
         raise ConfigError(f"probes.j_range: need [j_lo, j_hi], 0 <= j_lo < j_hi <= "
-                          f"{max_block_index(K)} at K={K}, got {j_range}")
+                          f"{top_level(1, K)} at K={K}, got {j_range}")
     j_lo, j_hi = (_integer(j, "probes.j_range", 0) for j in j_range)
     sizes = {key: _integer(probes.get(key, default), f"probes.{key}", 1) for key, default in
              (("identity_K", 64), ("identity_trials", 100), ("boundedness_K", 32))}

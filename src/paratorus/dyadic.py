@@ -3,7 +3,8 @@
 The multipliers come from a C-infinity radial profile built on exp(-1/x), then
 receive a per-mode renormalization so the discrete partition of unity is exact
 at every retained mode. Block 0 is the mean; block j >= 1 lives on the annulus
-2^{j-1} <= |k| <= 2^{j+1}. DyadicCutoff.block_samples stacks the samples of
+2^{j-1} <= |k| <= 2^{j+1}, up to j_max = top_level(dim, K), the highest block
+nonzero at some retained mode. DyadicCutoff.block_samples stacks the samples of
 all blocks along a leading level axis, one transform for every level, on the
 4K collocation grid or on the smaller para-product grid of para_points.
 """
@@ -42,20 +43,25 @@ def annulus_profile(xi: np.ndarray) -> np.ndarray:
     return lowpass_profile(xi / 2.0) - lowpass_profile(xi)
 
 
-def max_block_index(max_mode: int) -> int:
-    """Highest block that can be nonzero at cutoff K: ceil(log2 K) + 1."""
-    return int(math.ceil(math.log2(max_mode))) + 1 if max_mode > 1 else 1
+def top_level(dim: int, max_mode: int) -> int:
+    """j_max, the highest block nonzero at some retained mode: the largest j >= 1 with
+    phi(sqrt(dim) K / 2^j) > 0 (phi grows with |k| on its inner half), else 1 (the |k| = 1 shell).
+    phi rounds to 0 just above 1/2, where 4^(j-1) < dim K^2 keeps an empty level (1-D K = 65)."""
+    corner = math.sqrt(dim * max_mode**2)  # grid.mode_norm at (K, ..., K), to the bit
+    scales = 2.0 ** np.arange(1, int(2.0 * corner).bit_length() + 1)  # phi = 0 past the last
+    live = np.flatnonzero(annulus_profile(corner / scales) > 0.0)
+    return int(live[-1]) + 1 if live.size else 1
 
 
-def para_points(max_mode: int) -> int:
-    """N_pp, the smallest 5-smooth integer above 2K + 2^(j_max - 2), j_max = max_block_index(K).
+def para_points(dim: int, max_mode: int) -> int:
+    """N_pp, the smallest 5-smooth integer above 2K + 2^(j_max - 2), j_max = top_level(dim, K).
 
     The para-product level j, S_{j-3} a . Delta_j u, has its spectrum in |k_i| <= K + 2^{j-2}
     per axis (S_{j-3} a lives in |k| <= 2^{j-2}, Delta_j u in the retained band), widest at
     j = j_max. On N > K + (K + 2^{j_max - 2}) points per axis no alias of it lands on a retained
     mode, so analyzing its samples there gives the retained coefficients exactly.
     """
-    n = 2 * max_mode + (1 << max_block_index(max_mode)) // 4
+    n = 2 * max_mode + (1 << top_level(dim, max_mode)) // 4
     odd = [3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length())]
     return min(m << (n // m).bit_length() for m in odd)  # m times the least 2^a with m 2^a > n
 
@@ -68,18 +74,19 @@ class DyadicCutoff:
     lowpass_mult[l] realizes S_l = sum_{j<=l} blocks, and after renormalization
     the stack sums to exactly one at every retained mode. block_samples samples
     the blocks from the k_last >= 0 half of a field; blocks keeps coefficients.
+    lowpass_band[l] counts the columns k_last = 0, 1, .. on which S_l is nonzero
+    (about 2^(l+1) of the K + 1), the band a low-pass is synthesized from.
 
-    para_points is the second collocation grid, of N_pp points per axis (see
-    para_points()), on which every level of a para-product S_{j-3} a . Delta_j u
-    is exact on the retained band: 81 instead of 128 points at K = 32, 1296
-    instead of 2048 at K = 512. A sup norm of samples or a nonlinear function of
-    them needs the full 4K grid.
+    para_points (see para_points()) is the grid on which every para-product level is exact on
+    the retained band, 1200 points instead of 2048 at K = 512; a sup norm of samples or a
+    nonlinear function of them needs the full 4K grid.
     """
 
     grid: TorusGrid
     j_max: int
     block_mult: np.ndarray  # shape (j_max+1, *mode_shape)
     lowpass_mult: np.ndarray  # shape (j_max+1, *mode_shape)
+    lowpass_band: tuple  # j_max+1 column counts
     para_points: int
 
     def block(self, u: SpectralField, j: int) -> SpectralField:
@@ -124,7 +131,7 @@ def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
     block 1, which is inside that block's allowed annulus [1, 4]. A final
     largest-entry adjustment makes the partition exact in floating point.
     """
-    jmax = max_block_index(grid.max_mode)
+    jmax = top_level(grid.dim, grid.max_mode)
     norm = grid.mode_norm
     mults = np.zeros((jmax + 1,) + grid.mode_shape)
     scales = 2.0 ** np.arange(1, jmax + 1).reshape((jmax,) + (1,) * grid.dim)
@@ -142,8 +149,10 @@ def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
     resid = 1.0 - mults.sum(axis=0)
     np.put_along_axis(mults, arg, np.take_along_axis(mults, arg, axis=0) + resid, axis=0)
     lowpass = np.cumsum(mults, axis=0)
+    columns = np.any(lowpass[..., grid.max_mode :] != 0.0, axis=tuple(range(1, grid.dim)))
+    band = tuple(int(np.flatnonzero(c)[-1]) + 1 for c in columns)
     return DyadicCutoff(grid=grid, j_max=jmax, block_mult=mults, lowpass_mult=lowpass,
-                        para_points=para_points(grid.max_mode))
+                        lowpass_band=band, para_points=para_points(grid.dim, grid.max_mode))
 
 
 def zygmund_norm(u: SpectralField, r: float, cut: DyadicCutoff) -> float:

@@ -608,7 +608,7 @@ def solve_torus(
         _, res_sup, res_hs = _residual(Xh_new, new, xi, omega)
         row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs,
                "xi_norm": float(np.linalg.norm(xi)), "mu_norm": float(np.linalg.norm(mu))}
-        return (new, Xh_new, float(np.max(tails)), xi, mu), row, inc < tol
+        return (new, Xh_new, float(np.max(tails)), xi, mu), row, "increment" if inc < tol else None
 
     (u, Xh_u, tail, xi, mu), report = picard(
         step, (TorusEmbedding.flat(h.grid), Xh_zeta, float(np.max(tails)), None, None),

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicCutoff, max_block_index, para_points
+from .dyadic import DyadicCutoff, para_points, top_level
 from .errors import (
     DiffeomorphismLostError,
     NonContractiveError,
@@ -39,9 +39,9 @@ class ParaOpHandle:
     The levels j <= 3, whose low-pass S_{j-3} a is the mean, collapse to
     mean(a) * S_3 u, applied exactly on coefficients with no transform. The
     build samples S_{j-3} a for j = 4..j_max into one (levels, *symbol.shape,
-    *points) array: a scalar symbol's levels in one stacked transform, a matrix
-    symbol's into a preallocated array one level at a time, so that the
-    transform's temporaries hold one level of the matrix, not all of them. An apply
+    *points) array, each level from its band of k_last columns (cut.lowpass_band): a
+    scalar symbol's levels in one stacked transform, a matrix symbol's into a preallocated
+    array one level at a time, so that the transform's temporaries hold one level. An apply
     makes one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u
     from the k_last >= 0 half of u (DyadicCutoff.block_samples), one einsum
     against the low-passes and one analysis. All of it runs on the N_pp points
@@ -66,15 +66,16 @@ class ParaOpHandle:
             functools.partial(np.einsum, "pq...,q...->p...") if symbol.shape else np.multiply
         )
         self.sum_levels = "lpq...,lq...->p..." if symbol.shape else "l...,l...->..."
-        # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3]
+        # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3], each on its own band
         mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2), ..., self.grid.max_mode :]
         half, points = symbol.coeffs[..., self.grid.max_mode :], cut.para_points
         if symbol.shape:
             self.low = np.empty((len(mults),) + symbol.shape + (points,) * self.grid.dim)
-            for low, m in zip(self.low, mults):
-                low[...] = _synthesize_half(self.grid, m * half, points)
+            for low, m, b in zip(self.low, mults, cut.lowpass_band[1:]):
+                low[...] = _synthesize_half(self.grid, m[..., :b] * half[..., :b], points)
         else:
-            self.low = _synthesize_half(self.grid, mults * half, points)
+            b = cut.lowpass_band[len(mults)]  # the top level's band holds every lower one
+            self.low = _synthesize_half(self.grid, mults[..., :b] * half[..., :b], points)
 
     def apply(self, u: SpectralField) -> SpectralField:
         cut = self.cut
@@ -88,17 +89,12 @@ class ParaOpHandle:
 
 
 def low_pass_bytes(grid: TorusGrid, symbol_shape: tuple) -> int:
-    """Bytes of a ParaOpHandle's sampled low-passes for a symbol with component shape symbol_shape.
-
-    The handle keeps S_{j-3} a for j = 4..j_max, one real array of the symbol's
-    shape per level on the para-product grid of N_pp = dyadic.para_points(K)
-    points per axis, smaller than the 4K collocation grid because each level's
-    product is exact there. This is one handle's stack: a torus step holds
-    either the three stacks of its linear solve (M, M^{-1} and S) or the
-    single-use remainder stack with the symbols of the other three.
-    """
-    levels = max(0, max_block_index(grid.max_mode) - 3)
-    return levels * math.prod(symbol_shape) * para_points(grid.max_mode) ** grid.dim * 8
+    """Bytes of a ParaOpHandle's sampled low-passes for a symbol with component shape symbol_shape:
+    S_{j-3} a for j = 4..j_max, one real array of the symbol's shape per level on N_pp points per
+    axis, read from dyadic.top_level and para_points without building a cutoff. A torus step holds
+    the three stacks of its linear solve (M, M^{-1}, S) or the single-use remainder stack."""
+    levels = max(0, top_level(grid.dim, grid.max_mode) - 3)
+    return levels * math.prod(symbol_shape) * para_points(grid.dim, grid.max_mode) ** grid.dim * 8
 
 
 def para_product(a: SpectralField, u: SpectralField, cut: DyadicCutoff) -> SpectralField:

@@ -70,7 +70,8 @@ def picard(step, state, columns, max_iter: int):
 
     step(state) returns (next_state, row, done): row maps every column but
     `iter` to its value at the new iterate, and done is the solver's own stop
-    test. The driver numbers the rows from 1, stops at once when a row's
+    test, the name of the stop rule that fired (summary key stop_rule) or None.
+    The driver numbers the rows from 1, stops at once when a row's
     increment_hs or residual_sup is not finite (NonFiniteError) and after
     max_iter steps without done (MaxIterExceededError). Every solver error
     leaves with the partial report attached, its status max_iter_exceeded,
@@ -102,4 +103,5 @@ def picard(step, state, columns, max_iter: int):
         report.wall_time = time.perf_counter() - t0
     report.status = "converged"
     report.extras["residual_sup"] = report.last("residual_sup")
+    report.extras["stop_rule"] = done
     return state, report

@@ -358,7 +358,8 @@ def _half_index(grid: TorusGrid, points: int) -> tuple:
 
 def _synthesize_half(grid: TorusGrid, half: np.ndarray, points: int | None = None) -> np.ndarray:
     """Real samples on `points` (default grid.points_per_dim) per axis from the k_last >= 0 half
-    (*lead, *mode_shape[:-1], K + 1) by one irfftn."""
+    (*lead, *mode_shape[:-1], B) by one irfftn; the B <= K + 1 columns are k_last < B, and
+    the columns above them count as zero."""
     shape = grid.point_shape if points is None else (points,) * grid.dim
     if grid.dim > 1:
         lead = half.shape[: half.ndim - grid.dim]

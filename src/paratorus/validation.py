@@ -147,7 +147,7 @@ def boundedness_probe(K: int, s: float = 2.0) -> float:
     cut = make_cutoff(grid)
     a = SpectralField.from_modes(grid, {1: 0.25, 2: 0.1, 3: 0.05j}) + 1.0
     flat = SpectralField(grid, ((1.0 + grid.mode_norm**2) ** (-s / 2)).astype(complex))
-    top = cut.block(SpectralField(grid, np.ones(grid.mode_shape, complex)), cut.j_max - 1)
+    top = cut.block(SpectralField(grid, np.ones(grid.mode_shape, complex)), cut.j_max)
     best = 0.0
     for u in (flat, top):
         best = max(

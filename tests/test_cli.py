@@ -3,13 +3,14 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from paratorus import SpectralField, TorusGrid, cli, field_from_json, make_cutoff
 from paratorus.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_SOLVER, main
-from paratorus.dyadic import max_block_index
+from paratorus.dyadic import top_level
 from paratorus.paraprod import ParaOpHandle, low_pass_bytes
 from paratorus.reporting import write_rows_csv
 from paratorus.smalldiv import scan_bytes
@@ -193,6 +194,30 @@ def test_validate_ops_report(tmp_path):
     out2 = tmp_path / "out2"
     main(["validate-ops", "--config", str(cfg), "--out", str(out2), "--seed", "7"])
     assert (out / "ops.csv").read_bytes() == (out2 / "ops.csv").read_bytes()
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_validate_ops_j_range_ends_at_the_top_level(tmp_path):
+    # at K = 256 the highest nonzero block is 8; the shipped [3, 7] runs, [3, 9] is refused
+    doc = json.loads((SHIPPED / "validate_ops.json").read_text())
+    assert doc["grid"]["K"] == 256 and doc["probes"]["j_range"] == [3, 7]
+    code, out = run_code(tmp_path, doc, kind="validate-ops")
+    assert code == EXIT_OK and "all_passed=1" in (out / "validate_ops.csv").read_text()
+    doc["probes"]["j_range"] = [3, 9]
+    code, out = run_code(tmp_path, doc, kind="validate-ops")
+    err = json.loads((out / "error.json").read_text())
+    assert code == EXIT_CONFIG and err["error"] == "ConfigError"
+    assert "<= 8 at K=256" in err["message"]
+
+
+def test_the_golden_circle_stops_on_its_residual(tmp_path):
+    # its last increment, 1.4e-9, is above tol = 1e-10; the residual sup, 1.1e-12, is below tol/10
+    code, out = run_code(tmp_path, json.loads((SHIPPED / "circle_golden.json").read_text()))
+    assert code == EXIT_OK
+    summary = (out / "circle.csv").read_text().splitlines()[-1].split(",")
+    assert "stop_rule=residual" in summary and "status=converged" in summary
 
 
 def test_write_rows_csv_leaves_an_absent_column_empty(tmp_path):
@@ -619,11 +644,11 @@ def dim3_torus_config(K):
                                      (3, range(16, 32))])
 def test_the_guard_admits_no_torus_grid_that_the_full_grid_stack_rejects(dim, Ks):
     # the guard once sized a torus by one (2n)^2 low-pass stack on the 4K grid; the para-product
-    # grid shrinks the stack, and the step's samples keep out every grid that it rejected. The
-    # windows hold both thresholds; above them the step's samples alone exceed the budget at
-    # dim 2 and 3
+    # grid shrinks the stack, and the step's samples keep out every grid that the same levels
+    # on the 4K grid reject. The windows hold both thresholds; above them the step's samples
+    # alone exceed the budget at dim 2 and 3
     for K in Ks:
-        full_grid_stack = max(0, max_block_index(K) - 3) * (2 * dim) ** 2 * (4 * K) ** dim * 8
+        full_grid_stack = max(0, top_level(dim, K) - 3) * (2 * dim) ** 2 * (4 * K) ** dim * 8
         try:
             cli._parse_grid({"dim": dim, "K": K}, "torus")
         except ConfigError:

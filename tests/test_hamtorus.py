@@ -803,8 +803,9 @@ def test_integrable_summary_has_the_keys_of_a_converged_run():
     assert sol.report.status == "converged"
     assert set(sol.report.extras) == {
         "residual_sup", "u_minus_flat_hs", "gamma", "e0_strong_norm", "kappa",
-        "counterterm_defect", "xh_tail_energy",
+        "counterterm_defect", "xh_tail_energy", "stop_rule",
     }  # no c2_empirical: e0 = 0
+    assert sol.report.extras["stop_rule"] == "increment"
     assert sol.report.extras["kappa"] == 0.0
     assert sol.report.last("residual_sup") == 0.0
 

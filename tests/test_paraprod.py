@@ -37,7 +37,7 @@ def setup_1d(K=32):
 def lacunary(grid, cut, r, rng, jmax=None):
     """sum_j 2^{-jr} cos(2^j x + phase): |.|_{C^r_*} ~ 1 with known regularity."""
     f = SpectralField.zero(grid)
-    top = jmax if jmax is not None else cut.j_max - 1
+    top = jmax if jmax is not None else cut.j_max
     for j in range(0, top + 1):
         k = 2**j
         if k > grid.max_mode:
@@ -118,7 +118,7 @@ def boundedness_constant(K, s=2.0):
     cut = make_cutoff(g)
     a = SpectralField.from_modes(g, {1: 0.25, 2: 0.1, 3: 0.05j}) + 1.0
     flat = SpectralField(g, ((1.0 + g.mode_norm**2) ** (-s / 2)).astype(complex))
-    probes = [flat, cut.block(SpectralField(g, np.ones(g.mode_shape, complex)), cut.j_max - 1)]
+    probes = [flat, cut.block(SpectralField(g, np.ones(g.mode_shape, complex)), cut.j_max)]
     best = 0.0
     for u in probes:
         best = max(best, para_product(a, u, cut).sobolev_norm(s) / (a.sup_norm() * u.sobolev_norm(s)))
@@ -608,10 +608,13 @@ def test_handle_reuse_matches_function():
         assert np.max(np.abs(h.apply(u).coeffs - para_product(a, u, cut).coeffs)) == 0.0
 
 
-@pytest.mark.parametrize("dim, K, shape", [(1, 512, ()), (2, 32, ()), (3, 16, ()), (2, 32, (2, 2))])
+@pytest.mark.parametrize("dim, K, shape", [(1, 512, ()), (2, 32, ()), (3, 16, ()), (2, 32, (2, 2))] + [
+    (dim, K, shape) for dim, K in [(2, 12), (2, 20), (2, 64), (3, 8), (3, 16)]
+    for shape in [(), (3,), (2, 2)] if (dim, K, shape) != (3, 16, ())])
 def test_handle_low_passes_equal_each_level_synthesized_alone(dim, K, shape):
-    # a scalar symbol's levels come from one stacked transform, a matrix symbol's one level
-    # at a time; either way each level is the bits of its own synthesis
+    # a scalar symbol's levels come from one stacked transform on the top level's band of
+    # k_last columns, a matrix symbol's one level at a time on its own band; either way each
+    # level is the bits of its own synthesis from the full K + 1 columns
     g = TorusGrid.create(dim, K)
     cut = make_cutoff(g)
     rng = np.random.default_rng(31)
