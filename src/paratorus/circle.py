@@ -188,9 +188,8 @@ def solve(problem: CircleProblem) -> CircleSolution:
         composed = compose_f(u_next, problem)
         _, res_sup, res_hs = residual(u_next, lam, problem, composed[0][0])
         row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs, "lambda": lam}
-        tol = problem.tol
-        return (u_next, lam, composed), row, (
-            "increment" if inc < tol else "residual" if res_sup < tol / 10.0 else None)
+        stop = "increment" if inc < problem.tol else "residual" if res_sup < problem.tol / 10 else None
+        return (u_next, lam, composed), row, stop
 
     u0 = SpectralField.zero(grid)
     start = (u0, 0.0, compose_f(u0, problem))

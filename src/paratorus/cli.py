@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import circle, hamtorus, validation
 from .circle import CircleProblem, rotation_number, solve
-from .dyadic import top_level
+from .dyadic import level_bound, top_level
 from .errors import ConfigError, ParatorusError, ResonantModeError, SolverError
 from .hamtorus import HamiltonianData, flow_oracle, solve_torus
 from .paraprod import low_pass_bytes
@@ -105,7 +105,8 @@ def _parse_grid(cfg, kind: str) -> TorusGrid:
         grid = TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    need = hamtorus.solve_bytes(grid) if kind == "torus" else low_pass_bytes(grid, ())
+    scalar = low_pass_bytes(grid, (), level_bound(grid.max_mode))
+    need = hamtorus.solve_bytes(grid) if kind == "torus" else scalar
     if need > MEMORY_BUDGET_BYTES:
         raise ConfigError(f"grid: the para-product low-passes and step samples need about "
                           f"{need / 2**20:.0f} MiB, more than the budget of "

@@ -53,15 +53,18 @@ def top_level(dim: int, max_mode: int) -> int:
     return int(live[-1]) + 1 if live.size else 1
 
 
-def para_points(dim: int, max_mode: int) -> int:
-    """N_pp, the smallest 5-smooth integer above 2K + 2^(j_max - 2), j_max = top_level(dim, K).
+def level_bound(max_mode: int) -> int:
+    """ceil(log2 K) + 1 >= top_level(dim, K) in dims 1-3, the level count the memory guards keep."""
+    return int(math.ceil(math.log2(max_mode))) + 1 if max_mode > 1 else 1
 
-    The para-product level j, S_{j-3} a . Delta_j u, has its spectrum in |k_i| <= K + 2^{j-2}
-    per axis (S_{j-3} a lives in |k| <= 2^{j-2}, Delta_j u in the retained band), widest at
-    j = j_max. On N > K + (K + 2^{j_max - 2}) points per axis no alias of it lands on a retained
-    mode, so analyzing its samples there gives the retained coefficients exactly.
-    """
-    n = 2 * max_mode + (1 << top_level(dim, max_mode)) // 4
+
+def para_points(max_mode: int, j_max: int) -> int:
+    """N_pp, the smallest 5-smooth integer above 2K + 2^(j_max - 2). The para-product level j,
+    S_{j-3} a . Delta_j u, has its spectrum in |k_i| <= K + 2^{j-2} per axis (S_{j-3} a lives in
+    |k| <= 2^{j-2}, Delta_j u in the retained band), widest at j = j_max. On N > K + (K +
+    2^{j_max - 2}) points per axis no alias of it lands on a retained mode, so analyzing its
+    samples there gives the retained coefficients exactly (make_cutoff: j_max = top_level)."""
+    n = 2 * max_mode + (1 << j_max) // 4
     odd = [3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length())]
     return min(m << (n // m).bit_length() for m in odd)  # m times the least 2^a with m 2^a > n
 
@@ -75,11 +78,10 @@ class DyadicCutoff:
     the stack sums to exactly one at every retained mode. block_samples samples
     the blocks from the k_last >= 0 half of a field; blocks keeps coefficients.
     lowpass_band[l] counts the columns k_last = 0, 1, .. on which S_l is nonzero
-    (about 2^(l+1) of the K + 1), the band a low-pass is synthesized from.
-
-    para_points (see para_points()) is the grid on which every para-product level is exact on
-    the retained band, 1200 points instead of 2048 at K = 512; a sup norm of samples or a
-    nonlinear function of them needs the full 4K grid.
+    (about 2^(l+1) of the K + 1), the band a low-pass is synthesized from. para_points (see
+    para_points()) is the grid on which every para-product level is exact on the retained band,
+    1200 points instead of 2048 at K = 512; a sup norm of samples or a nonlinear function of
+    them needs the full 4K grid.
     """
 
     grid: TorusGrid
@@ -152,7 +154,7 @@ def make_cutoff(grid: TorusGrid) -> DyadicCutoff:
     columns = np.any(lowpass[..., grid.max_mode :] != 0.0, axis=tuple(range(1, grid.dim)))
     band = tuple(int(np.flatnonzero(c)[-1]) + 1 for c in columns)
     return DyadicCutoff(grid=grid, j_max=jmax, block_mult=mults, lowpass_mult=lowpass,
-                        lowpass_band=band, para_points=para_points(grid.dim, grid.max_mode))
+                        lowpass_band=band, para_points=para_points(grid.max_mode, jmax))
 
 
 def zygmund_norm(u: SpectralField, r: float, cut: DyadicCutoff) -> float:

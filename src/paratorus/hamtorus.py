@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCutoff, make_cutoff
+from .dyadic import DyadicCutoff, level_bound, make_cutoff
 from .errors import (
     DegenerateEmbeddingError,
     EnergyDriftError,
@@ -296,14 +296,15 @@ def _point_chunks(dim: int, *arrays):
 def solve_bytes(grid: TorusGrid) -> int:
     """Bytes a torus solve on grid is estimated to hold at once.
 
-    One (2n x 2n) handle's low-pass stack (paraprod.low_pass_bytes), plus the full-size
-    collocation samples of a step: P = du (2n x n), N^{-1} (n x n), M, M^{-1} and B (2n x 2n
-    each), one real array of the 4K collocation grid per component. The algebra that forms the
-    samples runs in chunks of _CHUNK points, so these outputs are what grows with the grid.
+    One (2n x 2n) low-pass stack counted up to dyadic.level_bound(K) (paraprod.low_pass_bytes),
+    in 1-D an empty level above the handle's, kept while measured peaks run above the estimate,
+    plus the full-size collocation samples of a step: P = du (2n x n), N^{-1} (n x n), M, M^{-1}
+    and B (2n x 2n each), one real array of the 4K collocation grid per component. The algebra
+    that forms the samples runs in chunks of _CHUNK points: these outputs grow with the grid.
     """
     n = grid.dim
     samples = (2 * n * n + n * n + 3 * (2 * n) ** 2) * math.prod(grid.point_shape) * 8
-    return low_pass_bytes(grid, (2 * n,) * 2) + samples
+    return low_pass_bytes(grid, (2 * n,) * 2, level_bound(grid.max_mode)) + samples
 
 
 def _embedding_jacobian_samples(u: TorusEmbedding) -> np.ndarray:

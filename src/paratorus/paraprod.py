@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicCutoff, para_points, top_level
+from .dyadic import DyadicCutoff, para_points
 from .errors import (
     DiffeomorphismLostError,
     NonContractiveError,
@@ -36,39 +36,37 @@ _COMPOSE_WINDOW = 2  # the window N of para_compose
 class ParaOpHandle:
     """Cached application of T_a for a scalar or matrix symbol a.
 
-    The levels j <= 3, whose low-pass S_{j-3} a is the mean, collapse to
-    mean(a) * S_3 u, applied exactly on coefficients with no transform. The
-    build samples S_{j-3} a for j = 4..j_max into one (levels, *symbol.shape,
-    *points) array, each level from its band of k_last columns (cut.lowpass_band): a
-    scalar symbol's levels in one stacked transform, a matrix symbol's into a preallocated
-    array one level at a time, so that the transform's temporaries hold one level. An apply
-    makes one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u
-    from the k_last >= 0 half of u (DyadicCutoff.block_samples), one einsum
-    against the low-passes and one analysis. All of it runs on the N_pp points
-    per axis of cut.para_points, not on the 4K collocation grid: a level's
-    product S_{j-3} a . Delta_j u has its spectrum in |k_i| <= K + 2^{j_max-2},
-    so on N_pp > 2K + 2^{j_max-2} points none of its aliases lands on a
-    retained mode and the analysis returns its retained coefficients exactly.
-    A matrix symbol is contracted against the operand's components,
-    (T_A v)_p = sum_q T_{A_pq} v_q; a scalar one acts on every component. The
-    handle keeps its symbol, against which para_invert_with_handle checks that
-    mean(a) is invertible.
+    The levels j <= 3, whose low-pass S_{j-3} a is the mean, collapse to mean(a) * S_3 u, applied
+    exactly on coefficients with no transform. The build samples S_{j-3} a for j = 4..j_max into
+    one (levels, *symbol.shape, *points) array, each level from its band of k_last columns
+    (cut.lowpass_band): a scalar symbol's levels in one stacked transform, a matrix symbol's into
+    a preallocated array one level at a time, so that the transform's temporaries hold one level;
+    a non-finite coefficient in the symbol's k_last >= 0 half is a NonFiniteError. An apply makes
+    one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u from the k_last >= 0 half of
+    u (DyadicCutoff.block_samples), one einsum against the low-passes and one analysis. All of it
+    runs on the N_pp points per axis of cut.para_points, not on the 4K collocation grid: a level's
+    product S_{j-3} a . Delta_j u has its spectrum in |k_i| <= K + 2^{j_max-2}, so on N_pp > 2K +
+    2^{j_max-2} points none of its aliases lands on a retained mode and the analysis returns its
+    retained coefficients exactly. A matrix symbol is contracted against the operand's components,
+    (T_A v)_p = sum_q T_{A_pq} v_q; a scalar one acts on every component. The handle keeps its
+    symbol, against which para_invert_with_handle checks that mean(a) is invertible.
     """
 
     def __init__(self, symbol: SpectralField, cut: DyadicCutoff):
         cut.grid.require_same(symbol.grid)
+        half, points = symbol.coeffs[..., cut.grid.max_mode :], cut.para_points
+        if not np.isfinite(half).all():
+            raise NonFiniteError("para-product symbol has a non-finite coefficient")
         self.symbol = symbol
         self.cut = cut
         self.grid = cut.grid
         self.avg = symbol.mean()
         # contracting no component axes is a plain product (no einsum overhead)
-        self.contract = (
-            functools.partial(np.einsum, "pq...,q...->p...") if symbol.shape else np.multiply
-        )
+        self.contract = (functools.partial(np.einsum, "pq...,q...->p...") if symbol.shape
+                         else np.multiply)
         self.sum_levels = "lpq...,lq...->p..." if symbol.shape else "l...,l...->..."
         # S_{j-3} for j = 4..j_max, i.e. lowpass_mult[1 .. j_max - 3], each on its own band
         mults = cut.lowpass_mult[1 : max(1, cut.j_max - 2), ..., self.grid.max_mode :]
-        half, points = symbol.coeffs[..., self.grid.max_mode :], cut.para_points
         if symbol.shape:
             self.low = np.empty((len(mults),) + symbol.shape + (points,) * self.grid.dim)
             for low, m, b in zip(self.low, mults, cut.lowpass_band[1:]):
@@ -88,13 +86,13 @@ class ParaOpHandle:
     apply_vector = apply  # the former name for matrix symbols, kept for callers
 
 
-def low_pass_bytes(grid: TorusGrid, symbol_shape: tuple) -> int:
-    """Bytes of a ParaOpHandle's sampled low-passes for a symbol with component shape symbol_shape:
-    S_{j-3} a for j = 4..j_max, one real array of the symbol's shape per level on N_pp points per
-    axis, read from dyadic.top_level and para_points without building a cutoff. A torus step holds
-    the three stacks of its linear solve (M, M^{-1}, S) or the single-use remainder stack."""
-    levels = max(0, top_level(grid.dim, grid.max_mode) - 3)
-    return levels * math.prod(symbol_shape) * para_points(grid.dim, grid.max_mode) ** grid.dim * 8
+def low_pass_bytes(grid: TorusGrid, symbol_shape: tuple, j_max: int) -> int:
+    """Bytes of the low-passes S_{j-3} a, j = 4..j_max, of a symbol of component shape symbol_shape,
+    each on dyadic.para_points(K, j_max) points per axis: a ParaOpHandle's at j_max = cut.j_max,
+    the memory guards' count at dyadic.level_bound(K). A torus step holds the three stacks of its
+    linear solve (M, M^{-1}, S) or the single-use remainder stack."""
+    levels = max(0, j_max - 3)
+    return levels * math.prod(symbol_shape) * para_points(grid.max_mode, j_max) ** grid.dim * 8
 
 
 def para_product(a: SpectralField, u: SpectralField, cut: DyadicCutoff) -> SpectralField:

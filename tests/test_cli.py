@@ -10,7 +10,7 @@ import pytest
 
 from paratorus import SpectralField, TorusGrid, cli, field_from_json, make_cutoff
 from paratorus.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_SOLVER, main
-from paratorus.dyadic import top_level
+from paratorus.dyadic import level_bound
 from paratorus.paraprod import ParaOpHandle, low_pass_bytes
 from paratorus.reporting import write_rows_csv
 from paratorus.smalldiv import scan_bytes
@@ -644,11 +644,12 @@ def dim3_torus_config(K):
                                      (3, range(16, 32))])
 def test_the_guard_admits_no_torus_grid_that_the_full_grid_stack_rejects(dim, Ks):
     # the guard once sized a torus by one (2n)^2 low-pass stack on the 4K grid; the para-product
-    # grid shrinks the stack, and the step's samples keep out every grid that the same levels
-    # on the 4K grid reject. The windows hold both thresholds; above them the step's samples
-    # alone exceed the budget at dim 2 and 3
+    # grid shrinks the stack, and the step's samples keep out every grid that it rejected. The
+    # windows hold both thresholds; above them the step's samples alone exceed the budget at
+    # dim 2 and 3
     for K in Ks:
-        full_grid_stack = max(0, top_level(dim, K) - 3) * (2 * dim) ** 2 * (4 * K) ** dim * 8
+        levels = max(0, (math.ceil(math.log2(K)) + 1 if K > 1 else 1) - 3)
+        full_grid_stack = levels * (2 * dim) ** 2 * (4 * K) ** dim * 8
         try:
             cli._parse_grid({"dim": dim, "K": K}, "torus")
         except ConfigError:
@@ -667,11 +668,29 @@ def reach_solve(*args, **kwargs):
 @pytest.mark.parametrize("dim, K", [(1, 64), (1, 4), (2, 16), (2, 4), (3, 8), (3, 2)])
 @pytest.mark.parametrize("torus", [False, True], ids=["scalar", "2n x 2n"])
 def test_memory_estimate_is_the_bytes_of_the_handle_low_passes(dim, K, torus):
-    """The guard's estimate equals what a handle keeps; K = 4 and K = 2 have no level above 3."""
+    """low_pass_bytes at the handle's top level is what a handle keeps, and the guards' count is
+    no less; K = 4 and K = 2 have no level above 3."""
     grid = TorusGrid.create(dim, K)
+    cut = make_cutoff(grid)
     shape = (2 * dim,) * 2 if torus else ()
     symbol = SpectralField(grid, np.zeros(shape + grid.mode_shape, dtype=complex))
-    assert low_pass_bytes(grid, shape) == ParaOpHandle(symbol, make_cutoff(grid)).low.nbytes
+    kept = ParaOpHandle(symbol, cut).low.nbytes
+    assert low_pass_bytes(grid, shape, cut.j_max) == kept
+    assert low_pass_bytes(grid, shape, level_bound(K)) >= kept
+
+
+@pytest.mark.parametrize("dim, K, admitted", [(1, 262_144, True), (1, 262_145, False),
+                                              (3, 17, True), (3, 18, False)])
+def test_the_guard_admits_the_grids_it_admitted_before_the_top_level_was_pruned(dim, K, admitted):
+    # the handle of a 1-D grid keeps one level less than level_bound, but the guard counts
+    # level_bound until its estimate is checked against measured peaks: the last grids it
+    # admits stay 1-D K = 262,144 and dim 3 K = 17
+    try:
+        cli._parse_grid({"dim": dim, "K": K}, "torus")
+    except ConfigError:
+        assert not admitted
+    else:
+        assert admitted
 
 
 def test_torus_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch):

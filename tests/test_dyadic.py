@@ -3,7 +3,7 @@
 import numpy as np
 
 from paratorus import SpectralField, TorusGrid, make_cutoff, partition_residual, zygmund_norm
-from paratorus.dyadic import para_points, top_level
+from paratorus.dyadic import level_bound, para_points, top_level
 
 from test_spectral import random_field
 
@@ -161,13 +161,15 @@ def test_paraproduct_summand_support_statement():
 def test_top_level_is_the_highest_nonzero_block():
     # the sweep holds the grids where the integer form 4^(j-1) < dim K^2 keeps an empty top
     # level, because phi rounds to 0 just above its inner edge: 1-D K = 65, 129, 2-D K = 23, 91
+    # level_bound, the former max_block_index, stays the memory guards' count and a bound
+    assert (level_bound(16), level_bound(64), level_bound(256)) == (5, 7, 9)
     grids = [(dim, K) for dim in (1, 2) for K in range(2, 130)] + [(3, K) for K in range(2, 19)]
     for dim, K in grids:
         cut = make_cutoff(TorusGrid.create(dim, K))
         live = np.flatnonzero(np.any(cut.block_mult.reshape(cut.j_max + 1, -1) != 0.0, axis=1))
-        assert cut.j_max == top_level(dim, K) == live[-1], (dim, K)
+        assert cut.j_max == top_level(dim, K) == live[-1] <= level_bound(K), (dim, K)
         assert partition_residual(cut) <= 1e-15, (dim, K)
-        assert cut.para_points == para_points(dim, K) > 2 * K + 2 ** (cut.j_max - 2), (dim, K)
+        assert cut.para_points == para_points(K, cut.j_max) > 2 * K + 2 ** (cut.j_max - 2), (dim, K)
         # each low-pass is zero past its band of k_last columns, and nonzero on its last one
         for low, band in zip(cut.lowpass_mult, cut.lowpass_band):
             assert not np.any(low[..., K + band :]) and np.any(low[..., K + band - 1]), (dim, K)

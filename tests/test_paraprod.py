@@ -627,6 +627,22 @@ def test_handle_low_passes_equal_each_level_synthesized_alone(dim, K, shape):
         assert np.array_equal(low, _synthesize_half(g, half, cut.para_points))
 
 
+@pytest.mark.parametrize("column", ["in_band", "above_band"])
+@pytest.mark.parametrize("shape", [(), (2, 2)], ids=["scalar", "matrix"])
+def test_a_handle_refuses_a_non_finite_symbol(column, shape):
+    # the bands leave out the k_last columns above the top level's, so a NaN there would not
+    # reach the low-passes; the build refuses the symbol wherever its NaN is
+    g = TorusGrid.create(2, 32)
+    cut = make_cutoff(g)
+    band = cut.lowpass_band[cut.j_max - 3]
+    assert band < g.max_mode + 1
+    a = SpectralField(g, np.ones(shape + g.mode_shape, dtype=complex))
+    k_last = 1 if column == "in_band" else band
+    a.coeffs[..., g.max_mode + 2, g.max_mode + k_last] = np.nan
+    with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+        ParaOpHandle(a, cut)
+
+
 def test_cm_remainder_bilinear_in_second_slot():
     g, cut = setup_1d(16)
     rng = np.random.default_rng(30)

@@ -18,7 +18,7 @@ from paratorus import (
     field_to_json,
     synthesize,
 )
-from paratorus.dyadic import para_points
+from paratorus.dyadic import para_points, top_level
 import paratorus.spectral as spectral
 from paratorus.spectral import warp_samples
 
@@ -143,7 +143,7 @@ def rfftn_analyze(grid, samples, points):
 def test_pruned_analyze_equals_rfftn_bit_for_bit(dim, K, shape, para):
     # on the 4K collocation grid and on the para-product grid
     g = TorusGrid.create(dim, K)
-    points = para_points(dim, K) if para else g.points_per_dim
+    points = para_points(K, top_level(dim, K)) if para else g.points_per_dim
     samples = np.random.default_rng(dim * K).standard_normal(shape + (points,) * dim)
     assert np.array_equal(analyze(g, samples).coeffs, rfftn_analyze(g, samples, points))
 
