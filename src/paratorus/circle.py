@@ -19,7 +19,8 @@ import numpy as np
 
 from .dyadic import DyadicCutoff, make_cutoff
 from .errors import DiffeomorphismLostError, NonFiniteError
-from .paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
+from .paraprod import ParaOpHandle, compose_levels, para_invert_with_handle, para_product
+from .paraprod import require_diffeomorphism
 from .reporting import SolveReport, picard
 from .smalldiv import RotationAngle, delta_alpha, delta_alpha_inverse, remove_mean
 from .spectral import SpectralField, VectorField, analyze, compose_warped, real_terms
@@ -76,29 +77,35 @@ def _reciprocal(field: SpectralField) -> SpectralField:
     return analyze(field.grid, 1.0 / vals)
 
 
-def compose_f(u: SpectralField, problem: CircleProblem):
-    """([f o (Id + u), f' o (Id + u)] as one two-component field, their truncation tails).
+def compose_f(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
+    """([f o (Id + u), f' o (Id + u)], in refined mode followed by (Delta_j f) o (Id + u) for the
+    blocks of paraprod.compose_levels(f, cut), as the rows of one field; their truncation tails).
 
-    f and f' are composed at the same warped points, sharing every phase table. The solve
-    composes once per iterate and hands the result to that iterate's residual row, the
-    g_map step taken from it and, for the last iterate, to the tail and kappa.
+    All rows share every phase table of one warp: the blocks' modes lie inside f's.
     """
     f = problem.f
-    return compose_warped(VectorField([f, f.derivative(0)]), VectorField([u]), return_tail=True)
+    blocks = compose_levels(f, cut)[0] if problem.mode == "refined" else ()
+    rows = SpectralField(f.grid, np.stack([f.coeffs, f.derivative(0).coeffs, *blocks]))
+    return compose_warped(rows, VectorField([u]), return_tail=True)
+
+
+def _chi_star(u: SpectralField, comp: SpectralField, f: SpectralField, cut: DyadicCutoff):
+    """chi* f = para_compose(f, u, cut) to the bit, from comp's block rows (compose_f)."""
+    require_diffeomorphism(u)
+    windows = compose_levels(f, cut)[1]
+    return SpectralField(u.grid, np.einsum("l...,l...->...", windows, comp.coeffs[2:]))
 
 
 def g_map(u: SpectralField, comp: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
     """One application of the para-inverse right-hand side; returns (u_next, lambda).
 
-    comp is [f o (Id + u), f' o (Id + u)], the field compose_f returns for u.
-
-    With base = f (or chi* f in refined mode), both smoothing remainders are one
-    literal difference, T_a being linear in its symbol a:
+    comp is the field compose_f returns for u. With base = f (or chi* f in refined mode), both
+    smoothing remainders are one literal difference, T_a being linear in its symbol a:
         rem = f o (Id + u) - base - Delta_alpha u + T_{slope - f' o (Id + u)} u
               + T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u,
-    slope = Delta_alpha u' / (1 + u'). T_{(1+u') o tau_alpha} is inverted on
-    base + rem; since T_a c = mean(a) c, lambda balances the mean in closed
-    form, and the small-divisor inverse is followed by the outer inversion of
+    slope = Delta_alpha u' / (1 + u'); chi* f is summed from comp (_chi_star). T_{(1+u') o
+    tau_alpha} is inverted on base + rem; since T_a c = mean(a) c, lambda balances the mean
+    in closed form, and the small-divisor inverse is followed by the outer inversion of
     T_{1/(1+u')}. Three handles per step: those two and the remainder's. The inversions
     start one Neumann step past d + mean(base + rem) / mean(a), d = Delta_alpha T_{1/(1+u')} u
     (mean(T_a w) = mean(a) mean(w)), and past u, on applies that rem already made.
@@ -109,16 +116,12 @@ def g_map(u: SpectralField, comp: SpectralField, problem: CircleProblem, cut: Dy
     H_fwd = ParaOpHandle(one_du.translate([float(alpha)]), cut)
     H_recip = ParaOpHandle(recip, cut)
 
-    comp, fprime_comp = comp
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
-    if problem.mode == "refined":
-        base = para_compose(f, VectorField([u]), cut)
-    else:
-        base = f
+    base = _chi_star(u, comp, f, cut) if problem.mode == "refined" else f
     recip_u = H_recip.apply(u)
     d = delta_alpha(recip_u, alpha)
     fwd_d = H_fwd.apply(d)
-    rest = comp - base - delta_alpha(u, alpha) + para_product(slope_symbol - fprime_comp, u, cut)
+    rest = comp[0] - base - delta_alpha(u, alpha) + para_product(slope_symbol - comp[1], u, cut)
     rhs = base + (rest + fwd_d)  # base + rem
 
     inv = lambda H, v, w0: para_invert_with_handle(H, v, _INVERT_TOL, _INVERT_MAX_ITER, w0=w0)
@@ -126,13 +129,6 @@ def g_map(u: SpectralField, comp: SpectralField, problem: CircleProblem, cut: Dy
     lam = H_fwd.avg * gi.mean()  # T_fwd^{-1} 1 = 1 / mean(a)
     v = delta_alpha_inverse(gi - gi.mean(), alpha)
     u_next = inv(H_recip, v, u + (v - recip_u) * (1.0 / H_recip.avg))
-    return u_next, lam
-
-
-def _naive_step(comp: SpectralField, problem: CircleProblem):
-    comp = comp[0]
-    lam = comp.mean()
-    u_next = delta_alpha_inverse(remove_mean(comp), problem.alpha)
     return u_next, lam
 
 
@@ -180,19 +176,19 @@ def solve(problem: CircleProblem) -> CircleSolution:
 
     def step(state):
         u, _, (comp, _) = state
-        if problem.mode == "naive":
-            u_next, lam = _naive_step(comp, problem)
+        if problem.mode == "naive":  # Delta_alpha u = f o (Id + u) - lambda, unconditioned
+            u_next, lam = delta_alpha_inverse(remove_mean(comp[0]), problem.alpha), comp[0].mean()
         else:
             u_next, lam = g_map(u, comp, problem, cut)
         inc = (u_next - u).sobolev_norm(problem.s)
-        composed = compose_f(u_next, problem)
+        composed = compose_f(u_next, problem, cut)
         _, res_sup, res_hs = residual(u_next, lam, problem, composed[0][0])
         row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs, "lambda": lam}
         stop = "increment" if inc < problem.tol else "residual" if res_sup < problem.tol / 10 else None
         return (u_next, lam, composed), row, stop
 
     u0 = SpectralField.zero(grid)
-    start = (u0, 0.0, compose_f(u0, problem))
+    start = (u0, 0.0, compose_f(u0, problem, cut))
     (u, lam, (comp, tails)), report = picard(step, start, CIRCLE_COLUMNS, problem.max_iter)
     # terminal diagnostics
     slope = _one_plus_du(u).samples()

@@ -28,6 +28,7 @@ from .errors import (
     SingularAverageError,
 )
 from .spectral import SpectralField, TorusGrid, _synthesize_half, analyze, compose_warped
+from .spectral import _analyze_half, _hermitian_extend
 
 _GAUSS_ORDER = 8  # nodes for the unit-interval integrals in the telescope
 _COMPOSE_WINDOW = 2  # the window N of para_compose
@@ -41,15 +42,14 @@ class ParaOpHandle:
     one (levels, *symbol.shape, *points) array, each level from its band of k_last columns
     (cut.lowpass_band): a scalar symbol's levels in one stacked transform, a matrix symbol's into
     a preallocated array one level at a time, so that the transform's temporaries hold one level;
-    a non-finite coefficient in the symbol's k_last >= 0 half is a NonFiniteError. An apply makes
-    one stacked synthesis of the blocks Delta_4 u .. Delta_{j_max} u from the k_last >= 0 half of
-    u (DyadicCutoff.block_samples), one einsum against the low-passes and one analysis. All of it
-    runs on the N_pp points per axis of cut.para_points, not on the 4K collocation grid: a level's
-    product S_{j-3} a . Delta_j u has its spectrum in |k_i| <= K + 2^{j_max-2}, so on N_pp > 2K +
-    2^{j_max-2} points none of its aliases lands on a retained mode and the analysis returns its
-    retained coefficients exactly. A matrix symbol is contracted against the operand's components,
-    (T_A v)_p = sum_q T_{A_pq} v_q; a scalar one acts on every component. The handle keeps its
-    symbol, against which para_invert_with_handle checks that mean(a) is invertible.
+    a non-finite coefficient in the symbol's k_last >= 0 half is a NonFiniteError. An apply stays
+    on the k_last >= 0 half of u up to one Hermitian extension at its end: the low band, one
+    stacked synthesis of Delta_4 u .. Delta_{j_max} u (DyadicCutoff.block_samples), one einsum
+    against the low-passes and one analysis (spectral._analyze_half), the last three on the
+    N_pp points per axis of cut.para_points, where every level's product is exact on the
+    retained band (see dyadic.para_points). A matrix symbol is contracted against the operand's
+    components, (T_A v)_p = sum_q T_{A_pq} v_q; a scalar one acts on every component. The handle
+    keeps its symbol, against which para_invert_with_handle checks that mean(a) is invertible.
     """
 
     def __init__(self, symbol: SpectralField, cut: DyadicCutoff):
@@ -76,12 +76,13 @@ class ParaOpHandle:
             self.low = _synthesize_half(self.grid, mults[..., :b] * half[..., :b], points)
 
     def apply(self, u: SpectralField) -> SpectralField:
-        cut = self.cut
-        out = self.contract(self.avg, cut.partial_sum(u, 3).coeffs)
+        self.grid.require_same(u.grid)
+        cut, K = self.cut, self.grid.max_mode
+        out = self.contract(self.avg, u.coeffs[..., K:] * cut.lowpass_mult[min(3, cut.j_max), ..., K:])
         if len(self.low):
             high = np.einsum(self.sum_levels, self.low, cut.block_samples(u, 4, cut.para_points))
-            out = out + analyze(self.grid, high).coeffs
-        return SpectralField(self.grid, out)
+            out = out + _analyze_half(self.grid, high)
+        return SpectralField(self.grid, _hermitian_extend(self.grid, out))
 
     apply_vector = apply  # the former name for matrix symbols, kept for callers
 
@@ -171,26 +172,35 @@ def pl_remainder(
     return F_of_u - F_of_0 - para_product(Fz_at_u, u, cut)
 
 
+def compose_levels(F: SpectralField, cut: DyadicCutoff) -> tuple:
+    """(blocks, windows): the nonzero blocks Delta_j F, in ascending j, and para_compose's windows
+    S_{j+N} - S_{j-N} at their levels, N = _COMPOSE_WINDOW, with S_{j-N} = 0 below j = N."""
+    N, blocks = _COMPOSE_WINDOW, cut.blocks(F).coeffs
+    windows = cut.lowpass_mult[np.minimum(np.arange(cut.j_max + 1) + N, cut.j_max)]
+    windows[N:] -= cut.lowpass_mult[: max(0, cut.j_max + 1 - N)]
+    live = blocks.reshape(len(blocks), -1).any(axis=1)
+    return blocks[live], windows[live]
+
+
+def require_diffeomorphism(displacement: SpectralField) -> None:
+    """DiffeomorphismLostError unless sup |d displacement| < 1, when Id + displacement is one."""
+    if displacement.jacobian().sup_norm() >= 1.0:
+        raise DiffeomorphismLostError(
+            "displacement gradient reaches 1: Id + displacement is not a diffeomorphism")
+
+
 def para_compose(F: SpectralField, chi_displacement: SpectralField,
                  cut: DyadicCutoff) -> SpectralField:
     """Para-composition sum_j (S_{j+N} - S_{j-N}) ((Delta_j F) o chi), one compose_warped of the blocks.
 
-    The window is N = _COMPOSE_WINDOW. chi = Id + displacement must be a diffeomorphism
-    (sup |d displacement| < 1). For j - N < 0 the lower partial sum is the zero operator, which
-    keeps constants intact (chi* c = c).
+    chi = Id + displacement must be a diffeomorphism (require_diffeomorphism); compose_levels
+    gives the blocks and windows. The refined circle step is tested against it bit for bit.
     """
-    grid = F.grid
-    cut.grid.require_same(grid)
-    if chi_displacement.jacobian().sup_norm() >= 1.0:
-        raise DiffeomorphismLostError(
-            "displacement gradient reaches 1: Id + displacement is not a diffeomorphism"
-        )
-    composed = compose_warped(cut.blocks(F), chi_displacement)
-    # the window multipliers S_{j+N} - S_{j-N} of every level j, S_{j-N} = 0 below j = N
-    N = _COMPOSE_WINDOW
-    windows = cut.lowpass_mult[np.minimum(np.arange(cut.j_max + 1) + N, cut.j_max)]
-    windows[N:] -= cut.lowpass_mult[: max(0, cut.j_max + 1 - N)]
-    return SpectralField(grid, np.einsum("l...,l...->...", windows, composed.coeffs))
+    cut.grid.require_same(F.grid)
+    require_diffeomorphism(chi_displacement)
+    blocks, windows = compose_levels(F, cut)
+    composed = compose_warped(SpectralField(F.grid, blocks), chi_displacement)
+    return SpectralField(F.grid, np.einsum("l...,l...->...", windows, composed.coeffs))
 
 
 def _stalled(history, patience=4):

@@ -14,11 +14,11 @@ analyze() reads the point count N from the samples' trailing shape and takes
 any 2K < N <= 4K.
 
 The fields are real, so their coefficients are Hermitian, u_hat(-k) =
-conj(u_hat(k)), and the transforms are real: samples() reads only the modes
-with k_last >= 0 and calls irfftn; analyze() makes rfftn's passes one axis at
-a time, keeping only the retained bins after each, and fills the rest by
-conjugation, both with norm="forward". Point evaluation factors e^{i k.x} =
-prod_a e^{i k_a x_a} and takes each factor from powers of e^{i x_a}.
+conj(u_hat(k)), and the transforms are real, with norm="forward": samples()
+makes irfftn's passes from the modes with k_last >= 0; analyze() makes rfftn's
+one axis at a time, keeping only the retained bins after each, and fills the
+rest by conjugation. Point evaluation factors e^{i k.x} = prod_a e^{i k_a x_a}
+and takes each factor from powers of e^{i x_a}.
 
 A field may carry leading component axes: its coefficients have shape
 (*component_shape, *mode_shape), and every transform, derivative and norm
@@ -358,16 +358,40 @@ def _half_index(grid: TorusGrid, points: int) -> tuple:
 
 def _synthesize_half(grid: TorusGrid, half: np.ndarray, points: int | None = None) -> np.ndarray:
     """Real samples on `points` (default grid.points_per_dim) per axis from the k_last >= 0 half
-    (*lead, *mode_shape[:-1], B) by one irfftn; the B <= K + 1 columns are k_last < B, and
-    the columns above them count as zero."""
+    (*lead, *mode_shape[:-1], B), B <= K + 1 columns k_last < B and zeros above, by irfftn's
+    passes without its argument handling: ifft over each leading axis in turn, then irfft."""
     shape = grid.point_shape if points is None else (points,) * grid.dim
     if grid.dim > 1:
         lead = half.shape[: half.ndim - grid.dim]
         buf = np.zeros(lead + shape[:-1] + half.shape[-1:], dtype=complex)
         buf[(slice(None),) * len(lead) + _half_index(grid, shape[0])] = half
         half = buf
-    # s= zero-pads the last axis to its N // 2 + 1 bins
-    return np.fft.irfftn(half, s=shape, axes=grid.axes, norm="forward")
+    for ax in grid.axes[:-1]:
+        half = np.fft.ifft(half, axis=ax, norm="forward")
+    return np.fft.irfft(half, shape[-1], axis=-1, norm="forward")
+
+
+def _analyze_half(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
+    """The k_last >= 0 half (*lead, *mode_shape[:-1], K + 1) of analyze(grid, samples), its plane
+    k_last = 0 made Hermitian by conjugation: k_{n-1} < 0, then k_{n-2} < 0 on k_{n-1} = 0, ..."""
+    K, N = grid.max_mode, samples.shape[-1]
+    c = np.fft.rfft(samples, axis=-1, norm="forward")[..., : K + 1]
+    for ax in grid.axes[-2::-1]:
+        c = np.fft.fft(c, axis=ax, norm="forward").take(grid.mode_axis % N, axis=ax)
+    for ax in range(1, grid.dim):
+        plane = (Ellipsis, slice(None, K)) + (K,) * (ax - 1) + (0,)
+        c[plane] = np.conj(np.flip(c, grid.axes[:-1])[plane])
+    return c
+
+
+def _hermitian_extend(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Full coefficients from their k_last >= 0 half, k_last < 0 by conjugation, in a fresh
+    C-order array: every later reduction then sums in the same order as for a scalar field."""
+    K = grid.max_mode
+    coeffs = np.empty(half.shape[:-1] + (2 * K + 1,), dtype=complex)
+    coeffs[..., K:] = half
+    coeffs[..., :K] = np.conj(coeffs[grid._reverse_index][..., :K])
+    return coeffs
 
 
 def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
@@ -378,10 +402,10 @@ def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
     The passes of rfftn run one axis at a time, last axis first as rfftn does,
     and keep only the retained bins (K + 1 on the last axis, 2K + 1 on the
     others) before the next pass: every kept fiber goes through the same 1-D
-    transform as in rfftn, so the result is the same to the bit. With
-    return_tail=True also reports the discarded high-mode energy fraction per
-    component (a float for a scalar field), the truncation monitor used by the
-    solvers' diagnostics.
+    transform as in rfftn, so the half spectrum (_analyze_half) is rfftn's to
+    the bit; _hermitian_extend adds k_last < 0. With return_tail=True also
+    reports the discarded high-mode energy fraction per component (a float for
+    a scalar field), the truncation monitor used by the solvers' diagnostics.
     """
     samples = np.asarray(samples, dtype=float)
     K, lead = grid.max_mode, samples.shape[: max(0, samples.ndim - grid.dim)]
@@ -389,17 +413,7 @@ def analyze(grid: TorusGrid, samples: np.ndarray, return_tail: bool = False):
     if samples.shape[len(lead) :] != (N,) * grid.dim or not 2 * K < N <= grid.points_per_dim:
         raise ValueError(f"expected samples ending in {grid.dim} axes of N points, "
                          f"{2 * K} < N <= {grid.points_per_dim}, got {samples.shape}")
-    c = np.fft.rfft(samples, axis=-1, norm="forward")[..., : K + 1]
-    for ax in grid.axes[-2::-1]:
-        c = np.fft.fft(c, axis=ax, norm="forward").take(grid.mode_axis % N, axis=ax)
-    # a fresh C-order array keeps every later reduction summing in the same
-    # order as for a scalar field
-    coeffs = np.empty(lead + grid.mode_shape, dtype=complex)
-    coeffs[..., K:] = c
-    # the rest by symmetry: k_last < 0, then k_{n-1} < 0 on the plane k_last = 0, ...
-    for ax in range(grid.dim):
-        half = (Ellipsis, slice(None, K)) + (K,) * ax
-        coeffs[half] = np.conj(coeffs[grid._reverse_index][half])
+    coeffs = _hermitian_extend(grid, _analyze_half(grid, samples))
     out = SpectralField(grid, coeffs)
     if not return_tail:
         return out
@@ -464,7 +478,7 @@ def _eval_at(f: SpectralField, pts: np.ndarray) -> np.ndarray:
     c = f.coeffs.reshape((-1,) + g.mode_shape)
     half = c[..., K:].copy()
     half[..., 1:] += np.conj(c[g._reverse_index][..., K + 1 :])
-    live = np.flatnonzero(np.any(half.reshape(len(half), -1) != 0, axis=1))
+    live = np.flatnonzero(np.any(half != 0, axis=g.axes))
     out = np.zeros((len(half), flat.shape[1]))
     if not len(live):
         return out.reshape(f.shape + pts.shape[1:])

@@ -26,7 +26,9 @@ from paratorus import (
 )
 import paratorus.circle as circle
 import paratorus.paraprod as paraprod
-from paratorus.paraprod import ParaOpHandle, para_compose, para_invert_with_handle, para_product
+from paratorus.paraprod import (
+    ParaOpHandle, compose_levels, para_compose, para_invert_with_handle, para_product,
+)
 from paratorus.spectral import (
     VectorField, analyze, real_terms, synthesize, warp_samples,
 )
@@ -67,7 +69,7 @@ def patch_g_map(monkeypatch, call, outcome):
 
 def step(u, problem, cut):
     """g_map from u, on the composition the solve carries for u."""
-    return g_map(u, compose_f(u, problem)[0], problem, cut)
+    return g_map(u, compose_f(u, problem, cut)[0], problem, cut)
 
 
 def test_g_map_zero_problem():
@@ -115,7 +117,7 @@ def test_g_map_builds_three_handles(monkeypatch, mode):
     prob = setup(amp=0.1, mode=mode)
     cut = make_cutoff(prob.f.grid)
     u, _ = step(SpectralField.zero(prob.f.grid), prob, cut)
-    comp, _ = compose_f(u, prob)
+    comp, _ = compose_f(u, prob, cut)
     builds, inversions = [], []
     init, invert = ParaOpHandle.__init__, circle.para_invert_with_handle
 
@@ -140,7 +142,7 @@ def four_handle_g_map(u, comp, problem, cut):
     recip = analyze(u.grid, 1.0 / one_du.samples())
     H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
     H_recip = ParaOpHandle(recip, cut)
-    comp, fprime_comp = comp
+    comp, fprime_comp = comp[0], comp[1]  # compose_f's rows; refined mode appends f's blocks
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
     # R_1(u) = [Delta_alpha u - T_{Delta_alpha u'/(1+u')} u]
     #          - T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u
@@ -171,7 +173,7 @@ def test_g_map_matches_the_four_handle_step(mode):
     u = SpectralField.zero(prob.f.grid)
     for _ in range(3):  # a nonzero iterate
         u, _ = step(u, prob, cut)
-    comp, _ = compose_f(u, prob)
+    comp, _ = compose_f(u, prob, cut)
     u_next, lam = g_map(u, comp, prob, cut)
     ref_u, ref_lam = four_handle_g_map(u, comp, prob, cut)
     assert lam == ref_lam
@@ -200,6 +202,40 @@ def test_warm_starts_cut_the_applies_of_a_solve(monkeypatch, K, amp, share):
     assert (warm.u - cold.u).l2_norm() <= 1e-12 * cold.u.l2_norm()
 
 
+def test_refined_g_map_sums_para_compose_to_the_bit(monkeypatch):
+    # f with a mean and modes in four levels besides the mean's: the base g_map sums from the
+    # block rows of compose_f is the direct para_compose of f, byte for byte
+    prob = setup(K=128, amp=0.1, mode="refined")
+    g = prob.f.grid
+    prob.f = prob.f + SpectralField.from_modes(g, {3: 0.01j, 9: 0.002, 40: 5e-4 - 2e-4j}) + 0.003
+    cut = make_cutoff(g)
+    assert len(compose_levels(prob.f, cut)[0]) >= 4
+    u = SpectralField.zero(g)
+    for _ in range(3):  # a nonzero iterate
+        u, _ = step(u, prob, cut)
+    bases, chi_star = [], circle._chi_star
+    monkeypatch.setattr(circle, "_chi_star", lambda *args: bases.append(chi_star(*args)) or bases[-1])
+    step(u, prob, cut)
+    assert len(bases) == 1
+    assert bases[0].coeffs.tobytes() == para_compose(prob.f, VectorField([u]), cut).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("mode, error, match", [
+    ("refined", DiffeomorphismLostError, "displacement gradient reaches 1"),
+    ("standard", NonContractiveError, "para-inversion stalled"),
+])
+def test_a_steep_iterate_with_a_positive_slope(mode, error, match):
+    # u = 0.6 sin x + 0.225 sin 2x has sup |u'| = 1.05 but min (1 + u') = 0.45, so _reciprocal
+    # lets it through; refined mode still refuses it, at para_compose's check of chi = Id + u
+    prob = setup(K=64, mode=mode)
+    g = prob.f.grid
+    u = SpectralField.from_modes(g, {1: -0.3j, 2: -0.1125j})
+    slope = u.derivative(0).samples()
+    assert np.max(np.abs(slope)) == pytest.approx(1.05) and 1.0 + slope.min() == pytest.approx(0.45, abs=1e-3)
+    with pytest.raises(error, match=match):
+        step(u, prob, make_cutoff(g))
+
+
 def test_g_map_rejects_lost_diffeomorphism():
     prob = setup()
     g = prob.f.grid
@@ -222,7 +258,8 @@ def test_solve_zero_perturbation_single_iteration():
 def test_solve_composes_f_once_per_iterate(monkeypatch, mode):
     # f o (Id + u) is composed when an iterate is produced and then read by its residual row,
     # the step from it and, for the last iterate, the tail and kappa: n + 1 compositions for
-    # n steps, u = 0 included; refined mode adds one para_compose of chi* f per step
+    # n steps, u = 0 included; refined mode composes f's blocks in the same warp, so no step
+    # calls para_compose
     calls = {"circle": 0, "paraprod": 0}
     for module in (circle, paraprod):
         def counting(*args, _real=module.compose_warped, _name=module.__name__, **kwargs):
@@ -233,7 +270,7 @@ def test_solve_composes_f_once_per_iterate(monkeypatch, mode):
     sol = solve(setup(K=128, amp=0.2, mode=mode))
     n = sol.report.iterations
     assert n >= 5
-    assert calls == {"circle": n + 1, "paraprod": n if mode == "refined" else 0}
+    assert calls == {"circle": n + 1, "paraprod": 0}
 
 
 def test_solve_golden_mean_acceptance_problem():

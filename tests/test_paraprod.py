@@ -24,7 +24,7 @@ from paratorus import (
     zygmund_norm,
 )
 from paratorus.paraprod import ParaOpHandle, para_invert_with_handle
-from paratorus.spectral import _synthesize_half
+from paratorus.spectral import _synthesize_half, analyze
 
 from test_spectral import hermitian_defect, random_field
 
@@ -625,6 +625,34 @@ def test_handle_low_passes_equal_each_level_synthesized_alone(dim, K, shape):
     for j, low in zip(range(4, cut.j_max + 1), h.low):
         half = (cut.lowpass_mult[j - 3] * a.coeffs)[..., K:]
         assert np.array_equal(low, _synthesize_half(g, half, cut.para_points))
+
+
+def full_spectrum_apply(h, u):
+    """T_a u as ParaOpHandle.apply made it on the full spectrum, the oracle of the half-spectrum
+    apply: the low band by partial_sum on all coefficients, the level sum by analyze."""
+    cut = h.cut
+    out = h.contract(h.avg, cut.partial_sum(u, 3).coeffs)
+    if len(h.low):
+        high = np.einsum(h.sum_levels, h.low, cut.block_samples(u, 4, cut.para_points))
+        out = out + analyze(h.grid, high).coeffs
+    return SpectralField(h.grid, out)
+
+
+@pytest.mark.parametrize("dim, K", [(1, 4), (1, 512), (2, 4), (2, 32), (3, 4), (3, 8)])
+@pytest.mark.parametrize("symbol_shape, operand_shape", [((), ()), ((), (3,)), ((2, 2), (2,)),
+                                                         ((4, 4), (4,))])
+def test_half_spectrum_apply_equals_the_full_spectrum_apply(dim, K, symbol_shape, operand_shape):
+    # K = 4 has no para-product level, so the apply is its low band alone; the fields are dense,
+    # with no coefficient exactly zero, so that not even the sign of a zero may differ
+    g = TorusGrid.create(dim, K)
+    cut = make_cutoff(g)
+    rng = np.random.default_rng(37)
+    h = ParaOpHandle(analyze(g, rng.standard_normal(symbol_shape + g.point_shape)), cut)
+    assert (len(h.low) == 0) == (K == 4)
+    u = analyze(g, rng.standard_normal(operand_shape + g.point_shape))
+    assert h.apply(u).coeffs.tobytes() == full_spectrum_apply(h, u).coeffs.tobytes()
+    with pytest.raises(GridMismatchError):
+        h.apply(SpectralField.zero(TorusGrid.create(dim, K + 1)))
 
 
 @pytest.mark.parametrize("column", ["in_band", "above_band"])

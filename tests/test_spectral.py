@@ -20,7 +20,7 @@ from paratorus import (
 )
 from paratorus.dyadic import para_points, top_level
 import paratorus.spectral as spectral
-from paratorus.spectral import warp_samples
+from paratorus.spectral import _synthesize_half, warp_samples
 
 
 def grid1d(K=16):
@@ -146,6 +146,21 @@ def test_pruned_analyze_equals_rfftn_bit_for_bit(dim, K, shape, para):
     points = para_points(K, top_level(dim, K)) if para else g.points_per_dim
     samples = np.random.default_rng(dim * K).standard_normal(shape + (points,) * dim)
     assert np.array_equal(analyze(g, samples).coeffs, rfftn_analyze(g, samples, points))
+
+
+@pytest.mark.parametrize("dim, K", [(1, 8), (1, 512), (2, 12), (3, 8)])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("para", [False, True], ids=["4K", "N_pp"])
+def test_synthesis_passes_equal_irfftn_bit_for_bit(dim, K, shape, para):
+    # _synthesize_half makes irfftn's passes itself; irfftn on the zero-padded half is the oracle
+    g = TorusGrid.create(dim, K)
+    points = para_points(K, top_level(dim, K)) if para else g.points_per_dim
+    rng = np.random.default_rng(dim * K + 1)
+    half = analyze(g, rng.standard_normal(shape + g.point_shape)).coeffs[..., K:]
+    buf = np.zeros(shape + (points,) * (dim - 1) + (K + 1,), dtype=complex)
+    buf[(Ellipsis,) + np.ix_(*[g.mode_axis % points] * (dim - 1), np.arange(K + 1))] = half
+    ref = np.fft.irfftn(buf, s=(points,) * dim, axes=g.axes, norm="forward")
+    assert np.array_equal(_synthesize_half(g, half, points), ref)
 
 
 def test_analyze_reads_the_point_count_from_the_samples():
