@@ -23,7 +23,7 @@ from .paraprod import ParaOpHandle, compose_levels, para_invert_with_handle, par
 from .paraprod import require_diffeomorphism
 from .reporting import SolveReport, picard
 from .smalldiv import RotationAngle, delta_alpha, delta_alpha_inverse, remove_mean
-from .spectral import SpectralField, VectorField, analyze, compose_warped, real_terms
+from .spectral import SpectralField, analyze, compose_warped, real_terms
 
 MODES = ("standard", "refined", "naive")  # the first is the CLI default
 
@@ -78,22 +78,21 @@ def _reciprocal(field: SpectralField) -> SpectralField:
 
 
 def compose_f(u: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
-    """([f o (Id + u), f' o (Id + u)], in refined mode followed by (Delta_j f) o (Id + u) for the
-    blocks of paraprod.compose_levels(f, cut), as the rows of one field; their truncation tails).
+    """([f o (Id + u), f' o (Id + u)], in refined mode followed by chi* f, as the rows of one
+    field; the truncation tails of the composed rows).
 
-    All rows share every phase table of one warp: the blocks' modes lie inside f's.
+    All rows come from one warp: refined mode composes the blocks of paraprod.compose_levels(f,
+    cut) with f and f', sharing their phase tables (the blocks' modes lie inside f's), and sums
+    them against its windows into chi* f = para_compose(f, u, cut), to the bit.
     """
-    f = problem.f
-    blocks = compose_levels(f, cut)[0] if problem.mode == "refined" else ()
+    f, refined = problem.f, problem.mode == "refined"
+    blocks, windows = compose_levels(f, cut) if refined else ((), None)
     rows = SpectralField(f.grid, np.stack([f.coeffs, f.derivative(0).coeffs, *blocks]))
-    return compose_warped(rows, VectorField([u]), return_tail=True)
-
-
-def _chi_star(u: SpectralField, comp: SpectralField, f: SpectralField, cut: DyadicCutoff):
-    """chi* f = para_compose(f, u, cut) to the bit, from comp's block rows (compose_f)."""
-    require_diffeomorphism(u)
-    windows = compose_levels(f, cut)[1]
-    return SpectralField(u.grid, np.einsum("l...,l...->...", windows, comp.coeffs[2:]))
+    comp, tails = compose_warped(rows, SpectralField.stack([u]), return_tail=True)
+    if refined:
+        chi_star = np.einsum("l...,l...->...", windows, comp.coeffs[2:])
+        comp = SpectralField(f.grid, np.stack([comp.coeffs[0], comp.coeffs[1], chi_star]))
+    return comp, tails
 
 
 def g_map(u: SpectralField, comp: SpectralField, problem: CircleProblem, cut: DyadicCutoff):
@@ -103,10 +102,10 @@ def g_map(u: SpectralField, comp: SpectralField, problem: CircleProblem, cut: Dy
     smoothing remainders are one literal difference, T_a being linear in its symbol a:
         rem = f o (Id + u) - base - Delta_alpha u + T_{slope - f' o (Id + u)} u
               + T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u,
-    slope = Delta_alpha u' / (1 + u'); chi* f is summed from comp (_chi_star). T_{(1+u') o
-    tau_alpha} is inverted on base + rem; since T_a c = mean(a) c, lambda balances the mean
-    in closed form, and the small-divisor inverse is followed by the outer inversion of
-    T_{1/(1+u')}. Three handles per step: those two and the remainder's. The inversions
+    slope = Delta_alpha u' / (1 + u'); chi* f is comp[2], read once require_diffeomorphism(u)
+    passes. T_{(1+u') o tau_alpha} is inverted on base + rem; since T_a c = mean(a) c, lambda
+    balances the mean in closed form, and the small-divisor inverse is followed by the outer
+    inversion of T_{1/(1+u')}. Three handles per step: those two and the remainder's. The inversions
     start one Neumann step past d + mean(base + rem) / mean(a), d = Delta_alpha T_{1/(1+u')} u
     (mean(T_a w) = mean(a) mean(w)), and past u, on applies that rem already made.
     """
@@ -117,7 +116,10 @@ def g_map(u: SpectralField, comp: SpectralField, problem: CircleProblem, cut: Dy
     H_recip = ParaOpHandle(recip, cut)
 
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
-    base = _chi_star(u, comp, f, cut) if problem.mode == "refined" else f
+    base = f
+    if problem.mode == "refined":
+        require_diffeomorphism(u)
+        base = comp[2]
     recip_u = H_recip.apply(u)
     d = delta_alpha(recip_u, alpha)
     fwd_d = H_fwd.apply(d)
@@ -138,7 +140,7 @@ def residual(u: SpectralField, lam: float, problem: CircleProblem, comp=None):
     comp is f o (Id + u) if it is already composed; otherwise residual composes it.
     """
     if comp is None:
-        comp = compose_warped(problem.f, VectorField([u]))
+        comp = compose_warped(problem.f, SpectralField.stack([u]))
     field = delta_alpha(u, problem.alpha) - comp + lam
     return field, field.sup_norm(), field.sobolev_norm(problem.s)
 

@@ -31,7 +31,7 @@ from .smalldiv import (
     certify_rotation_angle,
     scan_bytes,
 )
-from .spectral import SpectralField, TorusGrid, VectorField, _json_number, field_from_json
+from .spectral import SpectralField, TorusGrid, _json_number, field_from_json
 from .spectral import field_to_json
 
 EXIT_OK = 0
@@ -39,9 +39,21 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
-# a grid whose solve would need more than this (the torus solver's estimate, or one scalar
-# handle's low-passes) is a config error, and so is a Diophantine scan that would
+# a config error: a grid or validate-ops probe grid whose solve would need more than this (the
+# torus solver's estimate, or one scalar handle's low-passes), or a Diophantine scan that would
 MEMORY_BUDGET_BYTES = 512 * 2**20
+
+
+def _require_budget(need: int, path: str, what: str) -> None:
+    """A ConfigError at path when what, needing `need` bytes, would exceed MEMORY_BUDGET_BYTES."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"{path}: {what} about {need / 2**20:.0f} MiB, more than the budget of "
+                          f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB")
+
+
+def _scalar_bytes(grid: TorusGrid) -> int:
+    """The guards' estimate of a scalar solve or probe on grid: one scalar handle's low-passes."""
+    return low_pass_bytes(grid, (), level_bound(grid.max_mode))
 
 
 def _require_keys(obj: dict, allowed: dict, path: str) -> None:
@@ -102,15 +114,11 @@ def _field_from_modes_config(grid: TorusGrid, modes, path: str) -> SpectralField
 def _parse_grid(cfg, kind: str) -> TorusGrid:
     _require_keys(cfg, {"dim": True, "K": True}, "grid")
     try:
-        grid = TorusGrid.create(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1))
+        grid = TorusGrid(_integer(cfg["dim"], "grid.dim", 1), _integer(cfg["K"], "grid.K", 1))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    scalar = low_pass_bytes(grid, (), level_bound(grid.max_mode))
-    need = hamtorus.solve_bytes(grid) if kind == "torus" else scalar
-    if need > MEMORY_BUDGET_BYTES:
-        raise ConfigError(f"grid: the para-product low-passes and step samples need about "
-                          f"{need / 2**20:.0f} MiB, more than the budget of "
-                          f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB")
+    need = hamtorus.solve_bytes(grid) if kind == "torus" else _scalar_bytes(grid)
+    _require_budget(need, "grid", "the para-product low-passes and step samples need")
     return grid
 
 
@@ -159,7 +167,7 @@ _SOLVE_KEYS = {"kind": True, "grid": True, "frequency": True, "problem": True,
 # --- circle -------------------------------------------------------------------
 
 
-def run_circle(cfg: dict, out: Path, seed: int) -> int:
+def run_circle(cfg: dict, out: Path) -> int:
     _require_keys(cfg, _SOLVE_KEYS, "config")
     grid = _parse_grid(cfg["grid"], "circle")
     if grid.dim != 1:
@@ -220,11 +228,11 @@ def _parse_tensor_of_fields(grid, cfg, shape: tuple, key: str, path: str) -> Spe
     if isinstance(cfg, dict) and key in cfg:
         _require_keys(cfg, {key: True}, path)
         modes = lambda m, p: _field_from_modes_config(grid, m, p)
-        return VectorField(_nested(cfg[key], shape, f"{path}.{key}", modes))
+        return SpectralField.stack(_nested(cfg[key], shape, f"{path}.{key}", modes))
     raise ConfigError(f"{path}: expected 'constant' or {key!r}")
 
 
-def run_torus(cfg: dict, out: Path, seed: int) -> int:
+def run_torus(cfg: dict, out: Path) -> int:
     _require_keys(cfg, _SOLVE_KEYS, "config")
     grid = _parse_grid(cfg["grid"], "torus")
     _require_keys(cfg["frequency"], {"omega": True, "sigma": True}, "frequency")
@@ -301,6 +309,11 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
     j_lo, j_hi = (_integer(j, "probes.j_range", 0) for j in j_range)
     sizes = {key: _integer(probes.get(key, default), f"probes.{key}", 1) for key, default in
              (("identity_K", 64), ("identity_trials", 100), ("boundedness_K", 32))}
+    # the boundedness probe runs on K and 2K; every probe grid is sized before any probe runs
+    for key, probe_K in (("identity_K", sizes["identity_K"]),
+                         ("boundedness_K", 2 * sizes["boundedness_K"])):
+        _require_budget(_scalar_bytes(TorusGrid(1, probe_K)), f"probes.{key}",
+                        f"the probe grid of K={probe_K} needs")
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
 
@@ -338,7 +351,7 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
 # --- diophantine -------------------------------------------------------------------
 
 
-def run_diophantine(cfg: dict, out: Path, seed: int) -> int:
+def run_diophantine(cfg: dict, out: Path) -> int:
     _require_keys(cfg, {"kind": True, "frequency": True, "scan": True, "outputs": False}, "config")
     freq = cfg["frequency"]
     _require_keys(freq, {"omega": False, "alpha": False, "sigma": True}, "frequency")
@@ -355,10 +368,7 @@ def run_diophantine(cfg: dict, out: Path, seed: int) -> int:
     K_values = _list(cfg["scan"]["K_values"], "scan.K_values", lambda v, p: _integer(v, p, 1))
     n = len(omega) if "omega" in freq else 1  # an angle scans q <= K, fewer than a 1-D box
     for i, K in enumerate(K_values):  # every K, before any scan
-        if (need := scan_bytes(n, K)) > MEMORY_BUDGET_BYTES:
-            raise ConfigError(f"scan.K_values[{i}]: the scan of K={K} needs about "
-                              f"{need / 2**20:.0f} MiB, more than the budget of "
-                              f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB")
+        _require_budget(scan_bytes(n, K), f"scan.K_values[{i}]", f"the scan of K={K} needs")
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
     rows = []
@@ -396,7 +406,7 @@ _FAILURES = ((ConfigError, "config error", EXIT_CONFIG),
              (ParatorusError, "internal invariant violation", EXIT_INTERNAL))
 
 
-def _run_one(config_path: Path, out: Path, seed: int, expected_kind: str) -> int:
+def _run_one(config_path: Path, out: Path, expected_kind: str, options: dict) -> int:
     try:
         try:
             with open(config_path) as fh:
@@ -413,7 +423,7 @@ def _run_one(config_path: Path, out: Path, seed: int, expected_kind: str) -> int
             raise ConfigError(f"subcommand {expected_kind!r} got config of kind {kind!r}")
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config_echo.json", cfg)
-        return _RUNNERS[kind](cfg, out, seed)
+        return _RUNNERS[kind](cfg, out, **options)
     except ParatorusError as exc:
         prefix, code = next((p, c) for cls, p, c in _FAILURES if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)
@@ -432,19 +442,21 @@ def main(argv=None) -> int:
         p.add_argument("--config", action="append", required=True,
                        help="path to a JSON experiment config (repeatable with --batch)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
         p.add_argument("--batch", action="store_true",
                        help="run several configs into isolated subdirectories")
+        if name == "validate-ops":  # the one run with random inputs
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     args = parser.parse_args(argv)
     configs = [Path(c) for c in args.config]
     if len(configs) > 1 and not args.batch:
         print("multiple configs need --batch", file=sys.stderr)
         return EXIT_CONFIG
     out_root = Path(args.out)
+    options = {"seed": args.seed} if args.command == "validate-ops" else {}
     worst = EXIT_OK
     for cfg_path in configs:
         out = out_root / cfg_path.stem if args.batch else out_root
-        code = _run_one(cfg_path, out, args.seed, args.command)
+        code = _run_one(cfg_path, out, args.command, options)
         worst = max(worst, code)
     return worst
 

@@ -34,7 +34,7 @@ from .errors import (
 from .paraprod import ParaOpHandle, low_pass_bytes, para_invert_with_handle
 from .reporting import SolveReport, picard
 from .smalldiv import FrequencyVector, omega_directional_inverse, remove_mean
-from .spectral import SpectralField, TorusGrid, VectorField, analyze, compress, real_terms
+from .spectral import SpectralField, TorusGrid, analyze, compress, real_terms
 from .spectral import synthesize, warp_samples
 
 TORUS_COLUMNS = ["iter", "increment_hs", "residual_sup", "residual_hs", "xi_norm", "mu_norm"]
@@ -75,7 +75,7 @@ class HamiltonianData:
 
     def __post_init__(self):
         if self.cubic is not None:
-            self.cubic = VectorField(self.cubic)
+            self.cubic = SpectralField.stack(self.cubic)
         for name in ("a0", "a1", "Q", "cubic"):
             f = getattr(self, name)
             if f is not None:
@@ -119,7 +119,7 @@ class HamiltonianData:
         return f
 
 
-def _stack(x: SpectralField, y: SpectralField) -> SpectralField:
+def _concat(x: SpectralField, y: SpectralField) -> SpectralField:
     """(x; y): the components of y appended to those of x."""
     x.grid.require_same(y.grid)
     return SpectralField(x.grid, np.concatenate([x.coeffs, y.coeffs]))
@@ -134,11 +134,11 @@ class TorusEmbedding:
         if not ux.shape == uy.shape == (ux.grid.dim,):
             raise ValueError(f"ux and uy need equally many components, {ux.grid.dim} on this "
                              f"grid, got shapes {ux.shape} and {uy.shape}")
-        self.w = _stack(ux, uy)
+        self.w = _concat(ux, uy)
 
     @classmethod
     def flat(cls, grid: TorusGrid) -> "TorusEmbedding":
-        return cls.from_displacement(VectorField.zero(grid, 2 * grid.dim))
+        return cls.from_displacement(SpectralField.constant(grid, np.zeros(2 * grid.dim)))
 
     @classmethod
     def from_displacement(cls, w: SpectralField) -> "TorusEmbedding":
@@ -425,7 +425,7 @@ def _split(v: SpectralField) -> tuple:
 def _apply_torsion_block(HS: ParaOpHandle, v: SpectralField) -> SpectralField:
     """(0 T_S; 0 0) v = (T_S v^y; 0)."""
     top = HS.apply(_split(v)[1])
-    return _stack(top, SpectralField(top.grid, np.zeros_like(top.coeffs)))
+    return _concat(top, SpectralField(top.grid, np.zeros_like(top.coeffs)))
 
 
 def _apply_L(HM, HMinv, HS, w: SpectralField, omega_arr: np.ndarray) -> SpectralField:
@@ -471,7 +471,7 @@ def linear_para_homological_solve(HM: ParaOpHandle, HMinv: ParaOpHandle, HS: Par
         const = avgM @ np.concatenate([rhs_x.mean(), mu1])
         xi, mu = const[:n], const[n:]
 
-    v = para_invert_with_handle(HMinv, _stack(v1x, v1y), tol=_INNER_TOL)
+    v = para_invert_with_handle(HMinv, _concat(v1x, v1y), tol=_INNER_TOL)
 
     # self-check: substitute into the para-homological equation
     lhs = _apply_L(HM, HMinv, HS, v, np.asarray(omega, dtype=float)) + np.concatenate([xi, mu])

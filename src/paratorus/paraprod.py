@@ -84,7 +84,7 @@ class ParaOpHandle:
             out = out + _analyze_half(self.grid, high)
         return SpectralField(self.grid, _hermitian_extend(self.grid, out))
 
-    apply_vector = apply  # the former name for matrix symbols, kept for callers
+    apply_vector = apply  # the former name for matrix symbols, kept only for the benchmark
 
 
 def low_pass_bytes(grid: TorusGrid, symbol_shape: tuple, j_max: int) -> int:
@@ -214,7 +214,7 @@ def para_invert(a: SpectralField, v: SpectralField, cut: DyadicCutoff,
     return para_invert_with_handle(ParaOpHandle(a, cut), v, tol=tol, max_iter=max_iter)
 
 
-para_invert_matrix = para_invert  # the former name for matrix symbols, kept for callers
+para_invert_matrix = para_invert  # the former name for matrix symbols, kept only for the benchmark
 
 
 def para_invert_with_handle(

@@ -23,7 +23,7 @@ and takes each factor from powers of e^{i x_a}.
 A field may carry leading component axes: its coefficients have shape
 (*component_shape, *mode_shape), and every transform, derivative and norm
 acts on all components at once. Vector and matrix fields are such fields
-with one and two component axes.
+with one and two component axes, built by SpectralField.stack or constant.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class TorusGrid:
             raise ValueError(f"dim must be one of {_SUPPORTED_DIMS}, got {self.dim}")
         if self.max_mode < 1:
             raise ValueError("max_mode must be >= 1")
-
-    @classmethod
-    def create(cls, dim: int, max_mode: int) -> "TorusGrid":
-        return cls(dim, max_mode)
 
     @property
     def points_per_dim(self) -> int:
@@ -166,6 +162,18 @@ class SpectralField:
         f = SpectralField(grid, np.zeros(value.shape + grid.mode_shape, dtype=np.complex128))
         f.coeffs[grid.mean_index] = value
         return f
+
+    @staticmethod
+    def stack(items) -> "SpectralField":
+        """One field from a sequence of fields, or of nested sequences of them, on one grid: each
+        level of nesting is a leading component axis, so rows of fields make a (p, q) field.
+        ValueError for an empty sequence, GridMismatchError for fields on two grids."""
+        parts = [x if isinstance(x, SpectralField) else SpectralField.stack(x) for x in items]
+        if not parts:
+            raise ValueError("cannot stack an empty sequence of fields")
+        for p in parts[1:]:
+            parts[0].grid.require_same(p.grid)
+        return SpectralField(parts[0].grid, np.stack([p.coeffs for p in parts]))
 
     @staticmethod
     def from_modes(grid: TorusGrid, modes: dict) -> "SpectralField":
@@ -308,32 +316,9 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _stack_fields(items) -> tuple:
-    """(grid, coeffs) of a field or a nested sequence of fields on one grid."""
-    if isinstance(items, SpectralField):
-        return items.grid, items.coeffs
-    parts = [_stack_fields(x) for x in items]
-    if not parts:
-        raise ValueError("cannot stack an empty sequence of fields")
-    grid = parts[0][0]
-    for g, _ in parts[1:]:
-        grid.require_same(g)
-    return grid, np.stack([c for _, c in parts])
-
-
-class VectorField(SpectralField):
-    """Scalar fields stacked along a leading component axis (a constructor only)."""
-
-    def __init__(self, fields):
-        super().__init__(*_stack_fields(list(fields)))
-
-    @staticmethod
-    def zero(grid: TorusGrid, m: int) -> SpectralField:
-        return SpectralField(grid, np.zeros((m,) + grid.mode_shape, dtype=np.complex128))
-
-
-class MatrixField(VectorField):
-    """Rows of scalar fields stacked along two leading component axes (a constructor only)."""
+# the former constructor names, kept only for the benchmark
+VectorField = SpectralField.stack
+MatrixField = SpectralField
 
 
 @lru_cache(maxsize=16)  # a solve translates by one shift
@@ -601,7 +586,7 @@ def field_from_json(doc: dict) -> SpectralField:
         entries = doc["coeffs"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed field document: {exc}") from exc
-    grid = TorusGrid.create(dim, K)
+    grid = TorusGrid(dim, K)
     coeffs = np.zeros(grid.mode_shape, dtype=np.complex128)
     given = np.zeros(grid.mode_shape, dtype=bool)
     for e in entries:

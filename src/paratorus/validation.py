@@ -60,7 +60,7 @@ def lacunary_field(grid: TorusGrid, r: float, rng) -> SpectralField:
 
 
 def partition_probe(K: int, dim: int = 1) -> dict:
-    grid = TorusGrid.create(dim, K)
+    grid = TorusGrid(dim, K)
     cut = make_cutoff(grid)
     resid = partition_residual(cut)
     # block support exactness: no weight of block j >= 1 outside its annulus
@@ -76,7 +76,7 @@ def partition_probe(K: int, dim: int = 1) -> dict:
 
 
 def paraproduct_identity_probe(K: int, seed: int, trials: int = 100) -> dict:
-    grid = TorusGrid.create(1, K)
+    grid = TorusGrid(1, K)
     cut = make_cutoff(grid)
     rng = np.random.default_rng(seed)
     worst_const_symbol = 0.0
@@ -100,7 +100,7 @@ def paraproduct_identity_probe(K: int, seed: int, trials: int = 100) -> dict:
 
 
 def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7) -> dict:
-    grid = TorusGrid.create(1, K)
+    grid = TorusGrid(1, K)
     cut = make_cutoff(grid)
     rng = np.random.default_rng(seed)
     a = lacunary_field(grid, r, rng)
@@ -123,7 +123,7 @@ def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
 
 def pl_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7) -> dict:
     """Para-linearization remainder decay for F(z) = z^2 on unit-Zygmund blocks."""
-    grid = TorusGrid.create(1, K)
+    grid = TorusGrid(1, K)
     cut = make_cutoff(grid)
     rng = np.random.default_rng(seed)
     w = seeded_field(grid, rng)
@@ -143,7 +143,7 @@ def pl_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
 
 def boundedness_probe(K: int, s: float = 2.0) -> float:
     """Deterministic estimate of the discrete T_a operator-norm constant."""
-    grid = TorusGrid.create(1, K)
+    grid = TorusGrid(1, K)
     cut = make_cutoff(grid)
     a = SpectralField.from_modes(grid, {1: 0.25, 2: 0.1, 3: 0.05j}) + 1.0
     flat = SpectralField(grid, ((1.0 + grid.mode_norm**2) ** (-s / 2)).astype(complex))

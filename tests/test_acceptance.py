@@ -32,7 +32,7 @@ def report(criterion, passed, detail):
 
 @pytest.fixture(scope="module")
 def circle_runs():
-    grid = pt.TorusGrid.create(1, 256)
+    grid = pt.TorusGrid(1, 256)
     alpha = pt.RotationAngle.certify(GOLDEN_ALPHA, 1.0, 256)
     f = pt.SpectralField.from_modes(grid, {1: -0.025j})  # 0.05 sin x
     out = {}
@@ -49,12 +49,12 @@ def circle_runs():
 
 @pytest.fixture(scope="module")
 def torus_run():
-    grid = pt.TorusGrid.create(2, 64)
+    grid = pt.TorusGrid(2, 64)
     omega = pt.FrequencyVector.certify([1.0, GOLDEN], 1.0, 64)
     h = pt.HamiltonianData(
         a0=pt.SpectralField.from_modes(grid, {(1, 0): 0.005}),  # 0.01 cos theta_1
-        a1=pt.VectorField([pt.SpectralField.constant(grid, omega.omega[i]) for i in range(2)]),
-        Q=pt.MatrixField.constant(grid, np.eye(2)),
+        a1=pt.SpectralField.stack([pt.SpectralField.constant(grid, omega.omega[i]) for i in range(2)]),
+        Q=pt.SpectralField.constant(grid, np.eye(2)),
     )
     t0 = time.perf_counter()
     sol = pt.solve_torus(h, omega, mode="thm1", s=3.0, tol=1e-10, max_iter=50)
@@ -107,7 +107,7 @@ def test_criterion_03_cm_smoothing():
 
 
 def test_criterion_04_para_linearization():
-    grid = pt.TorusGrid.create(1, 64)
+    grid = pt.TorusGrid(1, 64)
     cut = pt.make_cutoff(grid)
     rng = np.random.default_rng(2)
     u = validation.seeded_field(grid, rng, band=16, amp=0.8)
@@ -152,9 +152,9 @@ def test_criterion_04_para_linearization():
 def test_criterion_05_small_divisor_inverses():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
-    g1 = pt.TorusGrid.create(1, 128)
+    g1 = pt.TorusGrid(1, 128)
     alpha = pt.RotationAngle.certify(GOLDEN_ALPHA, 1.0, 128)
-    g2 = pt.TorusGrid.create(2, 16)
+    g2 = pt.TorusGrid(2, 16)
     omega = pt.FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     worst_rt = worst_bound = 0.0
     s = 2.0
@@ -289,15 +289,15 @@ def test_criterion_08_torus_thm1(torus_run):
 
 
 def test_criterion_09_torus_thm2():
-    grid = pt.TorusGrid.create(2, 64)
+    grid = pt.TorusGrid(2, 64)
     omega = pt.FrequencyVector.certify([1.0, GOLDEN], 1.0, 64)
     delta = np.array([0.01, 0.0])
     h = pt.HamiltonianData(
         a0=pt.SpectralField.zero(grid),
-        a1=pt.VectorField(
+        a1=pt.SpectralField.stack(
             [pt.SpectralField.constant(grid, omega.omega[i] + delta[i]) for i in range(2)]
         ),
-        Q=pt.MatrixField.constant(grid, np.zeros((2, 2))),
+        Q=pt.SpectralField.constant(grid, np.zeros((2, 2))),
     )
     sol = pt.solve_torus(h, omega, mode="thm2", s=3.0)
     xi_err = float(np.max(np.abs(sol.xi + delta)))
@@ -328,21 +328,21 @@ def test_criterion_10_quadratic_smallness():
 
 
 def test_criterion_11_isotropy():
-    grid = pt.TorusGrid.create(2, 16)
+    grid = pt.TorusGrid(2, 16)
     omega = pt.FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = pt.HamiltonianData(
         a0=pt.SpectralField.zero(grid),
-        a1=pt.VectorField([pt.SpectralField.constant(grid, omega.omega[i]) for i in range(2)]),
-        Q=pt.MatrixField.constant(grid, np.eye(2)),
+        a1=pt.SpectralField.stack([pt.SpectralField.constant(grid, omega.omega[i]) for i in range(2)]),
+        Q=pt.SpectralField.constant(grid, np.eye(2)),
     )
     flat_L = pt.lack_of_isotropy(TorusEmbedding.flat(grid)).sup_norm()
-    uy = pt.VectorField(
+    uy = pt.SpectralField.stack(
         [
             pt.SpectralField.from_modes(grid, {(1, 0): 5e-4j, (0, 1): 3e-4}),
             pt.SpectralField.from_modes(grid, {(1, 1): -4e-4j}),
         ]
     )
-    zeta = TorusEmbedding(ux=pt.VectorField.zero(grid, 2), uy=uy)
+    zeta = TorusEmbedding(ux=pt.SpectralField.constant(grid, np.zeros(2)), uy=uy)
     L0 = pt.lack_of_isotropy(zeta).sup_norm()
     eta = pt.isotropic_correction(zeta, h, omega)
     L1 = pt.lack_of_isotropy(eta).sup_norm()
@@ -368,14 +368,14 @@ def test_criterion_12_negative_controls(torus_run):
     checks.append("resonant omega rejected")
     h, omega, sol = torus_run["h"], torus_run["omega"], torus_run["sol"]
     grid = torus_run["grid"]
-    noisy_uy = pt.VectorField(
+    noisy_uy = pt.SpectralField.stack(
         [sol.u.uy[i] + pt.SpectralField.from_modes(grid, {(2, 1): 5e-4 * (1 + 1j)}) for i in range(2)]
     )
     bad = TorusEmbedding(ux=sol.u.ux, uy=noisy_uy)
     dev = pt.flow_oracle(h, bad, sol.xi, omega, theta0=[0.7, 1.9], T=10.0, dt=1e-3)
     assert dev >= 1e-3
     checks.append(f"corrupted torus detected (deviation {dev:.1e})")
-    g1 = pt.TorusGrid.create(1, 32)
+    g1 = pt.TorusGrid(1, 32)
     cut = pt.make_cutoff(g1)
     with pytest.raises(pt.NonContractiveError):
         pt.para_invert(

@@ -29,15 +29,13 @@ import paratorus.paraprod as paraprod
 from paratorus.paraprod import (
     ParaOpHandle, compose_levels, para_compose, para_invert_with_handle, para_product,
 )
-from paratorus.spectral import (
-    VectorField, analyze, real_terms, synthesize, warp_samples,
-)
+from paratorus.spectral import analyze, real_terms, synthesize, warp_samples
 
 GOLDEN_ALPHA = math.pi * (math.sqrt(5.0) - 1.0)
 
 
 def setup(K=64, s=3.0, amp=0.05, mode="standard", **kw):
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     alpha = RotationAngle.certify(GOLDEN_ALPHA, 1.0, K)
     f = SpectralField.from_modes(g, {1: -0.5j * amp})  # amp * sin(x)
     return CircleProblem(alpha=alpha, f=f, s=s, mode=mode, **kw)
@@ -142,7 +140,7 @@ def four_handle_g_map(u, comp, problem, cut):
     recip = analyze(u.grid, 1.0 / one_du.samples())
     H_fwd = ParaOpHandle(one_du.translate([alpha.alpha]), cut)
     H_recip = ParaOpHandle(recip, cut)
-    comp, fprime_comp = comp[0], comp[1]  # compose_f's rows; refined mode appends f's blocks
+    comp, fprime_comp = comp[0], comp[1]  # compose_f's rows; refined mode appends chi* f
     slope_symbol = delta_alpha(u.derivative(0), alpha).product(recip)
     # R_1(u) = [Delta_alpha u - T_{Delta_alpha u'/(1+u')} u]
     #          - T_{(1+u') o tau_alpha} Delta_alpha T_{1/(1+u')} u
@@ -152,7 +150,7 @@ def four_handle_g_map(u, comp, problem, cut):
         - H_fwd.apply(delta_alpha(H_recip.apply(u), alpha))
     )
     if problem.mode == "refined":
-        chi_star = para_compose(f, VectorField([u]), cut)
+        chi_star = para_compose(f, SpectralField.stack([u]), cut)
         compose_rem = comp - chi_star - para_product(fprime_comp, u, cut)
         bracket = chi_star + compose_rem - r1
     else:
@@ -202,9 +200,10 @@ def test_warm_starts_cut_the_applies_of_a_solve(monkeypatch, K, amp, share):
     assert (warm.u - cold.u).l2_norm() <= 1e-12 * cold.u.l2_norm()
 
 
-def test_refined_g_map_sums_para_compose_to_the_bit(monkeypatch):
-    # f with a mean and modes in four levels besides the mean's: the base g_map sums from the
-    # block rows of compose_f is the direct para_compose of f, byte for byte
+def test_refined_g_map_sums_para_compose_to_the_bit():
+    # f with a mean and modes in four levels besides the mean's: the base g_map reads, chi* f
+    # summed from the block rows of compose_f's one warp, is the direct para_compose of f,
+    # byte for byte
     prob = setup(K=128, amp=0.1, mode="refined")
     g = prob.f.grid
     prob.f = prob.f + SpectralField.from_modes(g, {3: 0.01j, 9: 0.002, 40: 5e-4 - 2e-4j}) + 0.003
@@ -213,11 +212,10 @@ def test_refined_g_map_sums_para_compose_to_the_bit(monkeypatch):
     u = SpectralField.zero(g)
     for _ in range(3):  # a nonzero iterate
         u, _ = step(u, prob, cut)
-    bases, chi_star = [], circle._chi_star
-    monkeypatch.setattr(circle, "_chi_star", lambda *args: bases.append(chi_star(*args)) or bases[-1])
-    step(u, prob, cut)
-    assert len(bases) == 1
-    assert bases[0].coeffs.tobytes() == para_compose(prob.f, VectorField([u]), cut).coeffs.tobytes()
+    comp = compose_f(u, prob, cut)[0]
+    assert comp.shape == (3,)
+    want = para_compose(prob.f, SpectralField.stack([u]), cut)
+    assert comp[2].coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("mode, error, match", [
@@ -334,7 +332,7 @@ def rotation_number_per_step(alpha, f, lam, iterations, x0=0.1):
 @pytest.mark.parametrize("n_modes", range(1, 7))
 def test_rotation_number_matches_per_step_reference(n_modes):
     K, m = 32, 20_000
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     rng = np.random.default_rng(100 + n_modes)
     # a nonzero mean, the top mode K and n_modes - 1 others, with sup|f'| < 1
     ks = [K] + [int(k) for k in rng.choice(np.arange(1, K), n_modes - 1, replace=False)]
@@ -351,7 +349,7 @@ def test_rotation_number_matches_per_step_reference(n_modes):
 
 @pytest.mark.parametrize("iterations", [0, -5, 2.5, float("nan")])
 def test_rotation_number_rejects_bad_iterations(iterations):
-    f = SpectralField.zero(TorusGrid.create(1, 8))
+    f = SpectralField.zero(TorusGrid(1, 8))
     with pytest.raises(ValueError, match="iterations"):
         rotation_number(GOLDEN_ALPHA, f, 0.0, iterations)
 
@@ -376,7 +374,7 @@ def test_rotation_number_reads_the_bits_of_the_written_out_fold(seed):
     # Hermitian f with no coefficient between the old threshold 1e-15 max(cmax, 1) and the new
     # 1e-15 cmax: amplitudes below and above 1, and sine-only modes for odd seeds
     K = 64
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     rng = np.random.default_rng(200 + seed)
     amp = 0.05 if seed < 3 else 3.0
     coeff = lambda: 1j if seed % 2 else rng.standard_normal() + 1j * rng.standard_normal()
@@ -401,21 +399,21 @@ def test_rotation_number_reads_the_bits_of_the_written_out_fold(seed):
 @pytest.mark.parametrize("k, value", [(3, np.nan), (-1, np.inf)], ids=["nan-at-3", "inf-at-minus-1"])
 def test_rotation_number_carries_a_non_finite_coefficient(k, value):
     # a NaN or infinite maximum used to make the threshold drop every term, giving alpha - lambda
-    f = SpectralField.from_modes(TorusGrid.create(1, 8), {1: 0.01j, 2: 0.003})
+    f = SpectralField.from_modes(TorusGrid(1, 8), {1: 0.01j, 2: 0.003})
     f.coeffs[8 + k] = value  # K = 8
     assert not math.isfinite(rotation_number(2.0, f, 0.0, 1000))
 
 
 def test_rotation_number_and_circle_problems_need_a_scalar_field_on_the_circle():
-    g = TorusGrid.create(1, 8)
+    g = TorusGrid(1, 8)
     f = SpectralField.from_modes(g, {1: 0.01j})
-    flat = SpectralField.from_modes(TorusGrid.create(2, 8), {(1, 0): 0.01j})
-    for bad in (flat, VectorField([f, f])):
+    flat = SpectralField.from_modes(TorusGrid(2, 8), {(1, 0): 0.01j})
+    for bad in (flat, SpectralField.stack([f, f])):
         with pytest.raises(ValueError, match=r"scalar f on T\^1"):
             rotation_number(2.0, bad, 0.0, 10)
     alpha = RotationAngle.certify(GOLDEN_ALPHA, 1.0, 8)
     with pytest.raises(ValueError, match=r"scalar f on T\^1"):
-        CircleProblem(alpha=alpha, f=VectorField([f]), s=3.0)
+        CircleProblem(alpha=alpha, f=SpectralField.stack([f]), s=3.0)
 
 
 def test_rotation_number_of_solved_map():
@@ -429,7 +427,7 @@ def test_manufactured_solution_residual_and_lambda():
     # build f from a chosen u with lambda = 0: then x + alpha + f has rotation
     # number alpha and the solved lambda sits at residual scale
     K = 256
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     alpha = RotationAngle.certify(GOLDEN_ALPHA, 1.0, K)
     u_true = SpectralField.from_modes(g, {1: -0.015j, 2: 0.008, 3: 0.002j})
     G = delta_alpha(u_true, alpha)

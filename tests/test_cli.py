@@ -517,6 +517,37 @@ def test_bad_validate_ops_config_is_config_error(tmp_path, section, key, value):
     assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
 
 
+def no_probe(*args):
+    raise AssertionError("a probe ran before every probe grid was checked against the budget")
+
+
+@pytest.mark.parametrize("key, value", [("identity_K", 4096), ("boundedness_K", 2048)])
+def test_a_probe_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch, key, value):
+    # at a budget of 100,000 bytes the grid of K = 32 (1,944 bytes) passes, but a probe grid of
+    # K = 4096 (829,440 bytes), identity_K's own or boundedness_K's doubled one, does not
+    monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", 100_000)
+    monkeypatch.setattr(cli.validation, "partition_probe", no_probe)
+    doc = {"kind": "validate-ops", "grid": {"dim": 1, "K": 32},
+           "probes": {"regularities": [1.0], "j_range": [3, 5], "boundedness_K": 16,
+                      "identity_K": 16, "identity_trials": 2}}
+    doc["probes"][key] = value
+    code, out = run_code(tmp_path, doc, kind="validate-ops")
+    assert code == EXIT_CONFIG and not (out / "validate_ops.csv").exists()
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert message.startswith(f"probes.{key}: the probe grid of K=4096 needs about")
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus", "diophantine"])
+def test_seed_is_refused_where_no_run_reads_it(tmp_path, capsys, kind):
+    # only validate-ops draws random inputs; argparse refuses --seed elsewhere before any run
+    cfg = write_config(tmp_path, "c.json", {"kind": kind})
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_of_range_frequency_is_config_error(tmp_path):
     doc = circle_config(amp=0.04)
     doc["frequency"]["alpha"] = 7.0  # outside (0, 2 pi)
@@ -670,7 +701,7 @@ def reach_solve(*args, **kwargs):
 def test_memory_estimate_is_the_bytes_of_the_handle_low_passes(dim, K, torus):
     """low_pass_bytes at the handle's top level is what a handle keeps, and the guards' count is
     no less; K = 4 and K = 2 have no level above 3."""
-    grid = TorusGrid.create(dim, K)
+    grid = TorusGrid(dim, K)
     cut = make_cutoff(grid)
     shape = (2 * dim,) * 2 if torus else ()
     symbol = SpectralField(grid, np.zeros(shape + grid.mode_shape, dtype=complex))

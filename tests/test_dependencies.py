@@ -13,10 +13,10 @@ before = set(sys.modules)
 import paratorus as pt
 
 K = 16
-g = pt.TorusGrid.create(1, K)
+g = pt.TorusGrid(1, K)
 alpha = pt.RotationAngle.certify(math.pi * (math.sqrt(5.0) - 1.0), 1.0, K)
 circle = pt.solve(pt.CircleProblem(alpha=alpha, f=pt.SpectralField.from_modes(g, {1: -0.025j}), s=3.0))
-g = pt.TorusGrid.create(2, 8)
+g = pt.TorusGrid(2, 8)
 om = pt.FrequencyVector.certify([1.0, (1.0 + math.sqrt(5.0)) / 2.0], 1.0, 8)
 h = pt.HamiltonianData(a0=pt.SpectralField.from_modes(g, {(1, 0): 0.005}),
                        a1=pt.SpectralField.constant(g, list(om.omega)),

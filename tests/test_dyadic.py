@@ -10,13 +10,13 @@ from test_spectral import random_field
 
 def test_partition_exact_after_renormalization():
     for dim, K in ((1, 64), (2, 16)):
-        g = TorusGrid.create(dim, K)
+        g = TorusGrid(dim, K)
         cut = make_cutoff(g)
         assert partition_residual(cut) < 1e-14
 
 
 def test_k_zero_is_pure_mean():
-    g = TorusGrid.create(1, 16)
+    g = TorusGrid(1, 16)
     cut = make_cutoff(g)
     center = (g.max_mode,) * g.dim
     assert cut.block_mult[0][center] == 1.0
@@ -25,7 +25,7 @@ def test_k_zero_is_pure_mean():
 
 
 def test_block_support_within_dyadic_annulus():
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     cut = make_cutoff(g)
     norm = g.mode_norm
     for j in range(1, cut.j_max + 1):
@@ -34,7 +34,7 @@ def test_block_support_within_dyadic_annulus():
 
 
 def test_power_of_two_modes_live_in_their_own_block():
-    g = TorusGrid.create(1, 64)
+    g = TorusGrid(1, 64)
     cut = make_cutoff(g)
     for j in (2, 3, 4, 5):
         k = 2**j
@@ -45,7 +45,7 @@ def test_power_of_two_modes_live_in_their_own_block():
 
 
 def test_constant_blocks():
-    g = TorusGrid.create(1, 16)
+    g = TorusGrid(1, 16)
     cut = make_cutoff(g)
     c = SpectralField.constant(g, 2.5)
     assert abs(cut.block(c, 0).mean() - 2.5) < 1e-15
@@ -54,7 +54,7 @@ def test_constant_blocks():
 
 
 def test_single_high_mode_block_locations():
-    g = TorusGrid.create(1, 64)
+    g = TorusGrid(1, 64)
     cut = make_cutoff(g)
     u = SpectralField.from_modes(g, {32: 1.0})  # |k| = 2^5
     live = [j for j in range(cut.j_max + 1) if cut.block(u, j).l2_norm() > 0]
@@ -64,7 +64,7 @@ def test_single_high_mode_block_locations():
 def test_blocks_sum_to_identity_on_random_fields():
     rng = np.random.default_rng(61)
     for dim, K in ((1, 32), (2, 8)):
-        g = TorusGrid.create(dim, K)
+        g = TorusGrid(dim, K)
         cut = make_cutoff(g)
         u = random_field(g, rng, band=K)
         total = sum((cut.block(u, j) for j in range(1, cut.j_max + 1)), cut.block(u, 0))
@@ -73,7 +73,7 @@ def test_blocks_sum_to_identity_on_random_fields():
 
 def test_partial_sum_conventions():
     rng = np.random.default_rng(67)
-    g = TorusGrid.create(1, 32)
+    g = TorusGrid(1, 32)
     cut = make_cutoff(g)
     u = random_field(g, rng, band=32)
     # very large j returns u exactly
@@ -87,7 +87,7 @@ def test_partial_sum_conventions():
 
 def test_partial_sum_telescopes():
     rng = np.random.default_rng(71)
-    g = TorusGrid.create(1, 32)
+    g = TorusGrid(1, 32)
     cut = make_cutoff(g)
     u = random_field(g, rng, band=32)
     for j in range(1, cut.j_max + 1):
@@ -97,7 +97,7 @@ def test_partial_sum_telescopes():
 
 
 def test_block_spectra_disjoint_when_two_apart():
-    g = TorusGrid.create(1, 64)
+    g = TorusGrid(1, 64)
     cut = make_cutoff(g)
     for j in range(cut.j_max + 1):
         for l in range(j + 2, cut.j_max + 1):
@@ -107,7 +107,7 @@ def test_block_spectra_disjoint_when_two_apart():
 
 def test_bernstein_bound_on_blocks():
     rng = np.random.default_rng(73)
-    g = TorusGrid.create(1, 64)
+    g = TorusGrid(1, 64)
     cut = make_cutoff(g)
     u = random_field(g, rng, band=64)
     for j in range(1, cut.j_max + 1):
@@ -118,7 +118,7 @@ def test_bernstein_bound_on_blocks():
 
 
 def test_zygmund_norm_examples():
-    g = TorusGrid.create(1, 32)
+    g = TorusGrid(1, 32)
     cut = make_cutoff(g)
     c = SpectralField.constant(g, -1.5)
     for r in (0.5, 1.0, 2.0):
@@ -134,7 +134,7 @@ def test_zygmund_sobolev_embedding_constant_stable():
     s = 2.5
     maxima = []
     for K in (16, 32):
-        g = TorusGrid.create(1, K)
+        g = TorusGrid(1, K)
         cut = make_cutoff(g)
         ratios = []
         for _ in range(20):
@@ -147,7 +147,7 @@ def test_zygmund_sobolev_embedding_constant_stable():
 def test_paraproduct_summand_support_statement():
     # each S_{j-3} a . Delta_j u (j >= 1) has modes only in [0.25 2^j, 2.25 2^j]
     rng = np.random.default_rng(83)
-    g = TorusGrid.create(1, 64)
+    g = TorusGrid(1, 64)
     cut = make_cutoff(g)
     a = random_field(g, rng, band=64)
     u = random_field(g, rng, band=64)
@@ -165,7 +165,7 @@ def test_top_level_is_the_highest_nonzero_block():
     assert (level_bound(16), level_bound(64), level_bound(256)) == (5, 7, 9)
     grids = [(dim, K) for dim in (1, 2) for K in range(2, 130)] + [(3, K) for K in range(2, 19)]
     for dim, K in grids:
-        cut = make_cutoff(TorusGrid.create(dim, K))
+        cut = make_cutoff(TorusGrid(dim, K))
         live = np.flatnonzero(np.any(cut.block_mult.reshape(cut.j_max + 1, -1) != 0.0, axis=1))
         assert cut.j_max == top_level(dim, K) == live[-1] <= level_bound(K), (dim, K)
         assert partition_residual(cut) <= 1e-15, (dim, K)

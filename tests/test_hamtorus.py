@@ -12,13 +12,11 @@ from paratorus import (
     EnergyDriftError,
     FrequencyVector,
     HamiltonianData,
-    MatrixField,
     NonFiniteError,
     SingularAverageError,
     SpectralField,
     TorusEmbedding,
     TorusGrid,
-    VectorField,
     b_matrices,
     counterterm_check,
     error_fields,
@@ -52,7 +50,7 @@ J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])  
 
 
 def small_grid(K=8):
-    return TorusGrid.create(2, K)
+    return TorusGrid(2, K)
 
 
 def freq(K=8):
@@ -61,18 +59,18 @@ def freq(K=8):
 
 def integrable(grid, omega, Q0):
     n = grid.dim
-    a1 = VectorField([SpectralField.constant(grid, omega.omega[i]) for i in range(n)])
+    a1 = SpectralField.stack([SpectralField.constant(grid, omega.omega[i]) for i in range(n)])
     return HamiltonianData(
-        a0=SpectralField.zero(grid), a1=a1, Q=MatrixField.constant(grid, Q0)
+        a0=SpectralField.zero(grid), a1=a1, Q=SpectralField.constant(grid, Q0)
     )
 
 
 def random_hamiltonian(grid, omega, rng, amp=0.02, with_cubic=True, band=3):
     n = grid.dim
     a0 = sparse_field(grid, rng, amp, band)
-    a1 = VectorField([sparse_field(grid, rng, amp, band) + omega.omega[i] for i in range(n)])
+    a1 = SpectralField.stack([sparse_field(grid, rng, amp, band) + omega.omega[i] for i in range(n)])
     off = sparse_field(grid, rng, amp, band)
-    Q = MatrixField(
+    Q = SpectralField.stack(
         [
             [sparse_field(grid, rng, amp, band) + 1.0, off],
             [off, sparse_field(grid, rng, amp, band) + 1.2],
@@ -114,9 +112,9 @@ def test_warp_composes_xh_and_a_gradients_in_one_call_each(monkeypatch):
     g = small_grid()
     rng = np.random.default_rng(12)
     cubic = random_hamiltonian(g, freq(), rng, band=2).cubic
-    a1 = VectorField([sparse_field(g, rng, 0.02, 2) + 1.0, SpectralField.constant(g, GOLDEN)])
+    a1 = SpectralField.stack([sparse_field(g, rng, 0.02, 2) + 1.0, SpectralField.constant(g, GOLDEN)])
     h = HamiltonianData(a0=sparse_field(g, rng, 0.02, 2), a1=a1,
-                        Q=MatrixField.constant(g, np.eye(2)), cubic=cubic)
+                        Q=SpectralField.constant(g, np.eye(2)), cubic=cubic)
     u = random_embedding(g, rng, 0.01, band=2)
     real = hamtorus.warp_samples
     calls = []
@@ -137,8 +135,8 @@ def benchmark_like(g, om, phases=(0.4, 1.9, 4.2), amp=0.005):
     """h of the torus benchmark: a three-mode sparse a0, a1 = omega and Q = I."""
     a0 = SpectralField.from_modes(g, {k: 0.5 * amp * np.exp(1j * p)
                                       for k, p in zip([(1, 0), (0, 1), (1, 1)], phases)})
-    a1 = VectorField([SpectralField.constant(g, w) for w in om.omega])
-    return HamiltonianData(a0=a0, a1=a1, Q=MatrixField.constant(g, np.eye(2)))
+    a1 = SpectralField.stack([SpectralField.constant(g, w) for w in om.omega])
+    return HamiltonianData(a0=a0, a1=a1, Q=SpectralField.constant(g, np.eye(2)))
 
 
 def test_warp_keeps_constant_gradients_as_read_only_views():
@@ -166,8 +164,9 @@ def test_constant_views_give_the_materialized_samples_bit_for_bit(kind, warped, 
         h = benchmark_like(g, om)
     else:  # a1[1] and the off-diagonal of Q constant: gradients mixing views and full rows
         h = random_hamiltonian(g, om, rng, band=2)
-        h = HamiltonianData(a0=h.a0, a1=VectorField([h.a1[0], SpectralField.constant(g, GOLDEN)]),
-                            Q=MatrixField.constant(g, np.array([[1.0, 0.3], [0.3, 1.2]])),
+        a1 = SpectralField.stack([h.a1[0], SpectralField.constant(g, GOLDEN)])
+        h = HamiltonianData(a0=h.a0, a1=a1,
+                            Q=SpectralField.constant(g, np.array([[1.0, 0.3], [0.3, 1.2]])),
                             cubic=h.cubic)
     u = random_embedding(g, rng, 0.01 * warped, band=2)
     assert any(v.strides[-1] == 0 for v in hamtorus._warped(h, u, 2).values())
@@ -203,7 +202,7 @@ def test_xh_quadratic_term_silent_at_flat_torus():
 
 def test_xh_finite_difference_oracle():
     # narrow-band data on a roomy grid keeps truncation below the FD tolerance
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     rng = np.random.default_rng(0)
     h = random_hamiltonian(g, om, rng, with_cubic=True, band=2, amp=0.01)
@@ -260,7 +259,7 @@ def test_error_fields_integrability_defect():
     g = small_grid()
     om = freq()
     eps = 0.05
-    Q = MatrixField(
+    Q = SpectralField.stack(
         [
             [SpectralField.from_modes(g, {(1, 0): eps / 2}) + 1.0, SpectralField.zero(g)],
             [SpectralField.zero(g), SpectralField.constant(g, 1.0)],
@@ -308,7 +307,7 @@ def test_jacobian_general_structure_at_flat():
 
 def test_jacobian_hessian_symmetry_oracle():
     # -J A = Hessian of h along u: symmetric, and matches finite differences
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     rng = np.random.default_rng(2)
     h = random_hamiltonian(g, om, rng, with_cubic=True, band=2, amp=0.01)
@@ -366,7 +365,7 @@ def test_frame_inverse_pointwise():
         eye[a, a] = 1.0
     assert np.max(np.abs(prod - eye)) < 1e-11
     # spectral fields agree once truncation tails are negligible
-    g2 = TorusGrid.create(2, 16)
+    g2 = TorusGrid(2, 16)
     u2 = random_embedding(g2, np.random.default_rng(3), 0.004, band=2)
     _, M, Minv = frame(u2)
     spec_prod = M.matmul(Minv)
@@ -385,7 +384,7 @@ def test_frame_deviation_linear_in_displacement():
     for amp in (0.01, 0.02, 0.04):
         u = random_embedding(g, np.random.default_rng(4), amp)
         _, M, _ = frame(u)
-        diff = (M - MatrixField.constant(g, D)).sup_norm()
+        diff = (M - SpectralField.constant(g, D)).sup_norm()
         grad = max(
             f.derivative(a).sup_norm() for f in list(u.ux) + list(u.uy) for a in range(2)
         )
@@ -405,8 +404,8 @@ def test_frame_rejects_a_nan_embedding(component):
 def test_frame_degenerate_embedding_rejected():
     g = small_grid()
     # ux with slope ~ -1 along theta_1 collapses the first tangent column
-    ux = VectorField([SpectralField.from_modes(g, {(1, 0): 0.5j}), SpectralField.zero(g)])
-    u = TorusEmbedding(ux=ux, uy=VectorField.zero(g, 2))
+    ux = SpectralField.stack([SpectralField.from_modes(g, {(1, 0): 0.5j}), SpectralField.zero(g)])
+    u = TorusEmbedding(ux=ux, uy=SpectralField.constant(g, np.zeros(2)))
     with pytest.raises(DegenerateEmbeddingError, match="embedding Gram matrix"):
         frame(u)
 
@@ -417,13 +416,14 @@ def test_embedding_needs_one_component_per_grid_dimension(m_x, m_y):
     DegenerateEmbeddingError (a solver error); the constructor rejects both as invalid input."""
     g = small_grid()
     with pytest.raises(ValueError, match="ux and uy need equally many components, 2 on this grid"):
-        TorusEmbedding(ux=VectorField.zero(g, m_x), uy=VectorField.zero(g, m_y))
+        TorusEmbedding(ux=SpectralField.constant(g, np.zeros(m_x)),
+                       uy=SpectralField.constant(g, np.zeros(m_y)))
 
 
 def gram_guard_embedding(g, b):
     """ux = (-b sin theta_1, 0), uy = 0: min det(du^T du) = (1 - b)^2 at theta_1 = 0, |det M| = 1."""
-    ux = VectorField([SpectralField.from_modes(g, {(1, 0): 0.5j * b}), SpectralField.zero(g)])
-    return TorusEmbedding(ux=ux, uy=VectorField.zero(g, 2))
+    ux = SpectralField.stack([SpectralField.from_modes(g, {(1, 0): 0.5j * b}), SpectralField.zero(g)])
+    return TorusEmbedding(ux=ux, uy=SpectralField.constant(g, np.zeros(2)))
 
 
 def frame_guard_embedding(g, a, c):
@@ -432,9 +432,9 @@ def frame_guard_embedding(g, a, c):
     At theta = 0, du^y = [[0, a], [-c, 0]], so L = (a + c) J_2 and
     |det M| = |1 - (a + c)^2 det N| = (1 - a c)^2 / ((1 + a^2) (1 + c^2)), the minimum.
     """
-    uy = VectorField([SpectralField.from_modes(g, {(0, 1): -0.5j * a}),
+    uy = SpectralField.stack([SpectralField.from_modes(g, {(0, 1): -0.5j * a}),
                       SpectralField.from_modes(g, {(1, 0): 0.5j * c})])
-    return TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
+    return TorusEmbedding(ux=SpectralField.constant(g, np.zeros(2)), uy=uy)
 
 
 @pytest.mark.parametrize("det", [1e-11, 1e-13, 0.0])
@@ -466,7 +466,7 @@ def test_frame_m_guard_on_a_rotated_dim3_frame(monkeypatch, det):
     orthogonal Q, R, which leave no entry of du zero. The guard must be as sharp here as in dim 2:
     det(I + L G) = det(M)^2 would be lost to rounding below |det M| ~ 1e-8.
     """
-    g = TorusGrid.create(3, 4)
+    g = TorusGrid(3, 4)
     rng = np.random.default_rng(3)
     Q, R = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
     c = 1.0 - 2.0 * math.sqrt(det)
@@ -524,15 +524,15 @@ def test_torsion_ignores_constant_a0_shift():
 
 def test_linearization_identity_on_manufactured_torus():
     # A M - (omega.d)M = M (0 S; 0 0) + B[F] holds to roundoff when F ~ 0
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
-    ux = VectorField(
+    ux = SpectralField.stack(
         [
             SpectralField.from_modes(g, {(1, 0): -0.04j, (0, 1): 0.02}),
             SpectralField.from_modes(g, {(1, 1): 0.03, (1, 0): 0.01j}),
         ]
     )
-    u = TorusEmbedding(ux=ux, uy=VectorField.zero(g, 2))
+    u = TorusEmbedding(ux=ux, uy=SpectralField.constant(g, np.zeros(2)))
     base = np.stack(g.point_mesh)
     theta = base.copy()
     for _ in range(80):
@@ -540,9 +540,9 @@ def test_linearization_identity_on_manufactured_torus():
         theta = base - vals
     targets = [ux[i].omega_derivative(np.asarray(om, dtype=float)) + om.omega[i]
                for i in range(2)]
-    a1 = VectorField([analyze(g, warp_samples(t, theta)) for t in targets])
+    a1 = SpectralField.stack([analyze(g, warp_samples(t, theta)) for t in targets])
     Q0 = np.array([[1.3, 0.2], [0.2, 0.8]])
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=MatrixField.constant(g, Q0))
+    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, Q0))
     F, fsup, _ = residual_torus(h, u, None, om)
     assert fsup < 1e-12
     from paratorus.hamtorus import _frame_samples, _jacobian_samples, _torsion_samples
@@ -574,10 +574,10 @@ def test_b_matrices_zero_and_constant():
     g = small_grid()
     rng = np.random.default_rng(7)
     u = random_embedding(g, rng, 0.02)
-    zeroE = VectorField.zero(g, 4)
+    zeroE = SpectralField.constant(g, np.zeros(4))
     B = b_matrices(zeroE, u)
     assert B.sup_norm() < 1e-14
-    constE = VectorField([SpectralField.constant(g, c) for c in (1.0, -2.0, 0.5, 3.0)])
+    constE = SpectralField.stack([SpectralField.constant(g, c) for c in (1.0, -2.0, 0.5, 3.0)])
     assert b_matrices(constE, u).sup_norm() < 1e-12
 
 
@@ -585,8 +585,8 @@ def test_b_matrices_linear():
     g = small_grid()
     rng = np.random.default_rng(8)
     u = random_embedding(g, rng, 0.02)
-    E1 = VectorField([sparse_field(g, rng, 0.1) for _ in range(4)])
-    E2 = VectorField([sparse_field(g, rng, 0.1) for _ in range(4)])
+    E1 = SpectralField.stack([sparse_field(g, rng, 0.1) for _ in range(4)])
+    E2 = SpectralField.stack([sparse_field(g, rng, 0.1) for _ in range(4)])
     lhs = b_matrices(E1 + E2, u)
     rhs = b_matrices(E1, u) + b_matrices(E2, u)
     assert max(
@@ -609,8 +609,8 @@ def test_linear_solve_hand_example_case1():
     om = freq()
     cut = make_cutoff(g)
     u = TorusEmbedding.flat(g)
-    S = MatrixField.constant(g, np.eye(2))
-    f = VectorField(
+    S = SpectralField.constant(g, np.eye(2))
+    f = SpectralField.stack(
         [SpectralField.from_modes(g, {(1, 0): 0.5})]
         + [SpectralField.zero(g) for _ in range(3)]
     )
@@ -629,9 +629,9 @@ def test_linear_solve_zero_rhs():
     om = freq()
     cut = make_cutoff(g)
     u = TorusEmbedding.flat(g)
-    S = MatrixField.constant(g, np.eye(2))
+    S = SpectralField.constant(g, np.eye(2))
     v, xi, mu = linear_para_homological_solve(
-        *frame_handles(u, S, cut), VectorField.zero(g, 4), "thm1", om
+        *frame_handles(u, S, cut), SpectralField.constant(g, np.zeros(4)), "thm1", om
     )
     assert v.l2_norm() == 0.0 and np.all(xi == 0) and np.all(mu == 0)
 
@@ -641,9 +641,9 @@ def test_linear_solve_constant_rhs_thm2():
     om = freq()
     cut = make_cutoff(g)
     u = TorusEmbedding.flat(g)
-    S = MatrixField.constant(g, 0.7 * np.eye(2))
+    S = SpectralField.constant(g, 0.7 * np.eye(2))
     cx, cy = np.array([0.3, -0.1]), np.array([0.2, 0.5])
-    f = VectorField([SpectralField.constant(g, c) for c in np.concatenate([cx, cy])])
+    f = SpectralField.stack([SpectralField.constant(g, c) for c in np.concatenate([cx, cy])])
     v, xi, mu = linear_para_homological_solve(*frame_handles(u, S, cut), f, "thm2", om)
     assert v.l2_norm() < 1e-13
     assert np.max(np.abs(xi - cx)) < 1e-13
@@ -658,18 +658,18 @@ def test_linear_solve_self_check_random_symbols():
     u = random_embedding(g, rng, 0.015)
     h = random_hamiltonian(g, om, rng, with_cubic=False)
     S = torsion_S(h, u)
-    f = VectorField([sparse_field(g, rng, 0.3) for _ in range(4)])
+    f = SpectralField.stack([sparse_field(g, rng, 0.3) for _ in range(4)])
     for mode in ("thm1", "thm2"):
         v, xi, mu = linear_para_homological_solve(*frame_handles(u, S, cut), f, mode, om)
         # the internal self-check passed; re-verify independently
         from paratorus.hamtorus import _apply_torsion_block
 
         HM, HMinv, HS = frame_handles(u, S, cut)
-        w1 = HMinv.apply_vector(v)
-        lhs = HM.apply_vector(_apply_torsion_block(HS, w1)
+        w1 = HMinv.apply(v)
+        lhs = HM.apply(_apply_torsion_block(HS, w1)
                               - w1.omega_derivative(np.asarray(om, dtype=float)))
         cv = np.concatenate([xi, mu])
-        lhs = VectorField([lhs[a] + cv[a] for a in range(4)])
+        lhs = SpectralField.stack([lhs[a] + cv[a] for a in range(4)])
         assert (lhs - f).l2_norm() < 1e-9 * f.l2_norm()
         if mode == "thm1":
             assert np.all(xi == 0.0)
@@ -680,8 +680,8 @@ def test_linear_solve_thm1_rejects_singular_avg_S():
     om = freq()
     cut = make_cutoff(g)
     u = TorusEmbedding.flat(g)
-    S = MatrixField.constant(g, np.zeros((2, 2)))
-    f = VectorField([sparse_field(g, np.random.default_rng(1), 0.1) for _ in range(4)])
+    S = SpectralField.constant(g, np.zeros((2, 2)))
+    f = SpectralField.stack([sparse_field(g, np.random.default_rng(1), 0.1) for _ in range(4)])
     with pytest.raises(SingularAverageError):
         linear_para_homological_solve(*frame_handles(u, S, cut), f, "thm1", om)
 
@@ -697,7 +697,7 @@ def test_a_plain_frequency_gives_the_bits_of_the_certified_one():
     rng = np.random.default_rng(9)
     u = random_embedding(g, rng, 0.015)
     h = random_hamiltonian(g, om, rng, with_cubic=False)
-    f = VectorField([sparse_field(g, rng, 0.3) for _ in range(4)])
+    f = SpectralField.stack([sparse_field(g, rng, 0.3) for _ in range(4)])
     same = lambda a, b: np.array_equal(getattr(a, "coeffs", a), getattr(b, "coeffs", b))
     assert same(omega_directional_inverse(remove_mean(f), plain),
                 omega_directional_inverse(remove_mean(f), om))
@@ -817,7 +817,7 @@ def test_hamiltonian_rejects_a_non_finite_coefficient(name, value):
     data = {
         "a0": SpectralField.zero(g),
         "a1": integrable(g, freq(), np.eye(2)).a1,
-        "Q": MatrixField.constant(g, np.eye(2)),
+        "Q": SpectralField.constant(g, np.eye(2)),
         "cubic": SpectralField.constant(g, np.zeros((2, 2, 2))),
     }
     data[name].coeffs[(0,) * (data[name].coeffs.ndim - 2) + (8, 8)] = value
@@ -844,7 +844,7 @@ def test_hamiltonian_rejects_a1_off_the_grid_dimension():
         HamiltonianData(a0=data.a0, a1=SpectralField.constant(g, 1.0), Q=data.Q)
     with pytest.raises(ValueError, match="a1 have 2 components"):  # n = 3 on a dim-2 grid
         HamiltonianData(a0=data.a0, a1=SpectralField.constant(g, np.ones(3)),
-                        Q=MatrixField.constant(g, np.eye(3)))
+                        Q=SpectralField.constant(g, np.eye(3)))
     with pytest.raises(ValueError, match="a0 must be scalar"):
         HamiltonianData(a0=SpectralField.constant(g, np.ones(2)), a1=data.a1, Q=data.Q)
 
@@ -863,8 +863,8 @@ def test_non_finite_step_attaches_the_partial_report(monkeypatch):
     om = freq()
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0): 0.005}),
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, np.eye(2)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, np.eye(2)),
     )
     with pytest.raises(NonFiniteError) as err:
         solve_torus(h, om, mode="thm1", s=3.0, tol=1e-30)
@@ -873,8 +873,8 @@ def test_non_finite_step_attaches_the_partial_report(monkeypatch):
 
 
 def thm2_shift_data(g, om):
-    a1 = VectorField([SpectralField.constant(g, om.omega[i] + 0.01 * (i == 0)) for i in range(2)])
-    return HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=MatrixField.constant(g, np.zeros((2, 2))))
+    a1 = SpectralField.stack([SpectralField.constant(g, om.omega[i] + 0.01 * (i == 0)) for i in range(2)])
+    return HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, np.zeros((2, 2))))
 
 
 def test_solve_torus_rejects_max_iter_below_one_before_the_first_step(monkeypatch):
@@ -920,8 +920,8 @@ def test_solve_thm2_exact_frequency_shift():
     g = small_grid()
     om = freq()
     delta = np.array([0.01, 0.0])
-    a1 = VectorField([SpectralField.constant(g, om.omega[i] + delta[i]) for i in range(2)])
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=MatrixField.constant(g, np.zeros((2, 2))))
+    a1 = SpectralField.stack([SpectralField.constant(g, om.omega[i] + delta[i]) for i in range(2)])
+    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, np.zeros((2, 2))))
     sol = solve_torus(h, om, mode="thm2", s=3.0)
     assert np.max(np.abs(sol.xi + delta)) < 1e-10
     assert sol.u.displacement().sobolev_norm(3.0) < 1e-10
@@ -929,13 +929,13 @@ def test_solve_thm2_exact_frequency_shift():
 
 
 def test_solve_thm1_small_perturbation_converges():
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     a0 = SpectralField.from_modes(g, {(1, 0): 0.005})
     h = HamiltonianData(
         a0=a0,
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, np.eye(2)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, np.eye(2)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     assert sol.report.extras["residual_sup"] < 1e-9
@@ -966,8 +966,8 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
     om = freq()
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0): 0.005}),
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, np.eye(2)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, np.eye(2)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     n = sol.report.iterations
@@ -998,8 +998,8 @@ def test_no_handle_of_a_step_is_alive_when_the_next_step_starts(monkeypatch):
     om = freq()
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0): 0.005}),
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, np.eye(2)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, np.eye(2)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     assert sol.report.iterations >= 2
@@ -1068,7 +1068,7 @@ def test_solve_peak_memory_stays_below_the_three_handles_and_their_samples():
     # benchmark-sized sparse data at K = 16; the warm-up builds the grid tables. Keeping every
     # sample of the step alive with all four handles peaked at 9.1 MiB here; dropping the
     # samples before T_B and the handles before the next iterate's X_h left 4.7 MiB
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = benchmark_like(g, om)
     solve_torus(h, om, mode="thm1", s=3.0)
@@ -1085,7 +1085,7 @@ def test_warm_solve_at_the_benchmark_grid_peaks_below_20_mib():
     # the sparse benchmark torus at K = 32: para-products on the 81-point grid and the frame,
     # torsion and B algebra in chunks; with full-grid levels, whole-grid sample algebra and
     # cached gradients the warm solve peaked at 22.7 MiB, now at 14.7 MiB
-    g = TorusGrid.create(2, 32)
+    g = TorusGrid(2, 32)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 32)
     h = benchmark_like(g, om)
     solve_torus(h, om, mode="thm1", s=3.0)
@@ -1102,13 +1102,14 @@ def test_jacobian_is_written_into_one_array():
     # dim 3, K = 8, ux = 0 so that no warp runs and the peak is the assembly of A itself: A,
     # one n x n block in the making, the warped gradients and uy measured 2.08 A; assembling two
     # block rows and concatenating them measured 3.08 A
-    g = TorusGrid.create(3, 8)
+    g = TorusGrid(3, 8)
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j}),
         a1=SpectralField.constant(g, [1.0, GOLDEN, math.sqrt(2.0) - 1.0]),
-        Q=MatrixField.constant(g, np.eye(3)),
+        Q=SpectralField.constant(g, np.eye(3)),
     )
-    u = TorusEmbedding(VectorField.zero(g, 3), random_embedding(g, np.random.default_rng(5), 0.01).uy)
+    uy = random_embedding(g, np.random.default_rng(5), 0.01).uy
+    u = TorusEmbedding(SpectralField.constant(g, np.zeros(3)), uy)
     hamtorus._jacobian_samples(h, u)
     tracemalloc.start()
     try:
@@ -1124,11 +1125,11 @@ def test_warped_gradients_hold_bounded_temporaries():
     # dim 3, K = 8, a three-mode a0 and a random embedding: the one warp_samples call returns
     # 2.25 MiB (9 rows); with chunks of 4,000,000 complex entries the call peaked at 68.6 MiB,
     # with every temporary capped at 262,144 entries (4 MiB) at 15.9 MiB
-    g = TorusGrid.create(3, 8)
+    g = TorusGrid(3, 8)
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j, (1, -1, 2): 0.001}),
         a1=SpectralField.constant(g, [1.0, GOLDEN, math.sqrt(2.0) - 1.0]),
-        Q=MatrixField.constant(g, np.eye(3)),
+        Q=SpectralField.constant(g, np.eye(3)),
     )
     u = random_embedding(g, np.random.default_rng(5), 0.01)
     hamtorus._warped(h, u, 2)
@@ -1144,7 +1145,7 @@ def test_warped_gradients_hold_bounded_temporaries():
 
 @pytest.mark.parametrize("dim, K", [(1, 16), (2, 8), (3, 4)])
 def test_chunked_frame_torsion_and_b_equal_one_chunk_bit_for_bit(dim, K, monkeypatch):
-    g = TorusGrid.create(dim, K)
+    g = TorusGrid(dim, K)
     om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0][:dim], 1.0, K)
     rng = np.random.default_rng(20 + dim)
     h = _random_taylor_data(g, rng, dim < 3, dense=False)  # a cubic term at dim 3 is slow to warp
@@ -1173,14 +1174,14 @@ def test_chunked_frame_torsion_and_b_equal_one_chunk_bit_for_bit(dim, K, monkeyp
 def test_solve_thm1_dim3_runs_a_para_product_level():
     # at K = 8 every para-product has the level j = 4 on the N_pp = 24 point grid, checked
     # end to end by the flow oracle (measured deviation 2.4e-15 at T = 2)
-    g = TorusGrid.create(3, 8)
+    g = TorusGrid(3, 8)
     cut = make_cutoff(g)
     assert (cut.j_max, cut.para_points) == (4, 24)
     om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0], 1.0, 8)
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j}),
-        a1=VectorField([SpectralField.constant(g, w) for w in om.omega]),
-        Q=MatrixField.constant(g, np.eye(3)),
+        a1=SpectralField.stack([SpectralField.constant(g, w) for w in om.omega]),
+        Q=SpectralField.constant(g, np.eye(3)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0, tol=1e-10)
     assert sol.report.iterations == 5
@@ -1195,8 +1196,8 @@ def test_solve_thm1_requires_invertible_avg_Q():
     a0 = SpectralField.from_modes(g, {(1, 0): 0.005})
     h = HamiltonianData(
         a0=a0,
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, np.zeros((2, 2))),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, np.zeros((2, 2))),
     )
     with pytest.raises(SingularAverageError):
         solve_torus(h, om, mode="thm1", s=3.0)
@@ -1206,23 +1207,23 @@ def test_solve_thm1_requires_invertible_avg_Q():
 
 
 def test_residual_manufactured_solution():
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
-    ux = VectorField(
+    ux = SpectralField.stack(
         [
             SpectralField.from_modes(g, {(1, 0): -0.03j}),
             SpectralField.from_modes(g, {(0, 1): 0.02}),
         ]
     )
-    u = TorusEmbedding(ux=ux, uy=VectorField.zero(g, 2))
+    u = TorusEmbedding(ux=ux, uy=SpectralField.constant(g, np.zeros(2)))
     base = np.stack(g.point_mesh)
     theta = base.copy()
     for _ in range(80):
         theta = base - np.stack([warp_samples(f, theta) for f in ux])
     targets = [ux[i].omega_derivative(np.asarray(om, dtype=float)) + om.omega[i]
                for i in range(2)]
-    a1 = VectorField([analyze(g, warp_samples(t, theta)) for t in targets])
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=MatrixField.constant(g, np.eye(2)))
+    a1 = SpectralField.stack([analyze(g, warp_samples(t, theta)) for t in targets])
+    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, np.eye(2)))
     _, sup, _ = residual_torus(h, u, None, om)
     assert sup < 1e-10
 
@@ -1243,13 +1244,13 @@ def test_counterterm_detects_rough_data():
     om = freq()
     rng = np.random.default_rng(13)
     h = random_hamiltonian(g, om, rng, amp=0.3)
-    uy = VectorField(
+    uy = SpectralField.stack(
         [
             SpectralField.from_modes(g, {(7, 5): 0.2 + 0.1j, (6, -6): 0.15}),
             SpectralField.from_modes(g, {(5, 7): -0.2j, (8, 0): 0.1}),
         ]
     )
-    ux = VectorField(
+    ux = SpectralField.stack(
         [
             SpectralField.from_modes(g, {(6, 6): 0.02j}),
             SpectralField.from_modes(g, {(0, 7): 0.015}),
@@ -1266,8 +1267,8 @@ def test_solve_reports_the_counterterm_defect_of_its_measured_residual():
     om = freq()
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0): 0.005, (1, 1): 0.002j}),
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, np.eye(2)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, np.eye(2)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     defect = counterterm_check(h, sol.u, sol.xi, sol.mu, om)
@@ -1278,7 +1279,7 @@ def test_certificate_takes_the_frame_samples_once(monkeypatch):
     g = small_grid()
     rng = np.random.default_rng(41)
     u = random_embedding(g, rng, 0.01)
-    E = VectorField([sparse_field(g, rng, 1e-3) for _ in range(4)])
+    E = SpectralField.stack([sparse_field(g, rng, 1e-3) for _ in range(4)])
     cut = make_cutoff(g)
     # the composition through the public b_matrices and frame, as before the samples were shared
     symbol = b_matrices(E, u).matmul(frame(u)[2])
@@ -1304,13 +1305,13 @@ def test_flow_oracle_integrable():
 
 
 def test_flow_oracle_detects_corruption():
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = integrable(g, om, np.eye(2))
-    uy = VectorField(
+    uy = SpectralField.stack(
         [SpectralField.from_modes(g, {(1, 0): 1e-3j}), SpectralField.zero(g)]
     )
-    bad = TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
+    bad = TorusEmbedding(ux=SpectralField.constant(g, np.zeros(2)), uy=uy)
     dev = flow_oracle(h, bad, None, om, theta0=[0.3, 0.9], T=2.0, dt=1e-3)
     assert dev >= 1e-3
 
@@ -1401,7 +1402,7 @@ def _random_taylor_data(grid, rng, cubic, dense):
         assert np.count_nonzero(a0.coeffs) > 2 * 3**n
     else:
         a0 = sparse_field(grid, rng, 0.02)
-    a1 = VectorField([sparse_field(grid, rng, 0.02) + 1.0 + 0.3 * i for i in range(n)])
+    a1 = SpectralField.stack([sparse_field(grid, rng, 0.02) + 1.0 + 0.3 * i for i in range(n)])
     pool = {}
 
     def entry(*idx):
@@ -1410,7 +1411,7 @@ def _random_taylor_data(grid, rng, cubic, dense):
             pool[key] = sparse_field(grid, rng, 0.02) + (1.0 if len(set(key)) == 1 else 0.0)
         return pool[key]
 
-    Q = MatrixField([[entry(i, j) for j in range(n)] for i in range(n)])
+    Q = SpectralField.stack([[entry(i, j) for j in range(n)] for i in range(n)])
     C = [[[entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)] if cubic else None
     return HamiltonianData(a0=a0, a1=a1, Q=Q, cubic=C)
 
@@ -1420,7 +1421,7 @@ def _random_taylor_data(grid, rng, cubic, dense):
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse-a0", "dense-a0"])
 def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
     # the folded half-space table against _xh on each gradient synthesized over all modes
-    g = TorusGrid.create(dim, 4 if dim == 3 else 8)
+    g = TorusGrid(dim, 4 if dim == 3 else 8)
     rng = np.random.default_rng(50 + dim)
     h = _random_taylor_data(g, rng, cubic, dense)
     xi = rng.standard_normal(dim) * 1e-3
@@ -1452,7 +1453,7 @@ def test_flow_closures_of_a_zero_hamiltonian_are_the_counterterm_alone():
 def test_flow_closures_energy_matches_the_written_out_h(dim, cubic):
     # the flow oracle's energy closure, h_xi = h + <xi, y>, against h written out and against the
     # slow path, _taylor's (0, 0) order on each gradient synthesized over all modes
-    g = TorusGrid.create(dim, 4 if dim == 3 else 8)
+    g = TorusGrid(dim, 4 if dim == 3 else 8)
     rng = np.random.default_rng(60 + dim)
     h = _random_taylor_data(g, rng, cubic, dense=False)
     unshifted, zero_xi = _flow_closures(h, None)[1], _flow_closures(h, np.zeros(dim))[1]
@@ -1470,7 +1471,7 @@ def test_flow_closures_energy_matches_the_written_out_h(dim, cubic):
 
 def test_flow_oracle_in_dim_1():
     # a single point of T^1 is an array of shape (1,): the energy monitor reads it as one point
-    g = TorusGrid.create(1, 16)
+    g = TorusGrid(1, 16)
     om = FrequencyVector.certify([1.0], 1.0, 16)
     h = HamiltonianData(a0=SpectralField.from_modes(g, {1: 0.0025}),
                         a1=SpectralField.constant(g, [1.0]), Q=SpectralField.constant(g, [[1.0]]))
@@ -1534,7 +1535,7 @@ def test_streamed_flow_comparison_matches_the_whole_orbit(monkeypatch, block, T)
 def test_flow_oracle_memory_does_not_grow_with_T():
     # dim 3 and dt = 2e-3 keep the traced run short (the integrable flow is
     # linear), and K = 1 keeps the set-up's transient tables below the orbit's size
-    g = TorusGrid.create(3, 1)
+    g = TorusGrid(3, 1)
     om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0], 1.0, 1)
     h = integrable(g, om, np.eye(3))
     u = TorusEmbedding.flat(g)
@@ -1637,7 +1638,7 @@ def _complex_table_deviation(h, u, xi, omega, theta0, T, dt):
 @pytest.mark.parametrize("cubic", [False, True], ids=["quadratic", "cubic"])
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse-a0", "dense-a0"])
 def test_flow_oracle_matches_the_complex_table_orbit(dim, cubic, dense):
-    g = TorusGrid.create(dim, 4 if dim == 3 else 8)
+    g = TorusGrid(dim, 4 if dim == 3 else 8)
     rng = np.random.default_rng(70 + dim)
     h = _random_taylor_data(g, rng, cubic, dense)
     u = random_embedding(g, rng, 0.01)
@@ -1652,9 +1653,9 @@ def test_flow_oracle_matches_the_complex_table_orbit(dim, cubic, dense):
 def test_point_rhs_without_a_varying_mode_is_the_constant_polynomial():
     # a0 = 0 with constant a1 and Q: no phase is formed, and dyadic data keeps every sum exact
     g = small_grid()
-    a1 = VectorField([SpectralField.constant(g, 1.0), SpectralField.constant(g, 0.5)])
+    a1 = SpectralField.stack([SpectralField.constant(g, 1.0), SpectralField.constant(g, 0.5)])
     h = HamiltonianData(a0=SpectralField.zero(g), a1=a1,
-                        Q=MatrixField.constant(g, np.array([[2.0, 0.25], [0.25, 1.0]])))
+                        Q=SpectralField.constant(g, np.array([[2.0, 0.25], [0.25, 1.0]])))
     rhs = _flow_closures(h, np.array([0.125, -0.375]))[0]
     for x in ([0.3, 0.9], [5.1, -2.0]):
         assert rhs(x + [0.5, -1.5]) == [0.125 + 1.0 + 1.0 - 0.375, -0.375 + 0.5 + 0.125 - 1.5,
@@ -1679,22 +1680,22 @@ def test_lack_of_isotropy_flat_and_antisymmetric():
 def test_lagrangian_graph_is_isotropic():
     g = small_grid()
     psi = SpectralField.from_modes(g, {(1, 0): 0.04, (0, 1): -0.03j, (1, 1): 0.02})
-    uy = VectorField([psi.derivative(0), psi.derivative(1)])
-    z = TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
+    uy = SpectralField.stack([psi.derivative(0), psi.derivative(1)])
+    z = TorusEmbedding(ux=SpectralField.constant(g, np.zeros(2)), uy=uy)
     assert lack_of_isotropy(z).sup_norm() < 1e-11
 
 
 def test_isotropic_correction_reduces_L():
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = integrable(g, om, np.eye(2))
-    uy = VectorField(
+    uy = SpectralField.stack(
         [
             SpectralField.from_modes(g, {(1, 0): 5e-4j, (0, 1): 3e-4}),
             SpectralField.from_modes(g, {(1, 1): -4e-4j}),
         ]
     )
-    z = TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
+    z = TorusEmbedding(ux=SpectralField.constant(g, np.zeros(2)), uy=uy)
     L0 = lack_of_isotropy(z).sup_norm()
     eta = isotropic_correction(z, h, om)
     L1 = lack_of_isotropy(eta).sup_norm()
@@ -1707,23 +1708,23 @@ def test_isotropic_correction_fixes_isotropic_input():
     om = freq()
     h = integrable(g, om, np.eye(2))
     psi = SpectralField.from_modes(g, {(1, 0): 0.01, (0, 1): -0.008j})
-    uy = VectorField([psi.derivative(0), psi.derivative(1)])
-    z = TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
+    uy = SpectralField.stack([psi.derivative(0), psi.derivative(1)])
+    z = TorusEmbedding(ux=SpectralField.constant(g, np.zeros(2)), uy=uy)
     eta = isotropic_correction(z, h, om)
     assert (eta.uy - z.uy).sup_norm() < 1e-11
 
 
 def test_isotropy_two_formulas_agree():
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = integrable(g, om, np.eye(2))
-    uy = VectorField(
+    uy = SpectralField.stack(
         [
             SpectralField.from_modes(g, {(1, 0): 5e-4j, (0, 1): 3e-4}),
             SpectralField.from_modes(g, {(1, 1): -4e-4j}),
         ]
     )
-    z = TorusEmbedding(ux=VectorField.zero(g, 2), uy=uy)
+    z = TorusEmbedding(ux=SpectralField.constant(g, np.zeros(2)), uy=uy)
     La = lack_of_isotropy(z)
     Lb = isotropy_from_residual(z, h, om)
     diff = max((La[i, j] - Lb[i, j]).sup_norm() for i in range(2) for j in range(2))
@@ -1735,20 +1736,20 @@ def test_flow_oracle_rejects_coarse_steps():
     om = freq()
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0): 0.25}),
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, 2.0 * np.eye(2)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, 2.0 * np.eye(2)),
     )
     with pytest.raises(EnergyDriftError):
         flow_oracle(h, TorusEmbedding.flat(g), None, om, theta0=[0.3, 0.9], T=300.0, dt=0.5)
 
 
 def test_solver_reports_truncation_tail():
-    g = TorusGrid.create(2, 16)
+    g = TorusGrid(2, 16)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0): 0.005}),
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
-        Q=MatrixField.constant(g, np.eye(2)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(2)]),
+        Q=SpectralField.constant(g, np.eye(2)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     assert sol.report.extras["xh_tail_energy"] < 1e-12
@@ -1756,12 +1757,12 @@ def test_solver_reports_truncation_tail():
 
 def test_solve_thm1_dim3_smoke():
     # 6 x 6 frame fields run through the component axes
-    g = TorusGrid.create(3, 4)
+    g = TorusGrid(3, 4)
     om = FrequencyVector.certify([1.0, GOLDEN, math.sqrt(2.0) - 1.0], 1.0, 4)
     h = HamiltonianData(
         a0=SpectralField.from_modes(g, {(1, 0, 0): 0.0025, (0, 1, 1): 0.0025j}),
-        a1=VectorField([SpectralField.constant(g, om.omega[i]) for i in range(3)]),
-        Q=MatrixField.constant(g, np.eye(3)),
+        a1=SpectralField.stack([SpectralField.constant(g, om.omega[i]) for i in range(3)]),
+        Q=SpectralField.constant(g, np.eye(3)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
     assert sol.report.iterations == 5

@@ -5,19 +5,16 @@ import pytest
 
 from paratorus import (
     GridMismatchError,
-    MatrixField,
     NonContractiveError,
     NonFiniteError,
     SingularAverageError,
     SpectralField,
     TorusGrid,
-    VectorField,
     cm_remainder,
     make_cutoff,
     meyer_apply,
     para_compose,
     para_invert,
-    para_invert_matrix,
     para_product,
     pl_remainder,
     telescope_remainders,
@@ -30,7 +27,7 @@ from test_spectral import hermitian_defect, random_field
 
 
 def setup_1d(K=32):
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     return g, make_cutoff(g)
 
 
@@ -114,7 +111,7 @@ def dense_random_field(grid, rng, decay=1.0):
 
 def boundedness_constant(K, s=2.0):
     """Deterministic estimate of sup |T_a u|_{H^s} / (|a|_inf |u|_{H^s})."""
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     cut = make_cutoff(g)
     a = SpectralField.from_modes(g, {1: 0.25, 2: 0.1, 3: 0.05j}) + 1.0
     flat = SpectralField(g, ((1.0 + g.mode_norm**2) ** (-s / 2)).astype(complex))
@@ -136,8 +133,8 @@ def test_boundedness_ratio_stable_under_resolution_doubling():
 def test_matrix_para_product_constant_matrix():
     g, cut = setup_1d()
     rng = np.random.default_rng(7)
-    A = MatrixField.constant(g, np.array([[2.0, 1.0], [0.5, -1.0]]))
-    v = VectorField([random_field(g, rng), random_field(g, rng)])
+    A = SpectralField.constant(g, np.array([[2.0, 1.0], [0.5, -1.0]]))
+    v = SpectralField.stack([random_field(g, rng), random_field(g, rng)])
     got = para_product(A, v, cut)
     want0 = 2.0 * v[0] + 1.0 * v[1]
     want1 = 0.5 * v[0] - 1.0 * v[1]
@@ -148,8 +145,8 @@ def test_matrix_para_product_constant_matrix():
 def test_matrix_para_product_identity():
     g, cut = setup_1d()
     rng = np.random.default_rng(8)
-    v = VectorField([random_field(g, rng), random_field(g, rng)])
-    I = MatrixField.constant(g, np.eye(2))
+    v = SpectralField.stack([random_field(g, rng), random_field(g, rng)])
+    I = SpectralField.constant(g, np.eye(2))
     got = para_product(I, v, cut)
     for i in range(2):
         assert np.max(np.abs(got[i].coeffs - v[i].coeffs)) < 1e-13
@@ -158,8 +155,8 @@ def test_matrix_para_product_identity():
 def test_matrix_para_product_entrywise_oracle():
     g, cut = setup_1d(16)
     rng = np.random.default_rng(9)
-    A = MatrixField([[random_field(g, rng) for _ in range(2)] for _ in range(2)])
-    v = VectorField([random_field(g, rng), random_field(g, rng)])
+    A = SpectralField.stack([[random_field(g, rng) for _ in range(2)] for _ in range(2)])
+    v = SpectralField.stack([random_field(g, rng), random_field(g, rng)])
     got = para_product(A, v, cut)
     for i in range(2):
         want = para_product(A[i, 0], v[0], cut) + para_product(A[i, 1], v[1], cut)
@@ -190,7 +187,7 @@ def test_cm_remainder_bilinear():
 
 
 def cm_decay_slope(r, rng, K=256):
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     cut = make_cutoff(g)
     a = lacunary(g, cut, r, rng)
     b = lacunary(g, cut, r, rng)
@@ -221,7 +218,7 @@ def test_meyer_identity_family():
     g, cut = setup_1d()
     rng = np.random.default_rng(13)
     u = random_field(g, rng, band=g.max_mode)
-    fam = VectorField([SpectralField.constant(g, 1.0) for _ in range(cut.j_max + 1)])
+    fam = SpectralField.stack([SpectralField.constant(g, 1.0) for _ in range(cut.j_max + 1)])
     got = meyer_apply(fam, u, cut)
     assert np.max(np.abs(got.coeffs - u.coeffs)) < 1e-13
 
@@ -231,7 +228,7 @@ def test_meyer_paraproduct_coincidence():
     rng = np.random.default_rng(14)
     a = random_field(g, rng)
     u = random_field(g, rng, band=g.max_mode)
-    fam = VectorField([cut.partial_sum(a, j - 3) for j in range(cut.j_max + 1)])
+    fam = SpectralField.stack([cut.partial_sum(a, j - 3) for j in range(cut.j_max + 1)])
     got = meyer_apply(fam, u, cut)
     want = para_product(a, u, cut)
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
@@ -241,7 +238,7 @@ def test_meyer_apply_rejects_multipliers_on_another_grid():
     # same N and level count, different K: the samples line up, so this once passed silently
     cut = make_cutoff(TorusGrid(1, 8))
     other = TorusGrid(1, 4)
-    fam = VectorField([SpectralField.constant(other, 1.0) for _ in range(cut.j_max + 1)])
+    fam = SpectralField.stack([SpectralField.constant(other, 1.0) for _ in range(cut.j_max + 1)])
     u = random_field(cut.grid, np.random.default_rng(16))
     with pytest.raises(GridMismatchError):
         meyer_apply(fam, u, cut)
@@ -250,7 +247,7 @@ def test_meyer_apply_rejects_multipliers_on_another_grid():
 def test_meyer_apply_rejects_a_family_without_a_level_per_block():
     g, cut = setup_1d()
     u = random_field(g, np.random.default_rng(17))
-    short = VectorField([SpectralField.constant(g, 1.0) for _ in range(cut.j_max)])
+    short = SpectralField.stack([SpectralField.constant(g, 1.0) for _ in range(cut.j_max)])
     with pytest.raises(ValueError, match="cutoff needs"):
         meyer_apply(short, u, cut)
     with pytest.raises(ValueError, match="cutoff needs"):
@@ -262,9 +259,9 @@ def test_meyer_gain_one_norm_sweep():
     rng = np.random.default_rng(15)
     consts = []
     for K in (32, 64):
-        g = TorusGrid.create(1, K)
+        g = TorusGrid(1, K)
         cut = make_cutoff(g)
-        fam = VectorField(
+        fam = SpectralField.stack(
             [SpectralField.constant(g, 2.0**-j) for j in range(cut.j_max + 1)]
         )
         worst = 0.0
@@ -374,7 +371,7 @@ def test_pl_remainder_zero_for_constant_linear():
 def test_pl_remainder_block_decay_slope():
     # single-block probes normalized to unit Zygmund size; gain index r
     r = 2.0
-    g = TorusGrid.create(1, 256)
+    g = TorusGrid(1, 256)
     cut = make_cutoff(g)
     rng = np.random.default_rng(21)
     w = random_field(g, rng, band=256)
@@ -405,7 +402,7 @@ def test_para_compose_zero_displacement():
     g, cut = setup_1d(64)
     rng = np.random.default_rng(22)
     F = random_field(g, rng, band=48)
-    zero = VectorField([SpectralField.zero(g)])
+    zero = SpectralField.stack([SpectralField.zero(g)])
     got = para_compose(F, zero, cut)
     assert (got - F).l2_norm() < 1e-10
 
@@ -413,7 +410,7 @@ def test_para_compose_zero_displacement():
 def test_para_compose_constant():
     g, cut = setup_1d(32)
     F = SpectralField.constant(g, 3.14)
-    disp = VectorField([SpectralField.from_modes(g, {1: -0.05j})])
+    disp = SpectralField.stack([SpectralField.from_modes(g, {1: -0.05j})])
     got = para_compose(F, disp, cut)
     assert abs(got.mean() - 3.14) < 1e-12
     assert (got - got.mean()).l2_norm() < 1e-12
@@ -422,7 +419,7 @@ def test_para_compose_constant():
 def test_para_compose_rejects_steep_displacement():
     g, cut = setup_1d(32)
     F = SpectralField.from_modes(g, {2: 0.5})
-    steep = VectorField([SpectralField.from_modes(g, {1: -0.6j})])  # slope 1.2
+    steep = SpectralField.stack([SpectralField.from_modes(g, {1: -0.6j})])  # slope 1.2
     from paratorus import DiffeomorphismLostError
 
     with pytest.raises(DiffeomorphismLostError):
@@ -430,11 +427,11 @@ def test_para_compose_rejects_steep_displacement():
 
 
 def test_para_composition_remainder_decays_with_block_level():
-    g = TorusGrid.create(1, 256)
+    g = TorusGrid(1, 256)
     cut = make_cutoff(g)
     rng = np.random.default_rng(23)
     u = SpectralField.from_modes(g, {1: -0.1j, 2: 0.03})  # smooth displacement
-    disp = VectorField([u])
+    disp = SpectralField.stack([u])
     w = random_field(g, rng, band=256)
     from paratorus.spectral import compose_warped
 
@@ -498,7 +495,7 @@ def test_para_invert_rejects_max_iter_below_one():
     with pytest.raises(ValueError):
         para_invert(SpectralField.constant(g, 2.0), v, cut, max_iter=0)
     with pytest.raises(ValueError):
-        para_invert_matrix(MatrixField.constant(g, np.eye(2)), VectorField([v, v]), cut, max_iter=0)
+        para_invert(SpectralField.constant(g, np.eye(2)), SpectralField.stack([v, v]), cut, max_iter=0)
 
 
 @pytest.mark.parametrize("fluctuation", [0.0, 0.5], ids=["constant", "plus-cos"])
@@ -545,9 +542,9 @@ def test_para_invert_rejects_a_w0_on_another_grid_or_of_another_shape():
     v = random_field(g, np.random.default_rng(35))
     handle = ParaOpHandle(SpectralField.from_modes(g, {1: 0.05}) + 1.0, cut)
     with pytest.raises(GridMismatchError):
-        para_invert_with_handle(handle, v, w0=SpectralField.zero(TorusGrid.create(1, 16)))
+        para_invert_with_handle(handle, v, w0=SpectralField.zero(TorusGrid(1, 16)))
     with pytest.raises(ValueError, match="w0"):
-        para_invert_with_handle(handle, v, w0=VectorField([v, v]))
+        para_invert_with_handle(handle, v, w0=SpectralField.stack([v, v]))
 
 
 def test_a_converged_w0_returns_after_one_apply(monkeypatch):
@@ -563,16 +560,20 @@ def test_a_converged_w0_returns_after_one_apply(monkeypatch):
 
 
 def test_para_invert_has_one_entry_point():
-    assert para_invert_matrix is para_invert
+    # the former names for matrix symbols, which perfbench still calls
+    import paratorus
+
+    assert paratorus.para_invert_matrix is para_invert
+    assert ParaOpHandle.__dict__["apply_vector"] is ParaOpHandle.__dict__["apply"]
 
 
 def test_para_invert_matrix_constant_symbol():
     g, cut = setup_1d()
     rng = np.random.default_rng(27)
     M = np.array([[2.0, 0.3], [0.1, -1.5]])
-    A = MatrixField.constant(g, M)
-    v = VectorField([random_field(g, rng), random_field(g, rng)])
-    w = para_invert_matrix(A, v, cut, tol=1e-13)
+    A = SpectralField.constant(g, M)
+    v = SpectralField.stack([random_field(g, rng), random_field(g, rng)])
+    w = para_invert(A, v, cut, tol=1e-13)
     want = np.linalg.inv(M)
     got0 = want[0, 0] * v[0] + want[0, 1] * v[1]
     assert (w[0] - got0).l2_norm() < 1e-12
@@ -583,19 +584,19 @@ def test_para_invert_matrix_forward_check_and_singular():
     rng = np.random.default_rng(28)
     base = np.diag([1.0, -1.0])
     off = random_field(g, rng, band=16, amp=0.05)
-    A = MatrixField(
+    A = SpectralField.stack(
         [
             [SpectralField.constant(g, base[0, 0]), off],
             [off * 0.5, SpectralField.constant(g, base[1, 1])],
         ]
     )
-    v = VectorField([random_field(g, rng, band=16), random_field(g, rng, band=16)])
-    w = para_invert_matrix(A, v, cut, tol=1e-13)
+    v = SpectralField.stack([random_field(g, rng, band=16), random_field(g, rng, band=16)])
+    w = para_invert(A, v, cut, tol=1e-13)
     resid = (para_product(A, w, cut) - v).l2_norm()
     assert resid < 1e-12 * v.l2_norm()
-    singular = MatrixField.constant(g, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    singular = SpectralField.constant(g, np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularAverageError):
-        para_invert_matrix(singular, v, cut)
+        para_invert(singular, v, cut)
 
 
 def test_handle_reuse_matches_function():
@@ -615,7 +616,7 @@ def test_handle_low_passes_equal_each_level_synthesized_alone(dim, K, shape):
     # a scalar symbol's levels come from one stacked transform on the top level's band of
     # k_last columns, a matrix symbol's one level at a time on its own band; either way each
     # level is the bits of its own synthesis from the full K + 1 columns
-    g = TorusGrid.create(dim, K)
+    g = TorusGrid(dim, K)
     cut = make_cutoff(g)
     rng = np.random.default_rng(31)
     fields = [random_field(g, rng, band=K) for _ in range(int(np.prod(shape)))]
@@ -644,7 +645,7 @@ def full_spectrum_apply(h, u):
 def test_half_spectrum_apply_equals_the_full_spectrum_apply(dim, K, symbol_shape, operand_shape):
     # K = 4 has no para-product level, so the apply is its low band alone; the fields are dense,
     # with no coefficient exactly zero, so that not even the sign of a zero may differ
-    g = TorusGrid.create(dim, K)
+    g = TorusGrid(dim, K)
     cut = make_cutoff(g)
     rng = np.random.default_rng(37)
     h = ParaOpHandle(analyze(g, rng.standard_normal(symbol_shape + g.point_shape)), cut)
@@ -652,7 +653,7 @@ def test_half_spectrum_apply_equals_the_full_spectrum_apply(dim, K, symbol_shape
     u = analyze(g, rng.standard_normal(operand_shape + g.point_shape))
     assert h.apply(u).coeffs.tobytes() == full_spectrum_apply(h, u).coeffs.tobytes()
     with pytest.raises(GridMismatchError):
-        h.apply(SpectralField.zero(TorusGrid.create(dim, K + 1)))
+        h.apply(SpectralField.zero(TorusGrid(dim, K + 1)))
 
 
 @pytest.mark.parametrize("column", ["in_band", "above_band"])
@@ -660,7 +661,7 @@ def test_half_spectrum_apply_equals_the_full_spectrum_apply(dim, K, symbol_shape
 def test_a_handle_refuses_a_non_finite_symbol(column, shape):
     # the bands leave out the k_last columns above the top level's, so a NaN there would not
     # reach the low-passes; the build refuses the symbol wherever its NaN is
-    g = TorusGrid.create(2, 32)
+    g = TorusGrid(2, 32)
     cut = make_cutoff(g)
     band = cut.lowpass_band[cut.j_max - 3]
     assert band < g.max_mode + 1

@@ -26,7 +26,6 @@ from paratorus import (
     SpectralField,
     TorusEmbedding,
     TorusGrid,
-    VectorField,
     analyze,
     field_from_json,
     field_to_json,
@@ -98,7 +97,7 @@ def literal_para_product(a, u, cut):
 @PROPERTY
 @given(grids, component_shapes, seeds)
 def test_analyze_inverts_samples(dims, shape, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     u = random_field(g, np.random.default_rng(seed), shape)
     assert relative(analyze(g, u.samples()).coeffs, u.coeffs) <= 1e-13
 
@@ -106,7 +105,7 @@ def test_analyze_inverts_samples(dims, shape, seed):
 @PROPERTY
 @given(grids, component_shapes, seeds)
 def test_real_transforms_match_complex_full_grid(dims, shape, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     rng = np.random.default_rng(seed)
     u = random_field(g, rng, shape)
     assert relative(u.samples(), complex_samples(u)) <= 1e-13
@@ -119,7 +118,7 @@ def test_real_transforms_match_complex_full_grid(dims, shape, seed):
 @PROPERTY
 @given(grids, seeds)
 def test_json_round_trip_is_exact_and_mirrors_one_sided_documents(dims, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     u = random_field(g, np.random.default_rng(seed))
     doc = field_to_json(u)
     assert np.array_equal(field_from_json(doc).coeffs, u.coeffs)
@@ -140,7 +139,7 @@ def direct_product(f, g):
 @given(st.sampled_from([(1, 4), (1, 8), (1, 32), (2, 4), (2, 8)]), seeds)
 def test_product_equals_the_truncated_direct_convolution(dims, seed):
     # on N = 4K points the modes 2K < |k_i| <= 3K that would alias into the band never arise
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     assert g.points_per_dim == 4 * g.max_mode
     rng = np.random.default_rng(seed)
     f, h = random_field(g, rng), random_field(g, rng)
@@ -156,7 +155,7 @@ FIELD_KINDS = ("sparse", "dense", "zero", "one axis", "non-Hermitian")
 @given(st.sampled_from([(1, 8), (1, 32), (2, 6), (2, 12), (3, 4), (3, 8)]), component_shapes,
        st.sampled_from(FIELD_KINDS), seeds)
 def test_warp_samples_equals_the_direct_sum(dims, shape, kind, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(shape + g.mode_shape) + 1j * rng.standard_normal(shape + g.mode_shape)
     keep = np.ones(g.mode_shape, dtype=bool)
@@ -185,7 +184,7 @@ def test_warp_samples_equals_the_direct_sum(dims, shape, kind, seed):
 @given(seeds)
 def test_real_terms_evaluate_to_the_direct_sum(dims, shape, seed):
     # table @ [cos(x.k) | sin(x.k) | 1] against Re sum_k c_k e^{i k.x} over every mode
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     rng = np.random.default_rng(seed)
     for kind in ["Hermitian", "non-Hermitian", "sparse", "NaN at -k"]:
         c = rng.standard_normal(shape + g.mode_shape) + 1j * rng.standard_normal(shape + g.mode_shape)
@@ -215,7 +214,7 @@ def test_real_terms_evaluate_to_the_direct_sum(dims, shape, seed):
 @PROPERTY
 @given(grids, component_shapes, seeds)
 def test_blocks_match_each_block_and_sum_to_the_field(dims, shape, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     cut = make_cutoff(g)
     u = random_field(g, np.random.default_rng(seed), shape)
     blocks = cut.blocks(u)
@@ -228,7 +227,7 @@ def test_blocks_match_each_block_and_sum_to_the_field(dims, shape, seed):
 @PROPERTY
 @given(grids, st.booleans(), seeds)
 def test_apply_equals_the_literal_per_block_sum(dims, matrix, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     cut = make_cutoff(g)
     rng = np.random.default_rng(seed)
     a = random_field(g, rng, (2, 2) if matrix else ())
@@ -304,7 +303,7 @@ def test_half_spectrum_apply_equals_the_stacked_apply(dims, symbol_shape):
 @given(st.sampled_from([(1, 16), (1, 64), (2, 8)]), st.booleans(),
        st.sampled_from([1e-6, 1e-10, 1e-13]), st.floats(-1e6, 1e6), seeds)
 def test_a_warm_start_from_any_finite_w0_certifies_itself(dims, matrix, tol, scale, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     cut = make_cutoff(g)
     rng = np.random.default_rng(seed)
     shape = (2, 2) if matrix else ()
@@ -321,7 +320,7 @@ def test_a_warm_start_from_any_finite_w0_certifies_itself(dims, matrix, tol, sca
 @PROPERTY
 @given(grids, st.floats(-3.0, 3.0), seeds)
 def test_constants_act_by_multiplication_and_by_the_mean(dims, c, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     cut = make_cutoff(g)
     rng = np.random.default_rng(seed)
     a, u = random_field(g, rng), random_field(g, rng, (2,))
@@ -338,14 +337,14 @@ def test_constants_act_by_multiplication_and_by_the_mean(dims, c, seed):
 @PROPERTY
 @given(grids, st.floats(0.0, 3.0), seeds)
 def test_zygmund_norm_and_meyer_apply_equal_their_per_level_forms(dims, r, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     cut = make_cutoff(g)
     rng = np.random.default_rng(seed)
     u = random_field(g, rng)
     ref = max(2.0 ** (j * r) * np.max(np.abs(complex_samples(cut.block(u, j))))
               for j in range(cut.j_max + 1))
     assert abs(zygmund_norm(u, r, cut) - ref) <= 1e-13 * ref
-    fam = VectorField([random_field(g, rng) for _ in range(cut.j_max + 1)])
+    fam = SpectralField.stack([random_field(g, rng) for _ in range(cut.j_max + 1)])
     acc = sum(complex_samples(m) * complex_samples(cut.block(u, j))
               for j, m in enumerate(fam))
     assert relative(meyer_apply(fam, u, cut).coeffs, complex_analyze(g, acc)) <= 1e-13
@@ -354,11 +353,11 @@ def test_zygmund_norm_and_meyer_apply_equal_their_per_level_forms(dims, r, seed)
 @settings(derandomize=True, max_examples=6, deadline=None)
 @given(st.sampled_from([(1, 16), (1, 32), (2, 8)]), seeds)
 def test_para_compose_equals_its_per_level_form(dims, seed):
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     cut = make_cutoff(g)
     rng = np.random.default_rng(seed)
     F = random_field(g, rng)
-    disp = VectorField([random_field(g, rng) for _ in range(g.dim)])
+    disp = SpectralField.stack([random_field(g, rng) for _ in range(g.dim)])
     disp = disp * (0.3 / disp.jacobian().sup_norm())
     wpts = np.stack(g.point_mesh) + complex_samples(disp)
     ref = 0.0
@@ -385,7 +384,7 @@ def lapack_inverse(A):
 def test_closed_form_frame_equals_lapack(dims, slope, seed):
     """N, M^{-1} and the two guarded determinants, det(P^T P) and s = +-det M, of embeddings
     whose displacement has sup |d w| = slope, against the LAPACK inverses and determinants."""
-    g = TorusGrid.create(*dims)
+    g = TorusGrid(*dims)
     w = random_field(g, np.random.default_rng(seed), (2 * g.dim,))
     w = w * (slope / w.jacobian().sup_norm())
     guarded, guard = {}, hamtorus._guard
@@ -413,7 +412,7 @@ def test_circle_solve_commutes_with_translation(on_grid, mode, seed):
     it, when the two solves stopped one step apart, and 1.2e-4 of it otherwise; lambda differed
     by at most 2.1e-13, and by at most 5e-18 when the step counts agreed."""
     rng = np.random.default_rng(seed)
-    g = TorusGrid.create(1, 32)
+    g = TorusGrid(1, 32)
     alpha = RotationAngle.certify(GOLDEN_ALPHA, 1.0, 32)
     f = SpectralField.from_modes(g, {k: rng.uniform(0.002, 0.01) * np.exp(1j * p)
                                      for k, p in zip([1, 2, 3, 4], rng.uniform(0.0, 2 * np.pi, 4))})
@@ -436,12 +435,12 @@ def test_torus_solve_commutes_with_translation(on_grid, varying_Q, seed):
     cases the defect was at most 0.017 of it (the off-grid ones, whose samples alias
     differently; grid shifts differ by rounding alone), and mu differed by at most 5e-19."""
     rng = np.random.default_rng(seed)
-    g = TorusGrid.create(2, 8)
+    g = TorusGrid(2, 8)
     omega = FrequencyVector.certify([1.0, GOLDEN], 1.0, 8)
     modes = [(1, 0), (0, 1), (1, 1), (2, -1)]
     a0 = SpectralField.from_modes(g, {k: 0.0025 * np.exp(1j * p)
                                       for k, p in zip(modes, rng.uniform(0.0, 2 * np.pi, 4))})
-    a1 = VectorField([SpectralField.constant(g, w) for w in omega.omega])
+    a1 = SpectralField.stack([SpectralField.constant(g, w) for w in omega.omega])
     Q = SpectralField.constant(g, np.eye(2))
     if varying_Q:
         q = SpectralField.from_modes(g, {(1, 1): 0.05 * np.exp(1j * rng.uniform(0.0, 2 * np.pi))})
@@ -475,9 +474,9 @@ def symmetric_field(grid, rng, order):
        non_finite, seeds)
 def test_a_non_finite_solver_input_raises_non_finite_error(name, dims, value, seed):
     """One NaN or infinite coefficient anywhere in CircleProblem.f, a0, a1, Q or cubic."""
-    g, rng = TorusGrid.create(*dims), np.random.default_rng(seed)
+    g, rng = TorusGrid(*dims), np.random.default_rng(seed)
     if name == "f":
-        g = TorusGrid.create(1, dims[1])
+        g = TorusGrid(1, dims[1])
     data = {"f": random_field(g, rng)} if name == "f" else {
         "a0": random_field(g, rng), "a1": random_field(g, rng, (g.dim,)),
         "Q": symmetric_field(g, rng, 2), "cubic": symmetric_field(g, rng, 3)}

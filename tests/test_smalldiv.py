@@ -14,7 +14,6 @@ from paratorus import (
     RotationAngle,
     SpectralField,
     TorusGrid,
-    VectorField,
     certify_diophantine,
     certify_rotation_angle,
     delta_alpha,
@@ -113,7 +112,7 @@ def test_certification_rejects_a_mode_count_that_is_not_an_integer_of_at_least_o
 
 
 def circle_setup(K=64):
-    g = TorusGrid.create(1, K)
+    g = TorusGrid(1, K)
     alpha = RotationAngle.certify(math.pi * (math.sqrt(5.0) - 1.0), 1.0, K)
     return g, alpha
 
@@ -148,13 +147,13 @@ def test_small_divisor_error_reports_the_divisor_of_its_mode(case):
     # several retained modes are near-resonant with different divisors; the
     # error names the first and must report that mode's own |divisor|
     if case == "angle":
-        g, a = TorusGrid.create(1, 8), 2.0 * math.pi / 3.0  # k = -6, -3, 3, 6
+        g, a = TorusGrid(1, 8), 2.0 * math.pi / 3.0  # k = -6, -3, 3, 6
         f = SpectralField.from_modes(g, {1: 1.0})
         with pytest.raises(ResonantModeError) as err:
             delta_alpha_inverse(f, a)
         expect = abs(np.exp(1j * err.value.mode[0] * a) - 1.0)
     else:
-        g = TorusGrid.create(2, 8)
+        g = TorusGrid(2, 8)
         omega = FrequencyVector((1.0, 1.0 + 1e-15), 1.0, 1.0, 8)
         f = SpectralField.from_modes(g, {(1, 0): 1.0})
         with pytest.raises(ResonantModeError) as err:
@@ -216,7 +215,7 @@ def test_translation_symbol_is_computed_once_per_shift_and_read_only():
 
 
 def torus_setup(K=16):
-    g = TorusGrid.create(2, K)
+    g = TorusGrid(2, K)
     omega = FrequencyVector.certify([1.0, GOLDEN], 1.0, K)
     return g, omega
 
@@ -257,7 +256,7 @@ def test_omega_inverse_round_trip_and_norm_bound():
 def test_omega_inverse_componentwise_on_vectors():
     g, omega = torus_setup()
     rng = np.random.default_rng(6)
-    v = VectorField([mean_zero_random(g, rng), mean_zero_random(g, rng)])
+    v = SpectralField.stack([mean_zero_random(g, rng), mean_zero_random(g, rng)])
     out = omega_directional_inverse(v, omega)
     for i in range(2):
         single = omega_directional_inverse(v[i], omega)
@@ -267,7 +266,7 @@ def test_omega_inverse_componentwise_on_vectors():
 def test_delta_alpha_inverse_componentwise_on_vectors():
     g, alpha = circle_setup()
     rng = np.random.default_rng(9)
-    v = VectorField([mean_zero_random(g, rng) for _ in range(3)])
+    v = SpectralField.stack([mean_zero_random(g, rng) for _ in range(3)])
     out = delta_alpha_inverse(v, alpha)
     for i in range(3):
         assert np.array_equal(out[i].coeffs, delta_alpha_inverse(v[i], alpha).coeffs)
@@ -278,7 +277,7 @@ def test_delta_alpha_inverse_componentwise_on_vectors():
 def test_both_inverses_are_the_literal_modewise_division(dim, shape, seed):
     # the quotient f_k / divisor_k mode by mode, on numpy scalars, bit for bit
     rng = np.random.default_rng(seed)
-    g = TorusGrid.create(dim, 4)
+    g = TorusGrid(dim, 4)
     c = rng.standard_normal(shape + g.mode_shape) + 1j * rng.standard_normal(shape + g.mode_shape)
     f = SpectralField(g, 0.5 * (c + np.conj(c[g._reverse_index])))
     f.coeffs[g.mean_index] = 0.0

@@ -11,7 +11,6 @@ from paratorus import (
     SerializationError,
     SpectralField,
     TorusGrid,
-    VectorField,
     analyze,
     compose_warped,
     field_from_json,
@@ -24,7 +23,7 @@ from paratorus.spectral import _synthesize_half, warp_samples
 
 
 def grid1d(K=16):
-    return TorusGrid.create(1, K)
+    return TorusGrid(1, K)
 
 
 def random_field(grid, rng, band=None, amp=1.0):
@@ -76,16 +75,16 @@ def direct_eval(f, pts):
 
 def test_grid_rejects_bad_dim():
     with pytest.raises(ValueError):
-        TorusGrid.create(4, 8)
+        TorusGrid(4, 8)
     with pytest.raises(ValueError):
-        TorusGrid.create(0, 8)
+        TorusGrid(0, 8)
 
 
 # --- analyze ----------------------------------------------------------------
 
 
 def test_analyze_cosine_single_mode():
-    g = TorusGrid.create(1, 2)
+    g = TorusGrid(1, 2)
     x = g.point_axis
     f = analyze(g, np.cos(x))
     assert abs(f.coeffs[g.max_mode + 1] - 0.5) < 1e-14
@@ -102,7 +101,7 @@ def test_analyze_constant():
 
 
 def test_analyze_cos_squared_against_dft_oracle():
-    g = TorusGrid.create(1, 4)
+    g = TorusGrid(1, 4)
     x = g.point_axis
     samples = np.cos(x) ** 2
     f = analyze(g, samples)
@@ -142,7 +141,7 @@ def rfftn_analyze(grid, samples, points):
 @pytest.mark.parametrize("para", [False, True], ids=["4K", "N_pp"])
 def test_pruned_analyze_equals_rfftn_bit_for_bit(dim, K, shape, para):
     # on the 4K collocation grid and on the para-product grid
-    g = TorusGrid.create(dim, K)
+    g = TorusGrid(dim, K)
     points = para_points(K, top_level(dim, K)) if para else g.points_per_dim
     samples = np.random.default_rng(dim * K).standard_normal(shape + (points,) * dim)
     assert np.array_equal(analyze(g, samples).coeffs, rfftn_analyze(g, samples, points))
@@ -153,7 +152,7 @@ def test_pruned_analyze_equals_rfftn_bit_for_bit(dim, K, shape, para):
 @pytest.mark.parametrize("para", [False, True], ids=["4K", "N_pp"])
 def test_synthesis_passes_equal_irfftn_bit_for_bit(dim, K, shape, para):
     # _synthesize_half makes irfftn's passes itself; irfftn on the zero-padded half is the oracle
-    g = TorusGrid.create(dim, K)
+    g = TorusGrid(dim, K)
     points = para_points(K, top_level(dim, K)) if para else g.points_per_dim
     rng = np.random.default_rng(dim * K + 1)
     half = analyze(g, rng.standard_normal(shape + g.point_shape)).coeffs[..., K:]
@@ -164,7 +163,7 @@ def test_synthesis_passes_equal_irfftn_bit_for_bit(dim, K, shape, para):
 
 
 def test_analyze_reads_the_point_count_from_the_samples():
-    g = TorusGrid.create(2, 8)
+    g = TorusGrid(2, 8)
     for points in (2 * 8, 4 * 8 + 1):
         with pytest.raises(ValueError):
             analyze(g, np.zeros((points, points)))
@@ -177,7 +176,7 @@ def test_analyze_reads_the_point_count_from_the_samples():
 def test_round_trip_band_limited():
     rng = np.random.default_rng(7)
     for dim in (1, 2):
-        g = TorusGrid.create(dim, 6)
+        g = TorusGrid(dim, 6)
         f = random_field(g, rng)
         back = analyze(g, f.samples())
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
@@ -203,7 +202,7 @@ def test_synthesize_matches_grid_samples():
 
 def test_synthesize_against_term_sum_oracle():
     rng = np.random.default_rng(11)
-    g = TorusGrid.create(2, 5)
+    g = TorusGrid(2, 5)
     f = random_field(g, rng, band=2)
     pts = rng.uniform(0, 2 * np.pi, size=(100, 2))
     vals = synthesize(f, pts)
@@ -220,7 +219,7 @@ def test_point_evaluators_keep_a_nan_coefficient():
     # a mode whose only nonzero coefficient is NaN is evaluated, not dropped,
     # wherever it sits: the evaluators fold c_k + conj(c_{-k}) onto k_last >= 0
     # and keep the plane k_last = 0 whole, so a NaN in either half survives
-    g = TorusGrid.create(2, 8)
+    g = TorusGrid(2, 8)
     wpts = np.stack(g.point_mesh) + 0.01
     for k in [(1, 0), (-1, 0), (2, 3), (2, -3)]:  # the plane k_last = 0, then each half
         f = SpectralField.zero(g)
@@ -233,7 +232,7 @@ def test_point_evaluators_keep_a_nan_coefficient():
 
 def test_dense_dim3_warp_is_chunked_and_matches_the_direct_sum():
     rng = np.random.default_rng(8)
-    g = TorusGrid.create(3, 8)  # 4,913 modes at 32^3 targets
+    g = TorusGrid(3, 8)  # 4,913 modes at 32^3 targets
     c = rng.standard_normal(g.mode_shape) + 1j * rng.standard_normal(g.mode_shape)
     f = SpectralField(g, 0.5 * (c + np.conj(c[g._reverse_index])))
     pts = np.stack(g.point_mesh) + 0.1 * rng.uniform(-1.0, 1.0, (3,) + g.point_shape)
@@ -296,19 +295,19 @@ def test_eval_at_matches_the_direct_sum_at_k_512():
 def test_eval_at_contracts_only_the_rows_it_needs(dim):
     # all-zero rows come out as exact zeros; the others as if the zero rows were not there
     rng = np.random.default_rng(20 + dim)
-    g = TorusGrid.create(dim, 6 if dim < 3 else 3)
+    g = TorusGrid(dim, 6 if dim < 3 else 3)
     f1, f2 = random_field(g, rng), random_field(g, rng, band=1)
     zero = SpectralField.zero(g)
     pts = np.stack(g.point_mesh) + 0.3 * rng.uniform(-1.0, 1.0, (dim,) + g.point_shape)
-    got = spectral._eval_at(VectorField([zero, f1, zero, f2, zero]), pts)
+    got = spectral._eval_at(SpectralField.stack([zero, f1, zero, f2, zero]), pts)
     assert np.all(got[[0, 2, 4]] == 0.0) and not np.any(np.signbit(got[[0, 2, 4]]))
-    assert np.array_equal(got[[1, 3]], spectral._eval_at(VectorField([f1, f2]), pts))
-    alone = spectral._eval_at(VectorField([zero, f1, zero]), pts)
+    assert np.array_equal(got[[1, 3]], spectral._eval_at(SpectralField.stack([f1, f2]), pts))
+    alone = spectral._eval_at(SpectralField.stack([zero, f1, zero]), pts)
     assert np.array_equal(alone[1], spectral._eval_at(f1, pts))
     # a row whose only coefficient is a NaN still reaches the output
     nan = SpectralField.zero(g)
     nan.coeffs[(1,) * dim] = np.nan
-    got = spectral._eval_at(VectorField([zero, nan, f1]), pts)
+    got = spectral._eval_at(SpectralField.stack([zero, nan, f1]), pts)
     assert np.all(got[0] == 0.0) and np.all(np.isnan(got[1])) and np.all(np.isfinite(got[2]))
 
 
@@ -344,7 +343,7 @@ def test_derivative_leibniz_oracle():
 
 def test_mean_against_quadrature_oracle():
     rng = np.random.default_rng(9)
-    g = TorusGrid.create(2, 6)
+    g = TorusGrid(2, 6)
     f = random_field(g, rng)
     assert abs(f.mean() - float(np.mean(f.samples()))) < 1e-12
 
@@ -423,6 +422,45 @@ def test_product_grid_mismatch():
         f.product(h)
 
 
+# --- stacking --------------------------------------------------------------
+
+
+def test_stack_gives_one_component_axis_per_level_of_nesting():
+    g = grid1d(8)
+    rng = np.random.default_rng(41)
+    f = [random_field(g, rng) for _ in range(6)]
+    v = SpectralField.stack(f[:3])
+    assert v.shape == (3,) and all(np.array_equal(v[i].coeffs, f[i].coeffs) for i in range(3))
+    rows = SpectralField.stack([f[0:3], f[3:6]])
+    assert rows.shape == (2, 3)
+    assert all(np.array_equal(rows[p, q].coeffs, f[3 * p + q].coeffs)
+               for p in range(2) for q in range(3))
+    # a field in the sequence keeps its own component axes: rows of vectors stack like rows
+    assert np.array_equal(SpectralField.stack([v, SpectralField.stack(f[3:6])]).coeffs, rows.coeffs)
+
+
+def test_stack_rejects_an_empty_sequence_and_two_grids():
+    with pytest.raises(ValueError, match="empty sequence"):
+        SpectralField.stack([])
+    with pytest.raises(ValueError, match="empty sequence"):
+        SpectralField.stack([[]])
+    with pytest.raises(GridMismatchError):
+        SpectralField.stack([SpectralField.zero(grid1d(8)), SpectralField.zero(grid1d(16))])
+    with pytest.raises(GridMismatchError):
+        SpectralField.stack([[SpectralField.zero(grid1d(8))], [SpectralField.zero(TorusGrid(2, 8))]])
+
+
+def test_the_former_field_constructors_are_aliases():
+    # perfbench still builds its torus inputs with VectorField(list) and MatrixField.constant
+    import paratorus as pt
+
+    g = TorusGrid(2, 4)
+    fields = [SpectralField.constant(g, w) for w in (1.0, 0.5)]
+    assert pt.VectorField(fields).coeffs.tobytes() == SpectralField.stack(fields).coeffs.tobytes()
+    eye = pt.MatrixField.constant(g, np.eye(2)).coeffs
+    assert eye.tobytes() == SpectralField.constant(g, np.eye(2)).coeffs.tobytes()
+
+
 # --- compose_warped ---------------------------------------------------------
 
 
@@ -430,10 +468,10 @@ def test_compose_warped_zero_and_constant_warp():
     rng = np.random.default_rng(31)
     g = grid1d(12)
     f = random_field(g, rng)
-    zero_w = VectorField([SpectralField.zero(g)])
+    zero_w = SpectralField.stack([SpectralField.zero(g)])
     assert np.max(np.abs(compose_warped(f, zero_w).coeffs - f.coeffs)) < 1e-12
     c = 0.8127
-    const_w = VectorField([SpectralField.constant(g, c)])
+    const_w = SpectralField.stack([SpectralField.constant(g, c)])
     got = compose_warped(f, const_w)
     assert np.max(np.abs(got.coeffs - f.translate([c]).coeffs)) < 1e-12
 
@@ -442,7 +480,7 @@ def test_compose_warped_pointwise_oracle():
     g = grid1d(32)
     f = SpectralField.from_modes(g, {3: 0.5})  # cos(3x)
     w = SpectralField.from_modes(g, {1: -0.05j})  # 0.1 sin -> eps sin with eps=0.1
-    comp = compose_warped(f, VectorField([w]))
+    comp = compose_warped(f, SpectralField.stack([w]))
     rng = np.random.default_rng(37)
     pts = rng.uniform(0, 2 * np.pi, 200)
     got = synthesize(comp, pts)
@@ -482,7 +520,7 @@ def test_sup_norm_examples():
 
 def test_hermitian_symmetry_preserved():
     rng = np.random.default_rng(47)
-    g = TorusGrid.create(2, 6)
+    g = TorusGrid(2, 6)
     f = random_field(g, rng)
     ops = [f.derivative(1), f.translate([0.3, 0.4]), f.product(f)]
     for out in ops:
@@ -494,7 +532,7 @@ def test_hermitian_symmetry_preserved():
 
 def test_serialization_round_trip():
     rng = np.random.default_rng(53)
-    g = TorusGrid.create(2, 5)
+    g = TorusGrid(2, 5)
     f = random_field(g, rng)
     doc = field_to_json(f)
     back = field_from_json(json.loads(json.dumps(doc)))
@@ -539,8 +577,8 @@ def test_serialization_mirrors_one_sided_modes():
 def test_serialization_rejects_a_field_with_component_axes():
     """A 2-component field would serialize as its component 0 and round-trip as a scalar."""
     rng = np.random.default_rng(59)
-    g = TorusGrid.create(2, 4)
-    f = VectorField([random_field(g, rng) for _ in range(2)])
+    g = TorusGrid(2, 4)
+    f = SpectralField.stack([random_field(g, rng) for _ in range(2)])
     with pytest.raises(ValueError, match=r"component shape \(2,\)"):
         field_to_json(f)
 
@@ -589,7 +627,7 @@ def test_serialization_reads_integral_floats_as_integers():
 @pytest.mark.parametrize("components", [(), (3,), (2, 3)])
 def test_stacked_transforms_match_per_component(dim, components):
     rng = np.random.default_rng(61 + dim)
-    g = TorusGrid.create(dim, 3 if dim == 3 else 6)
+    g = TorusGrid(dim, 3 if dim == 3 else 6)
     fields = [random_field(g, rng) for _ in range(int(np.prod(components)))]
     f = SpectralField(g, np.stack([h.coeffs for h in fields]).reshape(components + g.mode_shape))
     stacked = f.samples()

@@ -8,11 +8,9 @@ import numpy as np
 from paratorus import (
     FrequencyVector,
     HamiltonianData,
-    MatrixField,
     SpectralField,
     TorusEmbedding,
     TorusGrid,
-    VectorField,
     assemble_rhs,
     error_fields,
     hamiltonian_vector_field,
@@ -38,8 +36,8 @@ def sparse_field(grid, rng, amp, band=3):
 def random_embedding(grid, rng, amp, band=3):
     n = grid.dim
     return TorusEmbedding(
-        ux=VectorField([sparse_field(grid, rng, amp, band) for _ in range(n)]),
-        uy=VectorField([sparse_field(grid, rng, amp, band) for _ in range(n)]),
+        ux=SpectralField.stack([sparse_field(grid, rng, amp, band) for _ in range(n)]),
+        uy=SpectralField.stack([sparse_field(grid, rng, amp, band) for _ in range(n)]),
     )
 
 
@@ -60,7 +58,7 @@ def remainder_amplitude_sweep(amps, K=8, seed=11):
     of a true solution scales with the perturbation); the two remainder terms
     then shrink like amp^2.
     """
-    g = TorusGrid.create(2, K)
+    g = TorusGrid(2, K)
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, K)
     cut = make_cutoff(g)
     rng = np.random.default_rng(seed)
@@ -70,8 +68,8 @@ def remainder_amplitude_sweep(amps, K=8, seed=11):
     u1 = random_embedding(g, rng, 1.0)
     sizes = []
     for amp in amps:
-        a1 = VectorField([p1[i] * amp + om.omega[i] for i in range(2)])
-        Q = MatrixField(
+        a1 = SpectralField.stack([p1[i] * amp + om.omega[i] for i in range(2)])
+        Q = SpectralField.stack(
             [
                 [pq * amp + 1.0, SpectralField.zero(g)],
                 [SpectralField.zero(g), pq * amp + 1.2],
@@ -80,8 +78,8 @@ def remainder_amplitude_sweep(amps, K=8, seed=11):
         h = HamiltonianData(a0=p0 * amp, a1=a1, Q=Q)
         e0, _ = error_fields(h, om)
         u = TorusEmbedding(
-            ux=VectorField([f * amp for f in u1.ux]),
-            uy=VectorField([f * amp for f in u1.uy]),
+            ux=SpectralField.stack([f * amp for f in u1.ux]),
+            uy=SpectralField.stack([f * amp for f in u1.uy]),
         )
         sizes.append((step_rhs(h, u, om, cut, e0) + e0).l2_norm())  # remainder part only
     return sizes
