@@ -189,7 +189,7 @@ def solve(problem: CircleProblem) -> CircleSolution:
         stop = "increment" if inc < problem.tol else "residual" if res_sup < problem.tol / 10 else None
         return (u_next, lam, composed), row, stop
 
-    u0 = SpectralField.zero(grid)
+    u0 = SpectralField.constant(grid, 0.0)
     start = (u0, 0.0, compose_f(u0, problem, cut))
     (u, lam, (comp, tails)), report = picard(step, start, CIRCLE_COLUMNS, problem.max_iter)
     # terminal diagnostics

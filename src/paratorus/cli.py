@@ -41,6 +41,7 @@ EXIT_INTERNAL = 4
 
 # a config error: a grid or validate-ops probe grid whose solve would need more than this (the
 # torus solver's estimate, or one scalar handle's low-passes), or a Diophantine scan that would
+# hold more than this at once (smalldiv.scan_bytes)
 MEMORY_BUDGET_BYTES = 512 * 2**20
 
 
@@ -89,6 +90,14 @@ def _integer(value, path: str, minimum: int) -> int:
     except ValueError:  # a fraction
         pass
     raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+
+
+def _file_name(outputs: dict, key: str, default: str) -> str:
+    """outputs[key], or default: a plain file name, so every output is written inside --out."""
+    name = outputs.get(key, default)
+    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name or "\0" in name:
+        raise ConfigError(f"outputs.{key}: expected a plain file name, got {name!r}")
+    return name
 
 
 def _list(value, path: str, item) -> list:
@@ -194,14 +203,15 @@ def run_circle(cfg: dict, out: Path) -> int:
     orbit_m = _integer(outputs.get("rotation_oracle_iterations", 0),
                        "outputs.rotation_oracle_iterations", 0)
     problem = CircleProblem(alpha=alpha, f=f, **sv)
-    csv_path = out / outputs.get("csv", "circle.csv")
+    csv_path = out / _file_name(outputs, "csv", "circle.csv")
+    dump_path = out / _file_name(outputs, "field_dump", "circle_solution.json")
     sol = _solve_saving_trajectory(lambda: solve(problem), csv_path)
     rep = sol.report
     if orbit_m:
         rho = rotation_number(alpha, f, sol.lam, orbit_m)
         rep.extras["rotation_defect"] = abs(rho - float(alpha))
     rep.write_csv(csv_path)
-    _write_json(out / outputs.get("field_dump", "circle_solution.json"), field_to_json(sol.u))
+    _write_json(dump_path, field_to_json(sol.u))
     print(f"circle: converged in {rep.iterations} iterations, "
           f"residual_sup = {rep.extras['residual_sup']:.3e} (wall {rep.wall_time:.2f}s)")
     return EXIT_OK
@@ -265,7 +275,8 @@ def run_torus(cfg: dict, out: Path) -> int:
         T, dt = _finite(oracle["T"], f"{path}.T"), _finite(oracle["dt"], f"{path}.dt")
         if T < 0 or dt <= 0 or not math.isfinite(T / dt):
             raise ConfigError(f"{path}: need T >= 0, dt > 0 and T / dt finite, got T={T}, dt={dt}")
-    csv_path = out / outputs.get("csv", "torus.csv")
+    csv_path = out / _file_name(outputs, "csv", "torus.csv")
+    dump_path = out / _file_name(outputs, "field_dump", "torus_solution.json")
     sol = _solve_saving_trajectory(lambda: solve_torus(h, omega, **sv), csv_path)
     rep = sol.report
     if oracle:
@@ -279,7 +290,7 @@ def run_torus(cfg: dict, out: Path) -> int:
         "xi": [float(x) for x in sol.xi],
         "mu": [float(m) for m in sol.mu],
     }
-    _write_json(out / outputs.get("field_dump", "torus_solution.json"), dump)
+    _write_json(dump_path, dump)
     print(f"torus[{sv['mode']}]: converged in {rep.iterations} iterations, "
           f"residual_sup = {rep.extras['residual_sup']:.3e} (wall {rep.wall_time:.2f}s)")
     return EXIT_OK
@@ -302,11 +313,12 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
         "probes",
     )
     regs = _list(probes.get("regularities", [1.0, 2.0]), "probes.regularities", _finite)
-    j_range = _list(probes.get("j_range", [3, 7]), "probes.j_range", _finite)
-    if len(j_range) != 2 or not 0 <= j_range[0] < j_range[1] <= top_level(1, K):
+    top = top_level(1, K)
+    j_range = _list(probes.get("j_range", [3, min(7, top)]), "probes.j_range",
+                    lambda v, p: _integer(v, p, 0))
+    if len(j_range) != 2 or not j_range[0] < j_range[1] <= top:
         raise ConfigError(f"probes.j_range: need [j_lo, j_hi], 0 <= j_lo < j_hi <= "
-                          f"{top_level(1, K)} at K={K}, got {j_range}")
-    j_lo, j_hi = (_integer(j, "probes.j_range", 0) for j in j_range)
+                          f"{top} at K={K}, got {j_range}")
     sizes = {key: _integer(probes.get(key, default), f"probes.{key}", 1) for key, default in
              (("identity_K", 64), ("identity_trials", 100), ("boundedness_K", 32))}
     # the boundedness probe runs on K and 2K; every probe grid is sized before any probe runs
@@ -316,6 +328,7 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
                         f"the probe grid of K={probe_K} needs")
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
+    csv_path = out / _file_name(outputs, "csv", "validate_ops.csv")
 
     rows = []  # a row lists only the cells it has; write_rows_csv leaves the others empty
     part = validation.partition_probe(K)
@@ -328,8 +341,8 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
                  "value": max(ident["const_symbol_defect"], ident["const_operand_defect"]),
                  "bound": ident["bound"], "passed": int(ident["passed"])})
     for r in regs:
-        cm = validation.cm_smoothing_probe(K, r, seed, j_lo, j_hi)
-        pl = validation.pl_smoothing_probe(K, r, seed, j_lo, j_hi)
+        cm = validation.cm_smoothing_probe(K, r, seed, *j_range)
+        pl = validation.pl_smoothing_probe(K, r, seed, *j_range)
         for name, probe, value in (("cm", cm, {"value": cm["const_defect"]}), ("pl", pl, {})):
             rows += [{"probe": f"{name}_ratio", "r": r, "j": rec["j"], "value": rec["ratio"]}
                      for rec in probe["rows"]]
@@ -342,7 +355,7 @@ def run_validate_ops(cfg: dict, out: Path, seed: int) -> int:
     summary = [("all_passed", int(all(r["passed"] for r in verdicts))),
                ("partition_residual", part["partition_residual"])]
     cols = ["probe", "r", "j", "value", "slope", "bound", "passed"]
-    write_rows_csv(out / outputs.get("csv", "validate_ops.csv"), cols, rows, summary, "row")
+    write_rows_csv(csv_path, cols, rows, summary, "row")
     for r in verdicts:
         print(f"validate-ops {r['probe']}(r={r.get('r', '')}): {'pass' if r['passed'] else 'FAIL'}")
     return EXIT_OK
@@ -371,6 +384,7 @@ def run_diophantine(cfg: dict, out: Path) -> int:
         _require_budget(scan_bytes(n, K), f"scan.K_values[{i}]", f"the scan of K={K} needs")
     outputs = cfg.get("outputs") or {}
     _require_keys(outputs, {"csv": False}, "outputs")
+    csv_path = out / _file_name(outputs, "csv", "diophantine.csv")
     rows = []
     for K in K_values:
         try:
@@ -381,8 +395,7 @@ def run_diophantine(cfg: dict, out: Path) -> int:
         except ValueError as exc:
             raise ConfigError(f"frequency: {exc}") from exc
     cols = ["K", "gamma", "status", "resonant_mode"]
-    write_rows_csv(out / outputs.get("csv", "diophantine.csv"), cols, rows,
-                   [("n_rows", len(rows))], "row")
+    write_rows_csv(csv_path, cols, rows, [("n_rows", len(rows))], "row")
     for r in rows:
         print(f"diophantine K={r['K']}: {r['status']}"
               + (f" gamma={fmt(r['gamma'])}" if r["status"] == "ok" else f" at {r['resonant_mode']}"))
@@ -417,8 +430,8 @@ def _run_one(config_path: Path, out: Path, expected_kind: str, options: dict) ->
         if not isinstance(cfg, dict) or "kind" not in cfg:
             raise ConfigError("config must be an object with a 'kind'")
         kind = cfg["kind"]
-        if kind not in _RUNNERS:
-            raise ConfigError(f"unknown kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _RUNNERS:
+            raise ConfigError(f"kind: expected one of {sorted(_RUNNERS)}, got {kind!r}")
         if kind != expected_kind:
             raise ConfigError(f"subcommand {expected_kind!r} got config of kind {kind!r}")
         out.mkdir(parents=True, exist_ok=True)

@@ -63,25 +63,23 @@ def _apply_J(v: np.ndarray) -> np.ndarray:
 class HamiltonianData:
     """Taylor data of h in the action variable, truncated at cubic order.
 
-    The m-th Taylor coefficient (a0, a1, Q, cubic) has m component axes of
-    length n and is symmetric in them; the cubic term may also be given as a
-    symmetric n x n x n nest of scalar fields.
+    The m-th Taylor coefficient (a0, a1, Q, cubic) is one SpectralField with m component axes
+    of length n, symmetric in them; cubic may be None.
     """
 
     a0: SpectralField
     a1: SpectralField
     Q: SpectralField
-    cubic: SpectralField | list | None = None
+    cubic: SpectralField | None = None
 
     def __post_init__(self):
-        if self.cubic is not None:
-            self.cubic = SpectralField.stack(self.cubic)
-        for name in ("a0", "a1", "Q", "cubic"):
+        for name in ("a0", "a1", "Q", "cubic")[: self.degree + 1]:
             f = getattr(self, name)
-            if f is not None:
-                self.grid.require_same(f.grid)
-                if not np.all(np.isfinite(f.coeffs)):
-                    raise NonFiniteError(f"{name} has a non-finite coefficient")
+            if not isinstance(f, SpectralField):
+                raise TypeError(f"{name} must be a SpectralField, got {type(f).__name__}")
+            self.grid.require_same(f.grid)
+            if not np.all(np.isfinite(f.coeffs)):
+                raise NonFiniteError(f"{name} has a non-finite coefficient")
         if self.a0.shape != () or self.a1.shape != (self.grid.dim,):
             raise ValueError(f"a0 must be scalar and a1 have {self.grid.dim} components on this "
                              f"grid, got shapes {self.a0.shape} and {self.a1.shape}")
@@ -519,7 +517,7 @@ def assemble_rhs(h: HamiltonianData, u: TorusEmbedding, Xh_u: SpectralField, e0:
     return -1.0 * e0 - (Xh_u - Xh_zeta - w.omega_derivative(omega_arr) - TBw - Lw), handles
 
 
-def _residual(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
+def residual_torus(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
     """F(h_xi, u) = X_h(u) + (xi; 0) - (omega.d) u from Xh = X_h(u), with sup and L2 norms."""
     omega_arr, zeros = np.asarray(omega, dtype=float), np.zeros(u.n)
     field = Xh + np.concatenate([_xi(xi, u.n), zeros])
@@ -527,20 +525,10 @@ def _residual(Xh: SpectralField, u: TorusEmbedding, xi, omega) -> tuple:
     return field, field.sup_norm(), field.l2_norm()
 
 
-def residual_torus(h: HamiltonianData, u: TorusEmbedding, xi, omega) -> tuple:
-    """F(h_xi, u) = X_h(u) + (xi; 0) - (omega.d) u with sup and H^s=0 norms."""
-    return _residual(hamiltonian_vector_field(h, u), u, xi, omega)
-
-
-def counterterm_check(h: HamiltonianData, u: TorusEmbedding, xi, mu, omega) -> float:
-    """Defect of mu = Avg((du^y)^T F^x - (du^x)^T (F^y - mu)) with F = F(h_xi, u)."""
-    return _counterterm_defect(residual_torus(h, u, xi, omega)[0], u, mu)
-
-
-def _counterterm_defect(field: SpectralField, u: TorusEmbedding, mu) -> float:
-    """The defect of counterterm_check from the measured residual field F(h_xi, u)."""
+def counterterm_check(F: SpectralField, u: TorusEmbedding, mu) -> float:
+    """Defect of mu = Avg((du^y)^T F^x - (du^x)^T (F^y - mu)) for the residual field F."""
     mu = np.asarray(mu, dtype=float)
-    F = field.samples()
+    F = F.samples()
     F[u.n :] -= mu.reshape((u.n,) + (1,) * u.grid.dim)  # F^y - mu
     # (du^y)^T F^x - (du^x)^T (F^y - mu) = -(du)^T J F
     integrand = -np.einsum("am...,a...->m...", _embedding_jacobian_samples(u), _apply_J(F))
@@ -606,7 +594,7 @@ def solve_torus(
         new = TorusEmbedding.from_displacement(v)
         inc = (new.w - u.w).sobolev_norm(s)
         Xh_new, tails = analyze(new.grid, _xh_samples(h, new), return_tail=True)
-        _, res_sup, res_hs = _residual(Xh_new, new, xi, omega)
+        _, res_sup, res_hs = residual_torus(Xh_new, new, xi, omega)
         row = {"increment_hs": inc, "residual_sup": res_sup, "residual_hs": res_hs,
                "xi_norm": float(np.linalg.norm(xi)), "mu_norm": float(np.linalg.norm(mu))}
         return (new, Xh_new, float(np.max(tails)), xi, mu), row, "increment" if inc < tol else None
@@ -622,9 +610,9 @@ def solve_torus(
     if e0_strong > 0:
         report.extras["c2_empirical"] = disp.sobolev_norm(s) / (omega.gamma**2 * e0_strong)
     # the measured residual from the final iterate's X_h, composed once by its step
-    F = _residual(Xh_u, u, xi, omega)[0]
+    F = residual_torus(Xh_u, u, xi, omega)[0]
     report.extras["kappa"] = neumann_certificate(F + np.concatenate([np.zeros(h.n), mu]), u, cut, s)
-    report.extras["counterterm_defect"] = _counterterm_defect(F, u, mu)
+    report.extras["counterterm_defect"] = counterterm_check(F, u, mu)
     # truncation monitor: discarded tail energy of the composed vector field
     report.extras["xh_tail_energy"] = tail
     return KamSolution(u=u, xi=xi, mu=mu, report=report)
@@ -759,7 +747,7 @@ def isotropy_from_residual(
     zeta: TorusEmbedding, h: HamiltonianData, omega: FrequencyVector
 ) -> SpectralField:
     """L[zeta] via the transport formula d(omega.d)^{-1}[(d zeta)^T J F] - (transpose)."""
-    field, _, _ = residual_torus(h, zeta, None, omega)
+    field, _, _ = residual_torus(hamiltonian_vector_field(h, zeta), zeta, None, omega)
     P = _embedding_jacobian_samples(zeta)
     integrand = np.einsum("am...,a...->m...", P, _apply_J(field.samples()))
     g_vec = omega_directional_inverse(remove_mean(analyze(zeta.grid, integrand)), omega)

@@ -152,10 +152,6 @@ class SpectralField:
     # --- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(grid: TorusGrid) -> "SpectralField":
-        return SpectralField(grid, np.zeros(grid.mode_shape, dtype=np.complex128))
-
-    @staticmethod
     def constant(grid: TorusGrid, value) -> "SpectralField":
         """The constant field `value`; an array value gives one component per entry."""
         value = np.asarray(value)
@@ -178,7 +174,7 @@ class SpectralField:
     @staticmethod
     def from_modes(grid: TorusGrid, modes: dict) -> "SpectralField":
         """Build a field from {k: coefficient}; the conjugate modes are mirrored."""
-        f = SpectralField.zero(grid)
+        f = SpectralField.constant(grid, 0.0)
         K = grid.max_mode
         for k, val in modes.items():
             kv = (k,) if np.isscalar(k) else tuple(k)

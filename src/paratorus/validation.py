@@ -48,7 +48,7 @@ def seeded_field(grid: TorusGrid, rng, band=None, amp=1.0) -> SpectralField:
 
 def lacunary_field(grid: TorusGrid, r: float, rng) -> SpectralField:
     """Lacunary cosine series with Zygmund regularity r and unit-size blocks."""
-    f = SpectralField.zero(grid)
+    f = SpectralField.constant(grid, 0.0)
     j = 0
     while 2**j <= grid.max_mode // 2:
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -75,7 +75,7 @@ def partition_probe(K: int, dim: int = 1) -> dict:
     }
 
 
-def paraproduct_identity_probe(K: int, seed: int, trials: int = 100) -> dict:
+def paraproduct_identity_probe(K: int, seed: int, trials: int) -> dict:
     grid = TorusGrid(1, K)
     cut = make_cutoff(grid)
     rng = np.random.default_rng(seed)
@@ -99,7 +99,7 @@ def paraproduct_identity_probe(K: int, seed: int, trials: int = 100) -> dict:
     }
 
 
-def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7) -> dict:
+def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int, j_hi: int) -> dict:
     grid = TorusGrid(1, K)
     cut = make_cutoff(grid)
     rng = np.random.default_rng(seed)
@@ -121,7 +121,7 @@ def cm_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
             "passed": fit["passed"] and const_defect < IDENTITY_TOL}
 
 
-def pl_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7) -> dict:
+def pl_smoothing_probe(K: int, r: float, seed: int, j_lo: int, j_hi: int) -> dict:
     """Para-linearization remainder decay for F(z) = z^2 on unit-Zygmund blocks."""
     grid = TorusGrid(1, K)
     cut = make_cutoff(grid)
@@ -135,7 +135,7 @@ def pl_smoothing_probe(K: int, r: float, seed: int, j_lo: int = 3, j_hi: int = 7
             return None
         u = u * (1.0 / nrm)
         F_of_u = analyze(grid, u.samples() ** 2)
-        rem = pl_remainder(F_of_u, SpectralField.zero(grid), 2.0 * u, u, cut)
+        rem = pl_remainder(F_of_u, SpectralField.constant(grid, 0.0), 2.0 * u, u, cut)
         return rem.sobolev_norm(2.0) / u.sobolev_norm(2.0)
 
     return _decay_fit(ratio, j_lo, j_hi, r)

@@ -135,7 +135,7 @@ def test_criterion_04_para_linearization():
         F_of_0 = analyze(grid, np.asarray(F(mesh, zero), float))
         rem = pt.pl_remainder(F_of_u, F_of_0, fz_u, u, cut)
         worst_match = max(worst_match, (rem - tele).l2_norm())
-    slope_probe = validation.pl_smoothing_probe(K=256, r=2.0, seed=3)
+    slope_probe = validation.pl_smoothing_probe(K=256, r=2.0, seed=3, j_lo=3, j_hi=7)
     ok = worst_recon < 1e-9 and worst_match < 1e-9 and slope_probe["passed"]
     report(
         4,
@@ -271,7 +271,8 @@ def test_criterion_08_torus_thm1(torus_run):
     sol = torus_run["sol"]
     h, omega = torus_run["h"], torus_run["omega"]
     res = sol.report.extras["residual_sup"]
-    defect = pt.counterterm_check(h, sol.u, sol.xi, sol.mu, omega)
+    F = pt.residual_torus(pt.hamiltonian_vector_field(h, sol.u), sol.u, sol.xi, omega)[0]
+    defect = pt.counterterm_check(F, sol.u, sol.mu)
     kappa = sol.report.extras["kappa"]
     t0 = time.perf_counter()
     dev = pt.flow_oracle(h, sol.u, sol.xi, omega, theta0=[0.7, 1.9], T=10.0, dt=1e-3)
@@ -293,7 +294,7 @@ def test_criterion_09_torus_thm2():
     omega = pt.FrequencyVector.certify([1.0, GOLDEN], 1.0, 64)
     delta = np.array([0.01, 0.0])
     h = pt.HamiltonianData(
-        a0=pt.SpectralField.zero(grid),
+        a0=pt.SpectralField.constant(grid, 0.0),
         a1=pt.SpectralField.stack(
             [pt.SpectralField.constant(grid, omega.omega[i] + delta[i]) for i in range(2)]
         ),
@@ -331,7 +332,7 @@ def test_criterion_11_isotropy():
     grid = pt.TorusGrid(2, 16)
     omega = pt.FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = pt.HamiltonianData(
-        a0=pt.SpectralField.zero(grid),
+        a0=pt.SpectralField.constant(grid, 0.0),
         a1=pt.SpectralField.stack([pt.SpectralField.constant(grid, omega.omega[i]) for i in range(2)]),
         Q=pt.SpectralField.constant(grid, np.eye(2)),
     )

@@ -73,7 +73,7 @@ def step(u, problem, cut):
 def test_g_map_zero_problem():
     prob = setup(amp=0.0)
     g = prob.f.grid
-    u1, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
+    u1, lam = step(SpectralField.constant(g, 0.0), prob, make_cutoff(g))
     assert u1.l2_norm() == 0.0 and lam == 0.0
 
 
@@ -82,7 +82,7 @@ def test_g_map_first_iterate_single_mode_formula():
     g = prob.f.grid
     eps = 0.01
     prob.f = SpectralField.from_modes(g, {1: eps / 2})  # eps cos x
-    u1, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
+    u1, lam = step(SpectralField.constant(g, 0.0), prob, make_cutoff(g))
     assert abs(lam) < 1e-14
     expect = SpectralField.from_modes(
         g, {1: (eps / 2) / (np.exp(1j * prob.alpha.alpha) - 1.0)}
@@ -95,14 +95,14 @@ def test_g_map_with_mean_balances_lambda():
     g = prob.f.grid
     m = 0.37
     prob.f = SpectralField.from_modes(g, {1: 0.005}) + m
-    _, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
+    _, lam = step(SpectralField.constant(g, 0.0), prob, make_cutoff(g))
     assert abs(lam - m) < 1e-13
 
 
 def test_g_map_equals_small_divisor_inverse_at_zero():
     prob = setup(amp=0.03)
     g = prob.f.grid
-    u1, lam = step(SpectralField.zero(g), prob, make_cutoff(g))
+    u1, lam = step(SpectralField.constant(g, 0.0), prob, make_cutoff(g))
     direct = delta_alpha_inverse(prob.f, prob.alpha)
     assert (u1 - direct).l2_norm() < 1e-13
     assert abs(lam) < 1e-14
@@ -114,7 +114,7 @@ def test_g_map_builds_three_handles(monkeypatch, mode):
     # inversions; the remainder's symbol slope - f'(Id + u) makes the third
     prob = setup(amp=0.1, mode=mode)
     cut = make_cutoff(prob.f.grid)
-    u, _ = step(SpectralField.zero(prob.f.grid), prob, cut)
+    u, _ = step(SpectralField.constant(prob.f.grid, 0.0), prob, cut)
     comp, _ = compose_f(u, prob, cut)
     builds, inversions = [], []
     init, invert = ParaOpHandle.__init__, circle.para_invert_with_handle
@@ -168,7 +168,7 @@ def test_g_map_matches_the_four_handle_step(mode):
     prob = setup(K=128, amp=0.1, mode=mode)
     prob.f = prob.f + SpectralField.from_modes(prob.f.grid, {2: 0.01 + 0.02j}) + 0.003
     cut = make_cutoff(prob.f.grid)
-    u = SpectralField.zero(prob.f.grid)
+    u = SpectralField.constant(prob.f.grid, 0.0)
     for _ in range(3):  # a nonzero iterate
         u, _ = step(u, prob, cut)
     comp, _ = compose_f(u, prob, cut)
@@ -209,7 +209,7 @@ def test_refined_g_map_sums_para_compose_to_the_bit():
     prob.f = prob.f + SpectralField.from_modes(g, {3: 0.01j, 9: 0.002, 40: 5e-4 - 2e-4j}) + 0.003
     cut = make_cutoff(g)
     assert len(compose_levels(prob.f, cut)[0]) >= 4
-    u = SpectralField.zero(g)
+    u = SpectralField.constant(g, 0.0)
     for _ in range(3):  # a nonzero iterate
         u, _ = step(u, prob, cut)
     comp = compose_f(u, prob, cut)[0]
@@ -294,7 +294,7 @@ def test_conjugacy_law_pointwise():
 def test_rotation_number_oracle_examples():
     prob = setup(K=64, amp=0.0)
     alpha = prob.alpha.alpha
-    zero = SpectralField.zero(prob.f.grid)
+    zero = SpectralField.constant(prob.f.grid, 0.0)
     rho = rotation_number(alpha, zero, 0.0, 2000)
     assert abs(rho - alpha) < 1e-12  # pure rotation: exact at any orbit length
     rho_shift = rotation_number(alpha, zero, 0.1, 2000)
@@ -349,7 +349,7 @@ def test_rotation_number_matches_per_step_reference(n_modes):
 
 @pytest.mark.parametrize("iterations", [0, -5, 2.5, float("nan")])
 def test_rotation_number_rejects_bad_iterations(iterations):
-    f = SpectralField.zero(TorusGrid(1, 8))
+    f = SpectralField.constant(TorusGrid(1, 8), 0.0)
     with pytest.raises(ValueError, match="iterations"):
         rotation_number(GOLDEN_ALPHA, f, 0.0, iterations)
 
@@ -448,7 +448,7 @@ def test_manufactured_solution_residual_and_lambda():
 def test_residual_trivial_cases():
     prob = setup(K=64, amp=0.0)
     g = prob.f.grid
-    zero = SpectralField.zero(g)
+    zero = SpectralField.constant(g, 0.0)
     field, sup, hs = residual(zero, 0.0, prob)
     assert sup == 0.0 and hs == 0.0
     prob.f = SpectralField.constant(g, 0.4)
@@ -540,7 +540,7 @@ def test_summary_reports_the_certified_gamma():
 def test_certify_zero_residual():
     prob = setup(K=64, amp=0.0)
     g = prob.f.grid
-    kappa = certify(SpectralField.zero(g), 0.0, prob, make_cutoff(g))
+    kappa = certify(SpectralField.constant(g, 0.0), 0.0, prob, make_cutoff(g))
     assert kappa == 0.0
 
 

@@ -200,7 +200,8 @@ SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_validate_ops_j_range_ends_at_the_top_level(tmp_path):
-    # at K = 256 the highest nonzero block is 8; the shipped [3, 7] runs, [3, 9] is refused
+    # at K = 256 the highest nonzero block is 8; the shipped [3, 7] runs, [3, 9] is refused;
+    # at K = 32 it is 5, where the default [3, 7] ends, so a grid alone runs
     doc = json.loads((SHIPPED / "validate_ops.json").read_text())
     assert doc["grid"]["K"] == 256 and doc["probes"]["j_range"] == [3, 7]
     code, out = run_code(tmp_path, doc, kind="validate-ops")
@@ -209,7 +210,15 @@ def test_validate_ops_j_range_ends_at_the_top_level(tmp_path):
     code, out = run_code(tmp_path, doc, kind="validate-ops")
     err = json.loads((out / "error.json").read_text())
     assert code == EXIT_CONFIG and err["error"] == "ConfigError"
-    assert "<= 8 at K=256" in err["message"]
+    assert "<= 8 at K=256, got [3, 9]" in err["message"]
+    doc["probes"]["j_range"] = [3, 9.0]  # read as integers: the refusal prints 9, not 9.0
+    assert "got [3, 9]" in json.loads((run_code(tmp_path, doc, kind="validate-ops")[1]
+                                       / "error.json").read_text())["message"]
+    code, out = run_code(tmp_path, {"kind": "validate-ops", "grid": {"dim": 1, "K": 32}},
+                         kind="validate-ops")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in (out / "validate_ops.csv").read_text().splitlines()]
+    assert sorted({int(r[3]) for r in rows if r[1] == "cm_ratio"}) == [3, 4, 5]
 
 
 def test_the_golden_circle_stops_on_its_residual(tmp_path):
@@ -293,6 +302,47 @@ def run_code(tmp_path, doc, kind="circle"):
     out = tmp_path / "out"
     code = main([kind, "--config", str(cfg), "--out", str(out)])
     return code, out
+
+
+BOUNDARY_CONFIGS = {
+    "circle": circle_config,
+    "torus": torus_config,
+    "diophantine": lambda: {"kind": "diophantine", "scan": {"K_values": [8]},
+                            "frequency": {"omega": [1.0, GOLDEN], "sigma": 1.0}},
+    "validate-ops": lambda: {"kind": "validate-ops", "grid": {"dim": 1, "K": 32},
+                             "probes": {"regularities": [1.0], "identity_trials": 2}},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("diophantine", "kind", ["diophantine"]), ("circle", "kind", {"a": 1}),
+     ("circle", "csv", 1), ("torus", "field_dump", None), ("circle", "csv", "ABSOLUTE"),
+     ("torus", "field_dump", "../escaped.json"), ("validate-ops", "csv", "sub/ops.csv"),
+     ("diophantine", "csv", ""), ("validate-ops", "csv", "."), ("circle", "field_dump", ".."),
+     ("diophantine", "csv", "a\0b.csv")],
+    ids=["kind-list", "kind-object", "csv-number", "dump-null", "csv-absolute", "dump-parent",
+         "csv-subdirectory", "csv-empty", "csv-dot", "dump-dot-dot", "csv-nul"],
+)
+def test_kind_and_output_names_are_checked_at_the_boundary(tmp_path, monkeypatch, kind, key,
+                                                          value):
+    # kind is a string and each output a plain file name inside --out; else exit 2 naming the key
+    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "solve_torus", no_solve)
+    doc = BOUNDARY_CONFIGS[kind]()
+    if value == "ABSOLUTE":
+        value = str(tmp_path / "escaped.csv")
+    if key == "kind":
+        doc["kind"] = value
+    else:
+        doc.setdefault("outputs", {})[key] = value
+    code, out = run_code(tmp_path, doc, kind=kind)
+    assert code == EXIT_CONFIG
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith("kind:" if key == "kind" else f"outputs.{key}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "out"]
+    assert {p.name for p in out.iterdir()} <= {"config_echo.json", "error.json"}
 
 
 @pytest.mark.parametrize("kind", ["circle", "torus"])

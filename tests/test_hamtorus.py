@@ -61,7 +61,7 @@ def integrable(grid, omega, Q0):
     n = grid.dim
     a1 = SpectralField.stack([SpectralField.constant(grid, omega.omega[i]) for i in range(n)])
     return HamiltonianData(
-        a0=SpectralField.zero(grid), a1=a1, Q=SpectralField.constant(grid, Q0)
+        a0=SpectralField.constant(grid, 0.0), a1=a1, Q=SpectralField.constant(grid, Q0)
     )
 
 
@@ -87,7 +87,13 @@ def random_hamiltonian(grid, omega, rng, amp=0.02, with_cubic=True, band=3):
                     if key not in pool:
                         pool[key] = sparse_field(grid, rng, amp, band)
                     cubic[i][j][k] = pool[key]
+        cubic = SpectralField.stack(cubic)
     return HamiltonianData(a0=a0, a1=a1, Q=Q, cubic=cubic)
+
+
+def composed_counterterm_defect(h, u, xi, mu, om):
+    """counterterm_check at u, of the residual with X_h(u) composed afresh."""
+    return counterterm_check(residual_torus(hamiltonian_vector_field(h, u), u, xi, om)[0], u, mu)
 
 
 def h_eval(h, x, y):
@@ -261,11 +267,11 @@ def test_error_fields_integrability_defect():
     eps = 0.05
     Q = SpectralField.stack(
         [
-            [SpectralField.from_modes(g, {(1, 0): eps / 2}) + 1.0, SpectralField.zero(g)],
-            [SpectralField.zero(g), SpectralField.constant(g, 1.0)],
+            [SpectralField.from_modes(g, {(1, 0): eps / 2}) + 1.0, SpectralField.constant(g, 0.0)],
+            [SpectralField.constant(g, 0.0), SpectralField.constant(g, 1.0)],
         ]
     )
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=integrable(g, om, np.eye(2)).a1, Q=Q)
+    h = HamiltonianData(a0=SpectralField.constant(g, 0.0), a1=integrable(g, om, np.eye(2)).a1, Q=Q)
     _, e1 = error_fields(h, om)
     want = SpectralField.from_modes(g, {(1, 0): eps / 2})
     assert (e1[0, 0] - want).l2_norm() < 1e-13
@@ -404,7 +410,8 @@ def test_frame_rejects_a_nan_embedding(component):
 def test_frame_degenerate_embedding_rejected():
     g = small_grid()
     # ux with slope ~ -1 along theta_1 collapses the first tangent column
-    ux = SpectralField.stack([SpectralField.from_modes(g, {(1, 0): 0.5j}), SpectralField.zero(g)])
+    ux = SpectralField.stack([SpectralField.from_modes(g, {(1, 0): 0.5j}),
+                              SpectralField.constant(g, 0.0)])
     u = TorusEmbedding(ux=ux, uy=SpectralField.constant(g, np.zeros(2)))
     with pytest.raises(DegenerateEmbeddingError, match="embedding Gram matrix"):
         frame(u)
@@ -422,7 +429,8 @@ def test_embedding_needs_one_component_per_grid_dimension(m_x, m_y):
 
 def gram_guard_embedding(g, b):
     """ux = (-b sin theta_1, 0), uy = 0: min det(du^T du) = (1 - b)^2 at theta_1 = 0, |det M| = 1."""
-    ux = SpectralField.stack([SpectralField.from_modes(g, {(1, 0): 0.5j * b}), SpectralField.zero(g)])
+    ux = SpectralField.stack([SpectralField.from_modes(g, {(1, 0): 0.5j * b}),
+                              SpectralField.constant(g, 0.0)])
     return TorusEmbedding(ux=ux, uy=SpectralField.constant(g, np.zeros(2)))
 
 
@@ -542,8 +550,8 @@ def test_linearization_identity_on_manufactured_torus():
                for i in range(2)]
     a1 = SpectralField.stack([analyze(g, warp_samples(t, theta)) for t in targets])
     Q0 = np.array([[1.3, 0.2], [0.2, 0.8]])
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, Q0))
-    F, fsup, _ = residual_torus(h, u, None, om)
+    h = HamiltonianData(a0=SpectralField.constant(g, 0.0), a1=a1, Q=SpectralField.constant(g, Q0))
+    F, fsup, _ = residual_torus(hamiltonian_vector_field(h, u), u, None, om)
     assert fsup < 1e-12
     from paratorus.hamtorus import _frame_samples, _jacobian_samples, _torsion_samples
 
@@ -612,7 +620,7 @@ def test_linear_solve_hand_example_case1():
     S = SpectralField.constant(g, np.eye(2))
     f = SpectralField.stack(
         [SpectralField.from_modes(g, {(1, 0): 0.5})]
-        + [SpectralField.zero(g) for _ in range(3)]
+        + [SpectralField.constant(g, 0.0) for _ in range(3)]
     )
     v, xi, mu = linear_para_homological_solve(*frame_handles(u, S, cut), f, "thm1", om)
     assert np.max(np.abs(xi)) == 0.0
@@ -815,7 +823,7 @@ def test_integrable_summary_has_the_keys_of_a_converged_run():
 def test_hamiltonian_rejects_a_non_finite_coefficient(name, value):
     g = small_grid()
     data = {
-        "a0": SpectralField.zero(g),
+        "a0": SpectralField.constant(g, 0.0),
         "a1": integrable(g, freq(), np.eye(2)).a1,
         "Q": SpectralField.constant(g, np.eye(2)),
         "cubic": SpectralField.constant(g, np.zeros((2, 2, 2))),
@@ -835,6 +843,10 @@ def test_hamiltonian_rejects_a_non_symmetric_cubic():
         HamiltonianData(a0=data.a0, a1=data.a1, Q=data.Q, cubic=SpectralField.constant(g, C))
     C[0, 1, 0] = C[1, 0, 0] = 1.0  # symmetrized, it is accepted
     HamiltonianData(a0=data.a0, a1=data.a1, Q=data.Q, cubic=SpectralField.constant(g, C))
+    # as a nest of scalar fields it is not a field: the caller stacks it
+    nest = [[[SpectralField.constant(g, c) for c in row] for row in plane] for plane in C]
+    with pytest.raises(TypeError, match="cubic must be a SpectralField, got list"):
+        HamiltonianData(a0=data.a0, a1=data.a1, Q=data.Q, cubic=nest)
 
 
 def test_hamiltonian_rejects_a1_off_the_grid_dimension():
@@ -847,6 +859,8 @@ def test_hamiltonian_rejects_a1_off_the_grid_dimension():
                         Q=SpectralField.constant(g, np.eye(3)))
     with pytest.raises(ValueError, match="a0 must be scalar"):
         HamiltonianData(a0=SpectralField.constant(g, np.ones(2)), a1=data.a1, Q=data.Q)
+    with pytest.raises(TypeError, match="a1 must be a SpectralField, got list"):
+        HamiltonianData(a0=data.a0, a1=list(data.a1), Q=data.Q)
 
 
 def test_non_finite_step_attaches_the_partial_report(monkeypatch):
@@ -874,7 +888,8 @@ def test_non_finite_step_attaches_the_partial_report(monkeypatch):
 
 def thm2_shift_data(g, om):
     a1 = SpectralField.stack([SpectralField.constant(g, om.omega[i] + 0.01 * (i == 0)) for i in range(2)])
-    return HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, np.zeros((2, 2))))
+    return HamiltonianData(a0=SpectralField.constant(g, 0.0), a1=a1,
+                           Q=SpectralField.constant(g, np.zeros((2, 2))))
 
 
 def test_solve_torus_rejects_max_iter_below_one_before_the_first_step(monkeypatch):
@@ -921,7 +936,8 @@ def test_solve_thm2_exact_frequency_shift():
     om = freq()
     delta = np.array([0.01, 0.0])
     a1 = SpectralField.stack([SpectralField.constant(g, om.omega[i] + delta[i]) for i in range(2)])
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, np.zeros((2, 2))))
+    h = HamiltonianData(a0=SpectralField.constant(g, 0.0), a1=a1,
+                        Q=SpectralField.constant(g, np.zeros((2, 2))))
     sol = solve_torus(h, om, mode="thm2", s=3.0)
     assert np.max(np.abs(sol.xi + delta)) < 1e-10
     assert sol.u.displacement().sobolev_norm(3.0) < 1e-10
@@ -941,16 +957,17 @@ def test_solve_thm1_small_perturbation_converges():
     assert sol.report.extras["residual_sup"] < 1e-9
     assert sol.report.extras["kappa"] < 1.0
     assert np.all(sol.xi == 0.0)
-    assert counterterm_check(h, sol.u, sol.xi, sol.mu, om) < 1e-10
+    assert composed_counterterm_defect(h, sol.u, sol.xi, sol.mu, om) < 1e-10
 
 
 def test_solve_builds_each_operator_once_per_step(monkeypatch):
     # per Picard step: four handles (T_M, T_{M^-1}, T_S and the remainder symbol
-    # B) and one Jacobian evaluation; X_h once per iterate, the flat torus's
-    # giving e0; the terminal checks reuse the final iterate's X_h
+    # B), one Jacobian evaluation and one residual; X_h once per iterate, the flat
+    # torus's giving e0; the terminal checks reuse the final iterate's X_h
     import paratorus.hamtorus as ht
 
-    counts = {"handles": 0, "_jacobian_samples": 0, "_xh_samples": 0}
+    counts = {"handles": 0, "_jacobian_samples": 0, "_xh_samples": 0, "residual_torus": 0,
+              "counterterm_check": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -960,7 +977,7 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ParaOpHandle, "__init__", counting("handles", ParaOpHandle.__init__))
-    for name in ("_jacobian_samples", "_xh_samples"):
+    for name in ("_jacobian_samples", "_xh_samples", "residual_torus", "counterterm_check"):
         monkeypatch.setattr(ht, name, counting(name, getattr(ht, name)))
     g = small_grid()
     om = freq()
@@ -976,6 +993,9 @@ def test_solve_builds_each_operator_once_per_step(monkeypatch):
     assert counts["_jacobian_samples"] == n
     # X_h at each of the n + 1 iterates, zeta0 included
     assert counts["_xh_samples"] == n + 1
+    # the residual at each step's iterate, then the terminal one for the certificates
+    assert counts["residual_torus"] == n + 1
+    assert counts["counterterm_check"] == 1
 
 
 def test_no_handle_of_a_step_is_alive_when_the_next_step_starts(monkeypatch):
@@ -1223,8 +1243,9 @@ def test_residual_manufactured_solution():
     targets = [ux[i].omega_derivative(np.asarray(om, dtype=float)) + om.omega[i]
                for i in range(2)]
     a1 = SpectralField.stack([analyze(g, warp_samples(t, theta)) for t in targets])
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1, Q=SpectralField.constant(g, np.eye(2)))
-    _, sup, _ = residual_torus(h, u, None, om)
+    h = HamiltonianData(a0=SpectralField.constant(g, 0.0), a1=a1,
+                        Q=SpectralField.constant(g, np.eye(2)))
+    _, sup, _ = residual_torus(hamiltonian_vector_field(h, u), u, None, om)
     assert sup < 1e-10
 
 
@@ -1234,7 +1255,7 @@ def test_counterterm_identity_at_flat_torus():
     rng = np.random.default_rng(12)
     h = random_hamiltonian(g, om, rng)
     # at zeta0 the identity reduces to Avg F^y = 0, true by construction
-    defect = counterterm_check(h, TorusEmbedding.flat(g), np.zeros(2), np.zeros(2), om)
+    defect = composed_counterterm_defect(h, TorusEmbedding.flat(g), np.zeros(2), np.zeros(2), om)
     assert defect < 1e-12
 
 
@@ -1257,12 +1278,12 @@ def test_counterterm_detects_rough_data():
         ]
     )
     u = TorusEmbedding(ux=ux, uy=uy)
-    defect = counterterm_check(h, u, np.zeros(2), rng.standard_normal(2), om)
+    defect = composed_counterterm_defect(h, u, np.zeros(2), rng.standard_normal(2), om)
     assert defect > 1e-10
 
 
 def test_solve_reports_the_counterterm_defect_of_its_measured_residual():
-    # the solver reuses the final X_h; the public check composes it again
+    # the solver reuses the final X_h; here it is composed again
     g = small_grid()
     om = freq()
     h = HamiltonianData(
@@ -1271,7 +1292,7 @@ def test_solve_reports_the_counterterm_defect_of_its_measured_residual():
         Q=SpectralField.constant(g, np.eye(2)),
     )
     sol = solve_torus(h, om, mode="thm1", s=3.0)
-    defect = counterterm_check(h, sol.u, sol.xi, sol.mu, om)
+    defect = composed_counterterm_defect(h, sol.u, sol.xi, sol.mu, om)
     assert sol.report.extras["counterterm_defect"] == defect
 
 
@@ -1309,7 +1330,7 @@ def test_flow_oracle_detects_corruption():
     om = FrequencyVector.certify([1.0, GOLDEN], 1.0, 16)
     h = integrable(g, om, np.eye(2))
     uy = SpectralField.stack(
-        [SpectralField.from_modes(g, {(1, 0): 1e-3j}), SpectralField.zero(g)]
+        [SpectralField.from_modes(g, {(1, 0): 1e-3j}), SpectralField.constant(g, 0.0)]
     )
     bad = TorusEmbedding(ux=SpectralField.constant(g, np.zeros(2)), uy=uy)
     dev = flow_oracle(h, bad, None, om, theta0=[0.3, 0.9], T=2.0, dt=1e-3)
@@ -1413,7 +1434,7 @@ def _random_taylor_data(grid, rng, cubic, dense):
 
     Q = SpectralField.stack([[entry(i, j) for j in range(n)] for i in range(n)])
     C = [[[entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)] if cubic else None
-    return HamiltonianData(a0=a0, a1=a1, Q=Q, cubic=C)
+    return HamiltonianData(a0=a0, a1=a1, Q=Q, cubic=C and SpectralField.stack(C))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1438,7 +1459,7 @@ def test_folded_point_rhs_matches_per_gradient_synthesis(dim, cubic, dense):
 def test_flow_closures_of_a_zero_hamiltonian_are_the_counterterm_alone():
     # every row of both tables is zero: no table is left, and only the shift and xi remain
     g = small_grid()
-    zero = SpectralField.zero(g)
+    zero = SpectralField.constant(g, 0.0)
     h = HamiltonianData(a0=zero, a1=SpectralField.constant(g, np.zeros(2)),
                         Q=SpectralField.constant(g, np.zeros((2, 2))))
     z = [0.3, 0.9, 0.5, -0.25]
@@ -1573,7 +1594,7 @@ def test_counterterm_of_the_wrong_shape_is_rejected(caller, xi):
     u = TorusEmbedding.flat(g)
     call = {
         "flow_oracle": lambda: flow_oracle(h, u, xi, om, theta0=[0.3, 0.9], T=0.01, dt=1e-3),
-        "residual_torus": lambda: residual_torus(h, u, xi, om),
+        "residual_torus": lambda: residual_torus(hamiltonian_vector_field(h, u), u, xi, om),
         "_flow_closures": lambda: _flow_closures(h, xi),
     }[caller]
     with pytest.raises(ValueError, match=r"xi needs shape \(2,\), got shape"):
@@ -1654,7 +1675,7 @@ def test_point_rhs_without_a_varying_mode_is_the_constant_polynomial():
     # a0 = 0 with constant a1 and Q: no phase is formed, and dyadic data keeps every sum exact
     g = small_grid()
     a1 = SpectralField.stack([SpectralField.constant(g, 1.0), SpectralField.constant(g, 0.5)])
-    h = HamiltonianData(a0=SpectralField.zero(g), a1=a1,
+    h = HamiltonianData(a0=SpectralField.constant(g, 0.0), a1=a1,
                         Q=SpectralField.constant(g, np.array([[2.0, 0.25], [0.25, 1.0]])))
     rhs = _flow_closures(h, np.array([0.125, -0.375]))[0]
     for x in ([0.3, 0.9], [5.1, -2.0]):
@@ -1769,4 +1790,4 @@ def test_solve_thm1_dim3_smoke():
     assert sol.report.extras["residual_sup"] < 1e-13
     assert sol.report.extras["kappa"] < 1.0
     assert np.all(sol.xi == 0.0)
-    assert counterterm_check(h, sol.u, sol.xi, sol.mu, om) < 1e-10
+    assert composed_counterterm_defect(h, sol.u, sol.xi, sol.mu, om) < 1e-10

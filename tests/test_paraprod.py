@@ -33,7 +33,7 @@ def setup_1d(K=32):
 
 def lacunary(grid, cut, r, rng, jmax=None):
     """sum_j 2^{-jr} cos(2^j x + phase): |.|_{C^r_*} ~ 1 with known regularity."""
-    f = SpectralField.zero(grid)
+    f = SpectralField.constant(grid, 0.0)
     top = jmax if jmax is not None else cut.j_max
     for j in range(0, top + 1):
         k = 2**j
@@ -362,7 +362,7 @@ def test_pl_remainder_zero_for_constant_linear():
     u = random_field(g, rng, band=8)
     c = 2.2
     F_of_u = c * u
-    F_of_0 = SpectralField.zero(g)
+    F_of_0 = SpectralField.constant(g, 0.0)
     Fz_at_u = SpectralField.constant(g, c)
     rem = pl_remainder(F_of_u, F_of_0, Fz_at_u, u, cut)
     assert rem.l2_norm() < 1e-13 * u.l2_norm()
@@ -386,7 +386,7 @@ def test_pl_remainder_block_decay_slope():
         u = u * (1.0 / nrm)
         F_of_u = analyze(g, u.samples() ** 2)
         Fz_at_u = 2.0 * u
-        rem = pl_remainder(F_of_u, SpectralField.zero(g), Fz_at_u, u, cut)
+        rem = pl_remainder(F_of_u, SpectralField.constant(g, 0.0), Fz_at_u, u, cut)
         ratio = rem.sobolev_norm(2.0) / u.sobolev_norm(2.0)
         if ratio > 0:
             js.append(j)
@@ -402,7 +402,7 @@ def test_para_compose_zero_displacement():
     g, cut = setup_1d(64)
     rng = np.random.default_rng(22)
     F = random_field(g, rng, band=48)
-    zero = SpectralField.stack([SpectralField.zero(g)])
+    zero = SpectralField.stack([SpectralField.constant(g, 0.0)])
     got = para_compose(F, zero, cut)
     assert (got - F).l2_norm() < 1e-10
 
@@ -484,7 +484,7 @@ def test_para_invert_mean_dominated_symbol_fails():
 def test_para_invert_zero_rhs():
     g, cut = setup_1d()
     a = SpectralField.constant(g, 2.0)
-    w = para_invert(a, SpectralField.zero(g), cut)
+    w = para_invert(a, SpectralField.constant(g, 0.0), cut)
     assert w.l2_norm() == 0.0
 
 
@@ -542,7 +542,7 @@ def test_para_invert_rejects_a_w0_on_another_grid_or_of_another_shape():
     v = random_field(g, np.random.default_rng(35))
     handle = ParaOpHandle(SpectralField.from_modes(g, {1: 0.05}) + 1.0, cut)
     with pytest.raises(GridMismatchError):
-        para_invert_with_handle(handle, v, w0=SpectralField.zero(TorusGrid(1, 16)))
+        para_invert_with_handle(handle, v, w0=SpectralField.constant(TorusGrid(1, 16), 0.0))
     with pytest.raises(ValueError, match="w0"):
         para_invert_with_handle(handle, v, w0=SpectralField.stack([v, v]))
 
@@ -653,7 +653,7 @@ def test_half_spectrum_apply_equals_the_full_spectrum_apply(dim, K, symbol_shape
     u = analyze(g, rng.standard_normal(operand_shape + g.point_shape))
     assert h.apply(u).coeffs.tobytes() == full_spectrum_apply(h, u).coeffs.tobytes()
     with pytest.raises(GridMismatchError):
-        h.apply(SpectralField.zero(TorusGrid(dim, K + 1)))
+        h.apply(SpectralField.constant(TorusGrid(dim, K + 1), 0.0))
 
 
 @pytest.mark.parametrize("column", ["in_band", "above_band"])

@@ -29,7 +29,7 @@ def grid1d(K=16):
 def random_field(grid, rng, band=None, amp=1.0):
     """Random real field band-limited to |k_i| <= band (default K//2)."""
     band = band or grid.max_mode // 2
-    f = SpectralField.zero(grid)
+    f = SpectralField.constant(grid, 0.0)
     K = grid.max_mode
     n_modes = 12
     for _ in range(n_modes):
@@ -222,7 +222,7 @@ def test_point_evaluators_keep_a_nan_coefficient():
     g = TorusGrid(2, 8)
     wpts = np.stack(g.point_mesh) + 0.01
     for k in [(1, 0), (-1, 0), (2, 3), (2, -3)]:  # the plane k_last = 0, then each half
-        f = SpectralField.zero(g)
+        f = SpectralField.constant(g, 0.0)
         f.coeffs[k[0] + 8, k[1] + 8] = np.nan
         if k[1] >= 0:  # the transform path reads the k_last >= 0 half only
             assert np.any(np.isnan(f.samples()))
@@ -297,7 +297,7 @@ def test_eval_at_contracts_only_the_rows_it_needs(dim):
     rng = np.random.default_rng(20 + dim)
     g = TorusGrid(dim, 6 if dim < 3 else 3)
     f1, f2 = random_field(g, rng), random_field(g, rng, band=1)
-    zero = SpectralField.zero(g)
+    zero = SpectralField.constant(g, 0.0)
     pts = np.stack(g.point_mesh) + 0.3 * rng.uniform(-1.0, 1.0, (dim,) + g.point_shape)
     got = spectral._eval_at(SpectralField.stack([zero, f1, zero, f2, zero]), pts)
     assert np.all(got[[0, 2, 4]] == 0.0) and not np.any(np.signbit(got[[0, 2, 4]]))
@@ -305,7 +305,7 @@ def test_eval_at_contracts_only_the_rows_it_needs(dim):
     alone = spectral._eval_at(SpectralField.stack([zero, f1, zero]), pts)
     assert np.array_equal(alone[1], spectral._eval_at(f1, pts))
     # a row whose only coefficient is a NaN still reaches the output
-    nan = SpectralField.zero(g)
+    nan = SpectralField.constant(g, 0.0)
     nan.coeffs[(1,) * dim] = np.nan
     got = spectral._eval_at(SpectralField.stack([zero, nan, f1]), pts)
     assert np.all(got[0] == 0.0) and np.all(np.isnan(got[1])) and np.all(np.isfinite(got[2]))
@@ -445,9 +445,11 @@ def test_stack_rejects_an_empty_sequence_and_two_grids():
     with pytest.raises(ValueError, match="empty sequence"):
         SpectralField.stack([[]])
     with pytest.raises(GridMismatchError):
-        SpectralField.stack([SpectralField.zero(grid1d(8)), SpectralField.zero(grid1d(16))])
+        SpectralField.stack([SpectralField.constant(grid1d(8), 0.0),
+                             SpectralField.constant(grid1d(16), 0.0)])
     with pytest.raises(GridMismatchError):
-        SpectralField.stack([[SpectralField.zero(grid1d(8))], [SpectralField.zero(TorusGrid(2, 8))]])
+        SpectralField.stack([[SpectralField.constant(grid1d(8), 0.0)],
+                             [SpectralField.constant(TorusGrid(2, 8), 0.0)]])
 
 
 def test_the_former_field_constructors_are_aliases():
@@ -468,7 +470,7 @@ def test_compose_warped_zero_and_constant_warp():
     rng = np.random.default_rng(31)
     g = grid1d(12)
     f = random_field(g, rng)
-    zero_w = SpectralField.stack([SpectralField.zero(g)])
+    zero_w = SpectralField.stack([SpectralField.constant(g, 0.0)])
     assert np.max(np.abs(compose_warped(f, zero_w).coeffs - f.coeffs)) < 1e-12
     c = 0.8127
     const_w = SpectralField.stack([SpectralField.constant(g, c)])

@@ -21,7 +21,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def sparse_field(grid, rng, amp, band=3):
-    f = SpectralField.zero(grid)
+    f = SpectralField.constant(grid, 0.0)
     K = grid.max_mode
     for _ in range(5):
         k = tuple(int(rng.integers(-band, band + 1)) for _ in range(grid.dim))
@@ -71,8 +71,8 @@ def remainder_amplitude_sweep(amps, K=8, seed=11):
         a1 = SpectralField.stack([p1[i] * amp + om.omega[i] for i in range(2)])
         Q = SpectralField.stack(
             [
-                [pq * amp + 1.0, SpectralField.zero(g)],
-                [SpectralField.zero(g), pq * amp + 1.2],
+                [pq * amp + 1.0, SpectralField.constant(g, 0.0)],
+                [SpectralField.constant(g, 0.0), pq * amp + 1.2],
             ]
         )
         h = HamiltonianData(a0=p0 * amp, a1=a1, Q=Q)
