@@ -201,7 +201,7 @@ SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 
 def test_validate_ops_j_range_ends_at_the_top_level(tmp_path):
     # at K = 256 the highest nonzero block is 8; the shipped [3, 7] runs, [3, 9] is refused;
-    # at K = 32 it is 5, where the default [3, 7] ends, so a grid alone runs
+    # at K = 32 it is 5, and the default [3, 7] ends one below it, so a grid alone runs
     doc = json.loads((SHIPPED / "validate_ops.json").read_text())
     assert doc["grid"]["K"] == 256 and doc["probes"]["j_range"] == [3, 7]
     code, out = run_code(tmp_path, doc, kind="validate-ops")
@@ -218,6 +218,17 @@ def test_validate_ops_j_range_ends_at_the_top_level(tmp_path):
                          kind="validate-ops")
     assert code == EXIT_OK
     rows = [line.split(",") for line in (out / "validate_ops.csv").read_text().splitlines()]
+    assert sorted({int(r[3]) for r in rows if r[1] == "cm_ratio"}) == [3, 4]
+
+
+def test_a_validate_ops_grid_alone_passes_its_probes(tmp_path):
+    # at K = 64 the top level is 6 and the default j_range [3, 5]; ending at the top, [3, 6]
+    # read a commutator slope of -1.30 at r = 2 against its bound of -1.5
+    code, out = run_code(tmp_path, {"kind": "validate-ops", "grid": {"dim": 1, "K": 64}},
+                         kind="validate-ops")
+    text = (out / "validate_ops.csv").read_text()
+    assert code == EXIT_OK and "all_passed=1" in text
+    rows = [line.split(",") for line in text.splitlines()]
     assert sorted({int(r[3]) for r in rows if r[1] == "cm_ratio"}) == [3, 4, 5]
 
 
@@ -275,23 +286,19 @@ def test_rational_angle_resonance_row(tmp_path):
     assert "resonant" in text and "(7)" in text
 
 
-def test_batch_isolated_outputs(tmp_path):
+def test_batch_isolated_outputs(tmp_path, capsys):
+    # several configs write to --out/<stem> each; the number of configs decides, not a flag
     c1 = write_config(tmp_path, "one.json", circle_config(amp=0.0))
     c2 = write_config(tmp_path, "two.json", circle_config(amp=0.01))
     out = tmp_path / "out"
-    code = main([
-        "circle", "--config", str(c1), "--config", str(c2), "--out", str(out), "--batch",
-    ])
+    code = main(["circle", "--config", str(c1), "--config", str(c2), "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "one" / "run.csv").exists()
     assert (out / "two" / "run.csv").exists()
-
-
-def test_multiple_configs_require_batch(tmp_path):
-    c1 = write_config(tmp_path, "one.json", circle_config())
-    c2 = write_config(tmp_path, "two.json", circle_config())
-    assert main(["circle", "--config", str(c1), "--config", str(c2),
-                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(["circle", "--config", str(c1), "--out", str(tmp_path / "o"), "--batch"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 # --- boundary validation and failure forensics -----------------------------------
@@ -320,13 +327,17 @@ BOUNDARY_CONFIGS = {
      ("circle", "csv", 1), ("torus", "field_dump", None), ("circle", "csv", "ABSOLUTE"),
      ("torus", "field_dump", "../escaped.json"), ("validate-ops", "csv", "sub/ops.csv"),
      ("diophantine", "csv", ""), ("validate-ops", "csv", "."), ("circle", "field_dump", ".."),
-     ("diophantine", "csv", "a\0b.csv")],
+     ("diophantine", "csv", "a\0b.csv"), ("circle", "csv", "config_echo.json"),
+     ("validate-ops", "csv", "error.json"), ("torus", "field_dump", "config_echo.json"),
+     ("torus", "field_dump", "torus.csv")],
     ids=["kind-list", "kind-object", "csv-number", "dump-null", "csv-absolute", "dump-parent",
-         "csv-subdirectory", "csv-empty", "csv-dot", "dump-dot-dot", "csv-nul"],
+         "csv-subdirectory", "csv-empty", "csv-dot", "dump-dot-dot", "csv-nul", "csv-echo",
+         "csv-error", "dump-echo", "dump-csv"],
 )
 def test_kind_and_output_names_are_checked_at_the_boundary(tmp_path, monkeypatch, kind, key,
                                                           value):
-    # kind is a string and each output a plain file name inside --out; else exit 2 naming the key
+    # kind is a string and each output a plain file name inside --out that no other file of the
+    # run has (the config echo, error.json, the CSV); else exit 2 naming the key
     monkeypatch.setattr(cli, "solve", no_solve)
     monkeypatch.setattr(cli, "solve_torus", no_solve)
     doc = BOUNDARY_CONFIGS[kind]()
@@ -343,6 +354,8 @@ def test_kind_and_output_names_are_checked_at_the_boundary(tmp_path, monkeypatch
     assert error["message"].startswith("kind:" if key == "kind" else f"outputs.{key}:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "out"]
     assert {p.name for p in out.iterdir()} <= {"config_echo.json", "error.json"}
+    if key != "kind":
+        assert json.loads((out / "config_echo.json").read_text()) == doc
 
 
 @pytest.mark.parametrize("kind", ["circle", "torus"])
@@ -441,6 +454,23 @@ def test_circle_solver_error_keeps_trajectory(tmp_path, monkeypatch, outcome, er
     assert f"status={status}" in lines[-1]
 
 
+def test_a_failed_flow_oracle_keeps_the_converged_report_and_dump(tmp_path):
+    # the solve converges; RK4 at dt = 0.9 drifts in energy, so the run exits 3, but the report
+    # and the dump are written before the error leaves
+    doc = torus_config()
+    doc["problem"]["a0_modes"] = [{"k": [1, 0], "re": 0.005, "im": 0.0}]
+    doc["problem"]["a1"] = {"constant": [1.0, GOLDEN]}
+    doc["problem"]["Q"] = {"constant": [[1.0, 0.0], [0.0, 1.0]]}
+    doc["solver"]["mode"] = "thm1"
+    doc["outputs"]["flow_oracle"] = {"theta0": [0.7, 1.9], "T": 200.0, "dt": 0.9}
+    code, out = run_code(tmp_path, doc, kind="torus")
+    assert code == EXIT_SOLVER
+    assert json.loads((out / "error.json").read_text())["error"] == "EnergyDriftError"
+    summary = (out / "torus.csv").read_text().splitlines()[-1]
+    assert "status=converged" in summary and "flow_deviation" not in summary
+    assert len(json.loads((out / "sol.json").read_text())["ux"]) == 2
+
+
 def test_torus_nonconvergence_keeps_trajectory(tmp_path):
     doc = torus_config()
     doc["problem"]["a0_modes"] = [{"k": [1, 0], "re": 0.005, "im": 0.0}]
@@ -520,19 +550,21 @@ def no_scan(*args):
     "frequency, K_values",
     [({"omega": [1.0, GOLDEN], "sigma": 1.0}, [8, 20000]),
      ({"omega": [1.0, GOLDEN, 2.0**0.5 - 1.0], "sigma": 1.0}, [8, 200]),
-     ({"alpha": GOLDEN_ALPHA, "sigma": 1.0}, [8, 10**10])],
-    ids=["omega-2d", "omega-3d", "alpha"],
+     ({"alpha": GOLDEN_ALPHA, "sigma": 1.0}, [8, 10**10]),
+     ({"omega": [1.0, GOLDEN], "sigma": 1.0}, [8, 1e300])],
+    ids=["omega-2d", "omega-3d", "alpha", "omega-2d-1e300"],
 )
 def test_a_diophantine_scan_over_the_memory_budget_is_config_error(tmp_path, monkeypatch,
                                                                    frequency, K_values):
-    # K = 20000 in 2-D is 1.6e9 modes, about 106 GB at 66 bytes a mode; no scan may start
+    # K = 20000 in 2-D is 1.6e9 modes, about 106 GB at 66 bytes a mode; no scan may start. At
+    # K = 1e300 the size is past the float range and is still formatted, in integer MiB
     monkeypatch.setattr(cli, "certify_diophantine", no_scan)
     monkeypatch.setattr(cli, "certify_rotation_angle", no_scan)
     doc = {"kind": "diophantine", "frequency": frequency, "scan": {"K_values": K_values}}
     code, out = run_code(tmp_path, doc, kind="diophantine")
     assert code == EXIT_CONFIG
     message = json.loads((out / "error.json").read_text())["message"]
-    assert message.startswith(f"scan.K_values[1]: the scan of K={K_values[1]} needs about")
+    assert message.startswith(f"scan.K_values[1]: the scan of K={int(K_values[1])} needs about")
 
 
 @pytest.mark.parametrize("n, K", [(1, 50000), (2, 150), (3, 22), (4, 8)])
@@ -774,13 +806,15 @@ def test_the_guard_admits_the_grids_it_admitted_before_the_top_level_was_pruned(
         assert admitted
 
 
-def test_torus_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize("K", [32, 1e300])
+def test_torus_grid_over_the_memory_budget_is_config_error(tmp_path, monkeypatch, K):
     # dim 3 at K = 32: 3 levels of 6 x 6 low-passes on 81^3 points, about 438 MiB, and the
-    # step's samples on 128^3 points, about 2.1 GiB
+    # step's samples on 128^3 points, about 2.1 GiB; at K = 1e300 a size past the float range
     monkeypatch.setattr(cli, "solve_torus", no_solve)
-    code, out = run_code(tmp_path, dim3_torus_config(32), kind="torus")
+    code, out = run_code(tmp_path, dim3_torus_config(K), kind="torus")
     assert code == EXIT_CONFIG
-    assert "MiB" in json.loads((out / "error.json").read_text())["message"]
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert message.startswith("grid: ") and message.endswith("MiB")
 
 
 def test_torus_grid_within_the_memory_budget_reaches_the_solve(tmp_path, monkeypatch):
